@@ -1,6 +1,6 @@
 #include "src/cluster/cluster.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "src/sim/sharded_engine.h"
 
@@ -19,8 +19,11 @@ Cluster::Cluster(sim::Simulator* sim, const Options& options) : options_(options
 }
 
 Cluster::Cluster(sim::ShardedEngine* engine, const Options& options) : options_(options) {
-  assert(options_.shared_cpu_cores == 0 && "shared CPU pool is cross-shard state");
   const int num_shards = engine->num_shards();
+  if (options_.shared_cpu_cores > 0 && num_shards > 1) {
+    // Every shard's thread would run jobs on the one pool: a data race.
+    throw std::invalid_argument("cluster: a shared CPU pool needs a 1-shard engine");
+  }
   network_ = std::make_unique<Network>(engine->shard(0), options_.network,
                                        options_.seed ^ 0xBEEF);
   std::vector<int> node_shard(static_cast<size_t>(options_.num_nodes));
@@ -29,10 +32,13 @@ Cluster::Cluster(sim::ShardedEngine* engine, const Options& options) : options_(
         static_cast<int>(static_cast<int64_t>(i) * num_shards / options_.num_nodes);
   }
   network_->AttachShards(engine, node_shard);
+  if (options_.shared_cpu_cores > 0) {
+    shared_cpu_ = std::make_unique<CpuPool>(engine->shard(0), options_.shared_cpu_cores);
+  }
   nodes_.reserve(static_cast<size_t>(options_.num_nodes));
   for (int i = 0; i < options_.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<kv::DocStoreNode>(
-        engine->shard(node_shard[static_cast<size_t>(i)]), i, options_.node, nullptr));
+        engine->shard(node_shard[static_cast<size_t>(i)]), i, options_.node, shared_cpu_.get()));
   }
 }
 

@@ -33,8 +33,9 @@ class Cluster {
   // each node's full stack (OS, devices, scheduler, cache) built on its
   // shard's simulator. The network is attached to the engine with the
   // node->shard map; shard counts must not depend on worker count (the
-  // engine's determinism contract). Incompatible with shared_cpu_cores — a
-  // shared CPU pool is inherently cross-node state.
+  // engine's determinism contract). A shared CPU pool (shared_cpu_cores >
+  // 0) is cross-node state, so it needs a 1-shard engine; with more shards
+  // this throws std::invalid_argument.
   Cluster(sim::ShardedEngine* engine, const Options& options);
 
   kv::DocStoreNode& node(int i) { return *nodes_[static_cast<size_t>(i)]; }

@@ -64,7 +64,7 @@ void Network::DeliverHop(int src, int peer, int dst_shard, DeliverFn fn) {
   }
   sim::Simulator* src_sim = engine_->shard(src);
   if (dst_shard == src) {
-    // Shard-local: the legacy fast path, no mailbox traffic.
+    // Shard-local: no mailbox traffic.
     src_sim->Schedule(hop, std::move(fn));
     return;
   }

@@ -17,12 +17,12 @@
 // crosses shard boundaries, so it owns the cross-shard routing rules:
 //  * one RNG *lane* per source shard — hop jitter and drop draws consumed
 //    only by that shard's thread, so sequences are independent of worker
-//    interleaving. Lane 0 continues the unsharded network's stream, which is
-//    what keeps single-shard runs bit-identical with the legacy engine.
+//    interleaving. Lane 0 is the stream a network on a plain Simulator
+//    draws, so a 1-shard world draws exactly what a plain world does.
 //  * a delivery names its destination shard: same-shard hops schedule
-//    directly on the local simulator (the legacy fast path), cross-shard
-//    hops post timestamped messages into the engine's mailboxes. Every hop
-//    takes >= one_way - jitter, which is exactly the engine's lookahead.
+//    directly on the local simulator, cross-shard hops post timestamped
+//    messages into the engine's mailboxes. Every hop takes
+//    >= one_way - jitter, which is exactly the engine's lookahead.
 //  * link-fault state (multipliers, drops, partitions) is only mutated while
 //    the engine is quiesced (fault episodes run as global events), so shard
 //    threads may read it without synchronization.
@@ -71,7 +71,7 @@ class Network {
   Network(sim::Simulator* sim, const NetworkParams& params, uint64_t seed);
 
   // Binds the network to a sharded engine: `node_shard[n]` is the shard that
-  // owns node n. Call once, before any traffic. Lane 0 keeps the unsharded
+  // owns node n. Call once, before any traffic. Lane 0 keeps the seed's own
   // RNG stream; lane s>0 gets an independent stream derived from the seed.
   void AttachShards(sim::ShardedEngine* engine, std::vector<int> node_shard);
 
@@ -84,8 +84,8 @@ class Network {
 
   // Delivers `fn` after one network hop; `peer` is the node endpoint the
   // message enters or leaves (for per-link fault application). The two
-  // legacy overloads deliver onto the *calling* shard — unchanged semantics
-  // for unsharded worlds and for shard-local control traffic.
+  // overloads without a destination deliver onto the *calling* shard (for
+  // shard-local control traffic).
   void Deliver(DeliverFn fn) { Deliver(kNoPeer, std::move(fn)); }
   void Deliver(int peer, DeliverFn fn);
   // Shard-routed delivery: `fn` runs on `dst_shard`'s simulator.

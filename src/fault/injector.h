@@ -51,11 +51,11 @@ class FaultInjector {
 
   void Begin(size_t index);
   void End(size_t index, TimeNs actual_start);
-  // Sharded worlds (sim->engine() != nullptr) run every fault transition as
+  // Engine worlds (sim->engine() != nullptr) run every fault transition as
   // a ShardedEngine *global event* — executed while all shards are quiesced,
-  // because faults mutate cross-shard state (network links, remote nodes).
-  // Unsharded worlds keep the legacy daemon scheduling, bit-identical with
-  // prior releases. Both variants never keep the run alive on their own.
+  // because faults mutate cross-shard state (network links, remote nodes);
+  // on one shard that is a daemon event. A plain Simulator schedules the
+  // daemon event directly. Neither keeps the run alive on its own.
   void ScheduleFaultEvent(DurationNs delay, sim::Callback fn);
   // True if the episode's target exists in this world.
   bool Applicable(const FaultEpisode& episode) const;

@@ -45,6 +45,52 @@ struct ClassAgg {
   uint64_t failovers = 0;
   uint64_t errors = 0;
   LatencyRecorder latencies;
+
+  void MergeFrom(const ClassAgg& other) {
+    requests += other.requests;
+    deadline_miss += other.deadline_miss;
+    failovers += other.failovers;
+    errors += other.errors;
+    latencies.MergeFrom(other.latencies);
+  }
+};
+
+// Everything one shard's drivers write during a run: the shard's own
+// strategy instance (salted seed stream) and harvest sinks. Clients and
+// arrivals drive their home shard's strategy only, and replies route back to
+// the request's home shard (client/strategy.cc, kv/ring_coordinator.cc), so
+// every mutation is single-threaded within a window.
+struct ShardCtx {
+  sim::Simulator* sim = nullptr;
+  std::unique_ptr<client::GetStrategy> strategy;
+  OracleHarvest* oracle_sink = nullptr;  // &oracle when harvest_oracles is on.
+  LatencyRecorder get_latencies;
+  LatencyRecorder user_latencies;
+  uint64_t user_errors = 0;
+  uint64_t completed = 0;
+  std::vector<ClassAgg> class_aggs;  // Tenant runs: per class, this shard.
+  trace::TraceRecorder recorder;     // record_trace_path: this shard's arrivals.
+  OracleHarvest oracle;              // harvest_oracles: this shard's counts.
+};
+
+// How many user requests closed-loop clients may issue, and how many of the
+// first of them go unmeasured.
+struct Quota {
+  size_t total = 0;
+  size_t warmup = 0;
+  size_t issued = 0;
+};
+
+// One closed-loop YCSB client: one user request of scale_factor Gets in
+// flight, all of them completing on the client's home shard.
+struct Client {
+  std::unique_ptr<workload::YcsbWorkload> workload;
+  uint32_t index = 0;
+  ShardCtx* home = nullptr;
+  Quota* quota = nullptr;
+  int outstanding = 0;  // Gets of the in-flight request not yet completed.
+  TimeNs start = 0;     // When the in-flight request was issued.
+  bool measured = false;
 };
 
 void RecordTenantCompletion(const tenant::TenantDirectory& directory,
@@ -196,13 +242,13 @@ void OracleHarvest::MergeFrom(const OracleHarvest& other) {
 
 int ResolveShards(const ExperimentOptions& options) {
   if (options.shared_cpu_cores > 0) {
-    return 1;  // A shared CPU pool is inherently cross-shard state.
+    return 1;  // A shared CPU pool is cross-shard state.
   }
   if (options.num_shards > 0) {
-    return std::min(options.num_shards, options.num_nodes);
+    return std::max(1, std::min(options.num_shards, options.num_nodes));
   }
-  // Auto: small paper-scale topologies stay on the legacy single-threaded
-  // engine (zero window overhead); fleet-scale worlds get ~32 nodes/shard.
+  // Auto: paper-scale topologies run on one shard, which executes the plain
+  // Simulator schedule; fleet-scale worlds get ~32 nodes/shard.
   if (options.num_nodes < 64) {
     return 1;
   }
@@ -483,9 +529,8 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
                             std::vector<std::unique_ptr<noise::IoNoiseInjector>>& io_noise,
                             std::vector<std::unique_ptr<noise::CacheNoiseInjector>>& cache_noise,
                             std::vector<std::unique_ptr<workload::MacroWorkload>>& macro_noise) {
-  // Every injector runs on its node's own simulator (that node's shard in a
-  // sharded world, the single legacy simulator otherwise) — noise is node-
-  // local by construction, so it never crosses a shard boundary.
+  // Every injector runs on its node's shard: noise is node-local by
+  // construction, so it never crosses a shard boundary.
   const noise::Ec2NoiseModel ec2(options_.ec2, options_.seed ^ 0xEC2);
 
   auto make_io_injector = [&](int node, std::vector<noise::NoiseEpisode> schedule) {
@@ -598,280 +643,13 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
 }
 
 RunResult Experiment::Run(StrategyKind kind) {
-  if (const int shards = ResolveShards(options_); shards > 1) {
-    return RunSharded(kind, shards);
-  }
+  const int num_shards = ResolveShards(options_);
+  const auto shard_count = static_cast<size_t>(num_shards);
 
-  // Declared before the simulator so every world component is torn down
-  // before its observability sinks.
-  obs::MetricsRegistry metrics;
-  std::unique_ptr<obs::Tracer> tracer;
-
-  sim::Simulator sim;
-  sim.set_metrics(&metrics);
-  if (options_.trace) {
-    tracer = std::make_unique<obs::Tracer>(options_.trace_capacity);
-    sim.set_tracer(tracer.get());
-  }
-
-  cluster::Cluster cluster(&sim, BuildClusterOptions(kind));
-  if (options_.warm_fraction > 0) {
-    cluster.WarmAll(options_.warm_fraction);
-  }
-
-  // --- Noise (identical schedules for every strategy) ---
-  std::vector<std::unique_ptr<noise::IoNoiseInjector>> io_noise;
-  std::vector<std::unique_ptr<noise::CacheNoiseInjector>> cache_noise;
-  std::vector<std::unique_ptr<workload::MacroWorkload>> macro_noise;
-  BuildNoise(cluster, io_noise, cache_noise, macro_noise);
-
-  // --- Faults (same plan replayed for every strategy) ---
-  std::unique_ptr<fault::FaultInjector> faults;
-  if (!options_.fault_plan.empty()) {
-    faults = std::make_unique<fault::FaultInjector>(&sim, &cluster, options_.fault_plan);
-    faults->Start();
-  }
-
-  // --- Strategy & clients ---
-  auto strategy = MakeStrategy(kind, &sim, &cluster);
-  RunResult result;
-  result.name = std::string(StrategyKindName(kind));
-  OracleHarvest* oracle = options_.harvest_oracles ? &result.oracle : nullptr;
-  if (oracle != nullptr) {
-    oracle->enabled = true;
-  }
-
-  const uint64_t keyspace = static_cast<uint64_t>(options_.num_keys_per_node) *
-                            static_cast<uint64_t>(options_.num_nodes);
-
-  // --- Tenant world (src/tenant/): directory, placement, controller ---
-  tenant::TenantDirectory directory;
-  std::unique_ptr<tenant::PlacementMap> placement;
-  std::unique_ptr<tenant::PlacementController> controller;
-  std::vector<ClassAgg> class_aggs;
-  if (options_.tenants.enabled) {
-    tenant::MixOptions mix = options_.tenants.mix;
-    mix.keyspace = keyspace;
-    if (mix.classes.empty()) {
-      mix.classes = tenant::TenantDirectory::DefaultClasses();
-    }
-    directory = tenant::TenantDirectory::BuildMix(mix);
-    placement = std::make_unique<tenant::PlacementMap>(tenant::PlacementMap::Uniform(
-        directory.num_tenants(), options_.num_nodes, std::min(3, options_.num_nodes),
-        options_.seed ^ 0x9A7C));
-    strategy->set_placement(placement.get());
-    class_aggs.resize(directory.num_classes());
-    if (options_.tenants.slo_aware) {
-      controller = std::make_unique<tenant::PlacementController>(
-          &sim, /*engine=*/nullptr, &directory, placement.get(), options_.num_nodes,
-          MakeNodeProbe(&cluster), options_.tenants.controller);
-      controller->Start();
-    }
-  }
-
-  trace::TraceRecorder recorder;
-  const bool recording = !options_.record_trace_path.empty();
-
-  if (options_.replay.enabled()) {
-    // Open-loop trace replay: the driver fires one Get per trace arrival at
-    // its scaled arrival time; nothing waits for completions. With the
-    // tenant world enabled, trace streams overlay onto tenants
-    // (stream % num_tenants) and each get carries its class SLO.
-    auto cursor = MakeReplayCursor();
-    trace::TraceReplayDriver::Options ropt;
-    ropt.rate_scale = options_.replay.rate_scale;
-    ropt.max_events = options_.replay.max_events;
-    ropt.warmup_events = options_.replay.warmup_events;
-    uint64_t completed = 0;
-    trace::TraceReplayDriver driver(
-        &sim, cursor.get(), ropt,
-        [&](const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
-          const TimeNs start = sim.Now();
-          if (recording) {
-            recorder.Record(start, event.offset, event.len, event.op, event.stream);
-          }
-          client::GetContext ctx;
-          if (options_.tenants.enabled) {
-            ctx.tenant = event.stream % directory.num_tenants();
-            ctx.deadline = directory.slo_of(ctx.tenant);
-          }
-          const tenant::TenantId t = ctx.tenant;
-          strategy->Get(ReplayKeyFor(event.offset, event.stream, keyspace), ctx,
-                        WrapOracleDone(oracle,
-                        [&, t, start, measured](const client::GetResult& get_result) {
-                          const DurationNs latency = sim.Now() - start;
-                          if (measured) {
-                            result.get_latencies.Record(latency);
-                            result.user_latencies.Record(latency);
-                            if (t != tenant::kNoTenant) {
-                              RecordTenantCompletion(directory, class_aggs, t, latency,
-                                                     get_result);
-                            }
-                          }
-                          if (!get_result.status.ok() && !get_result.status.busy()) {
-                            ++result.user_errors;
-                          }
-                          ++completed;
-                        }));
-        });
-    driver.Start();
-    // Arrivals drain first (done()), then the tail of in-flight gets.
-    sim.RunUntilPredicate([&] { return driver.done() && completed >= driver.dispatched(); });
-    result.requests = completed;
-    result.replay_events = driver.dispatched();
-    result.replay_trace_reads = driver.reads_dispatched();
-    result.replay_trace_writes = driver.writes_dispatched();
-  } else if (options_.tenants.enabled) {
-    // Open-loop tenant mix: arrivals at the directory's combined rate, each
-    // routed by the placement map and carrying its class SLO as deadline.
-    tenant::TenantLoadDriver::Options dopt;
-    dopt.warmup = options_.tenants.warmup;
-    dopt.duration = options_.tenants.duration;
-    dopt.seed = options_.seed ^ 0x7E4A;
-    uint64_t completed = 0;
-    tenant::TenantLoadDriver driver(
-        &sim, &directory, dopt, [&](tenant::TenantId t, uint64_t key, bool measured) {
-          const TimeNs start = sim.Now();
-          if (recording) {
-            recorder.Record(start, static_cast<int64_t>(key) << 12, 4096, trace::kOpRead, t);
-          }
-          strategy->Get(key, client::GetContext{t, directory.slo_of(t)},
-                        WrapOracleDone(oracle,
-                        [&, t, start, measured](const client::GetResult& get_result) {
-                          const DurationNs latency = sim.Now() - start;
-                          if (measured) {
-                            result.get_latencies.Record(latency);
-                            result.user_latencies.Record(latency);
-                            RecordTenantCompletion(directory, class_aggs, t, latency,
-                                                   get_result);
-                          }
-                          if (!get_result.status.ok() && !get_result.status.busy()) {
-                            ++result.user_errors;
-                          }
-                          ++completed;
-                        }));
-        });
-    driver.Start();
-    sim.RunUntilPredicate([&] { return driver.done() && completed >= driver.dispatched(); });
-    result.requests = completed;
-  } else {
-    const size_t target = options_.warmup_requests + options_.measure_requests;
-    size_t issued = 0;
-    size_t completed = 0;
-
-    struct Client {
-      std::unique_ptr<workload::YcsbWorkload> workload;
-      Rng rng{0};
-    };
-    auto clients = std::make_shared<std::vector<Client>>(
-        static_cast<size_t>(options_.num_clients));
-    for (int c = 0; c < options_.num_clients; ++c) {
-      workload::YcsbWorkload::Options wopt;
-      wopt.num_keys = keyspace;
-      wopt.distribution = options_.distribution;
-      wopt.seed = options_.seed ^ (0xC0FFEEULL + static_cast<uint64_t>(c));
-      (*clients)[static_cast<size_t>(c)].workload = std::make_unique<workload::YcsbWorkload>(wopt);
-      (*clients)[static_cast<size_t>(c)].rng = Rng(wopt.seed ^ 0x77);
-    }
-
-    auto next_key = [&, this](Client& cl) -> uint64_t {
-      for (int attempt = 0; attempt < 512; ++attempt) {
-        const uint64_t key = cl.workload->Next().key;
-        if (options_.pin_primary_node < 0 ||
-            cluster.ReplicasOf(key)[0] == options_.pin_primary_node) {
-          return key;
-        }
-      }
-      return 0;
-    };
-
-    // Closed-loop client driver.
-    auto issue = std::make_shared<std::function<void(size_t)>>();
-    *issue = [&, this, issue](size_t client_idx) {
-      if (issued >= target) {
-        return;
-      }
-      const size_t request_index = issued++;
-      Client& cl = (*clients)[client_idx];
-      const TimeNs start = sim.Now();
-      const bool measured = request_index >= options_.warmup_requests;
-      auto remaining = std::make_shared<int>(options_.scale_factor);
-      for (int s = 0; s < options_.scale_factor; ++s) {
-        const uint64_t key = next_key(cl);
-        const TimeNs get_start = sim.Now();
-        if (recording) {
-          recorder.Record(get_start, static_cast<int64_t>(key) << 12, 4096, trace::kOpRead,
-                          static_cast<uint32_t>(client_idx));
-        }
-        strategy->Get(key, WrapOracleDone(oracle, [&, issue, client_idx, start, get_start,
-                                                   measured, remaining](
-                               const client::GetResult& get_result) {
-          if (measured) {
-            result.get_latencies.Record(sim.Now() - get_start);
-          }
-          if (!get_result.status.ok() && !get_result.status.busy()) {
-            ++result.user_errors;
-          }
-          if (--*remaining > 0) {
-            return;
-          }
-          if (measured) {
-            result.user_latencies.Record(sim.Now() - start);
-          }
-          ++completed;
-          (*issue)(client_idx);
-        }));
-      }
-    };
-    for (int c = 0; c < options_.num_clients; ++c) {
-      (*issue)(static_cast<size_t>(c));
-    }
-
-    sim.RunUntilPredicate([&] { return completed >= target; });
-
-    // The driver lambda captures its own shared_ptr (so in-flight completions
-    // can re-issue); clear the function to break that cycle or it leaks.
-    *issue = nullptr;
-
-    result.requests = completed;
-  }
-
-  if (options_.tenants.enabled) {
-    HarvestTenants(directory, class_aggs, controller.get(), &result);
-    ValidatePlacement(*placement, options_.num_nodes, oracle);
-  }
-  if (recording) {
-    std::string error;
-    if (!recorder.WriteTo(options_.record_trace_path, &error)) {
-      throw std::runtime_error("record trace: " + error);
-    }
-    result.recorded_events = recorder.records();
-  }
-  for (const auto& injector : io_noise) {
-    result.noise_ios += injector->ios_issued();
-  }
-  result.sim_duration = sim.Now();
-  result.sim_events = sim.executed_events();
-  if (faults != nullptr) {
-    result.fault_log = faults->applied();
-    result.fault_episodes = faults->episodes_begun();
-    result.fault_skipped = faults->episodes_skipped();
-  }
-  CollectCounters(kind, *strategy, &result);
-  if (tracer != nullptr) {
-    result.trace_spans = tracer->OrderedSpans();
-    result.trace_dropped = tracer->dropped();
-  }
-  result.metrics = std::move(metrics);
-  return result;
-}
-
-RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
   // Per-shard observability sinks, declared before the engine so every world
-  // component is torn down before what it writes into. Merged in shard order
-  // at harvest — the merge order is part of the determinism contract.
-  std::vector<obs::MetricsRegistry> metrics(static_cast<size_t>(num_shards));
-  std::vector<std::unique_ptr<obs::Tracer>> tracers(static_cast<size_t>(num_shards));
+  // component is torn down before what it writes into.
+  std::vector<obs::MetricsRegistry> metrics(shard_count);
+  std::vector<std::unique_ptr<obs::Tracer>> tracers(shard_count);
 
   const cluster::Cluster::Options copt = BuildClusterOptions(kind);
 
@@ -899,15 +677,16 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
     cluster.WarmAll(options_.warm_fraction);
   }
 
+  // --- Noise (identical schedules for every strategy) ---
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> io_noise;
   std::vector<std::unique_ptr<noise::CacheNoiseInjector>> cache_noise;
   std::vector<std::unique_ptr<workload::MacroWorkload>> macro_noise;
   BuildNoise(cluster, io_noise, cache_noise, macro_noise);
 
+  // --- Faults (same plan replayed for every strategy) ---
   // Fault episodes mutate cross-shard state (network links, whole nodes), so
   // the injector schedules them as engine-global events (see
-  // FaultInjector::ScheduleFaultEvent); building it on shard 0 keeps its
-  // clock and RNG on the legacy stream.
+  // FaultInjector::ScheduleFaultEvent) on shard 0's clock.
   std::unique_ptr<fault::FaultInjector> faults;
   if (!options_.fault_plan.empty()) {
     faults = std::make_unique<fault::FaultInjector>(engine.shard(0), &cluster,
@@ -918,34 +697,21 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
   RunResult result;
   result.name = std::string(StrategyKindName(kind));
 
-  // Each shard gets its own strategy instance (salted seed stream) and its
-  // own harvest sinks; clients are dealt round-robin onto shards and drive
-  // their home shard's strategy only, so all driver state is shard-local.
-  // Replies are routed back to the request's home shard (see
-  // client/strategy.cc and kv/ring_coordinator.cc), which makes every
-  // mutation below single-threaded within a window.
-  struct ShardCtx {
-    std::unique_ptr<client::GetStrategy> strategy;
-    LatencyRecorder get_latencies;
-    LatencyRecorder user_latencies;
-    uint64_t user_errors = 0;
-    size_t completed = 0;
-    std::vector<ClassAgg> class_aggs;  // Tenant runs: per-class, this shard.
-    trace::TraceRecorder recorder;     // record_trace_path: this shard's arrivals.
-    OracleHarvest oracle;              // harvest_oracles: this shard's counts.
-  };
-  std::vector<ShardCtx> shard_ctx(static_cast<size_t>(num_shards));
+  std::vector<ShardCtx> shard_ctx(shard_count);
   for (int s = 0; s < num_shards; ++s) {
-    shard_ctx[static_cast<size_t>(s)].strategy =
-        MakeStrategy(kind, engine.shard(s), &cluster, static_cast<uint64_t>(s));
+    ShardCtx& ctx = shard_ctx[static_cast<size_t>(s)];
+    ctx.sim = engine.shard(s);
+    ctx.strategy = MakeStrategy(kind, ctx.sim, &cluster, static_cast<uint64_t>(s));
+    ctx.oracle_sink = options_.harvest_oracles ? &ctx.oracle : nullptr;
   }
 
   const uint64_t keyspace = static_cast<uint64_t>(options_.num_keys_per_node) *
                             static_cast<uint64_t>(options_.num_nodes);
 
-  // --- Tenant world: one directory + placement map shared by all shards.
-  // Shard threads read the map only inside windows; the controller writes it
-  // only from quiesced ScheduleGlobal ticks (see src/tenant/placement.h).
+  // --- Tenant world (src/tenant/): one directory + placement map shared by
+  // all shards. Shard threads read the map only inside windows; the
+  // controller writes it only from quiesced ScheduleGlobal ticks (see
+  // src/tenant/placement.h).
   tenant::TenantDirectory directory;
   std::unique_ptr<tenant::PlacementMap> placement;
   std::unique_ptr<tenant::PlacementController> controller;
@@ -965,7 +731,7 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
     }
     if (options_.tenants.slo_aware) {
       controller = std::make_unique<tenant::PlacementController>(
-          engine.shard(0), &engine, &directory, placement.get(), options_.num_nodes,
+          engine.shard(0), &directory, placement.get(), options_.num_nodes,
           MakeNodeProbe(&cluster), options_.tenants.controller);
       controller->Start();
     }
@@ -973,18 +739,59 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
 
   const bool recording = !options_.record_trace_path.empty();
 
+  // The open-loop arrival path of the replay and tenant drivers: record the
+  // arrival, issue one Get on the arrival's shard and harvest its completion
+  // there. Arrivals never wait for completions.
+  const auto arrive = [&](ShardCtx* ctx, uint64_t key, client::GetContext gctx,
+                          const trace::TraceEvent& arrival, bool measured) {
+    const TimeNs start = ctx->sim->Now();
+    if (recording) {
+      ctx->recorder.Record(start, arrival.offset, arrival.len, arrival.op, arrival.stream);
+    }
+    ctx->strategy->Get(
+        key, gctx,
+        WrapOracleDone(ctx->oracle_sink, [ctx, t = gctx.tenant, start, measured,
+                                          &directory](const client::GetResult& r) {
+          const DurationNs latency = ctx->sim->Now() - start;
+          if (measured) {
+            ctx->get_latencies.Record(latency);
+            ctx->user_latencies.Record(latency);
+            if (t != tenant::kNoTenant) {
+              RecordTenantCompletion(directory, ctx->class_aggs, t, latency, r);
+            }
+          }
+          if (!r.status.ok() && !r.status.busy()) {
+            ++ctx->user_errors;
+          }
+          ++ctx->completed;
+        }));
+  };
+  // Open-loop drain: arrivals run out first (every driver done()), then the
+  // in-flight tail completes. The predicate runs quiesced, so summing shard
+  // counters is race-free.
+  const auto drain = [&](const auto& drivers) {
+    engine.RunUntilPredicate([&] {
+      uint64_t dispatched = 0;
+      uint64_t completed = 0;
+      for (size_t s = 0; s < shard_count; ++s) {
+        if (!drivers[s]->done()) {
+          return false;
+        }
+        dispatched += drivers[s]->dispatched();
+        completed += shard_ctx[s].completed;
+      }
+      return completed >= dispatched;
+    });
+  };
+
   if (options_.replay.enabled()) {
-    // Open-loop replay, pre-partitioned per shard in trace order: every
-    // shard owns its own cursor over the whole trace and claims the records
-    // with stream % num_shards == s. The partition is a pure function of
-    // the trace — worker count never moves an arrival, so scorecards stay
-    // bit-identical across MITT_INTRA_WORKERS. Completions route back to
-    // the issuing shard (see client/strategy.cc), keeping every ShardCtx
-    // mutation shard-local.
+    // Open-loop trace replay, one Get per trace arrival at its scaled arrival
+    // time. Every shard owns a cursor over the whole trace and claims the
+    // records with stream % num_shards == s, a pure function of the trace.
+    // With the tenant world enabled, streams overlay onto tenants
+    // (stream % num_tenants) and each get carries its class SLO.
     std::vector<std::unique_ptr<trace::TraceCursor>> cursors;
     std::vector<std::unique_ptr<trace::TraceReplayDriver>> drivers;
-    cursors.reserve(static_cast<size_t>(num_shards));
-    drivers.reserve(static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
       cursors.push_back(MakeReplayCursor());
       trace::TraceReplayDriver::Options ropt;
@@ -993,72 +800,31 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
       ropt.warmup_events = options_.replay.warmup_events;
       ropt.shard = s;
       ropt.num_shards = num_shards;
-      sim::Simulator* sim = engine.shard(s);
       ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
-      client::GetStrategy* strategy = ctx->strategy.get();
-      const bool tenants_on = options_.tenants.enabled;
-      OracleHarvest* oracle = options_.harvest_oracles ? &ctx->oracle : nullptr;
       drivers.push_back(std::make_unique<trace::TraceReplayDriver>(
-          sim, cursors.back().get(), ropt,
-          [sim, ctx, strategy, keyspace, recording, tenants_on, oracle, &directory](
-              const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
-            const TimeNs start = sim->Now();
-            if (recording) {
-              ctx->recorder.Record(start, event.offset, event.len, event.op, event.stream);
-            }
+          ctx->sim, cursors.back().get(), ropt,
+          [&, ctx](const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
             client::GetContext gctx;
-            if (tenants_on) {
+            if (options_.tenants.enabled) {
               gctx.tenant = event.stream % directory.num_tenants();
               gctx.deadline = directory.slo_of(gctx.tenant);
             }
-            const tenant::TenantId t = gctx.tenant;
-            strategy->Get(ReplayKeyFor(event.offset, event.stream, keyspace), gctx,
-                          WrapOracleDone(oracle,
-                          [sim, ctx, t, start, measured,
-                           &directory](const client::GetResult& get_result) {
-                            const DurationNs latency = sim->Now() - start;
-                            if (measured) {
-                              ctx->get_latencies.Record(latency);
-                              ctx->user_latencies.Record(latency);
-                              if (t != tenant::kNoTenant) {
-                                RecordTenantCompletion(directory, ctx->class_aggs, t,
-                                                       latency, get_result);
-                              }
-                            }
-                            if (!get_result.status.ok() && !get_result.status.busy()) {
-                              ++ctx->user_errors;
-                            }
-                            ++ctx->completed;
-                          }));
+            arrive(ctx, ReplayKeyFor(event.offset, event.stream, keyspace), gctx, event,
+                   measured);
           }));
       drivers.back()->Start();
     }
-
-    // The predicate runs at quiesced barriers, so summing shard counters is
-    // race-free: arrivals drain first, then the in-flight tail.
-    engine.RunUntilPredicate([&] {
-      uint64_t dispatched = 0;
-      uint64_t completed = 0;
-      bool all_done = true;
-      for (int s = 0; s < num_shards; ++s) {
-        all_done = all_done && drivers[static_cast<size_t>(s)]->done();
-        dispatched += drivers[static_cast<size_t>(s)]->dispatched();
-        completed += shard_ctx[static_cast<size_t>(s)].completed;
-      }
-      return all_done && completed >= dispatched;
-    });
-
+    drain(drivers);
     for (const auto& driver : drivers) {
       result.replay_events += driver->dispatched();
       result.replay_trace_reads += driver->reads_dispatched();
       result.replay_trace_writes += driver->writes_dispatched();
     }
   } else if (options_.tenants.enabled) {
-    // Open-loop tenant mix, one driver per shard owning the deterministic
-    // partition `tenant % num_shards == s` — the same contract as replay, so
-    // scorecards stay bit-identical across MITT_INTRA_WORKERS.
+    // Open-loop tenant mix: arrivals at the directory's combined rate, each
+    // routed by the placement map and carrying its class SLO as deadline.
+    // Shard s's driver owns the tenants with tenant % num_shards == s.
     std::vector<std::unique_ptr<tenant::TenantLoadDriver>> drivers;
-    drivers.reserve(static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
       tenant::TenantLoadDriver::Options dopt;
       dopt.warmup = options_.tenants.warmup;
@@ -1066,83 +832,48 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
       dopt.shard = s;
       dopt.num_shards = num_shards;
       dopt.seed = options_.seed ^ 0x7E4A;
-      sim::Simulator* sim = engine.shard(s);
       ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
-      client::GetStrategy* strategy = ctx->strategy.get();
-      OracleHarvest* oracle = options_.harvest_oracles ? &ctx->oracle : nullptr;
       drivers.push_back(std::make_unique<tenant::TenantLoadDriver>(
-          sim, &directory, dopt,
-          [sim, ctx, strategy, recording, oracle, &directory](tenant::TenantId t, uint64_t key,
-                                                              bool measured) {
-            const TimeNs start = sim->Now();
-            if (recording) {
-              ctx->recorder.Record(start, static_cast<int64_t>(key) << 12, 4096,
-                                   trace::kOpRead, t);
-            }
-            strategy->Get(key, client::GetContext{t, directory.slo_of(t)},
-                          WrapOracleDone(oracle,
-                          [sim, ctx, t, start, measured,
-                           &directory](const client::GetResult& get_result) {
-                            const DurationNs latency = sim->Now() - start;
-                            if (measured) {
-                              ctx->get_latencies.Record(latency);
-                              ctx->user_latencies.Record(latency);
-                              RecordTenantCompletion(directory, ctx->class_aggs, t, latency,
-                                                     get_result);
-                            }
-                            if (!get_result.status.ok() && !get_result.status.busy()) {
-                              ++ctx->user_errors;
-                            }
-                            ++ctx->completed;
-                          }));
+          ctx->sim, &directory, dopt,
+          [&, ctx](tenant::TenantId t, uint64_t key, bool measured) {
+            trace::TraceEvent arrival;
+            arrival.offset = static_cast<int64_t>(key) << 12;
+            arrival.stream = t;
+            arrive(ctx, key, client::GetContext{t, directory.slo_of(t)}, arrival, measured);
           }));
       drivers.back()->Start();
     }
-
-    engine.RunUntilPredicate([&] {
-      uint64_t dispatched = 0;
-      uint64_t completed = 0;
-      bool all_done = true;
-      for (int s = 0; s < num_shards; ++s) {
-        all_done = all_done && drivers[static_cast<size_t>(s)]->done();
-        dispatched += drivers[static_cast<size_t>(s)]->dispatched();
-        completed += shard_ctx[static_cast<size_t>(s)].completed;
-      }
-      return all_done && completed >= dispatched;
-    });
+    drain(drivers);
   } else {
+    // Closed-loop YCSB clients, dealt round-robin onto shards. The warmup
+    // split: one shard keeps one global issue counter, so the first
+    // warmup_requests issued by any client go unmeasured. More shards cannot
+    // share a counter without racing, so each client gets a fixed quota and
+    // warmup share up front, a pure function of the client and request
+    // counts.
     const size_t target = options_.warmup_requests + options_.measure_requests;
     const size_t num_clients = static_cast<size_t>(options_.num_clients);
-
-    // The legacy driver splits warmup from measurement with one global issue
-    // counter; sharded trials cannot share a counter without racing, so each
-    // client gets a fixed quota (and warmup share) up front. The split is a
-    // pure function of (client count, request counts) — independent of worker
-    // count, so scorecards stay bit-identical across MITT_INTRA_WORKERS.
-    struct Client {
-      std::unique_ptr<workload::YcsbWorkload> workload;
-      Rng rng{0};
-      int shard = 0;
-      size_t quota = 0;        // Requests this client will issue in total.
-      size_t warmup = 0;       // First `warmup` of them are unmeasured.
-      size_t issued = 0;
-    };
-    auto clients = std::make_shared<std::vector<Client>>(num_clients);
+    std::vector<Quota> quotas(num_shards == 1 ? 1 : num_clients,
+                              Quota{target, options_.warmup_requests});
+    std::vector<Client> clients(num_clients);
     for (size_t c = 0; c < num_clients; ++c) {
-      Client& cl = (*clients)[c];
+      Client& cl = clients[c];
       workload::YcsbWorkload::Options wopt;
       wopt.num_keys = keyspace;
       wopt.distribution = options_.distribution;
       wopt.seed = options_.seed ^ (0xC0FFEEULL + static_cast<uint64_t>(c));
       cl.workload = std::make_unique<workload::YcsbWorkload>(wopt);
-      cl.rng = Rng(wopt.seed ^ 0x77);
-      cl.shard = static_cast<int>(c % static_cast<size_t>(num_shards));
-      cl.quota = target / num_clients + (c < target % num_clients ? 1 : 0);
-      cl.warmup = options_.warmup_requests / num_clients +
-                  (c < options_.warmup_requests % num_clients ? 1 : 0);
+      cl.index = static_cast<uint32_t>(c);
+      cl.home = &shard_ctx[c % shard_count];
+      cl.quota = &quotas[num_shards == 1 ? 0 : c];
+      if (num_shards > 1) {
+        *cl.quota = {target / num_clients + (c < target % num_clients ? 1 : 0),
+                     options_.warmup_requests / num_clients +
+                         (c < options_.warmup_requests % num_clients ? 1 : 0)};
+      }
     }
 
-    auto next_key = [&, this](Client& cl) -> uint64_t {
+    auto next_key = [&](Client& cl) -> uint64_t {
       for (int attempt = 0; attempt < 512; ++attempt) {
         const uint64_t key = cl.workload->Next().key;
         if (options_.pin_primary_node < 0 ||
@@ -1153,107 +884,96 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
       return 0;
     };
 
-    // Closed-loop driver; runs entirely on the client's home shard.
-    auto issue = std::make_shared<std::function<void(size_t)>>();
-    *issue = [&, issue](size_t client_idx) {
-      Client& cl = (*clients)[client_idx];
-      if (cl.issued >= cl.quota) {
+    // Issues a client's next user request; re-entered from the completion of
+    // its last Get. That completion captures two references, small enough for
+    // std::function's inline buffer.
+    std::function<void(Client&)> issue = [&](Client& cl) {
+      Quota& quota = *cl.quota;
+      if (quota.issued >= quota.total) {
         return;
       }
-      const size_t request_index = cl.issued++;
-      ShardCtx& ctx = shard_ctx[static_cast<size_t>(cl.shard)];
-      sim::Simulator* sim = engine.shard(cl.shard);
-      const TimeNs start = sim->Now();
-      const bool measured = request_index >= cl.warmup;
-      auto remaining = std::make_shared<int>(options_.scale_factor);
+      cl.measured = quota.issued++ >= quota.warmup;
+      ShardCtx& home = *cl.home;
+      cl.start = home.sim->Now();
+      cl.outstanding = options_.scale_factor;
       for (int s = 0; s < options_.scale_factor; ++s) {
         const uint64_t key = next_key(cl);
-        const TimeNs get_start = sim->Now();
         if (recording) {
-          ctx.recorder.Record(get_start, static_cast<int64_t>(key) << 12, 4096,
-                              trace::kOpRead, static_cast<uint32_t>(client_idx));
+          home.recorder.Record(cl.start, static_cast<int64_t>(key) << 12, 4096, trace::kOpRead,
+                               cl.index);
         }
-        OracleHarvest* oracle = options_.harvest_oracles ? &ctx.oracle : nullptr;
-        ctx.strategy->Get(key, WrapOracleDone(oracle,
-                               [&, issue, client_idx, start, get_start, measured, remaining](
-                                   const client::GetResult& get_result) {
-          ShardCtx& cb_ctx = shard_ctx[static_cast<size_t>((*clients)[client_idx].shard)];
-          sim::Simulator* cb_sim = engine.shard((*clients)[client_idx].shard);
-          if (measured) {
-            cb_ctx.get_latencies.Record(cb_sim->Now() - get_start);
-          }
-          if (!get_result.status.ok() && !get_result.status.busy()) {
-            ++cb_ctx.user_errors;
-          }
-          if (--*remaining > 0) {
-            return;
-          }
-          if (measured) {
-            cb_ctx.user_latencies.Record(cb_sim->Now() - start);
-          }
-          ++cb_ctx.completed;
-          (*issue)(client_idx);
-        }));
+        home.strategy->Get(
+            key, WrapOracleDone(home.oracle_sink, [&issue, &cl](const client::GetResult& r) {
+              ShardCtx& ctx = *cl.home;
+              const DurationNs latency = ctx.sim->Now() - cl.start;
+              if (cl.measured) {
+                ctx.get_latencies.Record(latency);
+              }
+              if (!r.status.ok() && !r.status.busy()) {
+                ++ctx.user_errors;
+              }
+              if (--cl.outstanding > 0) {
+                return;
+              }
+              if (cl.measured) {
+                ctx.user_latencies.Record(latency);
+              }
+              ++ctx.completed;
+              issue(cl);
+            }));
       }
     };
-    for (size_t c = 0; c < num_clients; ++c) {
-      (*issue)(c);
+    for (Client& cl : clients) {
+      issue(cl);
     }
 
-    // Quotas drain the driver naturally; the predicate ends the run at the
-    // first quiesced barrier where every quota has completed (so daemons —
-    // noise streams, breaker probes — cannot keep the engine alive).
+    // The run ends at the first instant every request has completed, so
+    // daemons (noise streams, breaker probes) cannot keep the engine alive.
     engine.RunUntilPredicate([&] {
-      size_t completed = 0;
+      uint64_t completed = 0;
       for (const ShardCtx& ctx : shard_ctx) {
         completed += ctx.completed;
       }
       return completed >= target;
     });
-
-    *issue = nullptr;  // Break the driver lambda's self-reference cycle.
   }
 
-  for (const ShardCtx& ctx : shard_ctx) {
-    result.requests += ctx.completed;
-    result.user_errors += ctx.user_errors;
+  // Fold every shard's sinks into shard 0's in shard order (the determinism
+  // contract), then move them into the result: a 1-shard run copies nothing.
+  ShardCtx& total = shard_ctx[0];
+  for (size_t s = 1; s < shard_count; ++s) {
+    const ShardCtx& ctx = shard_ctx[s];
+    total.get_latencies.MergeFrom(ctx.get_latencies);
+    total.user_latencies.MergeFrom(ctx.user_latencies);
+    total.user_errors += ctx.user_errors;
+    total.completed += ctx.completed;
+    total.recorder.MergeFrom(ctx.recorder);
+    total.oracle.MergeFrom(ctx.oracle);
+    for (size_t c = 0; c < total.class_aggs.size(); ++c) {
+      total.class_aggs[c].MergeFrom(ctx.class_aggs[c]);
+    }
+    metrics[0].MergeFrom(metrics[s]);
   }
+  result.requests = total.completed;
+  result.user_errors = total.user_errors;
+  result.get_latencies = std::move(total.get_latencies);
+  result.user_latencies = std::move(total.user_latencies);
+  result.oracle = std::move(total.oracle);
   result.oracle.enabled = options_.harvest_oracles;
-  for (ShardCtx& ctx : shard_ctx) {
-    result.get_latencies.MergeFrom(ctx.get_latencies);
-    result.user_latencies.MergeFrom(ctx.user_latencies);
-    // Shard-order merge keeps the combined breaker log deterministic at any
-    // MITT_INTRA_WORKERS (each shard's log is already in its own sim order).
-    result.oracle.MergeFrom(ctx.oracle);
+  for (const ShardCtx& ctx : shard_ctx) {
     CollectCounters(kind, *ctx.strategy, &result);
   }
   if (options_.tenants.enabled) {
-    std::vector<ClassAgg> merged(directory.num_classes());
-    for (ShardCtx& ctx : shard_ctx) {
-      for (uint32_t c = 0; c < directory.num_classes(); ++c) {
-        ClassAgg& m = merged[c];
-        ClassAgg& a = ctx.class_aggs[c];
-        m.requests += a.requests;
-        m.deadline_miss += a.deadline_miss;
-        m.failovers += a.failovers;
-        m.errors += a.errors;
-        m.latencies.MergeFrom(a.latencies);
-      }
-    }
-    HarvestTenants(directory, merged, controller.get(), &result);
+    HarvestTenants(directory, total.class_aggs, controller.get(), &result);
     ValidatePlacement(*placement, options_.num_nodes,
                       options_.harvest_oracles ? &result.oracle : nullptr);
   }
   if (recording) {
-    trace::TraceRecorder merged;
-    for (const ShardCtx& ctx : shard_ctx) {
-      merged.MergeFrom(ctx.recorder);
-    }
     std::string error;
-    if (!merged.WriteTo(options_.record_trace_path, &error)) {
+    if (!total.recorder.WriteTo(options_.record_trace_path, &error)) {
       throw std::runtime_error("record trace: " + error);
     }
-    result.recorded_events = merged.records();
+    result.recorded_events = total.recorder.records();
   }
   for (const auto& injector : io_noise) {
     result.noise_ios += injector->ios_issued();
@@ -1294,9 +1014,7 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
     }
     result.trace_spans = obs::MergeShardSpans(shard_tracers);
   }
-  for (obs::MetricsRegistry& shard_metrics : metrics) {
-    result.metrics.MergeFrom(shard_metrics);
-  }
+  result.metrics = std::move(metrics[0]);
   return result;
 }
 

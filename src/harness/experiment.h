@@ -194,11 +194,13 @@ struct ExperimentOptions {
 
   // --- Intra-trial sharding (src/sim/sharded_engine.h) ---
   // Shard count for the conservative-PDES engine. 0 = auto: 1 below 64
-  // nodes (the legacy single-threaded engine, zero overhead), otherwise
-  // ~num_nodes/32 capped at 32. Must stay a pure function of the scenario —
-  // NEVER derive it from worker count or hardware, or bit-identity across
-  // MITT_INTRA_WORKERS dies. Forced to 1 when shared_cpu_cores > 0 (a
-  // shared CPU pool is cross-shard state).
+  // nodes, otherwise ~num_nodes/32 capped at 32. Must stay a pure function
+  // of the scenario — NEVER derive it from worker count or hardware, or
+  // bit-identity across MITT_INTRA_WORKERS dies. Forced to 1 when
+  // shared_cpu_cores > 0 (a shared CPU pool is cross-shard state).
+  // One shard runs the plain Simulator schedule (no windows). The closed
+  // loop's warmup split is one global issue counter on one shard and fixed
+  // per-client quotas on more.
   int num_shards = 0;
   // Threads driving shard windows inside ONE trial. 0 = $MITT_INTRA_WORKERS
   // (default 1). Any value produces bit-identical results; it composes with
@@ -222,7 +224,7 @@ struct ExperimentOptions {
   uint64_t seed = 42;
 };
 
-// The shard count Run() will actually use (auto resolution above).
+// The shard count Run() will actually use (auto resolution above), >= 1.
 int ResolveShards(const ExperimentOptions& options);
 
 // Ground truth for the chaos-search invariant oracles, collected when
@@ -368,8 +370,8 @@ class Experiment {
  public:
   explicit Experiment(const ExperimentOptions& options) : options_(options) {}
 
-  // Builds a fresh cluster+noise world and drives the workload through the
-  // given strategy.
+  // Builds a fresh cluster+noise world on a ResolveShards(options)-shard
+  // engine and drives the workload through the given strategy.
   RunResult Run(StrategyKind kind);
 
   // Runs Base first, derives p95-based deadline/hedge/timeout when those are
@@ -386,14 +388,8 @@ class Experiment {
   static uint64_t ReplayKeyFor(int64_t offset, uint32_t stream, uint64_t keyspace);
 
  private:
-  struct World;
-
-  // Sharded driver: same world recipe, but nodes/clients spread over the
-  // engine's shards; used by Run() when ResolveShards() > 1.
-  RunResult RunSharded(StrategyKind kind, int num_shards);
   cluster::Cluster::Options BuildClusterOptions(StrategyKind kind) const;
-  // Builds the noise regime against each node's own simulator (its shard's,
-  // or the single legacy simulator — identical pointer when unsharded).
+  // Builds the noise regime against each node's own shard.
   void BuildNoise(cluster::Cluster& cluster,
                   std::vector<std::unique_ptr<noise::IoNoiseInjector>>& io_noise,
                   std::vector<std::unique_ptr<noise::CacheNoiseInjector>>& cache_noise,
@@ -401,11 +397,10 @@ class Experiment {
   // One fresh cursor over the configured replay source (each shard owns its
   // own). Throws std::runtime_error if the trace cannot be opened.
   std::unique_ptr<trace::TraceCursor> MakeReplayCursor() const;
-  // `seed_salt` decorrelates per-shard strategy instances; 0 = the legacy
-  // stream.
+  // `seed_salt` (the shard index) decorrelates per-shard strategy instances.
   std::unique_ptr<client::GetStrategy> MakeStrategy(StrategyKind kind, sim::Simulator* sim,
                                                     cluster::Cluster* cluster,
-                                                    uint64_t seed_salt = 0);
+                                                    uint64_t seed_salt);
   // Accumulates (+=) so per-shard strategy instances sum into one result.
   void CollectCounters(StrategyKind kind, const client::GetStrategy& strategy, RunResult* out);
 

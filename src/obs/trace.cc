@@ -75,6 +75,9 @@ void Tracer::Clear() {
 }
 
 std::vector<SpanRecord> MergeShardSpans(const std::vector<const Tracer*>& shard_tracers) {
+  if (shard_tracers.size() == 1) {
+    return shard_tracers[0]->OrderedSpans();  // Nothing to merge: keep record order.
+  }
   std::vector<SpanRecord> merged;
   size_t total = 0;
   for (const Tracer* tracer : shard_tracers) {

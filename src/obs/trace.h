@@ -94,7 +94,7 @@ class Tracer {
   // Namespaces this tracer's request ids: subsequent ids are base+1,
   // base+2, ... Sharded runs give shard s the base s<<40 so ids from
   // different shards never collide and a request's home shard is readable
-  // from its id. Base 0 (the default) is the legacy single-shard stream.
+  // from its id. Base 0 (the default) is shard 0's stream.
   void SetRequestIdBase(uint64_t base) { next_request_id_ = base + 1; }
 
   void RecordSpan(SpanKind kind, const TraceContext& ctx, TimeNs begin, TimeNs end);
@@ -127,6 +127,7 @@ class Tracer {
 // is byte-identical for any MITT_INTRA_WORKERS / MITT_TRIAL_WORKERS setting
 // (each ring's content is itself deterministic; only which *thread* filled
 // it varies). Drop-oldest truncation is per-shard and equally deterministic.
+// A single tracer's spans come back in record order, unsorted.
 std::vector<SpanRecord> MergeShardSpans(const std::vector<const Tracer*>& shard_tracers);
 
 }  // namespace mitt::obs

@@ -131,6 +131,10 @@ int ShardedEngine::CurrentShardId() const {
 }
 
 void ShardedEngine::Post(int dst_shard, TimeNs when, Callback fn) {
+  if (shards_.size() == 1) {
+    shards_[0]->ScheduleAt(when, std::move(fn));  // One shard has no mailboxes.
+    return;
+  }
   const int src = CurrentShardId();
   // Conservative bound: a correctly derived lookahead makes this clamp a
   // no-op; it exists so an under-estimated hop (e.g. a fault multiplier
@@ -158,6 +162,11 @@ void ShardedEngine::Post(int dst_shard, TimeNs when, Callback fn) {
 }
 
 void ShardedEngine::ScheduleGlobal(TimeNs when, Callback fn) {
+  if (shards_.size() == 1) {  // Quiesced between any two of its events.
+    Simulator* sim = shards_[0].get();
+    sim->ScheduleDaemon(when - sim->Now(), std::move(fn));
+    return;
+  }
   const TimeNs now = Now();
   if (when < now) {
     when = now;
@@ -633,10 +642,19 @@ void ShardedEngine::ExecuteWindow(TimeNs window_end) {
 
 // --- The window loop --------------------------------------------------------
 
-void ShardedEngine::Run() { RunLoop(nullptr); }
+void ShardedEngine::Run() {
+  if (shards_.size() == 1) {
+    shards_[0]->Run();
+    return;
+  }
+  RunLoop(nullptr);
+}
 
 bool ShardedEngine::RunUntilPredicate(const std::function<bool()>& pred) {
   assert(pred != nullptr);
+  if (shards_.size() == 1) {
+    return shards_[0]->RunUntilPredicate(pred);
+  }
   return RunLoop(pred);
 }
 

@@ -36,6 +36,12 @@
 //     events*: timestamped closures executed while every shard is quiesced
 //     at a barrier, before any shard event at an equal-or-later time.
 //
+// The 1-shard contract: with one shard the engine runs exactly the plain
+// Simulator schedule. Run() and RunUntilPredicate() are the shard's own
+// loops (the predicate is checked after every event; no windows run),
+// ScheduleGlobal is a daemon event on the shard (fired in (time, seq) order
+// and counted in executed_events()), and Post schedules directly.
+//
 // Scale-out machinery (all of it schedule-preserving — the event order, and
 // therefore every scorecard, is byte-identical with each feature on or off
 // and at any worker count):
@@ -156,9 +162,10 @@ class ShardedEngine {
 
   // Global event: `fn` runs at absolute time `when` while every shard is
   // quiesced (all shard clocks advanced to `when`, no window executing), and
-  // before any shard event with an equal or later timestamp. Daemon-like:
-  // pending global events never keep Run() alive. Use for mutations of
-  // cross-shard state (network link faults, node pause/crash injection).
+  // before any shard event with an equal or later timestamp; with one shard
+  // it is a daemon event. Daemon-like: pending global events never keep
+  // Run() alive. Use for mutations of cross-shard state (network link
+  // faults, node pause/crash injection).
   void ScheduleGlobal(TimeNs when, Callback fn);
 
   // Runs windows until no shard holds a non-daemon event and no message is
@@ -166,9 +173,10 @@ class ShardedEngine {
   void Run();
 
   // Runs windows until `pred()` returns true — checked at every barrier,
-  // while quiesced — or the engine drains. Returns true if the predicate was
-  // satisfied. Predicate evaluation is deterministic: barriers fall at the
-  // same simulated times for any worker count (and with fusion on or off).
+  // while quiesced (after every event with one shard) — or the engine
+  // drains. Returns true if the predicate was satisfied. Predicate
+  // evaluation is deterministic: barriers fall at the same simulated times
+  // for any worker count (and with fusion on or off).
   bool RunUntilPredicate(const std::function<bool()>& pred);
 
   // Largest shard clock (the simulated time the world has reached).

@@ -111,11 +111,12 @@ class Simulator {
 
   // --- Sharded-engine hooks (src/sim/sharded_engine.h) ---
   //
-  // A Simulator either runs standalone (legacy single-threaded mode; every
-  // hook below is inert and engine() is nullptr) or as one shard of a
-  // ShardedEngine, which drives it through RunWindow/AdvanceTo/NextEventTime
-  // at conservative-window barriers. Components query shard_id()/engine() to
-  // route cross-shard interactions; none of this touches the Step() hot path.
+  // A Simulator either runs standalone (every hook below is inert and
+  // engine() is nullptr) or as one shard of a ShardedEngine, which drives it
+  // through RunWindow/AdvanceTo/NextEventTime at conservative-window
+  // barriers (or through its own loop, if it is the only shard). Components
+  // query shard_id()/engine() to route cross-shard interactions; none of
+  // this touches the Step() hot path.
   void SetShardContext(ShardedEngine* engine, int shard_id) {
     engine_ = engine;
     shard_id_ = shard_id;

@@ -5,12 +5,10 @@
 
 namespace mitt::tenant {
 
-PlacementController::PlacementController(sim::Simulator* sim, sim::ShardedEngine* engine,
-                                         const TenantDirectory* directory,
+PlacementController::PlacementController(sim::Simulator* sim, const TenantDirectory* directory,
                                          PlacementMap* placement, int num_nodes, ProbeFn probe,
                                          const PlacementControllerOptions& options)
     : sim_(sim),
-      engine_(engine),
       directory_(directory),
       placement_(placement),
       num_nodes_(num_nodes),
@@ -32,16 +30,16 @@ PlacementController::PlacementController(sim::Simulator* sim, sim::ShardedEngine
 }
 
 void PlacementController::Start() {
-  const TimeNs now = engine_ != nullptr ? engine_->Now() : sim_->Now();
-  Arm(now + options_.period);
+  const sim::ShardedEngine* engine = sim_->engine();
+  Arm((engine != nullptr ? engine->Now() : sim_->Now()) + options_.period);
 }
 
 void PlacementController::Arm(TimeNs when) {
-  // Sharded worlds tick at a quiesced barrier (every shard parked, so the
-  // probe reads and the placement writes race with nothing); unsharded
-  // worlds use a plain daemon event. Both never keep the run alive.
-  if (engine_ != nullptr) {
-    engine_->ScheduleGlobal(when, [this, when] {
+  // Engine worlds tick at a quiesced barrier (every shard parked, so the
+  // probe reads and the placement writes race with nothing); a plain
+  // Simulator uses a daemon event. Both never keep the run alive.
+  if (sim::ShardedEngine* engine = sim_->engine(); engine != nullptr) {
+    engine->ScheduleGlobal(when, [this, when] {
       TickOnce();
       Arm(when + options_.period);
     });

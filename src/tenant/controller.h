@@ -23,7 +23,7 @@
 // placements do not thrash.
 //
 // Determinism: every tick runs as a quiesced sim::ShardedEngine global event
-// (plain daemon event on an unsharded Simulator), so all shards observe each
+// (a daemon event on a plain Simulator), so all shards observe each
 // migration at the same simulated instant; inputs are scheduler aggregates
 // at the barrier plus the controller's own seeded state, making runs
 // bit-identical at any MITT_INTRA_WORKERS x MITT_TRIAL_WORKERS. See
@@ -88,11 +88,11 @@ class PlacementController {
  public:
   using ProbeFn = std::function<NodeProbe(int node)>;
 
-  // `engine` may be null (unsharded world: ticks become daemon events on
-  // `sim`). `placement` and the probe target must outlive the controller.
-  PlacementController(sim::Simulator* sim, sim::ShardedEngine* engine,
-                      const TenantDirectory* directory, PlacementMap* placement, int num_nodes,
-                      ProbeFn probe, const PlacementControllerOptions& options);
+  // Ticks are global events on sim->engine(), or daemon events on a plain
+  // `sim`. `placement` and the probe target must outlive the controller.
+  PlacementController(sim::Simulator* sim, const TenantDirectory* directory,
+                      PlacementMap* placement, int num_nodes, ProbeFn probe,
+                      const PlacementControllerOptions& options);
 
   // Arms the periodic tick from the current simulated time. Daemon-like:
   // ticks never keep the run alive past the workload.
@@ -114,7 +114,6 @@ class PlacementController {
   void Arm(TimeNs when);
 
   sim::Simulator* sim_;
-  sim::ShardedEngine* engine_;
   const TenantDirectory* directory_;
   PlacementMap* placement_;
   int num_nodes_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -262,6 +263,28 @@ TEST(ShardedClusterTest, CrossShardGetsAreBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(run(2), base);
   EXPECT_EQ(run(4), base);
   EXPECT_EQ(run(0), base);  // Env-resolved default (4 under the TSan CI job).
+}
+
+// A shared CPU pool is cross-node state: on several shards their threads
+// would race on it, so only a 1-shard engine may build one. The check must
+// hold in release builds, where asserts are compiled out.
+TEST(ShardedClusterTest, SharedCpuPoolNeedsOneShard) {
+  Cluster::Options copt;
+  copt.num_nodes = 4;
+  copt.node = SmallNodeOptions();
+  copt.shared_cpu_cores = 2;
+  for (const int shards : {1, 2}) {
+    sim::ShardedEngine::Options eopt;
+    eopt.num_shards = shards;
+    eopt.lookahead = MinOneWayHop(NetworkParams{});
+    sim::ShardedEngine engine(eopt);
+    if (shards == 1) {
+      Cluster cluster(&engine, copt);
+      EXPECT_EQ(cluster.num_nodes(), 4);
+    } else {
+      EXPECT_THROW({ Cluster cluster(&engine, copt); }, std::invalid_argument);
+    }
+  }
 }
 
 TEST_F(DocStoreNodeTest, PutIsBufferedAndFast) {

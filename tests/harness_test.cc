@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/harness/experiment.h"
 #include "src/study/nosql_study.h"
+#include "src/trace/cursor.h"
 
 namespace mitt::harness {
 namespace {
@@ -88,6 +91,49 @@ TEST(ExperimentTest, DeterministicAcrossRuns) {
   EXPECT_EQ(ra.get_latencies.Percentile(95), rb.get_latencies.Percentile(95));
   EXPECT_EQ(ra.ebusy_failovers, rb.ebusy_failovers);
   EXPECT_EQ(ra.sim_duration, rb.sim_duration);
+}
+
+// The warmup split. One shard counts warmup across all clients with one
+// global issue counter; more shards give each client a fixed quota and
+// warmup share. Either way exactly warmup_requests user requests go
+// unmeasured, and with quotas each client issues exactly its own.
+TEST(ExperimentTest, WarmupSplitLeavesExactlyWarmupRequestsUnmeasured) {
+  for (const int shards : {1, 2}) {
+    ExperimentOptions opt = MicroOptions();
+    opt.noise = NoiseKind::kNone;
+    opt.pin_primary_node = -1;
+    opt.num_clients = 3;
+    opt.scale_factor = 2;
+    opt.warmup_requests = 7;  // Not a multiple of the client count.
+    opt.measure_requests = 50;
+    opt.num_shards = shards;
+    opt.record_trace_path = testing::TempDir() + "harness_test_warmup_split.mitttrace";
+    Experiment experiment(opt);
+    const RunResult r = experiment.Run(StrategyKind::kBase);
+    ASSERT_EQ(r.num_shards, shards);
+    EXPECT_EQ(r.requests, 57u);
+    EXPECT_EQ(r.user_latencies.count(), 50u);
+    EXPECT_EQ(r.get_latencies.count(), 100u);
+
+    std::string error;
+    auto cursor = trace::FileTraceCursor::Open(opt.record_trace_path, &error);
+    ASSERT_NE(cursor, nullptr) << error;
+    std::map<uint32_t, int> gets_per_client;
+    trace::TraceEvent event;
+    while (cursor->Next(&event)) {
+      ++gets_per_client[event.stream];
+    }
+    std::remove(opt.record_trace_path.c_str());
+    ASSERT_EQ(gets_per_client.size(), 3u);
+    int total = 0;
+    for (const auto& [client, gets] : gets_per_client) {
+      total += gets;
+      if (shards == 2) {
+        EXPECT_EQ(gets, 19 * 2) << "client " << client;  // 57 requests / 3 clients, SF 2.
+      }
+    }
+    EXPECT_EQ(total, 57 * 2);
+  }
 }
 
 TEST(ExperimentTest, Ec2NoiseProducesTailsNotMedians) {

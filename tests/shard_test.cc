@@ -37,6 +37,42 @@ TEST(ShardedEngineTest, SingleShardMatchesPlainSimulator) {
   EXPECT_EQ(engine.cross_shard_messages(), 0u);
 }
 
+// The 1-shard contract: the engine runs its shard's own loop. A global event
+// is a daemon event on the shard, so it fires in (time, seq) order with
+// equal-time shard events and counts as an executed event; a Post schedules
+// directly; no windows run.
+TEST(ShardedEngineTest, OneShardRunsThePlainSimulatorSchedule) {
+  sim::ShardedEngine::Options opt;
+  opt.num_shards = 1;
+  sim::ShardedEngine engine(opt);
+  std::vector<int> order;
+  engine.shard(0)->ScheduleAt(Micros(50), [&] { order.push_back(1); });
+  engine.ScheduleGlobal(Micros(50), [&] { order.push_back(2); });
+  engine.shard(0)->ScheduleAt(Micros(50), [&] { order.push_back(3); });
+  engine.Post(0, Micros(50), [&] { order.push_back(4); });
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(engine.executed_events(), 4u);
+  EXPECT_EQ(engine.cross_shard_messages(), 0u);
+  EXPECT_EQ(engine.windows_run(), 0u);
+}
+
+TEST(ShardedEngineTest, OneShardPredicateStopsOnTheExactEvent) {
+  sim::ShardedEngine::Options opt;
+  opt.num_shards = 1;
+  opt.lookahead = Micros(100);  // Wider than the event gaps: windows would overshoot.
+  sim::ShardedEngine engine(opt);
+  int fired = 0;
+  for (int i = 1; i <= 3; ++i) {
+    engine.shard(0)->ScheduleAt(Micros(10) * i, [&] { ++fired; });
+  }
+  EXPECT_TRUE(engine.RunUntilPredicate([&] { return fired == 2; }));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(engine.Now(), Micros(20));
+  EXPECT_EQ(engine.executed_events(), 2u);
+  EXPECT_EQ(engine.windows_run(), 0u);
+}
+
 TEST(ShardedEngineTest, PostDeliversInDeterministicOrder) {
   // Messages from two source shards to one destination, tied on time: drain
   // order must be (when, src, send-seq) regardless of worker count.
