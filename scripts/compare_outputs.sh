@@ -10,7 +10,9 @@
 # below on both builds at MITT_TRIAL_WORKERS=1 and 4, and diffs them:
 #   - stdout of bench_fig3 .. bench_fig13, bench_allinone, bench_table1_nosql,
 #     bench_ablation_accuracy, bench_writes and bench_failslow;
-#   - stdout and JSON scorecard of bench_resilience, bench_tenant --small and
+#   - stdout and JSON scorecard of bench_resilience --chaos 8 (the CI
+#     resilience-chaos sweep, so the resilient walk's timeout, denied-retry,
+#     late-reply and backoff paths are compared), bench_tenant --small and
 #     bench_replay --small;
 #   - `chaos_tool replay` over the working tree's tests/data/chaos_corpus.
 # Host-time output is dropped before the diff: bench_replay's "IOs/s" and
@@ -66,7 +68,7 @@ outputs() {  # <build dir> <output dir> <trial workers>
     for b in "${figs[@]}"; do
       run "$bin/$b" "$b.out"
     done
-    run "$bin/bench_resilience" bench_resilience.out resilience.json
+    run "$bin/bench_resilience" bench_resilience.out resilience.json --chaos 8
     run "$bin/bench_tenant" bench_tenant.out --small tenant.json
     sed -i '/ wall ---$/d' bench_tenant.out
     run "$bin/bench_replay" bench_replay.out --small replay.json

@@ -37,8 +37,8 @@ struct ChaosWorldOptions {
   int num_shards = 2;
   uint64_t seed = 42;
   // Ground-truth plant: reintroduces the denied-retry/late-EBUSY liveness
-  // hang (client::ResilientOptions::test_swallow_late_reply). The completion
-  // oracle must find it; the acceptance demo shrinks it.
+  // hang (client::MittosStrategy::Options::test_swallow_late_reply). The
+  // completion oracle must find it; the acceptance demo shrinks it.
   bool inject_bug = false;
   // Tenant overlay: multi-tenant drivers + SLO-aware placement controller,
   // which arms the placement-validity oracle.

@@ -37,7 +37,6 @@ class SnitchStrategy : public GetStrategy {
                  const Options& options);
   ~SnitchStrategy() override;
 
-  std::string_view name() const override { return "Snitch"; }
   void Get(uint64_t key, GetDoneFn done) override;
 
  private:
@@ -59,7 +58,6 @@ class C3Strategy : public GetStrategy {
   C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
              const Options& options);
 
-  std::string_view name() const override { return "C3"; }
   void Get(uint64_t key, GetDoneFn done) override;
 
  private:

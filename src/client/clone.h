@@ -14,7 +14,6 @@ class CloneStrategy : public GetStrategy {
  public:
   CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
 
-  std::string_view name() const override { return "Clone"; }
   void Get(uint64_t key, GetDoneFn done) override;
 };
 

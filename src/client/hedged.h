@@ -20,7 +20,6 @@ class HedgedStrategy : public GetStrategy {
   HedgedStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                  const Options& options);
 
-  std::string_view name() const override { return "Hedged"; }
   void Get(uint64_t key, GetDoneFn done) override;
 
   uint64_t hedges_sent() const { return hedges_sent_; }

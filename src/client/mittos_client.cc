@@ -1,113 +1,338 @@
 #include "src/client/mittos_client.h"
 
-#include <memory>
+#include <algorithm>
+#include <cstdint>
+#include <span>
+
+#include "src/obs/metrics.h"
+#include "src/resilience/deadline_budget.h"
 
 namespace mitt::client {
+namespace {
 
-MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
-                               const Options& options)
-    : GetStrategy(sim, cluster, seed), options_(options) {}
+constexpr int kMaxReplicas = tenant::ReplicaGroup::kMaxReplication;
+constexpr DurationNs kNoHint = -1;
 
-void MittosStrategy::Get(uint64_t key, GetDoneFn done) {
-  Attempt(key, GetContext{}, 0, std::make_shared<GetDoneFn>(std::move(done)), BeginTrace());
+// kResilient's all-busy degradation: full degraded re-walks before giving
+// up, and the largest deadline a degraded attempt may carry (mirrors the
+// server-side escalation cap — bounded, never disabled).
+constexpr int kDegradedMaxRounds = 12;
+constexpr DurationNs kDegradedDeadlineCap = Seconds(2);
+
+// A replica is fail-slow only when its success latency alone breaks the SLO;
+// sub-deadline contention is the predictor's business, not the breaker's.
+resilience::ReplicaHealthOptions HealthWithSloFloor(const MittosStrategy::Options& options) {
+  resilience::ReplicaHealthOptions health = options.health;
+  health.latency_floor = std::max(health.latency_floor, options.deadline);
+  return health;
 }
 
-void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
-  Attempt(key, ctx, 0, std::make_shared<GetDoneFn>(std::move(done)), BeginTrace());
-}
+}  // namespace
 
-void MittosStrategy::Attempt(uint64_t key, GetContext ctx, int try_index,
-                             std::shared_ptr<GetDoneFn> done, obs::TraceContext trace) {
-  const tenant::ReplicaGroup replicas = RouteReplicas(key, ctx.tenant);
-  const bool last_try = try_index + 1 >= replicas.size;
-  // The last retry disables the deadline; otherwise users could get IO errors
-  // even though data is available (§5, modification (3)).
-  const DurationNs slo = ctx.deadline > 0 ? ctx.deadline : options_.deadline;
-  const DurationNs deadline = last_try ? sched::kNoDeadline : slo;
-  if (last_try) {
-    ++unbounded_tries_;
+// One logical get. `settled` is the done-exactly-once latch: every completion
+// path funnels through Settle(), and late replies from attempts the timer
+// already abandoned check it before doing anything user-visible.
+struct MittosStrategy::GetState {
+  // Under kResilient the attempt timer and the reply race for each hop.
+  enum class HopState : uint8_t {
+    kInFlight,
+    kReplied,
+    // The timer fired and the retry budget denied a resend: the late reply
+    // is the only thing still driving the get.
+    kTimedOut,
+    // The timer got a retry token and scheduled a backoff-resume: the walk
+    // has a new driver, so the late reply must not also advance it.
+    kRetried,
+  };
+  struct Hop {
+    DurationNs hint = kNoHint;  // The replica's EBUSY wait hint.
+    TimeNs sent_at = 0;
+    sim::EventId timer = sim::kInvalidEventId;
+    HopState state = HopState::kInFlight;
+  };
+
+  // Replica indices by EBUSY wait hint into `order`: shortest first,
+  // replicas that never sent one (timeout, unknown hint) last, ties in walk
+  // order so the health ordering still breaks them. An insertion sort:
+  // stable and allocation-free.
+  void OrderByHint() {
+    auto wait = [this](int i) { return hops[i].hint == kNoHint ? INT64_MAX : hops[i].hint; };
+    for (int i = 0; i < replicas.size; ++i) {
+      int j = i;
+      for (; j > 0 && wait(order[j - 1]) > wait(i); --j) {
+        order[j] = order[j - 1];
+      }
+      order[j] = i;
+    }
   }
-  const int node = replicas.node[static_cast<size_t>(try_index)];
-  SendGet(
-      node, key, deadline,
-      [this, key, ctx, try_index, done, trace](Status status) {
-        if (status.busy()) {
-          ++ebusy_failovers_;
-          RecordFailover(trace);
-          Attempt(key, ctx, try_index + 1, done, trace);  // Instant, exceptionless failover.
-          return;
-        }
-        (*done)({status, try_index + 1});
-      },
-      trace, ctx.tenant);
-}
 
-struct MittosWaitStrategy::Attempt {
   uint64_t key = 0;
   tenant::TenantId tenant = tenant::kNoTenant;
-  DurationNs deadline = 0;
-  std::vector<int> replicas;
-  std::vector<DurationNs> hints;  // Predicted wait per replica (on EBUSY).
-  size_t next = 0;
+  DurationNs slo = 0;
+  tenant::ReplicaGroup replicas;  // Health-ordered at Get() time under kResilient.
+  Hop hops[kMaxReplicas];         // Indexed like `replicas`.
+  int order[kMaxReplicas] = {};   // Filled by OrderByHint() for the exits.
+  int next = 0;
+  int tries = 0;
+  resilience::DeadlineBudget budget{0, 0};
+  // Remaining budget sent by the previous primary-walk hop; <0 until the
+  // first hop. Feeds the budget-monotonicity oracle counter.
+  DurationNs last_sent_remaining = -1;
+  int degraded_next = 0;
+  Status last_degraded_status = Status::Unavailable();
+  bool settled = false;
   GetDoneFn done;
   obs::TraceContext trace;
 };
 
-MittosWaitStrategy::MittosWaitStrategy(sim::Simulator* sim, cluster::Cluster* cluster,
-                                       uint64_t seed, const Options& options)
-    : GetStrategy(sim, cluster, seed), options_(options) {}
+MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
+                               const Options& options)
+    : GetStrategy(sim, cluster, seed),
+      options_(options),
+      health_(sim, cluster->num_nodes(), HealthWithSloFloor(options), seed ^ 0x4EA1'74C3ULL),
+      retry_budget_(options.retry),
+      backoff_(options.backoff, seed ^ 0xBAC0'0FF5ULL) {}
 
-void MittosWaitStrategy::Get(uint64_t key, GetDoneFn done) {
-  Get(key, GetContext{}, std::move(done));
+DurationNs MittosStrategy::NoteSentDeadline(DurationNs deadline) {
+  // The bounded-deadline contract: kResilient never disables a deadline.
+  deadline = resilience::ClampDeadline(deadline);
+  if (deadline < 0) {
+    deadline = 0;  // Unlimited budgets still go out bounded (caller floors them).
+  }
+  max_sent_deadline_ = std::max(max_sent_deadline_, deadline);
+  return deadline;
 }
 
-void MittosWaitStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
-  auto attempt = std::make_shared<Attempt>();
-  attempt->key = key;
-  attempt->tenant = ctx.tenant;
-  attempt->deadline = ctx.deadline > 0 ? ctx.deadline : options_.deadline;
-  const tenant::ReplicaGroup group = RouteReplicas(key, ctx.tenant);
-  attempt->replicas.assign(group.node, group.node + group.size);
-  attempt->hints.assign(attempt->replicas.size(), 0);
-  attempt->done = std::move(done);
-  attempt->trace = BeginTrace();
-  TryReplica(std::move(attempt));
+void MittosStrategy::Get(uint64_t key, GetDoneFn done) { Get(key, GetContext{}, std::move(done)); }
+
+void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
+  auto g = std::make_shared<GetState>();
+  g->key = key;
+  g->tenant = ctx.tenant;
+  g->slo = ctx.deadline > 0 ? ctx.deadline : options_.deadline;
+  g->replicas = RouteReplicas(key, ctx.tenant);
+  if (resilient()) {
+    health_.OrderReplicas(std::span<int>(g->replicas.node, static_cast<size_t>(g->replicas.size)));
+    g->budget = resilience::DeadlineBudget(g->slo, sim_->Now());
+  }
+  g->done = std::move(done);
+  g->trace = BeginTrace();
+  TryNext(std::move(g));
 }
 
-void MittosWaitStrategy::TryReplica(std::shared_ptr<Attempt> attempt) {
-  if (attempt->next >= attempt->replicas.size()) {
-    // Every replica rejected: the paper's proposed 4th retry, informed by the
-    // wait hints — go wait on the *least busy* node, deadline disabled.
-    ++informed_last_tries_;
-    size_t best = 0;
-    for (size_t i = 1; i < attempt->hints.size(); ++i) {
-      if (attempt->hints[i] < attempt->hints[best]) {
-        best = i;
-      }
-    }
-    const int node = attempt->replicas[best];
-    const int tries = static_cast<int>(attempt->replicas.size()) + 1;
-    SendGet(
-        node, attempt->key, sched::kNoDeadline,
-        [attempt, tries](Status status) { attempt->done({status, tries}); }, attempt->trace,
-        attempt->tenant);
+void MittosStrategy::Settle(const std::shared_ptr<GetState>& g, Status status) {
+  if (g->settled) {
     return;
   }
-  const size_t index = attempt->next++;
-  const int node = attempt->replicas[index];
+  g->settled = true;
+  if (status.ok()) {
+    retry_budget_.OnSuccess();
+    backoff_.Reset();
+  }
+  g->done({status, g->tries});
+}
+
+void MittosStrategy::ScheduleBackoff(const std::shared_ptr<GetState>& g, sim::Callback resume) {
+  const DurationNs delay = backoff_.Next();
+  if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled() && g->trace.traced()) {
+    tr->RecordSpan(obs::SpanKind::kBackoff, g->trace, sim_->Now(), sim_->Now() + delay);
+  }
+  if (obs::MetricsRegistry* m = sim_->metrics()) {
+    m->counter("resilience_backoff_total").Add();
+  }
+  sim_->Schedule(delay, std::move(resume));
+}
+
+void MittosStrategy::TryNext(std::shared_ptr<GetState> g) {
+  if (g->settled) {
+    return;
+  }
+  const TimeNs now = sim_->Now();
+  // kMittos saves the last replica for the unbounded exit (§5, modification
+  // (3)); the other presets bound a try at every replica first.
+  const int bounded_hops =
+      options_.preset == MittosPreset::kMittos ? g->replicas.size - 1 : g->replicas.size;
+  if (resilient()) {
+    if (g->budget.Exhausted(now)) {
+      ++deadline_exhausted_;
+      if (obs::MetricsRegistry* m = sim_->metrics()) {
+        m->counter("resilience_deadline_exhausted_total").Add();
+      }
+      Exit(std::move(g));
+      return;
+    }
+    // Half-open replicas admit exactly one probe; when another get holds the
+    // probe slot, skip past them (open replicas at the tail stay reachable as
+    // the walk's last resort).
+    while (g->next < bounded_hops) {
+      const int candidate = g->replicas.node[g->next];
+      if (health_.state(candidate) != resilience::BreakerState::kHalfOpen ||
+          health_.AcquireProbe(candidate)) {
+        break;
+      }
+      ++g->next;
+    }
+  }
+  if (g->next >= bounded_hops) {
+    Exit(std::move(g));
+    return;
+  }
+  const int index = g->next++;
+  ++g->tries;
+  DurationNs deadline = g->slo;
+  if (resilient()) {
+    deadline = NoteSentDeadline(g->budget.unlimited() ? g->slo : g->budget.Remaining(now));
+    if (g->last_sent_remaining >= 0 && deadline > g->last_sent_remaining) {
+      ++budget_regressions_;
+    }
+    g->last_sent_remaining = deadline;
+    // The attempt timer exists for replies that never come inside the SLO —
+    // dropped packets (retransmitted 200 ms later), paused nodes, partitions.
+    // Generous on purpose: remaining budget + a full round trip + one more
+    // SLO, so a healthy world never races it.
+    GetState::Hop& hop = g->hops[index];
+    hop.sent_at = now;
+    hop.timer = sim_->Schedule(
+        deadline + 2 * cluster_->network().round_trip_estimate() + g->slo,
+        [this, g, index] { OnTimer(g, index); });
+  }
   SendGetWithHint(
-      node, attempt->key, attempt->deadline,
-      [this, attempt, index](Status status, DurationNs hint) {
-        if (status.busy()) {
-          ++ebusy_failovers_;
-          attempt->hints[index] = hint;
-          RecordFailover(attempt->trace);
-          TryReplica(attempt);
+      g->replicas.node[index], g->key, deadline,
+      [this, g, index](Status status, DurationNs hint) { OnReply(g, index, status, hint); },
+      g->trace, g->tenant);
+}
+
+void MittosStrategy::OnTimer(const std::shared_ptr<GetState>& g, int index) {
+  GetState::Hop& hop = g->hops[index];
+  if (hop.state != GetState::HopState::kInFlight || g->settled) {
+    return;
+  }
+  hop.state = GetState::HopState::kTimedOut;
+  ++timeouts_fired_;
+  health_.OnTimeout(g->replicas.node[index]);
+  // Retry governance: a timeout retry re-sends work the cluster may still be
+  // doing — only amplify when the token bucket allows, and never
+  // back-to-back. A denied retry waits for the outstanding reply (the
+  // network model always redelivers eventually), which is exactly the
+  // no-amplification behavior a retry storm needs.
+  if (retry_budget_.TryAcquire()) {
+    hop.state = GetState::HopState::kRetried;
+    ScheduleBackoff(g, [this, g] { TryNext(g); });
+  } else if (obs::MetricsRegistry* m = sim_->metrics()) {
+    m->counter("resilience_retry_denied_total").Add();
+  }
+}
+
+void MittosStrategy::OnReply(const std::shared_ptr<GetState>& g, int index, Status status,
+                             DurationNs hint) {
+  GetState::Hop& hop = g->hops[index];
+  if (resilient()) {
+    // Health sees every reply, even stale ones — a late answer is still
+    // evidence about the replica.
+    health_.OnReply(g->replicas.node[index], sim_->Now() - hop.sent_at, status.busy());
+    if (hop.state == GetState::HopState::kInFlight) {
+      hop.state = GetState::HopState::kReplied;
+      sim_->Cancel(hop.timer);
+    } else if (!status.ok() &&
+               (options_.test_swallow_late_reply || hop.state == GetState::HopState::kRetried)) {
+      // The timer abandoned this attempt. A late success still rescues the
+      // get, and when the timer was denied a resend this late reply is the
+      // only thing still driving the get, so a late EBUSY (or error) must
+      // advance the walk, not be swallowed. test_swallow_late_reply
+      // reinstates the swallow as the chaos search's planted bug.
+      return;
+    }
+  }
+  if (g->settled) {
+    return;
+  }
+  if (status.busy()) {
+    hop.hint = hint;
+    ++ebusy_failovers_;
+    RecordFailover(g->trace);
+    TryNext(g);  // Instant, exceptionless failover (§5) — no backoff.
+    return;
+  }
+  Settle(g, status);
+}
+
+void MittosStrategy::Exit(std::shared_ptr<GetState> g) {
+  if (resilient()) {
+    StartDegraded(std::move(g), 0);
+    return;
+  }
+  // The deadline-disabled try, so users never get IO errors while data is
+  // available (§5). Once every replica has rejected, it waits on the least
+  // busy one (§7.8.1's proposed informed retry).
+  int index = g->next;
+  if (index >= g->replicas.size) {
+    g->OrderByHint();
+    index = g->order[0];
+  }
+  ++unbounded_tries_;
+  ++g->tries;
+  SendGetWithHint(
+      g->replicas.node[index], g->key, sched::kNoDeadline,
+      [this, g](Status status, DurationNs) { Settle(g, status); }, g->trace, g->tenant);
+}
+
+void MittosStrategy::StartDegraded(std::shared_ptr<GetState> g, int round) {
+  if (g->settled) {
+    return;
+  }
+  // Min-wait-hint first: §7.8.1's informed pick. Re-ordered every round, as
+  // late primary replies may have brought new hints.
+  g->OrderByHint();
+  g->degraded_next = 0;
+  DegradedNext(std::move(g), round);
+}
+
+void MittosStrategy::DegradedNext(std::shared_ptr<GetState> g, int round) {
+  if (g->settled) {
+    return;
+  }
+  if (g->degraded_next >= g->replicas.size) {
+    // Every replica shed this round: the whole cluster is saturated beyond
+    // its degraded-admission capacity. Back off and re-walk; slots free up
+    // as admitted reads complete.
+    if (round + 1 >= kDegradedMaxRounds) {
+      Settle(g, g->last_degraded_status);
+      return;
+    }
+    ScheduleBackoff(g, [this, g, round] { StartDegraded(g, round + 1); });
+    return;
+  }
+  const int index = g->order[g->degraded_next++];
+  ++g->tries;
+  ++degraded_gets_;
+  if (obs::MetricsRegistry* m = sim_->metrics()) {
+    m->counter("resilience_degraded_total").Add();
+  }
+  // Give the degraded server at least one full SLO to work with — bounded,
+  // never disabled. When the replica's EBUSY told us its predicted wait, send
+  // hint + SLO so the very first degraded attempt admits instead of burning a
+  // server-side reject/wait/escalate cycle; the cap mirrors the server's.
+  DurationNs deadline =
+      std::max(g->budget.unlimited() ? g->slo : g->budget.Remaining(sim_->Now()), g->slo);
+  if (g->hops[index].hint != kNoHint) {
+    deadline = std::max(deadline, g->hops[index].hint + g->slo);
+  }
+  deadline = NoteSentDeadline(std::min(deadline, kDegradedDeadlineCap));
+  SendDegradedGet(
+      g->replicas.node[index], g->key, deadline,
+      [this, g, round](Status status, DurationNs) {
+        if (g->settled) {
           return;
         }
-        attempt->done({status, static_cast<int>(index) + 1});
+        g->last_degraded_status = status;
+        if (status.code() == StatusCode::kUnavailable) {
+          ++degraded_sheds_seen_;
+          DegradedNext(g, round);
+          return;
+        }
+        Settle(g, status);
       },
-      attempt->trace, attempt->tenant);
+      g->trace);
 }
 
 }  // namespace mitt::client

@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -47,8 +46,6 @@ class GetStrategy {
  public:
   GetStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
   virtual ~GetStrategy() = default;
-
-  virtual std::string_view name() const = 0;
 
   // Issues one replicated get for `key`; calls `done` exactly once.
   virtual void Get(uint64_t key, GetDoneFn done) = 0;

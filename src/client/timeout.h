@@ -12,7 +12,6 @@
 #define MITTOS_CLIENT_TIMEOUT_H_
 
 #include <memory>
-#include <string>
 
 #include "src/client/strategy.h"
 
@@ -21,7 +20,6 @@ namespace mitt::client {
 class TimeoutStrategy : public GetStrategy {
  public:
   struct Options {
-    std::string name = "Base";
     DurationNs timeout = Seconds(30);
     bool failover_on_timeout = true;
     int max_tries = 3;  // Last try runs without a timeout.
@@ -30,7 +28,6 @@ class TimeoutStrategy : public GetStrategy {
   TimeoutStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                   const Options& options);
 
-  std::string_view name() const override { return options_.name; }
   void Get(uint64_t key, GetDoneFn done) override;
   // Tenant-aware: routes via the placement map; ctx.deadline (the tenant's
   // class SLO) replaces the configured timeout for this request.

@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -32,6 +33,20 @@ constexpr DurationNs kFallbackDeadline = Millis(13);
 
 DurationNs Resolve(DurationNs value, DurationNs fallback) {
   return value >= 0 ? value : fallback;
+}
+
+// The client preset each MittOS kind runs; nullopt for the other kinds.
+std::optional<client::MittosPreset> MittosPresetOf(StrategyKind kind) {
+  switch (kind) {
+    case StrategyKind::kMittos:
+      return client::MittosPreset::kMittos;
+    case StrategyKind::kMittosWait:
+      return client::MittosPreset::kWait;
+    case StrategyKind::kMittosResilient:
+      return client::MittosPreset::kResilient;
+    default:
+      return std::nullopt;
+  }
 }
 
 // Decorrelates per-shard seed streams (strategy instances, id namespaces).
@@ -378,13 +393,11 @@ std::unique_ptr<client::GetStrategy> Experiment::MakeStrategy(StrategyKind kind,
   switch (kind) {
     case StrategyKind::kBase: {
       client::TimeoutStrategy::Options opt;
-      opt.name = "Base";
       opt.timeout = Seconds(30);  // The NoSQL-default coarse timeout (§2).
       return std::make_unique<client::TimeoutStrategy>(sim, cluster, seed, opt);
     }
     case StrategyKind::kAppTimeout: {
       client::TimeoutStrategy::Options opt;
-      opt.name = "AppTO";
       opt.timeout = Resolve(options_.app_timeout, deadline);
       opt.failover_on_timeout = options_.app_timeout_failover;
       return std::make_unique<client::TimeoutStrategy>(sim, cluster, seed, opt);
@@ -402,23 +415,15 @@ std::unique_ptr<client::GetStrategy> Experiment::MakeStrategy(StrategyKind kind,
     case StrategyKind::kC3:
       return std::make_unique<client::C3Strategy>(sim, cluster, seed,
                                                   client::C3Strategy::Options{});
-    case StrategyKind::kMittos: {
-      client::MittosStrategy::Options opt;
-      opt.deadline = deadline;
-      return std::make_unique<client::MittosStrategy>(sim, cluster, seed, opt);
-    }
-    case StrategyKind::kMittosWait: {
-      client::MittosWaitStrategy::Options opt;
-      opt.deadline = deadline;
-      return std::make_unique<client::MittosWaitStrategy>(sim, cluster, seed, opt);
-    }
+    case StrategyKind::kMittos:
+    case StrategyKind::kMittosWait:
     case StrategyKind::kMittosResilient: {
-      client::ResilientOptions opt = options_.resilience;
-      opt.name = "MittOS+res";
+      client::MittosStrategy::Options opt = options_.resilience;
+      opt.preset = *MittosPresetOf(kind);
       opt.deadline = deadline;
       // The breaker-legality oracle needs the in-order transition log.
       opt.health.record_transitions = opt.health.record_transitions || options_.harvest_oracles;
-      return std::make_unique<client::ResilientMittosStrategy>(sim, cluster, seed, opt);
+      return std::make_unique<client::MittosStrategy>(sim, cluster, seed, opt);
     }
   }
   return nullptr;
@@ -435,21 +440,12 @@ void Experiment::CollectCounters(StrategyKind kind, const client::GetStrategy& s
     case StrategyKind::kHedged:
       out->hedges_sent += static_cast<const client::HedgedStrategy&>(strategy).hedges_sent();
       break;
-    case StrategyKind::kMittos: {
+    case StrategyKind::kMittos:
+    case StrategyKind::kMittosWait:
+    case StrategyKind::kMittosResilient: {
       const auto& s = static_cast<const client::MittosStrategy&>(strategy);
       out->ebusy_failovers += s.ebusy_failovers();
       out->unbounded_deadline_tries += s.unbounded_tries();
-      break;
-    }
-    case StrategyKind::kMittosWait: {
-      const auto& s = static_cast<const client::MittosWaitStrategy&>(strategy);
-      out->ebusy_failovers += s.ebusy_failovers();
-      out->unbounded_deadline_tries += s.informed_last_tries();
-      break;
-    }
-    case StrategyKind::kMittosResilient: {
-      const auto& s = static_cast<const client::ResilientMittosStrategy&>(strategy);
-      out->ebusy_failovers += s.ebusy_failovers();
       out->timeouts_fired += s.timeouts_fired();
       out->degraded_gets += s.degraded_gets();
       out->degraded_sheds += s.degraded_sheds_seen();
@@ -510,9 +506,7 @@ cluster::Cluster::Options Experiment::BuildClusterOptions(StrategyKind kind) con
   copt.node.handler_cpu = options_.handler_cpu;
   copt.node.os.backend = options_.backend;
   copt.node.os.cache.capacity_pages = options_.cache_pages;
-  copt.node.os.mitt_enabled = kind == StrategyKind::kMittos ||
-                              kind == StrategyKind::kMittosWait ||
-                              kind == StrategyKind::kMittosResilient;
+  copt.node.os.mitt_enabled = MittosPresetOf(kind).has_value();
   copt.node.os.predictor = options_.predictor;
   copt.node.os.mitt_cfq = options_.mitt_cfq;
   copt.node.os.mitt_ssd = options_.mitt_ssd;

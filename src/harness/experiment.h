@@ -21,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/client/resilient.h"
+#include "src/client/mittos_client.h"
 #include "src/client/strategy.h"
 #include "src/cluster/cluster.h"
 #include "src/common/latency_recorder.h"
@@ -188,9 +188,10 @@ struct ExperimentOptions {
   // the file is bit-identical at any worker count.
   std::string record_trace_path;
 
-  // Resilience knobs for StrategyKind::kMittosResilient (deadline comes from
-  // `deadline` above; the name/deadline fields here are overridden).
-  client::ResilientOptions resilience;
+  // Resilience knobs for StrategyKind::kMittosResilient. Every MittOS kind
+  // builds its client from these; the preset comes from the kind and the
+  // deadline from `deadline` above.
+  client::MittosStrategy::Options resilience;
 
   // --- Intra-trial sharding (src/sim/sharded_engine.h) ---
   // Shard count for the conservative-PDES engine. 0 = auto: 1 below 64
@@ -244,7 +245,7 @@ struct OracleHarvest {
   uint64_t done_busy = 0;
   uint64_t done_exhausted = 0;
   uint64_t done_error = 0;  // Everything else (timeout, unavailable, ...).
-  // ResilientMittosStrategy::budget_regressions() summed over shards.
+  // MittosStrategy::budget_regressions() summed over shards.
   uint64_t budget_regressions = 0;
   // Breaker transition log in shard order (resilient strategy only). Each
   // shard owns an independent health tracker, so the concatenated log holds

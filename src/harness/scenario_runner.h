@@ -52,7 +52,9 @@ struct StrategyScore {
   uint64_t degraded_sheds = 0;       // Admission-gate sheds the client saw.
   uint64_t deadline_exhausted = 0;   // Budgets that hit zero before an accept.
   uint64_t unbounded_tries = 0;      // Deadline-disabled sends (naive last try).
-  double max_sent_deadline_ms = 0;   // Largest deadline ever put on the wire.
+  // Largest deadline MittOS+res put on the wire; 0 for every other strategy,
+  // whose disabled sends show up in `unbounded_tries` instead.
+  double max_sent_deadline_ms = 0;
 };
 
 class ScenarioRunner {

@@ -49,7 +49,7 @@ void RingCoordinator::Get(uint64_t key, std::function<void(Status)> done) {
   auto g = std::make_shared<GetState>();
   g->key = key;
   g->replicas = ReplicasOf(key);
-  health_->OrderReplicas(&g->replicas);
+  health_->OrderReplicas(g->replicas);
   g->budget = resilience::DeadlineBudget(options_.mitt_enabled ? options_.deadline
                                                                : sched::kNoDeadline,
                                          sim_->Now());

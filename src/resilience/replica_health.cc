@@ -106,11 +106,11 @@ bool ReplicaHealthTracker::AcquireProbe(int replica) {
   return true;
 }
 
-void ReplicaHealthTracker::OrderReplicas(std::vector<int>* replicas) {
+void ReplicaHealthTracker::OrderReplicas(std::span<int> replicas) {
   // Stable two-pass partition: closed, then half-open, then open. Keeps the
   // primary-first bias among equally-healthy replicas and uses no RNG, so
   // the walk order is a pure function of breaker states.
-  std::stable_sort(replicas->begin(), replicas->end(), [this](int a, int b) {
+  std::stable_sort(replicas.begin(), replicas.end(), [this](int a, int b) {
     auto rank = [this](int r) {
       switch (state(r)) {
         case BreakerState::kClosed:

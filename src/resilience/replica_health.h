@@ -28,6 +28,7 @@
 #define MITTOS_RESILIENCE_REPLICA_HEALTH_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -115,7 +116,7 @@ class ReplicaHealthTracker {
   // order preserved — keeps the primary-first bias among healthy nodes),
   // then half-open (probe candidates), open last. Deterministic stable
   // partition, no RNG.
-  void OrderReplicas(std::vector<int>* replicas);
+  void OrderReplicas(std::span<int> replicas);
 
   // --- Introspection ---
   double ebusy_rate(int replica) const { return stats_[Index(replica)].ebusy_ewma; }

@@ -79,7 +79,6 @@ TEST_F(ClientFixture, BaseWaitsOutTheNoise) {
 TEST_F(ClientFixture, AppTimeoutFailsOverAfterWaiting) {
   Build(false, 0);
   TimeoutStrategy::Options opt;
-  opt.name = "AppTO";
   opt.timeout = Millis(15);
   TimeoutStrategy appto(&sim_, cluster_.get(), 1, opt);
   sim_.RunUntil(Millis(100));
@@ -235,15 +234,16 @@ TEST_F(ClientFixture, MittosWaitHintPicksLeastBusyWhenAllReject) {
         static_cast<uint64_t>(node) + 7));
     injectors.back()->Start();
   }
-  MittosWaitStrategy::Options mopt;
+  MittosStrategy::Options mopt;
+  mopt.preset = MittosPreset::kWait;
   mopt.deadline = Millis(8);
-  MittosWaitStrategy mittos(&sim_, cluster_.get(), 1, mopt);
+  MittosStrategy mittos(&sim_, cluster_.get(), 1, mopt);
   sim_.RunUntil(Millis(150));
   GetResult result;
   const DurationNs latency = RunOneGet(mittos, 5, &result);
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.tries, 4);  // 3 rejections + informed last try.
-  EXPECT_GE(mittos.informed_last_tries(), 1u);
+  EXPECT_GE(mittos.unbounded_tries(), 1u);
   // Node 1 (lightest noise) should serve the last try well below the heavy
   // nodes' queue delays.
   EXPECT_LT(latency, Millis(120));
@@ -251,15 +251,16 @@ TEST_F(ClientFixture, MittosWaitHintPicksLeastBusyWhenAllReject) {
 
 TEST_F(ClientFixture, MittosWaitBehavesLikeMittosWhenOneReplicaClean) {
   Build(/*mitt_enabled=*/true, /*noisy_node=*/0);
-  MittosWaitStrategy::Options opt;
+  MittosStrategy::Options opt;
+  opt.preset = MittosPreset::kWait;
   opt.deadline = Millis(15);
-  MittosWaitStrategy mittos(&sim_, cluster_.get(), 1, opt);
+  MittosStrategy mittos(&sim_, cluster_.get(), 1, opt);
   sim_.RunUntil(Millis(100));
   GetResult result;
   const DurationNs latency = RunOneGet(mittos, KeyWithPrimary(0), &result);
   EXPECT_TRUE(result.status.ok());
   EXPECT_LT(latency, Millis(15));
-  EXPECT_EQ(mittos.informed_last_tries(), 0u);  // Never needed the 4th try.
+  EXPECT_EQ(mittos.unbounded_tries(), 0u);  // Never needed the 4th try.
 }
 
 }  // namespace

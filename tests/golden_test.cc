@@ -1,4 +1,4 @@
-// Golden RunResult fingerprints of twelve small one-shard Experiment worlds.
+// Golden RunResult fingerprints of fifteen small one-shard Experiment worlds.
 //
 // Every paper figure runs on one shard, so these pin the 1-shard schedule end
 // to end: requests, executed events, simulated duration and noise IOs;
@@ -154,13 +154,17 @@ fault::FaultPlan ChaosPlan() {
   return fault::GenerateChaosPlan(chaos, 6, Seconds(2), /*seed=*/5);
 }
 
-std::string Probe(const ExperimentOptions& options, StrategyKind kind) {
+RunResult RunOneShard(const ExperimentOptions& options, StrategyKind kind) {
   harness::Experiment experiment(options);
-  const RunResult r = experiment.Run(kind);
+  RunResult r = experiment.Run(kind);
   EXPECT_EQ(r.num_shards, 1);
   EXPECT_EQ(r.engine_windows, 0u);
   EXPECT_TRUE(r.critical_path.empty());
-  std::string fp = Fingerprint(r);
+  return r;
+}
+
+std::string Probe(const ExperimentOptions& options, StrategyKind kind) {
+  std::string fp = Fingerprint(RunOneShard(options, kind));
   if (!options.record_trace_path.empty()) {
     fp += " file=" + FileChecksum(options.record_trace_path);
     std::remove(options.record_trace_path.c_str());
@@ -189,6 +193,38 @@ TEST(OneShardGoldenTest, SharedCpuSsdWithOracles) {
             "req=2100 ev=59322 dur=312240266 noise=1267 ebusy=116 to=0 hedge=0 deg=14 err=0 "
             "get=2000,808283,1908189,3279236 user=2000,808283,1908189,3279236 faults=0,0,0 "
             "oracle=2100,2100,0,2100,0,0,0 breaker=0,0 placement=1");
+}
+
+// Every node under continuous contention, so most Gets find all three
+// replicas busy: the world that pins each MittOS preset's all-busy exit.
+// MittOS sends its last replica unbounded, MittOS+wait sends one unbounded
+// try to the min-hint replica, and MittOS+res walks the bounded degraded path.
+TEST(OneShardGoldenTest, AllBusyAcrossMittosPresets) {
+  ExperimentOptions o = Small();
+  o.noise = NoiseKind::kContinuous;
+  o.continuous_all_nodes = true;
+  o.continuous_intensity = 3;
+  const RunResult mittos = RunOneShard(o, StrategyKind::kMittos);
+  EXPECT_EQ(Fingerprint(mittos),
+            "req=2100 ev=53028 dur=20275394092 noise=10797 ebusy=3734 to=0 hedge=0 deg=0 err=0 "
+            "get=2000,65476907,79011685,83366484 user=2000,65476907,79011685,83366484 "
+            "faults=0,0,0");
+  EXPECT_EQ(mittos.unbounded_deadline_tries, 1867u);
+  EXPECT_EQ(mittos.max_sent_deadline, 0);
+  const RunResult wait = RunOneShard(o, StrategyKind::kMittosWait);
+  EXPECT_EQ(Fingerprint(wait),
+            "req=2100 ev=62558 dur=20222196259 noise=10773 ebusy=5651 to=0 hedge=0 deg=0 err=0 "
+            "get=2000,63611953,76600898,81316708 user=2000,63611953,76600898,81316708 "
+            "faults=0,0,0");
+  EXPECT_EQ(wait.unbounded_deadline_tries, 1860u);
+  EXPECT_EQ(wait.max_sent_deadline, 0);
+  const RunResult res = RunOneShard(o, StrategyKind::kMittosResilient);
+  EXPECT_EQ(Fingerprint(res),
+            "req=2100 ev=62561 dur=20216874019 noise=10776 ebusy=5651 to=0 hedge=0 deg=1859 "
+            "err=0 get=2000,63659216,76914322,83027172 user=2000,63659216,76914322,83027172 "
+            "faults=0,0,0");
+  EXPECT_EQ(res.unbounded_deadline_tries, 0u);
+  EXPECT_EQ(res.max_sent_deadline, 79053281);
 }
 
 TEST(OneShardGoldenTest, MmapAddrCheck) {
@@ -253,10 +289,10 @@ TEST(OneShardGoldenTest, RecordedTenants) {
   ExperimentOptions o = SmallTenants(/*slo_aware=*/false);
   o.record_trace_path = testing::TempDir() + "golden_tenants.mitttrace";
   EXPECT_EQ(Probe(o, StrategyKind::kMittosResilient),
-            "req=1787 ev=254840 dur=450725656 noise=1848 ebusy=0 to=0 hedge=0 deg=0 err=0 "
-            "get=1607,423207,2068532,2332915 user=1607,423207,2068532,2332915 "
-            "gold=33,588,0,0,0,2068532 silver=45,699,0,0,0,2185653 "
-            "bronze=42,320,0,0,0,1913577 ctl=0,0,0 faults=0,0,0 file=44787:26ea1654247b4489");
+            "req=1787 ev=255252 dur=450308743 noise=1847 ebusy=0 to=0 hedge=0 deg=0 err=0 "
+            "get=1607,426606,1782795,2284614 user=1607,426606,1782795,2284614 "
+            "gold=33,588,0,0,0,1832382 silver=45,699,0,0,0,1582246 "
+            "bronze=42,320,0,0,0,1941456 ctl=0,0,0 faults=0,0,0 file=44787:26ea1654247b4489");
 }
 
 TEST(OneShardGoldenTest, RecordedReplay) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/client/mittos_client.h"
-#include "src/client/resilient.h"
 #include "src/client/timeout.h"
 #include "src/fault/fault_plan.h"
 #include "src/harness/scenario_runner.h"
@@ -146,7 +145,7 @@ TEST_F(BreakerTest, EbusyStormOpensAndProbeCloses) {
 
   // Open pushes the replica to the back of the failover walk.
   std::vector<int> order = {0, 1, 2};
-  tracker.OrderReplicas(&order);
+  tracker.OrderReplicas(order);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 
   // After the open window: half-open, exactly one probe slot.
@@ -161,7 +160,7 @@ TEST_F(BreakerTest, EbusyStormOpensAndProbeCloses) {
   tracker.OnReply(0, Micros(300), /*ebusy=*/false);
   EXPECT_EQ(tracker.state(0), resilience::BreakerState::kClosed);
   order = {0, 1, 2};
-  tracker.OrderReplicas(&order);
+  tracker.OrderReplicas(order);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
@@ -298,9 +297,10 @@ class ResilientClientTest : public ::testing::Test {
 
 TEST_F(ResilientClientTest, FailsOverInstantlyOffNoisyPrimary) {
   Build({0});
-  client::ResilientOptions opt;
+  client::MittosStrategy::Options opt;
+  opt.preset = client::MittosPreset::kResilient;
   opt.deadline = Millis(15);
-  client::ResilientMittosStrategy res(&sim_, cluster_.get(), 1, opt);
+  client::MittosStrategy res(&sim_, cluster_.get(), 1, opt);
   sim_.RunUntil(Millis(100));
   client::GetResult result;
   const DurationNs latency = RunOneGet(res, KeyWithPrimary(0), &result);
@@ -314,9 +314,10 @@ TEST_F(ResilientClientTest, FailsOverInstantlyOffNoisyPrimary) {
 
 TEST_F(ResilientClientTest, AllBusyCompletesViaBoundedDegradedPath) {
   Build({0, 1, 2});
-  client::ResilientOptions opt;
+  client::MittosStrategy::Options opt;
+  opt.preset = client::MittosPreset::kResilient;
   opt.deadline = Millis(10);
-  client::ResilientMittosStrategy res(&sim_, cluster_.get(), 1, opt);
+  client::MittosStrategy res(&sim_, cluster_.get(), 1, opt);
   sim_.RunUntil(Millis(100));
   client::GetResult result;
   RunOneGet(res, 5, &result);
@@ -331,11 +332,12 @@ TEST_F(ResilientClientTest, AllBusyCompletesViaBoundedDegradedPath) {
 
 TEST_F(ResilientClientTest, BreakerRoutesWalkAwayFromPersistentlySickPrimary) {
   Build({0}, cluster::NetworkParams{}, /*intensity=*/4);
-  client::ResilientOptions opt;
+  client::MittosStrategy::Options opt;
+  opt.preset = client::MittosPreset::kResilient;
   opt.deadline = Millis(15);
   opt.health.min_samples = 4;
   opt.health.open_base = Millis(200);  // Keep the breaker open through the test.
-  client::ResilientMittosStrategy res(&sim_, cluster_.get(), 1, opt);
+  client::MittosStrategy res(&sim_, cluster_.get(), 1, opt);
   sim_.RunUntil(Millis(100));
   // Every key's walk starts on the sick node, so the EBUSY EWMA sees it.
   for (int i = 0; i < 12; ++i) {
@@ -360,9 +362,10 @@ TEST_F(ResilientClientTest, SlowLinkNeverSendsNegativeOrDisabledDeadline) {
   net.one_way = Millis(8);
   net.jitter = 0;
   Build({0}, net);
-  client::ResilientOptions opt;
+  client::MittosStrategy::Options opt;
+  opt.preset = client::MittosPreset::kResilient;
   opt.deadline = Millis(10);
-  client::ResilientMittosStrategy res(&sim_, cluster_.get(), 1, opt);
+  client::MittosStrategy res(&sim_, cluster_.get(), 1, opt);
   sim_.RunUntil(Millis(100));
   client::GetResult result;
   RunOneGet(res, KeyWithPrimary(0), &result);
@@ -374,20 +377,58 @@ TEST_F(ResilientClientTest, SlowLinkNeverSendsNegativeOrDisabledDeadline) {
   EXPECT_GE(res.degraded_gets() + res.deadline_exhausted(), 1u);
 }
 
-TEST_F(ResilientClientTest, ExhaustedBudgetSurfacesStatusWhenDegradationDisabled) {
-  cluster::NetworkParams net;
-  net.one_way = Millis(8);
-  net.jitter = 0;
-  Build({0, 1, 2}, net);
-  client::ResilientOptions opt;
-  opt.deadline = Millis(5);
-  opt.degraded_enabled = false;
-  client::ResilientMittosStrategy res(&sim_, cluster_.get(), 1, opt);
-  sim_.RunUntil(Millis(100));
-  client::GetResult result;
-  RunOneGet(res, 5, &result);
-  EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExhausted);
-  EXPECT_GE(res.deadline_exhausted(), 1u);
+TEST(ResilientTenantTest, RoutesViaPlacementGroupAndSendsClassSlo) {
+  sim::Simulator sim;
+  cluster::Cluster::Options copt;
+  copt.num_nodes = 6;
+  copt.node.num_keys = 1 << 16;
+  copt.node.os.backend = os::BackendKind::kDiskCfq;
+  copt.node.os.mitt_enabled = true;
+  copt.node.tenant_slots = 1;
+  cluster::Cluster cluster(&sim, copt);
+  tenant::PlacementMap placement(/*num_tenants=*/1, /*replication=*/3);
+  tenant::ReplicaGroup group;
+  group.size = 3;
+  group.node[0] = 3;
+  group.node[1] = 4;
+  group.node[2] = 5;
+  placement.Assign(0, group);
+
+  client::MittosStrategy::Options opt;
+  opt.preset = client::MittosPreset::kResilient;
+  opt.deadline = Millis(13);
+  client::MittosStrategy res(&sim, &cluster, 1, opt);
+  res.set_placement(&placement);
+  const client::GetContext ctx{/*tenant=*/0, /*deadline=*/Millis(40)};
+  // One get at a time on a quiet cluster: no EBUSY, no degraded hop. The
+  // ring primaries of these keys cover every node.
+  constexpr int kGets = 24;
+  for (uint64_t key = 0; key < kGets; ++key) {
+    bool ok = false;
+    bool done = false;
+    res.Get(key, ctx, [&](const client::GetResult& r) {
+      ok = r.status.ok();
+      done = true;
+    });
+    sim.RunUntilPredicate([&done] { return done; });
+    EXPECT_TRUE(ok) << "key " << key;
+  }
+
+  uint64_t group_gets = 0;
+  for (int node = 0; node < copt.num_nodes; ++node) {
+    const uint64_t served = cluster.node(node).gets_served();
+    if (node < 3) {
+      EXPECT_EQ(served, 0u) << "node " << node << " is outside the tenant's group";
+    } else {
+      // Every primary-walk hop carries the tenant, so the per-tenant
+      // counters see it.
+      EXPECT_EQ(cluster.node(node).tenant_gets_data()[0], served);
+      group_gets += served;
+    }
+  }
+  EXPECT_EQ(group_gets, static_cast<uint64_t>(kGets));
+  // The class SLO, not the strategy deadline, anchors the budget.
+  EXPECT_EQ(res.max_sent_deadline(), Millis(40));
 }
 
 // ---------------------------------------------- Ring coordinator, all-EBUSY
@@ -513,15 +554,15 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
   topt.timeout = Millis(12);
   client::MittosStrategy::Options mopt;
   mopt.deadline = Millis(12);
-  client::MittosWaitStrategy::Options wopt;
-  wopt.deadline = Millis(12);
-  client::ResilientOptions ropt;
-  ropt.deadline = Millis(12);
+  client::MittosStrategy::Options wopt = mopt;
+  wopt.preset = client::MittosPreset::kWait;
+  client::MittosStrategy::Options ropt = mopt;
+  ropt.preset = client::MittosPreset::kResilient;
   ropt.health.min_samples = 4;
   client::TimeoutStrategy timeout(&sim, &cluster, seed, topt);
   client::MittosStrategy mittos(&sim, &cluster, seed, mopt);
-  client::MittosWaitStrategy mittos_wait(&sim, &cluster, seed, wopt);
-  client::ResilientMittosStrategy resilient(&sim, &cluster, seed, ropt);
+  client::MittosStrategy mittos_wait(&sim, &cluster, seed, wopt);
+  client::MittosStrategy resilient(&sim, &cluster, seed, ropt);
   std::vector<client::GetStrategy*> strategies = {&timeout, &mittos, &mittos_wait, &resilient};
 
   sim.RunUntil(Millis(50));
