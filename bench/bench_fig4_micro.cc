@@ -17,12 +17,6 @@ namespace {
 using namespace mitt;
 using harness::StrategyKind;
 
-// Wall-clock of this bench on the dev box at f313402, the commit before the
-// hot-path overhaul (median of repeated runs). Machine-dependent: recalibrate
-// when moving boxes. Printed to stderr so stdout stays byte-comparable
-// across commits.
-constexpr double kPreOverhaulSeconds = 0.46;
-
 harness::ExperimentOptions MicroBase(uint64_t seed) {
   harness::ExperimentOptions opt;
   opt.num_nodes = 3;
@@ -110,7 +104,6 @@ int main() {
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  std::fprintf(stderr, "[perf] fig4 wall-clock %.2fs; pre-overhaul baseline %.2fs (%.2fx)\n",
-               wall, kPreOverhaulSeconds, kPreOverhaulSeconds / wall);
+  std::fprintf(stderr, "[perf] fig4 wall-clock %.2fs\n", wall);
   return 0;
 }

@@ -10,16 +10,6 @@
 
 #include "src/harness/experiment.h"
 
-namespace {
-
-// Wall-clock of this bench on the dev box at f313402, the commit before the
-// hot-path overhaul (median of repeated runs). Machine-dependent: recalibrate
-// when moving boxes. Printed to stderr so stdout stays byte-comparable
-// across commits.
-constexpr double kPreOverhaulSeconds = 0.45;
-
-}  // namespace
-
 int main() {
   using namespace mitt;
   using harness::StrategyKind;
@@ -72,7 +62,6 @@ int main() {
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  std::fprintf(stderr, "[perf] fig8 wall-clock %.2fs; pre-overhaul baseline %.2fs (%.2fx)\n",
-               wall, kPreOverhaulSeconds, kPreOverhaulSeconds / wall);
+  std::fprintf(stderr, "[perf] fig8 wall-clock %.2fs\n", wall);
   return 0;
 }

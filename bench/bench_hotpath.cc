@@ -12,10 +12,10 @@
 //      O_DIRECT noise tenant and a 1/32 buffered-write mix) hammer a full
 //      Os stack; measures IOs/sec of simulated pipeline work per wall
 //      second, and heap allocations per IO in the steady phase.
-//   3. The committed BENCH_hotpath.json also embeds the fixed pre-overhaul
-//      baseline (measured on the dev machine at the pre-PR commit, same
-//      sources) and the resulting speedup, mirroring bench_simcore's
-//      fixed-legacy-baseline reporting.
+//
+// The numbers are this host's alone. To compare two revisions, run both on
+// one host, interleaved (scripts/ab_perfbench.py does this for the
+// repository benchmark).
 //
 // Steady-state allocation *gating* lives in tests/alloc_test.cc (tier-1);
 // this bench reports the same counters but never fails the build, so it is
@@ -95,27 +95,6 @@ using mitt::TimeNs;
 namespace os = mitt::os;
 namespace sched = mitt::sched;
 namespace device = mitt::device;
-
-// --- Fixed pre-overhaul baseline ---------------------------------------------
-//
-// Measured at the pre-PR commit (f313402, identical workload constants and
-// machine) before the incremental-aggregate/arena overhaul; kept fixed so
-// the JSON tracks the speedup of the committed sources against that point,
-// exactly as bench_simcore pins its legacy engine. Zeroed entries mean "no
-// baseline recorded" and suppress the speedup lines.
-struct Baseline {
-  double cfq_iops = 0;
-  double noop_iops = 0;
-  double ssd_iops = 0;
-  double cfq_allocs_per_io = 0;
-  double noop_allocs_per_io = 0;
-  double ssd_allocs_per_io = 0;
-  double predict_cfq_d1_ns = 0;
-  double predict_cfq_d256_ns = 0;
-  const char* commit = "f313402";
-};
-
-Baseline FixedBaseline();  // Defined at the bottom, next to the JSON writer.
 
 // --- Section 1: predict-call cost -------------------------------------------
 
@@ -450,18 +429,6 @@ int main(int argc, char** argv) {
                 s.r.steady_allocs_per_io(), static_cast<unsigned long long>(s.r.ebusy));
   }
 
-  const Baseline base = FixedBaseline();
-  const double cfq_speedup =
-      base.cfq_iops > 0 ? stacks[0].r.ios_per_sec() / base.cfq_iops : 0;
-  const double noop_speedup =
-      base.noop_iops > 0 ? stacks[1].r.ios_per_sec() / base.noop_iops : 0;
-  const double ssd_speedup =
-      base.ssd_iops > 0 ? stacks[2].r.ios_per_sec() / base.ssd_iops : 0;
-  if (base.cfq_iops > 0) {
-    std::printf("speedup vs pre-overhaul baseline (%s): cfq %.2fx  noop %.2fx  ssd %.2fx\n",
-                base.commit, cfq_speedup, noop_speedup, ssd_speedup);
-  }
-
   FILE* out = std::fopen("BENCH_hotpath.json", "w");
   if (out != nullptr) {
     std::fprintf(
@@ -485,16 +452,7 @@ int main(int argc, char** argv) {
         "                  \"steady_allocs_per_io\": %.4f},\n"
         "    \"ssd\":       {\"ios_per_sec\": %.0f, \"ios\": %llu, \"ebusy\": %llu,\n"
         "                  \"allocs\": %llu, \"steady_allocs\": %llu,\n"
-        "                  \"steady_allocs_per_io\": %.4f}},\n"
-        "  \"baseline_pre_overhaul\": {\n"
-        "    \"commit\": \"%s\",\n"
-        "    \"disk_cfq_ios_per_sec\": %.0f, \"disk_noop_ios_per_sec\": %.0f,\n"
-        "    \"ssd_ios_per_sec\": %.0f,\n"
-        "    \"disk_cfq_steady_allocs_per_io\": %.3f,\n"
-        "    \"disk_noop_steady_allocs_per_io\": %.3f,\n"
-        "    \"ssd_steady_allocs_per_io\": %.3f,\n"
-        "    \"predict_cfq_depth1_ns\": %.1f, \"predict_cfq_depth256_ns\": %.1f},\n"
-        "  \"speedup_e2e\": {\"disk_cfq\": %.3f, \"disk_noop\": %.3f, \"ssd\": %.3f}\n"
+        "                  \"steady_allocs_per_io\": %.4f}}\n"
         "}\n",
         static_cast<unsigned long long>(target), static_cast<unsigned long long>(warmup),
         static_cast<unsigned long long>(predict_calls), d1.cfq_ns, d256.cfq_ns, d1.noop_ns,
@@ -513,33 +471,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stacks[2].r.ebusy),
         static_cast<unsigned long long>(stacks[2].r.allocs),
         static_cast<unsigned long long>(stacks[2].r.steady_allocs),
-        stacks[2].r.steady_allocs_per_io(), base.commit, base.cfq_iops, base.noop_iops,
-        base.ssd_iops, base.cfq_allocs_per_io, base.noop_allocs_per_io, base.ssd_allocs_per_io,
-        base.predict_cfq_d1_ns, base.predict_cfq_d256_ns, cfq_speedup, noop_speedup,
-        ssd_speedup);
+        stacks[2].r.steady_allocs_per_io());
     std::fclose(out);
     std::printf("wrote BENCH_hotpath.json\n");
   }
   return 0;
 }
-
-namespace {
-
-Baseline FixedBaseline() {
-  // Recorded at commit f313402 with this exact bench source (60000 target
-  // IOs, 3 reps, same single-core dev machine as the committed
-  // BENCH_hotpath.json): the tree before incremental predictor aggregates,
-  // the IoRequest arena, and the PageCache rebuild.
-  Baseline b;
-  b.cfq_iops = 5'797'136;
-  b.noop_iops = 6'175'373;
-  b.ssd_iops = 1'947'205;
-  b.cfq_allocs_per_io = 2.607;
-  b.noop_allocs_per_io = 2.597;
-  b.ssd_allocs_per_io = 6.698;
-  b.predict_cfq_d1_ns = 1.9;
-  b.predict_cfq_d256_ns = 3.8;
-  return b;
-}
-
-}  // namespace

@@ -49,9 +49,9 @@ void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
   }
   const TimeNs start = sim_->Now();
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
-  SendGet(
+  SendGetWithHint(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status) {
+      [this, best, start, shared_done](Status status, DurationNs) {
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];
         score = (1.0 - options_.ewma_alpha) * score + options_.ewma_alpha * sample;
@@ -96,9 +96,9 @@ void C3Strategy::Get(uint64_t key, GetDoneFn done) {
   const TimeNs start = sim_->Now();
   ++outstanding_[static_cast<size_t>(best)];
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
-  SendGet(
+  SendGetWithHint(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status) {
+      [this, best, start, shared_done](Status status, DurationNs) {
         --outstanding_[static_cast<size_t>(best)];
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];

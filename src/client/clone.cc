@@ -17,7 +17,7 @@ void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
   }
   auto settled = std::make_shared<bool>(false);
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
-  auto on_reply = [settled, shared_done](Status status) {
+  auto on_reply = [settled, shared_done](Status status, DurationNs) {
     if (*settled) {
       return;  // The slower clone; discarded.
     }
@@ -25,8 +25,8 @@ void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
     (*shared_done)({status, 2});
   };
   const obs::TraceContext trace = BeginTrace();
-  SendGet(replicas[first], key, sched::kNoDeadline, on_reply, trace);
-  SendGet(replicas[second], key, sched::kNoDeadline, on_reply, trace);
+  SendGetWithHint(replicas[static_cast<int>(first)], key, sched::kNoDeadline, on_reply, trace);
+  SendGetWithHint(replicas[static_cast<int>(second)], key, sched::kNoDeadline, on_reply, trace);
 }
 
 }  // namespace mitt::client

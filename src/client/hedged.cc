@@ -14,7 +14,7 @@ void HedgedStrategy::Get(uint64_t key, GetDoneFn done) {
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
   auto tries = std::make_shared<int>(1);
 
-  auto on_reply = [settled, shared_done, tries](Status status) {
+  auto on_reply = [settled, shared_done, tries](Status status, DurationNs) {
     if (*settled) {
       return;  // The slower of the two; the first response wins.
     }
@@ -23,7 +23,7 @@ void HedgedStrategy::Get(uint64_t key, GetDoneFn done) {
   };
 
   const obs::TraceContext trace = BeginTrace();
-  SendGet(replicas[0], key, sched::kNoDeadline, on_reply, trace);
+  SendGetWithHint(replicas[0], key, sched::kNoDeadline, on_reply, trace);
 
   // Hedge timer: after the p95 delay, duplicate to the next replica. The
   // first request stays outstanding (no cancellation).
@@ -35,7 +35,7 @@ void HedgedStrategy::Get(uint64_t key, GetDoneFn done) {
                    ++hedges_sent_;
                    *tries = 2;
                    RecordFailover(trace);
-                   SendGet(second, key, sched::kNoDeadline, on_reply, trace);
+                   SendGetWithHint(second, key, sched::kNoDeadline, on_reply, trace);
                  });
 }
 

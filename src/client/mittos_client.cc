@@ -29,9 +29,11 @@ resilience::ReplicaHealthOptions HealthWithSloFloor(const MittosStrategy::Option
 
 }  // namespace
 
-// One logical get. `settled` is the done-exactly-once latch: every completion
-// path funnels through Settle(), and late replies from attempts the timer
-// already abandoned check it before doing anything user-visible.
+// One logical get, pooled per strategy. `settled` is the done-exactly-once
+// latch: every completion path funnels through Settle(), and late replies
+// from attempts the timer already abandoned check it before doing anything
+// user-visible. The record outlives the settle while `refs` scheduled events
+// (hop replies, attempt timers, backoff resumes) still refer to it.
 struct MittosStrategy::GetState {
   // Under kResilient the attempt timer and the reply race for each hop.
   enum class HopState : uint8_t {
@@ -81,8 +83,11 @@ struct MittosStrategy::GetState {
   int degraded_next = 0;
   Status last_degraded_status = Status::Unavailable();
   bool settled = false;
+  int refs = 0;
   GetDoneFn done;
   obs::TraceContext trace;
+  uint32_t pool_slot = 0;
+  uint32_t pool_epoch = 0;
 };
 
 MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
@@ -92,6 +97,14 @@ MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, u
       health_(sim, cluster->num_nodes(), HealthWithSloFloor(options), seed ^ 0x4EA1'74C3ULL),
       retry_budget_(options.retry),
       backoff_(options.backoff, seed ^ 0xBAC0'0FF5ULL) {}
+
+MittosStrategy::~MittosStrategy() = default;
+
+void MittosStrategy::Drop(GetState* g) {
+  if (--g->refs == 0 && g->settled) {
+    gets_.Release(g);
+  }
+}
 
 DurationNs MittosStrategy::NoteSentDeadline(DurationNs deadline) {
   // The bounded-deadline contract: kResilient never disables a deadline.
@@ -106,7 +119,7 @@ DurationNs MittosStrategy::NoteSentDeadline(DurationNs deadline) {
 void MittosStrategy::Get(uint64_t key, GetDoneFn done) { Get(key, GetContext{}, std::move(done)); }
 
 void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
-  auto g = std::make_shared<GetState>();
+  GetState* g = gets_.Acquire();
   g->key = key;
   g->tenant = ctx.tenant;
   g->slo = ctx.deadline > 0 ? ctx.deadline : options_.deadline;
@@ -117,10 +130,12 @@ void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
   }
   g->done = std::move(done);
   g->trace = BeginTrace();
-  TryNext(std::move(g));
+  ++g->refs;  // The walk below may settle the get before it returns.
+  TryNext(g);
+  Drop(g);
 }
 
-void MittosStrategy::Settle(const std::shared_ptr<GetState>& g, Status status) {
+void MittosStrategy::Settle(GetState* g, Status status) {
   if (g->settled) {
     return;
   }
@@ -129,10 +144,11 @@ void MittosStrategy::Settle(const std::shared_ptr<GetState>& g, Status status) {
     retry_budget_.OnSuccess();
     backoff_.Reset();
   }
-  g->done({status, g->tries});
+  GetDoneFn done = std::move(g->done);
+  done({status, g->tries});
 }
 
-void MittosStrategy::ScheduleBackoff(const std::shared_ptr<GetState>& g, sim::Callback resume) {
+void MittosStrategy::ScheduleBackoff(GetState* g, int round) {
   const DurationNs delay = backoff_.Next();
   if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled() && g->trace.traced()) {
     tr->RecordSpan(obs::SpanKind::kBackoff, g->trace, sim_->Now(), sim_->Now() + delay);
@@ -140,10 +156,18 @@ void MittosStrategy::ScheduleBackoff(const std::shared_ptr<GetState>& g, sim::Ca
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("resilience_backoff_total").Add();
   }
-  sim_->Schedule(delay, std::move(resume));
+  ++g->refs;
+  sim_->Schedule(delay, [this, g, round] {
+    if (round < 0) {
+      TryNext(g);
+    } else {
+      StartDegraded(g, round);
+    }
+    Drop(g);
+  });
 }
 
-void MittosStrategy::TryNext(std::shared_ptr<GetState> g) {
+void MittosStrategy::TryNext(GetState* g) {
   if (g->settled) {
     return;
   }
@@ -158,7 +182,7 @@ void MittosStrategy::TryNext(std::shared_ptr<GetState> g) {
       if (obs::MetricsRegistry* m = sim_->metrics()) {
         m->counter("resilience_deadline_exhausted_total").Add();
       }
-      Exit(std::move(g));
+      Exit(g);
       return;
     }
     // Half-open replicas admit exactly one probe; when another get holds the
@@ -174,7 +198,7 @@ void MittosStrategy::TryNext(std::shared_ptr<GetState> g) {
     }
   }
   if (g->next >= bounded_hops) {
-    Exit(std::move(g));
+    Exit(g);
     return;
   }
   const int index = g->next++;
@@ -192,17 +216,24 @@ void MittosStrategy::TryNext(std::shared_ptr<GetState> g) {
     // SLO, so a healthy world never races it.
     GetState::Hop& hop = g->hops[index];
     hop.sent_at = now;
-    hop.timer = sim_->Schedule(
-        deadline + 2 * cluster_->network().round_trip_estimate() + g->slo,
-        [this, g, index] { OnTimer(g, index); });
+    ++g->refs;
+    hop.timer = sim_->Schedule(deadline + 2 * cluster_->network().round_trip_estimate() + g->slo,
+                               [this, g, index] {
+                                 OnTimer(g, index);
+                                 Drop(g);
+                               });
   }
+  ++g->refs;
   SendGetWithHint(
       g->replicas.node[index], g->key, deadline,
-      [this, g, index](Status status, DurationNs hint) { OnReply(g, index, status, hint); },
+      [this, g, index](Status status, DurationNs hint) {
+        OnReply(g, index, status, hint);
+        Drop(g);
+      },
       g->trace, g->tenant);
 }
 
-void MittosStrategy::OnTimer(const std::shared_ptr<GetState>& g, int index) {
+void MittosStrategy::OnTimer(GetState* g, int index) {
   GetState::Hop& hop = g->hops[index];
   if (hop.state != GetState::HopState::kInFlight || g->settled) {
     return;
@@ -217,14 +248,13 @@ void MittosStrategy::OnTimer(const std::shared_ptr<GetState>& g, int index) {
   // no-amplification behavior a retry storm needs.
   if (retry_budget_.TryAcquire()) {
     hop.state = GetState::HopState::kRetried;
-    ScheduleBackoff(g, [this, g] { TryNext(g); });
+    ScheduleBackoff(g, /*round=*/-1);
   } else if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("resilience_retry_denied_total").Add();
   }
 }
 
-void MittosStrategy::OnReply(const std::shared_ptr<GetState>& g, int index, Status status,
-                             DurationNs hint) {
+void MittosStrategy::OnReply(GetState* g, int index, Status status, DurationNs hint) {
   GetState::Hop& hop = g->hops[index];
   if (resilient()) {
     // Health sees every reply, even stale ones — a late answer is still
@@ -232,7 +262,9 @@ void MittosStrategy::OnReply(const std::shared_ptr<GetState>& g, int index, Stat
     health_.OnReply(g->replicas.node[index], sim_->Now() - hop.sent_at, status.busy());
     if (hop.state == GetState::HopState::kInFlight) {
       hop.state = GetState::HopState::kReplied;
-      sim_->Cancel(hop.timer);
+      if (sim_->Cancel(hop.timer)) {
+        Drop(g);  // The timer's reference; this reply still holds one.
+      }
     } else if (!status.ok() &&
                (options_.test_swallow_late_reply || hop.state == GetState::HopState::kRetried)) {
       // The timer abandoned this attempt. A late success still rescues the
@@ -256,9 +288,9 @@ void MittosStrategy::OnReply(const std::shared_ptr<GetState>& g, int index, Stat
   Settle(g, status);
 }
 
-void MittosStrategy::Exit(std::shared_ptr<GetState> g) {
+void MittosStrategy::Exit(GetState* g) {
   if (resilient()) {
-    StartDegraded(std::move(g), 0);
+    StartDegraded(g, 0);
     return;
   }
   // The deadline-disabled try, so users never get IO errors while data is
@@ -271,12 +303,17 @@ void MittosStrategy::Exit(std::shared_ptr<GetState> g) {
   }
   ++unbounded_tries_;
   ++g->tries;
+  ++g->refs;
   SendGetWithHint(
       g->replicas.node[index], g->key, sched::kNoDeadline,
-      [this, g](Status status, DurationNs) { Settle(g, status); }, g->trace, g->tenant);
+      [this, g](Status status, DurationNs) {
+        Settle(g, status);
+        Drop(g);
+      },
+      g->trace, g->tenant);
 }
 
-void MittosStrategy::StartDegraded(std::shared_ptr<GetState> g, int round) {
+void MittosStrategy::StartDegraded(GetState* g, int round) {
   if (g->settled) {
     return;
   }
@@ -284,10 +321,10 @@ void MittosStrategy::StartDegraded(std::shared_ptr<GetState> g, int round) {
   // late primary replies may have brought new hints.
   g->OrderByHint();
   g->degraded_next = 0;
-  DegradedNext(std::move(g), round);
+  DegradedNext(g, round);
 }
 
-void MittosStrategy::DegradedNext(std::shared_ptr<GetState> g, int round) {
+void MittosStrategy::DegradedNext(GetState* g, int round) {
   if (g->settled) {
     return;
   }
@@ -299,7 +336,7 @@ void MittosStrategy::DegradedNext(std::shared_ptr<GetState> g, int round) {
       Settle(g, g->last_degraded_status);
       return;
     }
-    ScheduleBackoff(g, [this, g, round] { StartDegraded(g, round + 1); });
+    ScheduleBackoff(g, round + 1);
     return;
   }
   const int index = g->order[g->degraded_next++];
@@ -318,21 +355,27 @@ void MittosStrategy::DegradedNext(std::shared_ptr<GetState> g, int round) {
     deadline = std::max(deadline, g->hops[index].hint + g->slo);
   }
   deadline = NoteSentDeadline(std::min(deadline, kDegradedDeadlineCap));
+  ++g->refs;
   SendDegradedGet(
       g->replicas.node[index], g->key, deadline,
       [this, g, round](Status status, DurationNs) {
-        if (g->settled) {
-          return;
-        }
-        g->last_degraded_status = status;
-        if (status.code() == StatusCode::kUnavailable) {
-          ++degraded_sheds_seen_;
-          DegradedNext(g, round);
-          return;
-        }
-        Settle(g, status);
+        OnDegradedReply(g, round, status);
+        Drop(g);
       },
       g->trace);
+}
+
+void MittosStrategy::OnDegradedReply(GetState* g, int round, Status status) {
+  if (g->settled) {
+    return;
+  }
+  g->last_degraded_status = status;
+  if (status.code() == StatusCode::kUnavailable) {
+    ++degraded_sheds_seen_;
+    DegradedNext(g, round);
+    return;
+  }
+  Settle(g, status);
 }
 
 }  // namespace mitt::client

@@ -43,7 +43,6 @@
 #define MITTOS_CLIENT_MITTOS_CLIENT_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "src/client/strategy.h"
 #include "src/resilience/replica_health.h"
@@ -76,6 +75,7 @@ class MittosStrategy : public GetStrategy {
 
   MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                  const Options& options);
+  ~MittosStrategy() override;
 
   void Get(uint64_t key, GetDoneFn done) override;
   // Tenant-aware: routes via the placement map, sends the tenant's class SLO
@@ -109,15 +109,23 @@ class MittosStrategy : public GetStrategy {
   struct GetState;
 
   bool resilient() const { return options_.preset == MittosPreset::kResilient; }
-  void TryNext(std::shared_ptr<GetState> g);
-  void OnTimer(const std::shared_ptr<GetState>& g, int index);
-  void OnReply(const std::shared_ptr<GetState>& g, int index, Status status, DurationNs hint);
-  void Exit(std::shared_ptr<GetState> g);
-  void StartDegraded(std::shared_ptr<GetState> g, int round);
-  void DegradedNext(std::shared_ptr<GetState> g, int round);
-  void Settle(const std::shared_ptr<GetState>& g, Status status);
-  void ScheduleBackoff(const std::shared_ptr<GetState>& g, sim::Callback resume);
+  void TryNext(GetState* g);
+  void OnTimer(GetState* g, int index);
+  void OnReply(GetState* g, int index, Status status, DurationNs hint);
+  void Exit(GetState* g);
+  void StartDegraded(GetState* g, int round);
+  void DegradedNext(GetState* g, int round);
+  void OnDegradedReply(GetState* g, int round, Status status);
+  void Settle(GetState* g, Status status);
+  // Backs off, then resumes the primary walk (round < 0) or degraded round
+  // `round`.
+  void ScheduleBackoff(GetState* g, int round);
   DurationNs NoteSentDeadline(DurationNs deadline);
+  // Every scheduled event that refers to a get (a hop's reply, an attempt
+  // timer, a backoff resume) holds one reference (GetState::refs) from
+  // scheduling until it has fired or been cancelled; the last Drop returns
+  // a settled get to the pool.
+  void Drop(GetState* g);
 
   Options options_;
   resilience::ReplicaHealthTracker health_;
@@ -131,6 +139,7 @@ class MittosStrategy : public GetStrategy {
   uint64_t deadline_exhausted_ = 0;
   uint64_t budget_regressions_ = 0;
   DurationNs max_sent_deadline_ = 0;
+  SlotPool<GetState> gets_;
 };
 
 }  // namespace mitt::client

@@ -7,67 +7,55 @@ namespace mitt::client {
 GetStrategy::GetStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
     : sim_(sim), cluster_(cluster), rng_(seed) {}
 
-void GetStrategy::SendGet(int node, uint64_t key, DurationNs deadline,
-                          std::function<void(Status)> on_reply, obs::TraceContext trace,
-                          tenant::TenantId tenant) {
-  SendGetWithHint(
-      node, key, deadline,
-      [on_reply = std::move(on_reply)](Status s, DurationNs) { on_reply(s); }, trace, tenant);
+void GetStrategy::SendGetWithHint(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
+                                  obs::TraceContext trace, tenant::TenantId tenant) {
+  Send(node, key, deadline, std::move(on_reply), trace, tenant, /*degraded=*/false);
 }
 
-void GetStrategy::SendGetWithHint(int node, uint64_t key, DurationNs deadline,
-                                  std::function<void(Status, DurationNs)> on_reply,
-                                  obs::TraceContext trace, tenant::TenantId tenant) {
+void GetStrategy::SendDegradedGet(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
+                                  obs::TraceContext trace) {
+  Send(node, key, deadline, std::move(on_reply), trace, tenant::kNoTenant, /*degraded=*/true);
+}
+
+void GetStrategy::Send(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
+                       obs::TraceContext trace, tenant::TenantId tenant, bool degraded) {
+  Hop* hop = hops_.Acquire();
+  hop->key = key;
   // Underflow guard at the send boundary: a caller whose remaining-deadline
   // arithmetic went negative must read as "no time left" (0), never alias
   // into kNoDeadline (-1) and disable the SLO.
-  deadline = resilience::ClampDeadline(deadline);
-  cluster::Network& net = cluster_->network();
-  cluster::Cluster* cluster = cluster_;
+  hop->deadline = resilience::ClampDeadline(deadline);
+  hop->trace = trace;
+  hop->tenant = tenant;
+  hop->node = node;
+  hop->home = sim_->shard_id();
+  hop->degraded = degraded;
+  hop->on_reply = std::move(on_reply);
   // Both hops are tagged with the storage-node endpoint so per-link faults
   // (src/fault/) hit requests to / replies from that node. The request hop
   // runs on the node's shard; the reply hop routes back to this client's
   // home shard so the continuation fires on the simulator that issued it.
-  const int home = sim_->shard_id();
-  net.Deliver(node, net.ShardOfNode(node),
-              [cluster, node, home, key, deadline, trace, tenant,
-               on_reply = std::move(on_reply)]() mutable {
-                cluster->node(node).HandleGetWithHint(
-                    key, deadline,
-                    [cluster, node, home, on_reply = std::move(on_reply)](
-                        Status status, DurationNs hint) mutable {
-                      cluster->network().Deliver(
-                          node, home,
-                          [on_reply = std::move(on_reply), status, hint] {
-                            on_reply(status, hint);
-                          });
-                    },
-                    trace, tenant);
-              });
+  cluster::Network& net = cluster_->network();
+  net.Deliver(node, net.ShardOfNode(node), [this, hop] { Serve(hop); });
 }
 
-void GetStrategy::SendDegradedGet(int node, uint64_t key, DurationNs deadline,
-                                  std::function<void(Status, DurationNs)> on_reply,
-                                  obs::TraceContext trace) {
-  deadline = resilience::ClampDeadline(deadline);
-  cluster::Network& net = cluster_->network();
-  cluster::Cluster* cluster = cluster_;
-  const int home = sim_->shard_id();
-  net.Deliver(node, net.ShardOfNode(node),
-              [cluster, node, home, key, deadline, trace,
-               on_reply = std::move(on_reply)]() mutable {
-                cluster->node(node).HandleDegradedGet(
-                    key, deadline,
-                    [cluster, node, home, on_reply = std::move(on_reply)](
-                        Status status, DurationNs hint) mutable {
-                      cluster->network().Deliver(
-                          node, home,
-                          [on_reply = std::move(on_reply), status, hint] {
-                            on_reply(status, hint);
-                          });
-                    },
-                    trace);
-              });
+void GetStrategy::Serve(Hop* hop) {
+  kv::DocStoreNode& server = cluster_->node(hop->node);
+  auto reply = [this, hop](Status status, DurationNs hint) {
+    cluster_->network().Deliver(hop->node, hop->home,
+                                [this, hop, status, hint] { OnReply(hop, status, hint); });
+  };
+  if (hop->degraded) {
+    server.HandleDegradedGet(hop->key, hop->deadline, reply, hop->trace);
+  } else {
+    server.HandleGetWithHint(hop->key, hop->deadline, reply, hop->trace, hop->tenant);
+  }
+}
+
+void GetStrategy::OnReply(Hop* hop, Status status, DurationNs hint) {
+  ReplyFn on_reply = std::move(hop->on_reply);
+  hops_.Release(hop);
+  on_reply(status, hint);
 }
 
 tenant::ReplicaGroup GetStrategy::RouteReplicas(uint64_t key, tenant::TenantId tenant) const {
@@ -75,16 +63,7 @@ tenant::ReplicaGroup GetStrategy::RouteReplicas(uint64_t key, tenant::TenantId t
       tenant < placement_->num_tenants()) {
     return placement_->group(tenant);
   }
-  tenant::ReplicaGroup g;
-  const std::vector<int> ring = cluster_->ReplicasOf(key);
-  const size_t n = ring.size() < static_cast<size_t>(tenant::ReplicaGroup::kMaxReplication)
-                       ? ring.size()
-                       : static_cast<size_t>(tenant::ReplicaGroup::kMaxReplication);
-  g.size = static_cast<int>(n);
-  for (size_t i = 0; i < n; ++i) {
-    g.node[i] = ring[i];
-  }
-  return g;
+  return cluster_->ReplicasOf(key);
 }
 
 obs::TraceContext GetStrategy::BeginTrace() {

@@ -8,12 +8,12 @@
 #ifndef MITTOS_CLIENT_STRATEGY_H_
 #define MITTOS_CLIENT_STRATEGY_H_
 
-#include <functional>
-#include <memory>
-#include <vector>
+#include <cstdint>
 
 #include "src/cluster/cluster.h"
+#include "src/common/inline_function.h"
 #include "src/common/rng.h"
+#include "src/common/slot_pool.h"
 #include "src/common/status.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
@@ -30,7 +30,14 @@ struct GetResult {
   int tries = 1;
 };
 
-using GetDoneFn = std::function<void(const GetResult&)>;
+// Move-only with 48 bytes of inline capture (InlineFunction): the harness's
+// completions capture a few pointers and fit, so issuing a Get allocates
+// nothing. Strategies move it, never copy it.
+using GetDoneFn = InlineFunction<void(const GetResult&)>;
+
+// One server contact's reply on the client's home shard: status plus the
+// server's EBUSY wait hint (0 when it sent none).
+using ReplyFn = InlineFunction<void(Status status, DurationNs hint)>;
 
 // Per-request context for tenant-aware gets (src/tenant/): which tenant the
 // request belongs to (routes via the attached placement map and is accounted
@@ -64,23 +71,18 @@ class GetStrategy {
   void set_placement(const tenant::PlacementMap* placement) { placement_ = placement; }
 
  protected:
-  // One request/reply round trip to `node`. `trace` ties the server-side
-  // spans back to this client request (src/obs/; default: untraced);
-  // `tenant` rides along so the server's per-tenant accounting sees it.
-  void SendGet(int node, uint64_t key, DurationNs deadline, std::function<void(Status)> on_reply,
-               obs::TraceContext trace = {}, tenant::TenantId tenant = tenant::kNoTenant);
-
-  // Round trip whose EBUSY reply carries the server's predicted wait
-  // (§7.8.1's interface extension).
-  void SendGetWithHint(int node, uint64_t key, DurationNs deadline,
-                       std::function<void(Status, DurationNs)> on_reply,
+  // One request/reply round trip to `node`; `on_reply` runs on this
+  // client's home shard. EBUSY replies carry the server's predicted wait
+  // (§7.8.1's interface extension). `trace` ties the server-side spans back
+  // to this client request (src/obs/; default: untraced); `tenant` rides
+  // along so the server's per-tenant accounting sees it.
+  void SendGetWithHint(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
                        obs::TraceContext trace = {}, tenant::TenantId tenant = tenant::kNoTenant);
 
   // Round trip into the server's *degraded* read path (src/resilience/):
   // bounded admission behind a load-shed gate, bounded escalating deadlines.
   // Replies kUnavailable (+ wait hint) when the gate sheds.
-  void SendDegradedGet(int node, uint64_t key, DurationNs deadline,
-                       std::function<void(Status, DurationNs)> on_reply,
+  void SendDegradedGet(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
                        obs::TraceContext trace = {});
 
   // Starts a trace for one logical get(): a fresh deterministic request id
@@ -91,18 +93,44 @@ class GetStrategy {
   // EBUSY or a timeout) as an instant span.
   void RecordFailover(const obs::TraceContext& trace);
 
-  std::vector<int> Replicas(uint64_t key) const { return cluster_->ReplicasOf(key); }
+  tenant::ReplicaGroup Replicas(uint64_t key) const { return cluster_->ReplicasOf(key); }
 
   // Tenant-aware replica set: the tenant's placement group when a map is
-  // attached and the tenant is known (a dense-array copy, no allocation —
-  // the per-request lookup alloc_test gates), the key's ring replicas
-  // otherwise.
+  // attached and the tenant is known, the key's ring replicas otherwise.
+  // Both are dense-array copies, so routing allocates nothing.
   tenant::ReplicaGroup RouteReplicas(uint64_t key, tenant::TenantId tenant) const;
 
   sim::Simulator* sim_;
   cluster::Cluster* cluster_;
   Rng rng_;
   const tenant::PlacementMap* placement_ = nullptr;
+
+ private:
+  // One server contact in flight. Written on the home shard before the
+  // request hop; the node's shard only reads it; the reply hop brings it
+  // home, where it is released before `on_reply` runs.
+  struct Hop {
+    uint64_t key = 0;
+    DurationNs deadline = 0;
+    obs::TraceContext trace;
+    tenant::TenantId tenant = tenant::kNoTenant;
+    int node = 0;
+    int home = 0;  // The client's shard.
+    bool degraded = false;
+    ReplyFn on_reply;
+    uint32_t pool_slot = 0;
+    uint32_t pool_epoch = 0;
+  };
+
+  void Send(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
+            obs::TraceContext trace, tenant::TenantId tenant, bool degraded);
+  // Runs on the node's shard, which only reads the record: hands the
+  // request to the server.
+  void Serve(Hop* hop);
+  // Runs on the home shard when the reply lands.
+  void OnReply(Hop* hop, Status status, DurationNs hint);
+
+  SlotPool<Hop> hops_;
 };
 
 }  // namespace mitt::client

@@ -11,8 +11,6 @@
 #ifndef MITTOS_CLIENT_TIMEOUT_H_
 #define MITTOS_CLIENT_TIMEOUT_H_
 
-#include <memory>
-
 #include "src/client/strategy.h"
 
 namespace mitt::client {
@@ -27,6 +25,7 @@ class TimeoutStrategy : public GetStrategy {
 
   TimeoutStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                   const Options& options);
+  ~TimeoutStrategy() override;
 
   void Get(uint64_t key, GetDoneFn done) override;
   // Tenant-aware: routes via the placement map; ctx.deadline (the tenant's
@@ -36,11 +35,19 @@ class TimeoutStrategy : public GetStrategy {
   uint64_t timeouts_fired() const { return timeouts_fired_; }
 
  private:
-  void Attempt(uint64_t key, GetContext ctx, int try_index, std::shared_ptr<GetDoneFn> done,
-               obs::TraceContext trace);
+  struct GetState;
+
+  void Attempt(GetState* g);
+  void OnTimer(GetState* g, int try_index);
+  void OnReply(GetState* g, int try_index, Status status);
+  void Finish(GetState* g, Status status);
+  // Drops one of the scheduled events holding `g`; the last one returns a
+  // settled get to the pool.
+  void Drop(GetState* g);
 
   Options options_;
   uint64_t timeouts_fired_ = 0;
+  SlotPool<GetState> gets_;
 };
 
 }  // namespace mitt::client

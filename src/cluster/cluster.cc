@@ -1,5 +1,6 @@
 #include "src/cluster/cluster.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/sim/sharded_engine.h"
@@ -42,14 +43,14 @@ Cluster::Cluster(sim::ShardedEngine* engine, const Options& options) : options_(
   }
 }
 
-std::vector<int> Cluster::ReplicasOf(uint64_t key) const {
-  std::vector<int> replicas;
-  replicas.reserve(static_cast<size_t>(options_.replication));
+tenant::ReplicaGroup Cluster::ReplicasOf(uint64_t key) const {
+  tenant::ReplicaGroup replicas;
+  replicas.size = std::min(options_.replication, tenant::ReplicaGroup::kMaxReplication);
   // Ring placement: primary by key hash, successors as replicas.
   const uint64_t mixed = key * 0x9E37'79B9'7F4A'7C15ULL;
   const int primary = static_cast<int>(mixed % static_cast<uint64_t>(options_.num_nodes));
-  for (int r = 0; r < options_.replication; ++r) {
-    replicas.push_back((primary + r) % options_.num_nodes);
+  for (int r = 0; r < replicas.size; ++r) {
+    replicas.node[r] = (primary + r) % options_.num_nodes;
   }
   return replicas;
 }

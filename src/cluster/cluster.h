@@ -10,6 +10,7 @@
 #include "src/cluster/network.h"
 #include "src/kv/doc_store_node.h"
 #include "src/sim/simulator.h"
+#include "src/tenant/placement.h"
 
 namespace mitt::cluster {
 
@@ -46,8 +47,10 @@ class Cluster {
   // Shard owning node i (0 when built on a plain Simulator).
   int shard_of_node(int i) const { return network_->ShardOfNode(i); }
 
-  // The `replication` nodes holding `key`, primary first.
-  std::vector<int> ReplicasOf(uint64_t key) const;
+  // The `replication` nodes holding `key`, primary first (at most
+  // ReplicaGroup::kMaxReplication; a fixed array, so routing allocates
+  // nothing).
+  tenant::ReplicaGroup ReplicasOf(uint64_t key) const;
 
   // Warms every node's cache to the given fraction of its dataset.
   void WarmAll(double fraction);

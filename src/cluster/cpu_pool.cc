@@ -38,17 +38,31 @@ void CpuPool::OnResume() {
 
 void CpuPool::StartNext() {
   while (active_ < cores_ && !queue_.empty() && !paused()) {
-    Job job = std::move(queue_.front());
+    Job& job = queue_.front();
+    const DurationNs work = job.work;
+    uint32_t slot;
+    if (free_running_.empty()) {
+      slot = static_cast<uint32_t>(running_.size());
+      running_.push_back(std::move(job.done));
+    } else {
+      slot = free_running_.back();
+      free_running_.pop_back();
+      running_[slot] = std::move(job.done);
+    }
     queue_.pop_front();
     ++active_;
-    sim_->Schedule(job.work, [this, done = std::move(job.done)]() mutable {
-      --active_;
-      if (done) {
-        done();
-      }
-      StartNext();
-    });
+    sim_->Schedule(work, [this, slot] { OnBurstDone(slot); });
   }
+}
+
+void CpuPool::OnBurstDone(uint32_t slot) {
+  --active_;
+  DoneFn done = std::move(running_[slot]);
+  free_running_.push_back(slot);
+  if (done) {
+    done();
+  }
+  StartNext();
 }
 
 }  // namespace mitt::cluster

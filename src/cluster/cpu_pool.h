@@ -4,9 +4,11 @@
 // (12 threads on an 8-thread machine), handler bursts queue and the extra
 // wait shows up as a latency tail.
 //
-// Job completions are common::InlineFunction (48-byte SBO, move-only): the
-// Execute->fire path allocates only when a capture outgrows the inline
-// buffer, extending the PR-1 alloc-free hot path through the cluster layer.
+// Job completions are common::InlineFunction (48-byte SBO, move-only). Queued
+// jobs wait in a RingQueue; a job on a core parks its completion in a slot
+// array, so the burst's event captures only {this, slot}. Once the queue and
+// the slot array reach their working size, Execute->fire allocates nothing
+// unless a caller's own capture outgrows the inline buffer.
 //
 // Fault injection (src/fault/): PauseFor models a stop-the-world event (GC,
 // hypervisor freeze) — bursts already on a core finish, but no queued or
@@ -15,9 +17,11 @@
 #ifndef MITTOS_CLUSTER_CPU_POOL_H_
 #define MITTOS_CLUSTER_CPU_POOL_H_
 
-#include <deque>
+#include <cstdint>
+#include <vector>
 
 #include "src/common/inline_function.h"
+#include "src/common/ring_queue.h"
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
 
@@ -46,11 +50,12 @@ class CpuPool {
 
  private:
   struct Job {
-    DurationNs work;
+    DurationNs work = 0;
     DoneFn done;
   };
 
   void StartNext();
+  void OnBurstDone(uint32_t slot);
   void OnResume();
 
   sim::Simulator* sim_;
@@ -58,7 +63,10 @@ class CpuPool {
   int active_ = 0;
   TimeNs paused_until_ = 0;
   uint64_t pauses_ = 0;
-  std::deque<Job> queue_;
+  RingQueue<Job> queue_;
+  // Completions of the bursts on a core, by slot; at most `cores_` are live.
+  std::vector<DoneFn> running_;
+  std::vector<uint32_t> free_running_;
 };
 
 }  // namespace mitt::cluster

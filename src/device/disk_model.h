@@ -22,7 +22,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/time.h"
-#include "src/sched/io_pool.h"
 #include "src/sched/io_request.h"
 #include "src/sim/simulator.h"
 

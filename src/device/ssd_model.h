@@ -24,7 +24,6 @@
 #include "src/common/ring_queue.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
-#include "src/sched/io_pool.h"
 #include "src/sched/io_request.h"
 #include "src/sim/simulator.h"
 

@@ -185,7 +185,7 @@ client::GetDoneFn WrapOracleDone(OracleHarvest* h, client::GetDoneFn done) {
   }
   ++h->gets_issued;
   auto calls = std::make_shared<int>(0);
-  return [h, calls, done = std::move(done)](const client::GetResult& r) {
+  return [h, calls, done = std::move(done)](const client::GetResult& r) mutable {
     if (++*calls > 1) {
       ++h->gets_done_duplicate;
     } else {

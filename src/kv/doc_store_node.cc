@@ -54,50 +54,47 @@ void DocStoreNode::HandleGet(uint64_t key, DurationNs deadline,
       tenant);
 }
 
+DocStoreNode::Request* DocStoreNode::NewRequest(uint64_t key, DurationNs deadline,
+                                                obs::TraceContext trace, RichReplyFn reply) {
+  Request* r = requests_.Acquire();
+  r->key = key;
+  r->deadline = deadline;
+  r->trace = trace;
+  r->reply = std::move(reply);
+  return r;
+}
+
+void DocStoreNode::Respond(Request* r, Status status, DurationNs hint) {
+  RichReplyFn reply = std::move(r->reply);
+  requests_.Release(r);
+  reply(status, hint);
+}
+
 void DocStoreNode::HandleGetWithHint(uint64_t key, DurationNs deadline, RichReplyFn reply,
                                      obs::TraceContext trace, uint32_t tenant) {
   ++gets_served_;
   if (tenant < tenant_gets_.size()) {
     ++tenant_gets_[tenant];
   }
-  cpu_->Execute(options_.handler_cpu / 2,
-                [this, key, deadline, trace, tenant, reply = std::move(reply)] {
-                  DoRead(key, deadline, std::move(reply), trace, tenant);
-                });
+  Request* r = NewRequest(key, deadline, trace, std::move(reply));
+  r->tenant = tenant;
+  cpu_->Execute(options_.handler_cpu / 2, [this, r] { DoRead(r); });
 }
 
-void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply,
-                          obs::TraceContext trace, uint32_t tenant) {
-  const int64_t offset = OffsetOfKey(key);
-
-  auto finish = [this, tenant, reply = std::move(reply)](Status status, DurationNs hint) {
-    if (status.busy()) {
-      ++ebusy_returned_;
-      if (tenant < tenant_ebusy_.size()) {
-        ++tenant_ebusy_[tenant];
-      }
-    }
-    // Reply serialization plus (optionally) the C++ exception unwind the
-    // paper eliminated with the exceptionless retry path.
-    DurationNs cost = options_.handler_cpu / 2;
-    if (status.busy() && options_.exception_on_ebusy) {
-      cost += options_.exception_cost;
-    }
-    cpu_->Execute(cost, [reply, status, hint] { reply(status, hint); });
-  };
-
+void DocStoreNode::DoRead(Request* r) {
+  const int64_t offset = OffsetOfKey(r->key);
   if (options_.access == AccessPath::kMmapAddrCheck) {
-    const auto check = os_->AddrCheck(data_file_, offset, options_.doc_size, deadline, trace);
+    const auto check = os_->AddrCheck(data_file_, offset, options_.doc_size, r->deadline, r->trace);
     if (check.status.busy()) {
       // Fail over instantly; the OS keeps swapping the page in behind us.
       // The wait hint is the device floor (the page must come off the disk).
       const DurationNs hint = os_->MinDeviceLatency();
-      sim_->Schedule(check.cost, [finish, hint] { finish(Status::Ebusy(), hint); });
+      sim_->Schedule(check.cost, [this, r, hint] { Finish(r, Status::Ebusy(), hint); });
       return;
     }
-    sim_->Schedule(check.cost, [this, offset, finish] {
+    sim_->Schedule(check.cost, [this, r, offset] {
       os_->MmapAccess(data_file_, offset, options_.doc_size, options_.server_pid,
-                      [finish](Status s) { finish(s, 0); });
+                      [this, r](Status s, DurationNs) { Finish(r, s, 0); });
     });
     return;
   }
@@ -106,10 +103,26 @@ void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply,
   args.file = data_file_;
   args.offset = offset;
   args.size = options_.doc_size;
-  args.deadline = deadline;
+  args.deadline = r->deadline;
   args.pid = options_.server_pid;
-  args.trace = trace;
-  os_->ReadWithWaitHint(args, [finish](Status s, DurationNs hint) { finish(s, hint); });
+  args.trace = r->trace;
+  os_->ReadWithWaitHint(args, [this, r](Status s, DurationNs hint) { Finish(r, s, hint); });
+}
+
+void DocStoreNode::Finish(Request* r, Status status, DurationNs hint) {
+  if (status.busy()) {
+    ++ebusy_returned_;
+    if (r->tenant < tenant_ebusy_.size()) {
+      ++tenant_ebusy_[r->tenant];
+    }
+  }
+  // Reply serialization plus (optionally) the C++ exception unwind the
+  // paper eliminated with the exceptionless retry path.
+  DurationNs cost = options_.handler_cpu / 2;
+  if (status.busy() && options_.exception_on_ebusy) {
+    cost += options_.exception_cost;
+  }
+  cpu_->Execute(cost, [this, r, status, hint] { Respond(r, status, hint); });
 }
 
 void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline, RichReplyFn reply,
@@ -127,8 +140,9 @@ void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline, RichRepl
       m->counter("resilience_shed_total", node_id_).Add();
     }
     const DurationNs hint = os_->MinDeviceLatency();
+    Request* r = NewRequest(key, deadline, trace, std::move(reply));
     cpu_->Execute(options_.handler_cpu / 2,
-                  [reply = std::move(reply), hint] { reply(Status::Unavailable(), hint); });
+                  [this, r, hint] { Respond(r, Status::Unavailable(), hint); });
     return;
   }
   if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled()) {
@@ -143,46 +157,38 @@ void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline, RichRepl
   if (first < 0 || first > options_.degraded_deadline_cap) {
     first = options_.degraded_deadline_cap;
   }
-  cpu_->Execute(options_.handler_cpu / 2,
-                [this, key, first, trace, reply = std::move(reply)]() mutable {
-                  DegradedAttempt(key, first, 0, std::move(reply), trace);
-                });
+  Request* r = NewRequest(key, first, trace, std::move(reply));
+  cpu_->Execute(options_.handler_cpu / 2, [this, r] { DegradedAttempt(r); });
 }
 
-void DocStoreNode::DegradedAttempt(uint64_t key, DurationNs deadline, int attempt,
-                                   RichReplyFn reply, obs::TraceContext trace) {
-  degraded_max_deadline_ = std::max(degraded_max_deadline_, deadline);
+void DocStoreNode::DegradedAttempt(Request* r) {
+  degraded_max_deadline_ = std::max(degraded_max_deadline_, r->deadline);
   os::Os::ReadArgs args;
   args.file = data_file_;
-  args.offset = OffsetOfKey(key);
+  args.offset = OffsetOfKey(r->key);
   args.size = options_.doc_size;
-  args.deadline = deadline;
+  args.deadline = r->deadline;
   args.pid = options_.server_pid;
-  args.trace = trace;
-  os_->ReadWithWaitHint(
-      args, [this, key, deadline, attempt, trace, reply = std::move(reply)](
-                Status s, DurationNs hint) mutable {
-        if (!s.busy() || attempt + 1 >= options_.degraded_max_attempts) {
-          // Done (success, or attempts exhausted — surface the last status;
-          // with the escalation below the deadline reaches the cap long
-          // before the attempt limit, so exhaustion means a real outage).
-          degraded_gate_.Release();
-          cpu_->Execute(options_.handler_cpu / 2,
-                        [reply = std::move(reply), s, hint] { reply(s, hint); });
-          return;
-        }
-        // EBUSY: the predictor says the queue needs ~hint to drain. Wait it
-        // out (the admission slot stays held — that is the "queue server-side
-        // behind the gate" part), then re-issue with an escalated, still
-        // bounded deadline.
-        DurationNs next = std::max(deadline * 2, hint + deadline);
-        next = std::min(next, options_.degraded_deadline_cap);
-        const DurationNs wait = std::max<DurationNs>(hint, Micros(50));
-        sim_->Schedule(wait, [this, key, next, attempt, trace,
-                              reply = std::move(reply)]() mutable {
-          DegradedAttempt(key, next, attempt + 1, std::move(reply), trace);
-        });
-      });
+  args.trace = r->trace;
+  os_->ReadWithWaitHint(args, [this, r](Status s, DurationNs hint) {
+    if (!s.busy() || r->attempt + 1 >= options_.degraded_max_attempts) {
+      // Done (success, or attempts exhausted — surface the last status;
+      // with the escalation below the deadline reaches the cap long
+      // before the attempt limit, so exhaustion means a real outage).
+      degraded_gate_.Release();
+      cpu_->Execute(options_.handler_cpu / 2, [this, r, s, hint] { Respond(r, s, hint); });
+      return;
+    }
+    // EBUSY: the predictor says the queue needs ~hint to drain. Wait it
+    // out (the admission slot stays held — that is the "queue server-side
+    // behind the gate" part), then re-issue with an escalated, still
+    // bounded deadline.
+    DurationNs next = std::max(r->deadline * 2, hint + r->deadline);
+    r->deadline = std::min(next, options_.degraded_deadline_cap);
+    ++r->attempt;
+    const DurationNs wait = std::max<DurationNs>(hint, Micros(50));
+    sim_->Schedule(wait, [this, r] { DegradedAttempt(r); });
+  });
 }
 
 void DocStoreNode::HandlePut(uint64_t key, std::function<void(Status)> reply) {

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "src/cluster/cpu_pool.h"
+#include "src/common/inline_function.h"
+#include "src/common/slot_pool.h"
 #include "src/common/status.h"
 #include "src/obs/trace.h"
 #include "src/os/os.h"
@@ -85,7 +87,8 @@ class DocStoreNode {
 
   // §7.8.1 extension: EBUSY replies carry the OS' predicted wait so the
   // client can pick the least-busy replica when all replicas reject.
-  using RichReplyFn = std::function<void(Status, DurationNs predicted_wait)>;
+  // Move-only with 48 bytes of inline capture (InlineFunction).
+  using RichReplyFn = InlineFunction<void(Status, DurationNs predicted_wait)>;
   void HandleGetWithHint(uint64_t key, DurationNs deadline, RichReplyFn reply,
                          obs::TraceContext trace = {}, uint32_t tenant = kNoTenant);
 
@@ -142,10 +145,31 @@ class DocStoreNode {
            options_.slot_size;
   }
 
-  void DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply, obs::TraceContext trace,
-              uint32_t tenant);
-  void DegradedAttempt(uint64_t key, DurationNs deadline, int attempt, RichReplyFn reply,
-                       obs::TraceContext trace);
+  // One get being served, from its arrival to the reply burst: every event
+  // on the way captures {this, record}. Pooled; released before `reply`
+  // runs.
+  struct Request {
+    uint64_t key = 0;
+    DurationNs deadline = 0;
+    obs::TraceContext trace;
+    uint32_t tenant = kNoTenant;
+    int attempt = 0;  // Degraded path: reads issued so far.
+    RichReplyFn reply;
+    uint32_t pool_slot = 0;
+    uint32_t pool_epoch = 0;
+  };
+  // A node serves a few dozen gets at once; small blocks keep a large
+  // world's idle nodes light.
+  static constexpr size_t kRequestBlock = 64;
+
+  Request* NewRequest(uint64_t key, DurationNs deadline, obs::TraceContext trace,
+                      RichReplyFn reply);
+  void DoRead(Request* r);
+  // Accounts the outcome and queues the reply-serialization burst.
+  void Finish(Request* r, Status status, DurationNs hint);
+  // Releases the record, then replies.
+  void Respond(Request* r, Status status, DurationNs hint);
+  void DegradedAttempt(Request* r);
 
   sim::Simulator* sim_;
   int node_id_;
@@ -161,6 +185,7 @@ class DocStoreNode {
   uint64_t crashes_ = 0;
   resilience::AdmissionGate degraded_gate_;
   DurationNs degraded_max_deadline_ = 0;
+  SlotPool<Request, kRequestBlock> requests_;
 };
 
 }  // namespace mitt::kv

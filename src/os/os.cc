@@ -364,18 +364,30 @@ Os::AddrCheckResult Os::AddrCheck(uint64_t file, int64_t offset, int64_t size, D
   return {Status::Ebusy(), cost};
 }
 
-void Os::MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid,
-                    std::function<void(Status)> done) {
+void Os::MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid, RichReadFn done) {
   if (cache_->Resident(file, offset, size)) {
     cache_->Touch(file, offset, size);
-    sim_->Schedule(options_.mmap_access_cost, [done = std::move(done)] { done(Status::Ok()); });
+    // As on ReadWithWaitHint's hit path, a pooled descriptor carries `done`
+    // to the delivery event.
+    sched::IoRequest* req = pool_.Acquire();
+    req->done = std::move(done);
+    sim_->Schedule(options_.mmap_access_cost, [this, req] {
+      auto cb = std::move(req->done);
+      pool_.Release(req);
+      cb(Status::Ok(), 0);
+    });
     return;
   }
   // Page fault: a blocking device read with no deadline (no syscall is
   // involved, so the OS cannot signal EBUSY, §4.4).
   SubmitDeviceRead(file, offset, size, sched::kNoDeadline, pid, sched::IoClass::kBestEffort, 4,
-                   /*fill_cache=*/true, /*trace=*/{},
-                   [done = std::move(done)](Status s, DurationNs) { done(s); });
+                   /*fill_cache=*/true, /*trace=*/{}, std::move(done));
+}
+
+void Os::MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid,
+                    std::function<void(Status)> done) {
+  MmapAccess(file, offset, size, pid,
+             RichReadFn([done = std::move(done)](Status s, DurationNs) { done(s); }));
 }
 
 void Os::Prefault(uint64_t file, int64_t offset, int64_t size) {

@@ -34,7 +34,7 @@
 #include "src/os/mitt_ssd.h"
 #include "src/os/page_cache.h"
 #include "src/sched/cfq_scheduler.h"
-#include "src/sched/io_pool.h"
+#include "src/sched/io_request.h"
 #include "src/sched/noop_scheduler.h"
 #include "src/sched/scheduler.h"
 #include "src/sim/simulator.h"
@@ -134,6 +134,9 @@ class Os {
                             const obs::TraceContext& trace = {});
 
   // mmap-ed access without AddrCheck: page faults block (vanilla MongoDB).
+  // The RichReadFn form carries its callback on a pooled descriptor, so it
+  // allocates nothing (the hint is always 0: a fault cannot be rejected).
+  void MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid, RichReadFn done);
   void MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid,
                   std::function<void(Status)> done);
 

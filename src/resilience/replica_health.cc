@@ -107,23 +107,34 @@ bool ReplicaHealthTracker::AcquireProbe(int replica) {
 }
 
 void ReplicaHealthTracker::OrderReplicas(std::span<int> replicas) {
-  // Stable two-pass partition: closed, then half-open, then open. Keeps the
+  // Stable partition: closed, then half-open, then open. Keeps the
   // primary-first bias among equally-healthy replicas and uses no RNG, so
-  // the walk order is a pure function of breaker states.
-  std::stable_sort(replicas.begin(), replicas.end(), [this](int a, int b) {
-    auto rank = [this](int r) {
-      switch (state(r)) {
-        case BreakerState::kClosed:
-          return 0;
-        case BreakerState::kHalfOpen:
-          return 1;
-        case BreakerState::kOpen:
-          return 2;
-      }
-      return 2;
-    };
-    return rank(a) < rank(b);
-  });
+  // the walk order is a pure function of breaker states. state() may move
+  // an expired breaker to half-open and log it, so every replica is touched
+  // once, in walk order, before the sort reads the settled states; the sort
+  // is an insertion sort (stable and heap-free, unlike std::stable_sort).
+  for (const int replica : replicas) {
+    (void)state(replica);
+  }
+  auto rank = [this](int replica) {
+    switch (stats_[Index(replica)].state) {
+      case BreakerState::kClosed:
+        return 0;
+      case BreakerState::kHalfOpen:
+        return 1;
+      case BreakerState::kOpen:
+        return 2;
+    }
+    return 2;
+  };
+  for (size_t i = 1; i < replicas.size(); ++i) {
+    const int replica = replicas[i];
+    size_t j = i;
+    for (; j > 0 && rank(replicas[j - 1]) > rank(replica); --j) {
+      replicas[j] = replicas[j - 1];
+    }
+    replicas[j] = replica;
+  }
 }
 
 void ReplicaHealthTracker::MaybeOpen(int replica) {

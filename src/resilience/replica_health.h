@@ -115,7 +115,8 @@ class ReplicaHealthTracker {
   // Reorders `replicas` in place for a failover walk: closed first (original
   // order preserved — keeps the primary-first bias among healthy nodes),
   // then half-open (probe candidates), open last. Deterministic stable
-  // partition, no RNG.
+  // partition, no RNG, no allocation. Expired open windows turn half-open
+  // (and are logged) in walk order.
   void OrderReplicas(std::span<int> replicas);
 
   // --- Introspection ---

@@ -10,7 +10,7 @@
 // side tables keyed by request id/pointer (hash lookups and node allocations
 // on every IO): the OS completion callback, the SSD sub-IO countdown, the
 // MittCFQ tolerance-wheel links, and the slot-arena bookkeeping
-// (src/sched/io_pool.h). Requests remain plain default-constructible structs,
+// (src/common/slot_pool.h). Requests remain plain default-constructible structs,
 // so tests and baseline predictors can still stack- or heap-allocate them
 // directly; the pool fields are simply unused then.
 
@@ -20,6 +20,7 @@
 #include <cstdint>
 
 #include "src/common/inline_function.h"
+#include "src/common/slot_pool.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/obs/trace.h"
@@ -95,7 +96,7 @@ struct IoRequest {
   int64_t tol_bucket = 0;
   bool in_tolerance = false;
 
-  // --- Slot-arena bookkeeping (src/sched/io_pool.h) ---
+  // --- Slot-arena bookkeeping (src/common/slot_pool.h) ---
   uint32_t pool_slot = 0;
   uint32_t pool_epoch = 0;
 
@@ -107,6 +108,10 @@ struct IoRequest {
 
   bool has_deadline() const { return deadline != kNoDeadline; }
 };
+
+// Pooled descriptors. Owners: Os (syscall-layer descriptors), DiskModel
+// (NVRAM destages), SsdGc (garbage-collection IOs).
+using IoRequestPool = SlotPool<IoRequest>;
 
 }  // namespace mitt::sched
 

@@ -17,6 +17,7 @@
 #ifndef MITTOS_TENANT_PLACEMENT_H_
 #define MITTOS_TENANT_PLACEMENT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,12 +25,20 @@
 
 namespace mitt::tenant {
 
-// A tenant's replica set, primary first. Value type: returned by copy from
-// the hot-path lookup, so no heap traffic per request.
+// A replica set, primary first: a tenant's placement group or a key's ring
+// replicas (cluster::Cluster::ReplicasOf). Value type: returned by copy from
+// the hot-path lookups, so no heap traffic per request.
 struct ReplicaGroup {
   static constexpr int kMaxReplication = 8;
   int32_t node[kMaxReplication] = {};
   int size = 0;
+
+  int32_t operator[](int i) const { return node[i]; }
+  const int32_t* begin() const { return node; }
+  const int32_t* end() const { return node + size; }
+  friend bool operator==(const ReplicaGroup& a, const ReplicaGroup& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
 };
 
 class PlacementMap {

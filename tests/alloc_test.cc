@@ -1,8 +1,10 @@
-// Steady-state allocation gating for the per-IO pipeline and the rebuilt
-// PageCache: after a warmup phase that grows every pool/table to its working
-// size, driving more IOs through a full Os stack (or more touches through
-// the cache) must perform ZERO heap allocations. bench_hotpath reports the
-// same counters; this binary fails the build if they regress.
+// Steady-state allocation gating for the per-IO pipeline, the rebuilt
+// PageCache and the whole closed-loop Get path: after a warmup phase that
+// grows every pool/table to its working size, driving more IOs through a
+// full Os stack (or more touches through the cache) must perform ZERO heap
+// allocations, and a whole Experiment must allocate (almost) nothing per
+// extra Get. bench_hotpath and perfbench report the same counters; this
+// binary fails the build if they regress.
 //
 // The counter hooks replace the global operator new/delete, which conflicts
 // with sanitizer interceptors, and the MITT_PREDICT_CHECK oracle allocates
@@ -35,6 +37,7 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
+#include "src/harness/experiment.h"
 #include "src/os/os.h"
 #include "src/os/page_cache.h"
 #include "src/sim/sharded_engine.h"
@@ -395,6 +398,142 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
     }
   }
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+}
+
+// --- Full-Experiment gates ------------------------------------------------
+//
+// One Experiment::Run (world build, closed-loop drive, harvest, teardown) at
+// n and at 2n Gets: everything one-time — the world, pool and recorder
+// growth — cancels in the difference, which leaves the marginal cost of n
+// Gets on the client -> network -> CPU pool -> DocStore -> Os path. The
+// oracle harvest stays off: its per-get wrapper may allocate by design.
+
+using harness::ExperimentOptions;
+using harness::StrategyKind;
+
+constexpr size_t kGateGets = 3000;
+constexpr double kMaxAllocsPerGet = 0.01;
+
+uint64_t RunAllocs(const ExperimentOptions& o, StrategyKind kind) {
+  harness::Experiment experiment(o);
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  {
+    const harness::RunResult r = experiment.Run(kind);
+    EXPECT_EQ(r.oracle.enabled, false);
+  }
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+// Marginal heap allocations per Get between kGateGets and 2 * kGateGets.
+double MarginalAllocsPerGet(ExperimentOptions o, StrategyKind kind) {
+  o.harvest_oracles = false;
+  o.intra_workers = 1;
+  auto set_gets = [&o](size_t n) {
+    if (o.replay.enabled()) {
+      o.replay.max_events = o.replay.warmup_events + n;
+    } else {
+      o.measure_requests = n;
+    }
+  };
+  set_gets(kGateGets);
+  const uint64_t once = RunAllocs(o, kind);
+  set_gets(2 * kGateGets);
+  const uint64_t twice = RunAllocs(o, kind);
+  return (static_cast<double>(twice) - static_cast<double>(once)) /
+         static_cast<double>(kGateGets);
+}
+
+ExperimentOptions GateWorld() {
+  ExperimentOptions o;
+  o.num_nodes = 6;
+  o.num_clients = 6;
+  o.warmup_requests = 200;
+  o.num_keys_per_node = 1 << 16;
+  o.deadline = Millis(20);
+  o.hedge_delay = Millis(20);
+  o.app_timeout = Millis(20);
+  o.seed = 11;
+  return o;
+}
+
+// Fig. 5's path: disk + MittCFQ, read() with a deadline, EC2 read noise.
+ExperimentOptions DiskCfqEc2World() {
+  ExperimentOptions o = GateWorld();
+  o.backend = os::BackendKind::kDiskCfq;
+  o.access = kv::AccessPath::kRead;
+  o.noise = harness::NoiseKind::kEc2;
+  o.ec2 = harness::CompressedEc2Noise();
+  return o;
+}
+
+TEST(GetPathAllocTest, MittosDiskCfqWithEc2Noise) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  EXPECT_LE(MarginalAllocsPerGet(DiskCfqEc2World(), StrategyKind::kMittos), kMaxAllocsPerGet);
+}
+
+TEST(GetPathAllocTest, MittosMmapAddrCheckWithCacheDrops) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  // Fig. 7's path: AddrCheck + MmapAccess over a warm cache, hits and fills.
+  ExperimentOptions o = GateWorld();
+  o.access = kv::AccessPath::kMmapAddrCheck;
+  o.num_keys_per_node = 1 << 14;
+  o.cache_pages = 1 << 15;
+  o.warm_fraction = 1.0;
+  o.noise = harness::NoiseKind::kStaticCacheDrop;
+  o.cache_drop_fraction = 0.16;
+  o.deadline = Micros(100);
+  EXPECT_LE(MarginalAllocsPerGet(o, StrategyKind::kMittos), kMaxAllocsPerGet);
+}
+
+TEST(GetPathAllocTest, ResilientSsdOnSharedCpuPool) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  // Fig. 8's path: SSD under write noise, every node on one 8-core pool,
+  // breaker ordering on every Get.
+  ExperimentOptions o = GateWorld();
+  o.num_clients = 8;
+  o.shared_cpu_cores = 8;
+  o.handler_cpu = Micros(400);
+  o.backend = os::BackendKind::kSsd;
+  o.noise = harness::NoiseKind::kEc2;
+  o.ec2 = harness::CompressedEc2Noise();
+  o.noise_op = sched::IoOp::kWrite;
+  o.noise_io_size = 256 << 10;
+  o.deadline = Micros(830);
+  EXPECT_LE(MarginalAllocsPerGet(o, StrategyKind::kMittosResilient), kMaxAllocsPerGet);
+}
+
+TEST(GetPathAllocTest, BaseTimeoutClient) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  EXPECT_LE(MarginalAllocsPerGet(DiskCfqEc2World(), StrategyKind::kBase), kMaxAllocsPerGet);
+}
+
+TEST(GetPathAllocTest, TwoShardMittos) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  // Replies cross shards through the engine's mailboxes.
+  ExperimentOptions o = GateWorld();
+  o.num_nodes = 8;
+  o.num_clients = 16;
+  o.num_shards = 2;
+  o.backend = os::BackendKind::kSsd;
+  o.warm_fraction = 0.5;
+  o.cache_pages = 1 << 14;
+  o.noise = harness::NoiseKind::kNone;
+  o.deadline = Millis(2);
+  EXPECT_LE(MarginalAllocsPerGet(o, StrategyKind::kMittos), kMaxAllocsPerGet);
+}
+
+TEST(GetPathAllocTest, OpenLoopReplay) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  // The replay completion captures ~40 B: inside GetDoneFn's inline buffer.
+  ExperimentOptions o = GateWorld();
+  o.num_clients = 0;
+  o.backend = os::BackendKind::kSsd;
+  o.noise = harness::NoiseKind::kNone;
+  o.deadline = Millis(2);
+  o.replay.synthetic_profile = 0;
+  o.replay.synthetic_duration = Seconds(30);
+  o.replay.warmup_events = 200;
+  EXPECT_LE(MarginalAllocsPerGet(o, StrategyKind::kMittos), kMaxAllocsPerGet);
 }
 
 }  // namespace

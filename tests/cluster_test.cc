@@ -87,7 +87,7 @@ TEST(ClusterTest, ReplicasAreDistinctAndStable) {
   Cluster cluster(&sim, opt);
   for (uint64_t key = 0; key < 500; ++key) {
     const auto replicas = cluster.ReplicasOf(key);
-    ASSERT_EQ(replicas.size(), 3u);
+    ASSERT_EQ(replicas.size, 3);
     EXPECT_EQ(replicas, cluster.ReplicasOf(key));
     const std::set<int> unique(replicas.begin(), replicas.end());
     EXPECT_EQ(unique.size(), 3u);

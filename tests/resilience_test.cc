@@ -164,6 +164,48 @@ TEST_F(BreakerTest, EbusyStormOpensAndProbeCloses) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST_F(BreakerTest, OrderReplicasIsStableAndLogsExpiriesInWalkOrder) {
+  using resilience::BreakerState;
+  using resilience::BreakerTransition;
+  resilience::ReplicaHealthOptions opt = DefaultOptions();
+  opt.record_transitions = true;
+  resilience::ReplicaHealthTracker tracker(&sim_, 5, opt, 5);
+  auto trip = [&tracker](int replica) {
+    for (int i = 0; i < 8; ++i) {
+      tracker.OnReply(replica, Micros(300), /*ebusy=*/true);
+    }
+  };
+  auto advance = [this](DurationNs d) {
+    sim_.Schedule(d, [] {});
+    sim_.Run();
+  };
+  trip(2);
+  advance(Millis(41));
+  ASSERT_EQ(tracker.state(2), BreakerState::kHalfOpen);
+  trip(0);  // 0 and 4 open together; their windows expire at 81 ms.
+  trip(4);
+  advance(Millis(41));
+  trip(3);  // Still open when the walk is ordered.
+  const size_t logged = tracker.transitions().size();
+  ASSERT_EQ(logged, 5u);
+
+  // Walk: 4 and 0 just expired (untouched since), 1 closed, 2 half-open,
+  // 3 open.
+  std::vector<int> order = {4, 1, 2, 0, 3};
+  tracker.OrderReplicas(order);
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 2, 0, 3}));
+  // The expiries are logged once each, in walk order.
+  const std::vector<BreakerTransition> added(tracker.transitions().begin() + logged,
+                                             tracker.transitions().end());
+  EXPECT_EQ(added, (std::vector<BreakerTransition>{
+                       {4, BreakerState::kOpen, BreakerState::kHalfOpen, Millis(82)},
+                       {0, BreakerState::kOpen, BreakerState::kHalfOpen, Millis(82)}}));
+  // Ordering again is a no-op: states are settled, nothing more is logged.
+  tracker.OrderReplicas(order);
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 2, 0, 3}));
+  EXPECT_EQ(tracker.transitions().size(), logged + 2);
+}
+
 TEST_F(BreakerTest, FailedProbeReopensWithEscalatedWindow) {
   resilience::ReplicaHealthTracker tracker(&sim_, 2, DefaultOptions(), 5);
   for (int i = 0; i < 8; ++i) {
