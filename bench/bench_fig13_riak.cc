@@ -1,8 +1,9 @@
 // Figure 13 (§7.8.4): MittOS-powered LevelDB + Riak. A 3-node ring of LSM
 // nodes bulk-loaded with keys; EC2 disk noise replays on every node. The
-// coordinator attaches the deadline to LevelDB's block reads; EBUSY
+// MittOS client attaches the deadline to LevelDB's block reads; EBUSY
 // propagates up and triggers replica failover.
-//   (a) get() latency CDF, MittCFQ (mitt ring) vs Base (vanilla ring);
+//   (a) get() latency CDF, MittCFQ (MittOS client) vs Base (vanilla ring:
+//       Base client, no deadline);
 //   (b) timeline for one node: EBUSY is returned when (and only when) the
 //       node is under noise.
 
@@ -12,9 +13,11 @@
 #include <numeric>
 #include <vector>
 
+#include "src/client/mittos_client.h"
+#include "src/client/timeout.h"
 #include "src/common/latency_recorder.h"
 #include "src/common/table.h"
-#include "src/kv/ring_coordinator.h"
+#include "src/kv/lsm_ring.h"
 #include "src/lsm/lsm_node.h"
 #include "src/noise/ec2_noise.h"
 #include "src/noise/noise_injector.h"
@@ -66,11 +69,15 @@ RiakRun RunRing(bool mitt_enabled, uint64_t seed) {
     injectors.back()->Start();
   }
 
-  kv::RingCoordinator::Options copt;
-  copt.deadline = Millis(13);
-  copt.mitt_enabled = mitt_enabled;
-  kv::RingCoordinator coordinator(
-      &sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network, copt);
+  kv::LsmRing ring(&sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network);
+  // Base: the NoSQL-default 30 s timeout (§2), which never fires here, and
+  // no deadline on any try.
+  client::TimeoutStrategy base(&sim, &ring, seed, client::TimeoutStrategy::Options{});
+  client::MittosStrategy::Options mopt;
+  mopt.deadline = Millis(13);
+  client::MittosStrategy mittos(&sim, &ring, seed, mopt);
+  client::GetStrategy& strategy =
+      mitt_enabled ? static_cast<client::GetStrategy&>(mittos) : base;
 
   workload::YcsbWorkload::Options wopt;
   wopt.num_keys = keys.size();
@@ -115,7 +122,7 @@ RiakRun RunRing(bool mitt_enabled, uint64_t seed) {
     ++issued;
     const uint64_t key = ycsb.Next().key;
     const TimeNs start = sim.Now();
-    coordinator.Get(key, [&, start](Status) {
+    strategy.Get(key, [&, start](const client::GetResult&) {
       run.latencies.Record(sim.Now() - start);
       ++completed;
       (*issue)();
@@ -125,7 +132,11 @@ RiakRun RunRing(bool mitt_enabled, uint64_t seed) {
     (*issue)();
   }
   sim.RunUntilPredicate([&] { return completed >= kTarget; });
-  run.failovers = coordinator.failovers();
+  run.failovers = mittos.ebusy_failovers();
+  // Each self-rescheduling closure holds its own shared_ptr: break the
+  // cycles so the closures are freed.
+  *sample = nullptr;
+  *issue = nullptr;
   return run;
 }
 

@@ -1,13 +1,8 @@
 // Simulator core microbenchmark: schedule/cancel/fire churn at >= 1M events.
 //
 // Measures the event-engine hot path that every figure reproduction funnels
-// through (EXPERIMENTS.md "bench_simcore"). Two engines run the identical
-// seeded workload:
-//   - "legacy": the pre-overhaul design, embedded below as the fixed
-//     baseline — std::priority_queue over full Event structs carrying
-//     std::function closures, plus an unordered_set lazy-cancel path;
-//   - "pooled": mitt::sim::Simulator — pooled slots, InlineFunction
-//     closures, handle-ordered heap, tombstone cancels.
+// through (EXPERIMENTS.md "bench_simcore"): mitt::sim::Simulator's pooled
+// slots, InlineFunction closures, handle-ordered heap and tombstone cancels.
 //
 // The workload is a mixed churn: self-rescheduling event chains whose
 // closures capture 32 bytes (over std::function's 16-byte SBO, inside
@@ -16,9 +11,9 @@
 // while pending.
 //
 // A global operator new/delete counting hook reports allocations/event, and
-// the run *asserts* that the pooled engine's steady-state schedule->fire
-// path performs zero heap allocations (exit code 1 otherwise). Results are
-// written to BENCH_simcore.json so the perf trajectory is tracked per PR.
+// the run *asserts* that the steady-state schedule->fire path performs zero
+// heap allocations (exit code 1 otherwise). Results are written to
+// BENCH_simcore.json so the perf trajectory is tracked per PR.
 
 #include <algorithm>
 #include <atomic>
@@ -28,8 +23,6 @@
 #include <cstring>
 #include <functional>
 #include <new>
-#include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -83,114 +76,8 @@ namespace {
 using mitt::DurationNs;
 using mitt::Micros;
 using mitt::Rng;
-using mitt::TimeNs;
-
-// --- Legacy engine (fixed baseline, do not "improve") ------------------------
-//
-// Verbatim structure of the pre-overhaul mitt::sim::Simulator: the heap
-// carries whole events (with their std::function closures), cancellation
-// goes through an unordered_set, pops copy the event off the heap top.
-
-namespace legacy {
-
-using EventId = uint64_t;
-
-class Simulator {
- public:
-  TimeNs Now() const { return now_; }
-
-  EventId Schedule(DurationNs delay, std::function<void()> fn) {
-    if (delay < 0) {
-      delay = 0;
-    }
-    return ScheduleInternal(now_ + delay, false, std::move(fn));
-  }
-  EventId ScheduleDaemon(DurationNs delay, std::function<void()> fn) {
-    if (delay < 0) {
-      delay = 0;
-    }
-    return ScheduleInternal(now_ + delay, true, std::move(fn));
-  }
-  bool Cancel(EventId id) {
-    if (id == 0 || id >= next_seq_) {
-      return false;
-    }
-    return cancelled_.insert(id).second;
-  }
-  void Run() {
-    while (non_daemon_pending_ > 0 && Step()) {
-    }
-  }
-  bool RunUntilPredicate(const std::function<bool()>& pred) {
-    if (pred()) {
-      return true;
-    }
-    while (non_daemon_pending_ > 0 && Step()) {
-      if (pred()) {
-        return true;
-      }
-    }
-    return false;
-  }
-  uint64_t executed_events() const { return executed_; }
-
- private:
-  struct Event {
-    TimeNs when;
-    uint64_t seq;
-    EventId id;
-    bool daemon;
-    std::function<void()> fn;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  EventId ScheduleInternal(TimeNs when, bool daemon, std::function<void()> fn) {
-    if (when < now_) {
-      when = now_;
-    }
-    const uint64_t seq = next_seq_++;
-    heap_.push(Event{when, seq, seq, daemon, std::move(fn)});
-    if (!daemon) {
-      ++non_daemon_pending_;
-    }
-    return seq;
-  }
-  bool Step() {
-    while (!heap_.empty()) {
-      Event ev = heap_.top();  // Copy, as the original did.
-      heap_.pop();
-      if (!ev.daemon) {
-        --non_daemon_pending_;
-      }
-      const auto it = cancelled_.find(ev.id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      now_ = ev.when;
-      ++executed_;
-      ev.fn();
-      return true;
-    }
-    return false;
-  }
-
-  TimeNs now_ = 0;
-  uint64_t next_seq_ = 1;
-  uint64_t executed_ = 0;
-  size_t non_daemon_pending_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> heap_;
-  std::unordered_set<EventId> cancelled_;
-};
-
-}  // namespace legacy
+using mitt::sim::EventId;
+using mitt::sim::Simulator;
 
 // --- Workload ----------------------------------------------------------------
 
@@ -205,17 +92,16 @@ struct ChurnResult {
 
 // Each chain callback captures the context pointer plus 24 bytes of payload:
 // 32 bytes total, over std::function's inline buffer, inside InlineFunction's.
-template <typename Sim, typename IdT>
 struct Churn {
   struct Ctx {
-    Sim* sim = nullptr;
+    Simulator* sim = nullptr;
     Rng rng{0};
     uint64_t fired = 0;
     uint64_t decoys_fired = 0;
     uint64_t scheduled = 0;
     uint64_t cancelled = 0;
     uint64_t target = 0;
-    std::vector<IdT> cancel_pool;
+    std::vector<EventId> cancel_pool;
   };
 
   static void ScheduleChain(Ctx* ctx) {
@@ -263,7 +149,7 @@ struct Churn {
   }
 
   static ChurnResult Run(uint64_t target_events, uint64_t warmup_events, uint64_t seed) {
-    Sim sim;
+    Simulator sim;
     Ctx ctx;
     ctx.sim = &sim;
     ctx.rng = Rng(seed);
@@ -279,15 +165,14 @@ struct Churn {
     // Capacity pre-pad: a burst of short-lived tombstones forces the event
     // pool and heap well past their steady-state population, so the measured
     // phase never triggers a container regrow on a random high-water mark.
-    // Both engines get the identical burst.
     {
-      std::vector<IdT> pad;
+      std::vector<EventId> pad;
       pad.reserve(8192);
       for (int i = 0; i < 8192; ++i) {
         pad.push_back(sim.Schedule(
             static_cast<DurationNs>(ctx.rng.UniformInt(Micros(1), Micros(2000))), [] {}));
       }
-      for (const IdT id : pad) {
+      for (const EventId id : pad) {
         sim.Cancel(id);
       }
     }
@@ -352,98 +237,65 @@ int main(int argc, char** argv) {
   std::printf("=== bench_simcore: %llu-event schedule/cancel/fire churn, best of %d ===\n",
               static_cast<unsigned long long>(target), reps);
 
-  // Interleave repetitions and keep each engine's fastest run: on shared or
-  // single-core machines a single rep is hostage to scheduler noise.
-  ChurnResult legacy_r, pooled_r;
+  // Keep the fastest repetition: on shared or single-core machines a single
+  // rep is hostage to scheduler noise.
+  ChurnResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    std::printf("[rep %d] legacy...\n", rep);
-    const auto l = Churn<legacy::Simulator, legacy::EventId>::Run(target, warmup, seed);
-    std::printf("[rep %d] pooled...\n", rep);
-    const auto p = Churn<mitt::sim::Simulator, mitt::sim::EventId>::Run(target, warmup, seed);
-    if (rep == 0 || l.elapsed_sec < legacy_r.elapsed_sec) {
-      legacy_r = l;
-    }
+    const ChurnResult r = Churn::Run(target, warmup, seed);
     // Steady-state allocation accounting must hold on *every* rep, so carry
-    // the worst alloc counters with the best time.
-    const uint64_t worst_steady = std::max(pooled_r.steady_allocs, p.steady_allocs);
-    if (rep == 0 || p.elapsed_sec < pooled_r.elapsed_sec) {
-      pooled_r = p;
+    // the worst alloc counter with the best time.
+    const uint64_t worst_steady = std::max(best.steady_allocs, r.steady_allocs);
+    if (rep == 0 || r.elapsed_sec < best.elapsed_sec) {
+      best = r;
     }
-    pooled_r.steady_allocs = worst_steady;
+    best.steady_allocs = worst_steady;
   }
 
-  const double legacy_eps = EventsPerSec(legacy_r.executed, legacy_r.elapsed_sec);
-  const double pooled_eps = EventsPerSec(pooled_r.executed, pooled_r.elapsed_sec);
-  const double speedup = legacy_eps > 0 ? pooled_eps / legacy_eps : 0;
-
-  auto report = [](const char* name, const ChurnResult& r) {
-    std::printf(
-        "%-8s %9.0f events/s  %7.1f ns/event  %6.3f allocs/event  "
-        "(executed=%llu cancelled=%llu steady_allocs=%llu)\n",
-        name, EventsPerSec(r.executed, r.elapsed_sec),
-        r.executed ? 1e9 * r.elapsed_sec / static_cast<double>(r.executed) : 0.0,
-        r.executed ? static_cast<double>(r.allocs) / static_cast<double>(r.executed) : 0.0,
-        static_cast<unsigned long long>(r.executed),
-        static_cast<unsigned long long>(r.cancelled),
-        static_cast<unsigned long long>(r.steady_allocs));
-  };
-  report("legacy", legacy_r);
-  report("pooled", pooled_r);
-  std::printf("speedup (events/s, pooled vs legacy): %.2fx\n", speedup);
+  const double eps = EventsPerSec(best.executed, best.elapsed_sec);
+  const double ns_per_event =
+      best.executed ? 1e9 * best.elapsed_sec / static_cast<double>(best.executed) : 0.0;
+  const double allocs_per_event =
+      best.executed ? static_cast<double>(best.allocs) / static_cast<double>(best.executed) : 0.0;
+  std::printf(
+      "%9.0f events/s  %7.1f ns/event  %6.3f allocs/event  "
+      "(executed=%llu cancelled=%llu steady_allocs=%llu)\n",
+      eps, ns_per_event, allocs_per_event, static_cast<unsigned long long>(best.executed),
+      static_cast<unsigned long long>(best.cancelled),
+      static_cast<unsigned long long>(best.steady_allocs));
 
   FILE* out = std::fopen("BENCH_simcore.json", "w");
   if (out != nullptr) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"benchmark\": \"simcore\",\n"
-        "  \"workload\": {\"target_events\": %llu, \"warmup_events\": %llu,\n"
-        "               \"capture_bytes\": 32, \"seed\": %llu},\n"
-        "  \"legacy\": {\"executed_events\": %llu, \"elapsed_sec\": %.6f,\n"
-        "             \"events_per_sec\": %.0f, \"ns_per_event\": %.2f,\n"
-        "             \"allocs\": %llu, \"alloc_bytes\": %llu,\n"
-        "             \"allocs_per_event\": %.4f, \"cancelled\": %llu},\n"
-        "  \"pooled\": {\"executed_events\": %llu, \"elapsed_sec\": %.6f,\n"
-        "             \"events_per_sec\": %.0f, \"ns_per_event\": %.2f,\n"
-        "             \"allocs\": %llu, \"alloc_bytes\": %llu,\n"
-        "             \"allocs_per_event\": %.4f, \"cancelled\": %llu,\n"
-        "             \"steady_state_allocs\": %llu},\n"
-        "  \"speedup_events_per_sec\": %.3f\n"
-        "}\n",
-        static_cast<unsigned long long>(target), static_cast<unsigned long long>(warmup),
-        static_cast<unsigned long long>(seed),
-        static_cast<unsigned long long>(legacy_r.executed), legacy_r.elapsed_sec, legacy_eps,
-        legacy_r.executed ? 1e9 * legacy_r.elapsed_sec / static_cast<double>(legacy_r.executed)
-                          : 0.0,
-        static_cast<unsigned long long>(legacy_r.allocs),
-        static_cast<unsigned long long>(legacy_r.alloc_bytes),
-        legacy_r.executed
-            ? static_cast<double>(legacy_r.allocs) / static_cast<double>(legacy_r.executed)
-            : 0.0,
-        static_cast<unsigned long long>(legacy_r.cancelled),
-        static_cast<unsigned long long>(pooled_r.executed), pooled_r.elapsed_sec, pooled_eps,
-        pooled_r.executed ? 1e9 * pooled_r.elapsed_sec / static_cast<double>(pooled_r.executed)
-                          : 0.0,
-        static_cast<unsigned long long>(pooled_r.allocs),
-        static_cast<unsigned long long>(pooled_r.alloc_bytes),
-        pooled_r.executed
-            ? static_cast<double>(pooled_r.allocs) / static_cast<double>(pooled_r.executed)
-            : 0.0,
-        static_cast<unsigned long long>(pooled_r.cancelled),
-        static_cast<unsigned long long>(pooled_r.steady_allocs), speedup);
+    std::fprintf(out,
+                 "{\n"
+                 "  \"benchmark\": \"simcore\",\n"
+                 "  \"workload\": {\"target_events\": %llu, \"warmup_events\": %llu,\n"
+                 "               \"capture_bytes\": 32, \"seed\": %llu},\n"
+                 "  \"pooled\": {\"executed_events\": %llu, \"elapsed_sec\": %.6f,\n"
+                 "             \"events_per_sec\": %.0f, \"ns_per_event\": %.2f,\n"
+                 "             \"allocs\": %llu, \"alloc_bytes\": %llu,\n"
+                 "             \"allocs_per_event\": %.4f, \"cancelled\": %llu,\n"
+                 "             \"steady_state_allocs\": %llu}\n"
+                 "}\n",
+                 static_cast<unsigned long long>(target), static_cast<unsigned long long>(warmup),
+                 static_cast<unsigned long long>(seed),
+                 static_cast<unsigned long long>(best.executed), best.elapsed_sec, eps,
+                 ns_per_event, static_cast<unsigned long long>(best.allocs),
+                 static_cast<unsigned long long>(best.alloc_bytes), allocs_per_event,
+                 static_cast<unsigned long long>(best.cancelled),
+                 static_cast<unsigned long long>(best.steady_allocs));
     std::fclose(out);
     std::printf("wrote BENCH_simcore.json\n");
   }
 
-  // Acceptance gates: the pooled engine's steady-state Schedule->fire path
-  // must be allocation-free for inline-sized captures.
-  if (pooled_r.steady_allocs != 0) {
+  // Acceptance gate: the steady-state Schedule->fire path must be
+  // allocation-free for inline-sized captures.
+  if (best.steady_allocs != 0) {
     std::fprintf(stderr,
-                 "FAIL: pooled engine performed %llu heap allocations in the "
+                 "FAIL: the engine performed %llu heap allocations in the "
                  "steady-state phase (expected 0)\n",
-                 static_cast<unsigned long long>(pooled_r.steady_allocs));
+                 static_cast<unsigned long long>(best.steady_allocs));
     return 1;
   }
-  std::printf("OK: pooled steady-state phase performed zero heap allocations\n");
+  std::printf("OK: steady-state phase performed zero heap allocations\n");
   return 0;
 }

@@ -1,6 +1,6 @@
 // The two-level integration of §5: a LevelDB-like LSM engine whose block
-// reads carry deadlines, under a Riak-like replicated coordinator that fails
-// over on EBUSY. Shows writes (WAL + memtable + flush + compaction) creating
+// reads carry deadlines, in a Riak-like replicated ring whose MittOS client
+// fails over on EBUSY. Shows writes (WAL + memtable + flush + compaction) creating
 // the background noise, and SLO-aware reads cutting through it.
 //
 // Run:  ./build/examples/slo_aware_lsm
@@ -11,8 +11,9 @@
 #include <numeric>
 #include <vector>
 
+#include "src/client/mittos_client.h"
 #include "src/common/latency_recorder.h"
-#include "src/kv/ring_coordinator.h"
+#include "src/kv/lsm_ring.h"
 #include "src/lsm/lsm_node.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
@@ -36,10 +37,10 @@ int main() {
     nodes.back()->lsm().BulkLoad(keys);
   }
 
-  kv::RingCoordinator::Options copt;
-  copt.deadline = Millis(13);
-  kv::RingCoordinator ring(&sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network,
-                           copt);
+  kv::LsmRing ring(&sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network);
+  client::MittosStrategy::Options mopt;
+  mopt.deadline = Millis(13);
+  client::MittosStrategy mittos(&sim, &ring, /*seed=*/3, mopt);
 
   // A mixed workload: 20% puts keep compaction churning, 80% SLO reads.
   workload::YcsbWorkload::Options wopt;
@@ -60,7 +61,7 @@ int main() {
     const auto op = ycsb.Next();
     if (op.is_read) {
       const TimeNs start = sim.Now();
-      ring.Get(op.key, [&, start](Status) {
+      mittos.Get(op.key, [&, start](const client::GetResult&) {
         read_latencies.Record(sim.Now() - start);
         ++done;
         (*loop)();
@@ -83,7 +84,7 @@ int main() {
               ToMillis(read_latencies.Percentile(50)), ToMillis(read_latencies.Percentile(95)),
               ToMillis(read_latencies.Percentile(99)));
   std::printf("  EBUSY replica failovers: %lu\n",
-              static_cast<unsigned long>(ring.failovers()));
+              static_cast<unsigned long>(mittos.ebusy_failovers()));
   for (int i = 0; i < 3; ++i) {
     std::printf("  node %d: %lu flushes, %lu compactions, L0=%zu L1=%zu, EBUSY=%lu\n", i,
                 static_cast<unsigned long>(nodes[static_cast<size_t>(i)]->lsm().flushes_done()),

@@ -10,6 +10,7 @@
 # below on both builds at MITT_TRIAL_WORKERS=1 and 4, and diffs them:
 #   - stdout of bench_fig3 .. bench_fig13, bench_allinone, bench_table1_nosql,
 #     bench_ablation_accuracy, bench_writes and bench_failslow;
+#   - stdout of examples/slo_aware_lsm (the LSM ring's Get+Put mix);
 #   - stdout and JSON scorecard of bench_resilience --chaos 8 (the CI
 #     resilience-chaos sweep, so the resilient walk's timeout, denied-retry,
 #     late-reply and backoff paths are compared), bench_tenant --small and
@@ -39,7 +40,7 @@ figs=(bench_fig3_dynamism bench_fig4_micro bench_fig5_ec2_cfq bench_fig6_scale b
       bench_fig8_ssd bench_fig9_accuracy bench_fig10_error_inject bench_fig11_macro
       bench_fig12_snitch bench_fig13_riak bench_allinone bench_table1_nosql
       bench_ablation_accuracy bench_writes bench_failslow)
-targets=("${figs[@]}" bench_resilience bench_tenant bench_replay chaos_tool)
+targets=("${figs[@]}" bench_resilience bench_tenant bench_replay chaos_tool slo_aware_lsm)
 
 build() {  # <source dir> <build dir>
   echo "compare_outputs: building $1" >&2
@@ -68,6 +69,7 @@ outputs() {  # <build dir> <output dir> <trial workers>
     for b in "${figs[@]}"; do
       run "$bin/$b" "$b.out"
     done
+    run "$1/examples/slo_aware_lsm" slo_aware_lsm.out
     run "$bin/bench_resilience" bench_resilience.out resilience.json --chaos 8
     run "$bin/bench_tenant" bench_tenant.out --small tenant.json
     sed -i '/ wall ---$/d' bench_tenant.out

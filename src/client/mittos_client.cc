@@ -90,11 +90,11 @@ struct MittosStrategy::GetState {
   uint32_t pool_epoch = 0;
 };
 
-MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
+MittosStrategy::MittosStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
                                const Options& options)
-    : GetStrategy(sim, cluster, seed),
+    : GetStrategy(sim, store, seed),
       options_(options),
-      health_(sim, cluster->num_nodes(), HealthWithSloFloor(options), seed ^ 0x4EA1'74C3ULL),
+      health_(sim, store->num_nodes(), HealthWithSloFloor(options), seed ^ 0x4EA1'74C3ULL),
       retry_budget_(options.retry),
       backoff_(options.backoff, seed ^ 0xBAC0'0FF5ULL) {}
 
@@ -217,7 +217,7 @@ void MittosStrategy::TryNext(GetState* g) {
     GetState::Hop& hop = g->hops[index];
     hop.sent_at = now;
     ++g->refs;
-    hop.timer = sim_->Schedule(deadline + 2 * cluster_->network().round_trip_estimate() + g->slo,
+    hop.timer = sim_->Schedule(deadline + 2 * network_->round_trip_estimate() + g->slo,
                                [this, g, index] {
                                  OnTimer(g, index);
                                  Drop(g);

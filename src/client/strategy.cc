@@ -4,8 +4,8 @@
 
 namespace mitt::client {
 
-GetStrategy::GetStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
-    : sim_(sim), cluster_(cluster), rng_(seed) {}
+GetStrategy::GetStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed)
+    : sim_(sim), store_(store), network_(&store->network()), rng_(seed) {}
 
 void GetStrategy::SendGetWithHint(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
                                   obs::TraceContext trace, tenant::TenantId tenant) {
@@ -35,20 +35,19 @@ void GetStrategy::Send(int node, uint64_t key, DurationNs deadline, ReplyFn on_r
   // (src/fault/) hit requests to / replies from that node. The request hop
   // runs on the node's shard; the reply hop routes back to this client's
   // home shard so the continuation fires on the simulator that issued it.
-  cluster::Network& net = cluster_->network();
-  net.Deliver(node, net.ShardOfNode(node), [this, hop] { Serve(hop); });
+  network_->DeliverToNode(node, [this, hop] { Serve(hop); });
 }
 
 void GetStrategy::Serve(Hop* hop) {
-  kv::DocStoreNode& server = cluster_->node(hop->node);
   auto reply = [this, hop](Status status, DurationNs hint) {
-    cluster_->network().Deliver(hop->node, hop->home,
-                                [this, hop, status, hint] { OnReply(hop, status, hint); });
+    network_->Deliver(hop->node, hop->home,
+                      [this, hop, status, hint] { OnReply(hop, status, hint); });
   };
   if (hop->degraded) {
-    server.HandleDegradedGet(hop->key, hop->deadline, reply, hop->trace);
+    store_->HandleDegradedGet(hop->node, hop->key, hop->deadline, reply, hop->trace);
   } else {
-    server.HandleGetWithHint(hop->key, hop->deadline, reply, hop->trace, hop->tenant);
+    store_->HandleGetWithHint(hop->node, hop->key, hop->deadline, reply, hop->trace,
+                              hop->tenant);
   }
 }
 
@@ -63,7 +62,7 @@ tenant::ReplicaGroup GetStrategy::RouteReplicas(uint64_t key, tenant::TenantId t
       tenant < placement_->num_tenants()) {
     return placement_->group(tenant);
   }
-  return cluster_->ReplicasOf(key);
+  return store_->ReplicasOf(key);
 }
 
 obs::TraceContext GetStrategy::BeginTrace() {

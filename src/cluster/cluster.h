@@ -1,20 +1,24 @@
 // A replicated DocStore deployment: N nodes, every key replicated on 3 of
-// them (§3.1's deployment model), one shared network.
+// them (§3.1's deployment model), one shared network. The client strategies
+// reach it through the kv::ReplicatedStore seam, which forwards each get to
+// the node's DocStoreNode.
 
 #ifndef MITTOS_CLUSTER_CLUSTER_H_
 #define MITTOS_CLUSTER_CLUSTER_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/network.h"
 #include "src/kv/doc_store_node.h"
+#include "src/kv/replicated_store.h"
 #include "src/sim/simulator.h"
 #include "src/tenant/placement.h"
 
 namespace mitt::cluster {
 
-class Cluster {
+class Cluster final : public kv::ReplicatedStore {
  public:
   struct Options {
     int num_nodes = 20;
@@ -40,8 +44,8 @@ class Cluster {
   Cluster(sim::ShardedEngine* engine, const Options& options);
 
   kv::DocStoreNode& node(int i) { return *nodes_[static_cast<size_t>(i)]; }
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  Network& network() { return *network_; }
+  int num_nodes() const override { return static_cast<int>(nodes_.size()); }
+  Network& network() override { return *network_; }
   const Options& options() const { return options_; }
 
   // Shard owning node i (0 when built on a plain Simulator).
@@ -50,7 +54,16 @@ class Cluster {
   // The `replication` nodes holding `key`, primary first (at most
   // ReplicaGroup::kMaxReplication; a fixed array, so routing allocates
   // nothing).
-  tenant::ReplicaGroup ReplicasOf(uint64_t key) const;
+  tenant::ReplicaGroup ReplicasOf(uint64_t key) const override;
+
+  void HandleGetWithHint(int n, uint64_t key, DurationNs deadline, kv::RichReplyFn reply,
+                         obs::TraceContext trace, tenant::TenantId tenant) override {
+    node(n).HandleGetWithHint(key, deadline, std::move(reply), trace, tenant);
+  }
+  void HandleDegradedGet(int n, uint64_t key, DurationNs deadline, kv::RichReplyFn reply,
+                         obs::TraceContext trace) override {
+    node(n).HandleDegradedGet(key, deadline, std::move(reply), trace);
+  }
 
   // Warms every node's cache to the given fraction of its dataset.
   void WarmAll(double fraction);

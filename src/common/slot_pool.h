@@ -16,8 +16,8 @@
 //
 // Owners: Os (syscall-layer descriptors), DiskModel (NVRAM destages), SsdGc
 // (garbage-collection IOs), GetStrategy (client hop records), MittosStrategy
-// and TimeoutStrategy (per-Get state), DocStoreNode (server request
-// records). Pools start empty and grow one block at a time. A pool is
+// and TimeoutStrategy (per-Get state), DocStoreNode and LsmNode (server
+// request records). Pools start empty and grow one block at a time. A pool is
 // touched by one thread only: the shard its owner runs on.
 
 #ifndef MITTOS_COMMON_SLOT_POOL_H_

@@ -73,8 +73,8 @@ struct ClassAgg {
 // Everything one shard's drivers write during a run: the shard's own
 // strategy instance (salted seed stream) and harvest sinks. Clients and
 // arrivals drive their home shard's strategy only, and replies route back to
-// the request's home shard (client/strategy.cc, kv/ring_coordinator.cc), so
-// every mutation is single-threaded within a window.
+// the request's home shard (client/strategy.cc), so every mutation is
+// single-threaded within a window.
 struct ShardCtx {
   sim::Simulator* sim = nullptr;
   std::unique_ptr<client::GetStrategy> strategy;

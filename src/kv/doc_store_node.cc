@@ -46,14 +46,6 @@ void DocStoreNode::CrashRestart(DurationNs downtime) {
   cpu_->PauseFor(downtime);
 }
 
-void DocStoreNode::HandleGet(uint64_t key, DurationNs deadline,
-                             std::function<void(Status)> reply, obs::TraceContext trace,
-                             uint32_t tenant) {
-  HandleGetWithHint(
-      key, deadline, [reply = std::move(reply)](Status s, DurationNs) { reply(s); }, trace,
-      tenant);
-}
-
 DocStoreNode::Request* DocStoreNode::NewRequest(uint64_t key, DurationNs deadline,
                                                 obs::TraceContext trace, RichReplyFn reply) {
   Request* r = requests_.Acquire();

@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "src/cluster/cpu_pool.h"
-#include "src/common/inline_function.h"
 #include "src/common/slot_pool.h"
 #include "src/common/status.h"
+#include "src/kv/replicated_store.h"
 #include "src/obs/trace.h"
 #include "src/os/os.h"
 #include "src/resilience/admission_gate.h"
@@ -79,16 +79,11 @@ class DocStoreNode {
   DocStoreNode& operator=(const DocStoreNode&) = delete;
 
   // Serves one get(). `deadline` of sched::kNoDeadline means no SLO (vanilla
-  // request). Replies with kOk or kEbusy. `trace` identifies the originating
+  // request). Replies with kOk or kEbusy; §7.8.1's extension: EBUSY replies
+  // carry the OS' predicted wait so the client can pick the least-busy
+  // replica when all replicas reject. `trace` identifies the originating
   // client request for src/obs/ (default: untraced); `tenant` attributes the
   // get to a tenant slot when accounting is enabled.
-  void HandleGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply,
-                 obs::TraceContext trace = {}, uint32_t tenant = kNoTenant);
-
-  // §7.8.1 extension: EBUSY replies carry the OS' predicted wait so the
-  // client can pick the least-busy replica when all replicas reject.
-  // Move-only with 48 bytes of inline capture (InlineFunction).
-  using RichReplyFn = InlineFunction<void(Status, DurationNs predicted_wait)>;
   void HandleGetWithHint(uint64_t key, DurationNs deadline, RichReplyFn reply,
                          obs::TraceContext trace = {}, uint32_t tenant = kNoTenant);
 

@@ -1,6 +1,7 @@
 #include "src/lsm/lsm_node.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -17,20 +18,36 @@ LsmNode::LsmNode(sim::Simulator* sim, int node_id, const Options& options)
   lsm_ = std::make_unique<LsmTree>(sim_, os_.get(), options_.lsm);
 }
 
-void LsmNode::HandleGet(uint64_t key, DurationNs deadline,
-                        std::function<void(Status)> reply) {
-  cpu_->Execute(options_.handler_cpu / 2, [this, key, deadline, reply = std::move(reply)] {
-    lsm_->Get(key, deadline, [this, reply = std::move(reply)](Status s) {
+LsmNode::Request* LsmNode::NewRequest(uint64_t key, DurationNs deadline,
+                                      kv::RichReplyFn reply) {
+  Request* r = requests_.Acquire();
+  r->key = key;
+  r->deadline = deadline;
+  r->reply = std::move(reply);
+  return r;
+}
+
+void LsmNode::Finish(Request* r, Status status) {
+  cpu_->Execute(options_.handler_cpu / 2, [this, r, status] {
+    kv::RichReplyFn reply = std::move(r->reply);
+    requests_.Release(r);
+    reply(status, 0);
+  });
+}
+
+void LsmNode::HandleGetWithHint(uint64_t key, DurationNs deadline, kv::RichReplyFn reply) {
+  Request* r = NewRequest(key, deadline, std::move(reply));
+  cpu_->Execute(options_.handler_cpu / 2, [this, r] {
+    lsm_->Get(r->key, r->deadline, [this, r](Status s) {
       if (s.busy()) {
         ++ebusy_returned_;
       }
-      cpu_->Execute(options_.handler_cpu / 2, [reply, s] { reply(s); });
+      Finish(r, s);
     });
   });
 }
 
-void LsmNode::HandleDegradedGet(uint64_t key, DurationNs deadline,
-                                std::function<void(Status)> reply) {
+void LsmNode::HandleDegradedGet(uint64_t key, DurationNs deadline, kv::RichReplyFn reply) {
   const obs::TraceContext gate_trace{0, node_id_};
   if (!degraded_gate_.TryAdmit()) {
     if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled()) {
@@ -39,8 +56,7 @@ void LsmNode::HandleDegradedGet(uint64_t key, DurationNs deadline,
     if (obs::MetricsRegistry* m = sim_->metrics()) {
       m->counter("resilience_shed_total", node_id_).Add();
     }
-    cpu_->Execute(options_.handler_cpu / 2,
-                  [reply = std::move(reply)] { reply(Status::Unavailable()); });
+    Finish(NewRequest(key, deadline, std::move(reply)), Status::Unavailable());
     return;
   }
   if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled()) {
@@ -53,30 +69,25 @@ void LsmNode::HandleDegradedGet(uint64_t key, DurationNs deadline,
   if (first < 0 || first > options_.degraded_deadline_cap) {
     first = options_.degraded_deadline_cap;
   }
-  cpu_->Execute(options_.handler_cpu / 2,
-                [this, key, first, reply = std::move(reply)]() mutable {
-                  DegradedAttempt(key, first, 0, std::move(reply));
-                });
+  Request* r = NewRequest(key, first, std::move(reply));
+  cpu_->Execute(options_.handler_cpu / 2, [this, r] { DegradedAttempt(r); });
 }
 
-void LsmNode::DegradedAttempt(uint64_t key, DurationNs deadline, int attempt,
-                              std::function<void(Status)> reply) {
-  degraded_max_deadline_ = std::max(degraded_max_deadline_, deadline);
-  lsm_->Get(key, deadline, [this, key, deadline, attempt,
-                            reply = std::move(reply)](Status s) mutable {
-    if (!s.busy() || attempt + 1 >= options_.degraded_max_attempts) {
+void LsmNode::DegradedAttempt(Request* r) {
+  degraded_max_deadline_ = std::max(degraded_max_deadline_, r->deadline);
+  lsm_->Get(r->key, r->deadline, [this, r](Status s) {
+    if (!s.busy() || r->attempt + 1 >= options_.degraded_max_attempts) {
       degraded_gate_.Release();
-      cpu_->Execute(options_.handler_cpu / 2, [reply = std::move(reply), s] { reply(s); });
+      Finish(r, s);
       return;
     }
     // The LSM path exposes no per-request wait hint; wait out the device
     // floor and escalate the (still bounded) deadline.
     const DurationNs wait = os_->MinDeviceLatency();
-    const DurationNs next = std::min(std::max(deadline * 2, wait + deadline),
-                                     options_.degraded_deadline_cap);
-    sim_->Schedule(wait, [this, key, next, attempt, reply = std::move(reply)]() mutable {
-      DegradedAttempt(key, next, attempt + 1, std::move(reply));
-    });
+    r->deadline = std::min(std::max(r->deadline * 2, wait + r->deadline),
+                           options_.degraded_deadline_cap);
+    ++r->attempt;
+    sim_->Schedule(wait, [this, r] { DegradedAttempt(r); });
   });
 }
 

@@ -5,10 +5,14 @@
 #ifndef MITTOS_LSM_LSM_NODE_H_
 #define MITTOS_LSM_LSM_NODE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "src/cluster/cpu_pool.h"
+#include "src/common/slot_pool.h"
+#include "src/kv/replicated_store.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/os/os.h"
 #include "src/resilience/admission_gate.h"
@@ -33,13 +37,16 @@ class LsmNode {
 
   LsmNode(sim::Simulator* sim, int node_id, const Options& options);
 
-  void HandleGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply);
+  // Serves one get through LevelDB's read path under `deadline`; replies
+  // kOk, kNotFound or kEbusy. The LSM read path carries no per-request wait
+  // hint, so every reply's hint is 0.
+  void HandleGetWithHint(uint64_t key, DurationNs deadline, kv::RichReplyFn reply);
 
   // Degraded read behind the shed gate: kUnavailable when over capacity;
   // admitted reads retry EBUSY with escalated (capped, never disabled)
-  // deadlines. The LSM read path carries no per-request wait hints, so the
-  // inter-attempt wait uses the device floor.
-  void HandleDegradedGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply);
+  // deadlines. With no wait hint to go on, the inter-attempt wait uses the
+  // device floor. Replies carry hint 0.
+  void HandleDegradedGet(uint64_t key, DurationNs deadline, kv::RichReplyFn reply);
 
   void HandlePut(uint64_t key, std::function<void(Status)> reply);
 
@@ -52,8 +59,25 @@ class LsmNode {
   DurationNs degraded_max_deadline() const { return degraded_max_deadline_; }
 
  private:
-  void DegradedAttempt(uint64_t key, DurationNs deadline, int attempt,
-                       std::function<void(Status)> reply);
+  // One get being served, from its arrival to the reply burst. LsmTree's
+  // callbacks are copyable std::functions, so they capture {this, record}
+  // and the move-only reply stays here. Pooled; released before `reply`
+  // runs.
+  struct Request {
+    uint64_t key = 0;
+    DurationNs deadline = 0;
+    int attempt = 0;  // Degraded path: reads issued so far.
+    kv::RichReplyFn reply;
+    uint32_t pool_slot = 0;
+    uint32_t pool_epoch = 0;
+  };
+  static constexpr size_t kRequestBlock = 64;
+
+  Request* NewRequest(uint64_t key, DurationNs deadline, kv::RichReplyFn reply);
+  // Queues the reply-serialization burst, then releases the record and
+  // replies.
+  void Finish(Request* r, Status status);
+  void DegradedAttempt(Request* r);
 
   sim::Simulator* sim_;
   int node_id_;
@@ -64,6 +88,7 @@ class LsmNode {
   uint64_t ebusy_returned_ = 0;
   resilience::AdmissionGate degraded_gate_;
   DurationNs degraded_max_deadline_ = 0;
+  SlotPool<Request, kRequestBlock> requests_;
 };
 
 }  // namespace mitt::lsm

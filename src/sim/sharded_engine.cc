@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 
 namespace mitt::sim {
@@ -663,28 +661,11 @@ bool ShardedEngine::RunLoop(const std::function<bool()>& pred) {
   // RunUntilPredicate round): resync every cached frontier once; inside the
   // loop only shards that moved are re-read.
   RefreshAllShards();
-  const bool debug_timing = std::getenv("MITT_ENGINE_TIMING") != nullptr;
-  double drain_sec = 0, exec_sec = 0;
-  const auto loop_t0 = std::chrono::steady_clock::now();
   for (;;) {
     if (dirty_count_.load(std::memory_order_relaxed) != 0) {
-      const auto t0 = std::chrono::steady_clock::now();
       DrainMailboxes();
-      if (debug_timing) {
-        drain_sec += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      }
     }
     if (pred != nullptr && pred()) {
-      if (debug_timing) {
-        const double total =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - loop_t0).count();
-        std::fprintf(stderr,
-                     "[engine] total=%.2fs drain=%.2fs exec=%.2fs other=%.2fs "
-                     "windows=%llu fused=%llu\n",
-                     total, drain_sec, exec_sec, total - drain_sec - exec_sec,
-                     static_cast<unsigned long long>(windows_),
-                     static_cast<unsigned long long>(fused_windows_));
-      }
       return true;
     }
     if (nd_total_ == 0) {
@@ -743,11 +724,7 @@ bool ShardedEngine::RunLoop(const std::function<bool()>& pred) {
         windows_since_rebalance_ >= static_cast<uint64_t>(rebalance_period_)) {
       Rebalance();
     }
-    const auto e0 = std::chrono::steady_clock::now();
     ExecuteWindow(window_end);
-    if (debug_timing) {
-      exec_sec += std::chrono::duration<double>(std::chrono::steady_clock::now() - e0).count();
-    }
     window_end_ = 0;  // Quiesced: no clamp floor between windows.
     for (const int s : ready_shards_) {
       RefreshShard(s);

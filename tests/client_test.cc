@@ -7,6 +7,7 @@
 #include "src/client/hedged.h"
 #include "src/client/mittos_client.h"
 #include "src/client/timeout.h"
+#include "src/cluster/cluster.h"
 #include "src/noise/noise_injector.h"
 #include "src/sim/simulator.h"
 

@@ -134,7 +134,7 @@ TEST_F(DocStoreNodeTest, CachedGetIsSubMillisecond) {
   node.WarmCache(1.0);
   TimeNs done = -1;
   Status status = Status::Internal();
-  node.HandleGet(42, sched::kNoDeadline, [&](Status s) {
+  node.HandleGetWithHint(42, sched::kNoDeadline, [&](Status s, DurationNs) {
     status = s;
     done = sim_.Now();
   });
@@ -147,7 +147,7 @@ TEST_F(DocStoreNodeTest, UncachedGetHitsDisk) {
   kv::DocStoreNode::Options opt = SmallNodeOptions();
   kv::DocStoreNode node(&sim_, 0, opt);
   TimeNs done = -1;
-  node.HandleGet(42, sched::kNoDeadline, [&](Status) { done = sim_.Now(); });
+  node.HandleGetWithHint(42, sched::kNoDeadline, [&](Status, DurationNs) { done = sim_.Now(); });
   sim_.RunUntilPredicate([&] { return done >= 0; });
   EXPECT_GT(done, kMillisecond);
 }
@@ -160,7 +160,7 @@ TEST_F(DocStoreNodeTest, MmapPathUsesAddrCheckEbusy) {
   node.os().DropCachedFraction(1.0);  // Everything swapped out.
   Status status = Status::Internal();
   TimeNs done = -1;
-  node.HandleGet(42, Micros(100), [&](Status s) {
+  node.HandleGetWithHint(42, Micros(100), [&](Status s, DurationNs) {
     status = s;
     done = sim_.Now();
   });
@@ -187,7 +187,7 @@ TEST_F(DocStoreNodeTest, ReadPathPropagatesDeadline) {
   }
   Status status = Status::Internal();
   TimeNs done = -1;
-  node.HandleGet(7, Millis(15), [&](Status s) {
+  node.HandleGetWithHint(7, Millis(15), [&](Status s, DurationNs) {
     status = s;
     done = sim_.Now();
   });
@@ -204,7 +204,7 @@ TEST_F(DocStoreNodeTest, ExceptionPathCostsMore) {
     opt.exception_on_ebusy = exceptions;
     kv::DocStoreNode node(&sim, 0, opt);
     TimeNs done = -1;
-    node.HandleGet(42, Micros(50), [&](Status) { done = sim.Now(); });
+    node.HandleGetWithHint(42, Micros(50), [&](Status, DurationNs) { done = sim.Now(); });
     sim.RunUntilPredicate([&] { return done >= 0; });
     return done;
   };
@@ -242,15 +242,14 @@ TEST(ShardedClusterTest, CrossShardGetsAreBitIdenticalAcrossWorkerCounts) {
       engine.shard(0)->ScheduleAt(Micros(10) * (n + 1), [&engine, &cluster, &done,
                                                          &completed, n] {
         cluster.network().DeliverToNode(n, [&engine, &cluster, &done, &completed, n] {
-          cluster.node(n).HandleGet(static_cast<uint64_t>(n) * 17, Millis(20),
-                                    [&engine, &cluster, &done, &completed, n](Status) {
-                                      cluster.network().Deliver(
-                                          n, /*dst_shard=*/0,
-                                          [&engine, &done, &completed, n] {
-                                            done[n] = engine.shard(0)->Now();
-                                            ++completed;
-                                          });
-                                    });
+          cluster.node(n).HandleGetWithHint(
+              static_cast<uint64_t>(n) * 17, Millis(20),
+              [&engine, &cluster, &done, &completed, n](Status, DurationNs) {
+                cluster.network().Deliver(n, /*dst_shard=*/0, [&engine, &done, &completed, n] {
+                  done[n] = engine.shard(0)->Now();
+                  ++completed;
+                });
+              });
         });
       });
     }

@@ -4,7 +4,8 @@
 #include <numeric>
 #include <vector>
 
-#include "src/kv/ring_coordinator.h"
+#include "src/client/mittos_client.h"
+#include "src/kv/lsm_ring.h"
 #include "src/lsm/bloom.h"
 #include "src/lsm/lsm_node.h"
 #include "src/lsm/lsm_tree.h"
@@ -194,51 +195,53 @@ TEST_F(LsmTreeTest, EbusyPropagatesFromReadPath) {
   EXPECT_LT(done, kMillisecond);  // Fast rejection, no queueing.
 }
 
+// The LSM ring under the MittOS client: the same EBUSY failover walk the
+// DocStore cluster runs.
 class RingTest : public ::testing::Test {
  protected:
-  void Build(bool mitt_enabled) {
+  void Build() {
     network_ = std::make_unique<cluster::Network>(&sim_, cluster::NetworkParams{}, 5);
     std::vector<uint64_t> keys(20000);
     std::iota(keys.begin(), keys.end(), 0);
     for (int i = 0; i < 3; ++i) {
       LsmNode::Options opt;
       opt.os.backend = os::BackendKind::kDiskCfq;
-      opt.os.mitt_enabled = mitt_enabled;
+      opt.os.mitt_enabled = true;
       nodes_.push_back(std::make_unique<LsmNode>(&sim_, i, opt));
       nodes_.back()->lsm().BulkLoad(keys);
     }
-    kv::RingCoordinator::Options copt;
-    copt.deadline = Millis(12);
-    copt.mitt_enabled = mitt_enabled;
-    coordinator_ = std::make_unique<kv::RingCoordinator>(
-        &sim_,
-        std::vector<LsmNode*>{nodes_[0].get(), nodes_[1].get(), nodes_[2].get()},
-        network_.get(), copt);
+    ring_ = std::make_unique<kv::LsmRing>(
+        &sim_, std::vector<LsmNode*>{nodes_[0].get(), nodes_[1].get(), nodes_[2].get()},
+        network_.get());
+    client::MittosStrategy::Options mopt;
+    mopt.deadline = Millis(12);
+    mittos_ = std::make_unique<client::MittosStrategy>(&sim_, ring_.get(), 1, mopt);
   }
 
   sim::Simulator sim_;
   std::unique_ptr<cluster::Network> network_;
   std::vector<std::unique_ptr<LsmNode>> nodes_;
-  std::unique_ptr<kv::RingCoordinator> coordinator_;
+  std::unique_ptr<kv::LsmRing> ring_;
+  std::unique_ptr<client::MittosStrategy> mittos_;
 };
 
 TEST_F(RingTest, GetSucceedsQuietCluster) {
-  Build(true);
+  Build();
   Status status = Status::Internal();
   TimeNs done = -1;
-  coordinator_->Get(123, [&](Status s) {
-    status = s;
+  mittos_->Get(123, [&](const client::GetResult& r) {
+    status = r.status;
     done = sim_.Now();
   });
   sim_.RunUntilPredicate([&] { return done >= 0; });
   EXPECT_TRUE(status.ok());
-  EXPECT_EQ(coordinator_->failovers(), 0u);
+  EXPECT_EQ(mittos_->ebusy_failovers(), 0u);
 }
 
 TEST_F(RingTest, EbusyTriggersReplicaFailover) {
-  Build(true);
+  Build();
   // Saturate the primary replica of key 123.
-  const int primary = coordinator_->ReplicasOf(123)[0];
+  const int primary = ring_->ReplicasOf(123)[0];
   os::Os& primary_os = nodes_[static_cast<size_t>(primary)]->os();
   const uint64_t noise_file = primary_os.CreateFile(100LL << 30);
   for (int i = 0; i < 40; ++i) {
@@ -253,21 +256,21 @@ TEST_F(RingTest, EbusyTriggersReplicaFailover) {
   Status status = Status::Internal();
   TimeNs done = -1;
   const TimeNs start = sim_.Now();
-  coordinator_->Get(123, [&](Status s) {
-    status = s;
+  mittos_->Get(123, [&](const client::GetResult& r) {
+    status = r.status;
     done = sim_.Now();
   });
   sim_.RunUntilPredicate([&] { return done >= 0; });
   EXPECT_TRUE(status.ok());
-  EXPECT_GE(coordinator_->failovers(), 1u);
+  EXPECT_GE(mittos_->ebusy_failovers(), 1u);
   EXPECT_LT(done - start, Millis(15));  // No waiting on the busy primary.
 }
 
 TEST_F(RingTest, PutReplicatesAndAcks) {
-  Build(true);
+  Build();
   Status status = Status::Internal();
   TimeNs done = -1;
-  coordinator_->Put(55, [&](Status s) {
+  ring_->Put(55, [&](Status s) {
     status = s;
     done = sim_.Now();
   });

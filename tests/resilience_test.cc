@@ -9,14 +9,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
 #include "src/client/mittos_client.h"
 #include "src/client/timeout.h"
+#include "src/cluster/cluster.h"
 #include "src/fault/fault_plan.h"
 #include "src/harness/scenario_runner.h"
-#include "src/kv/ring_coordinator.h"
+#include "src/kv/lsm_ring.h"
 #include "src/lsm/lsm_node.h"
 #include "src/noise/noise_injector.h"
 #include "src/obs/export.h"
@@ -473,8 +475,10 @@ TEST(ResilientTenantTest, RoutesViaPlacementGroupAndSendsClassSlo) {
   EXPECT_EQ(res.max_sent_deadline(), Millis(40));
 }
 
-// ---------------------------------------------- Ring coordinator, all-EBUSY
+// ---------------------------------------------------- LSM ring, all-EBUSY
 
+// The LSM ring under the MittOS client: kMittos (the paper's walk) or
+// kResilient.
 class RingResilienceTest : public ::testing::Test {
  protected:
   void Build(bool resilience_enabled) {
@@ -490,14 +494,15 @@ class RingResilienceTest : public ::testing::Test {
       nodes_.push_back(std::make_unique<lsm::LsmNode>(&sim_, i, opt));
       nodes_.back()->lsm().BulkLoad(keys);
     }
-    kv::RingCoordinator::Options copt;
-    copt.deadline = Millis(12);
-    copt.mitt_enabled = true;
-    copt.resilience_enabled = resilience_enabled;
-    coordinator_ = std::make_unique<kv::RingCoordinator>(
+    ring_ = std::make_unique<kv::LsmRing>(
         &sim_,
         std::vector<lsm::LsmNode*>{nodes_[0].get(), nodes_[1].get(), nodes_[2].get()},
-        network_.get(), copt);
+        network_.get());
+    client::MittosStrategy::Options mopt;
+    mopt.preset =
+        resilience_enabled ? client::MittosPreset::kResilient : client::MittosPreset::kMittos;
+    mopt.deadline = Millis(12);
+    mittos_ = std::make_unique<client::MittosStrategy>(&sim_, ring_.get(), 1, mopt);
   }
 
   void SaturateAllNodes() {
@@ -519,8 +524,8 @@ class RingResilienceTest : public ::testing::Test {
   Status RunOneGet(uint64_t key) {
     Status status = Status::Internal();
     TimeNs done = -1;
-    coordinator_->Get(key, [&](Status s) {
-      status = s;
+    mittos_->Get(key, [&](const client::GetResult& r) {
+      status = r.status;
       done = sim_.Now();
     });
     sim_.RunUntilPredicate([&] { return done >= 0; });
@@ -530,7 +535,8 @@ class RingResilienceTest : public ::testing::Test {
   sim::Simulator sim_;
   std::unique_ptr<cluster::Network> network_;
   std::vector<std::unique_ptr<lsm::LsmNode>> nodes_;
-  std::unique_ptr<kv::RingCoordinator> coordinator_;
+  std::unique_ptr<kv::LsmRing> ring_;
+  std::unique_ptr<client::MittosStrategy> mittos_;
 };
 
 TEST_F(RingResilienceTest, NaiveAllEbusyDisablesDeadlineOnLastTry) {
@@ -538,8 +544,8 @@ TEST_F(RingResilienceTest, NaiveAllEbusyDisablesDeadlineOnLastTry) {
   SaturateAllNodes();
   const Status status = RunOneGet(123);
   EXPECT_TRUE(status.ok());  // Completes, but only by dropping the SLO.
-  EXPECT_GE(coordinator_->failovers(), 2u);
-  EXPECT_GE(coordinator_->unbounded_tries(), 1u);  // The behaviour under audit.
+  EXPECT_GE(mittos_->ebusy_failovers(), 2u);
+  EXPECT_GE(mittos_->unbounded_tries(), 1u);  // The behaviour under audit.
 }
 
 TEST_F(RingResilienceTest, ResilientAllEbusyCompletesWithBoundedDeadlines) {
@@ -547,50 +553,41 @@ TEST_F(RingResilienceTest, ResilientAllEbusyCompletesWithBoundedDeadlines) {
   SaturateAllNodes();
   const Status status = RunOneGet(123);
   EXPECT_TRUE(status.ok());  // 0 user-visible errors in the all-busy world.
-  EXPECT_EQ(coordinator_->unbounded_tries(), 0u);
-  EXPECT_GE(coordinator_->degraded_gets(), 1u);
-  EXPECT_GE(coordinator_->max_sent_deadline(), 0);
-  EXPECT_LE(coordinator_->max_sent_deadline(), Seconds(2));
+  EXPECT_EQ(mittos_->unbounded_tries(), 0u);
+  EXPECT_GE(mittos_->degraded_gets(), 1u);
+  EXPECT_GE(mittos_->max_sent_deadline(), 0);
+  EXPECT_LE(mittos_->max_sent_deadline(), Seconds(2));
 }
 
 TEST_F(RingResilienceTest, ResilientQuietClusterStaysOnFastPath) {
   Build(true);
   const Status status = RunOneGet(123);
   EXPECT_TRUE(status.ok());
-  EXPECT_EQ(coordinator_->failovers(), 0u);
-  EXPECT_EQ(coordinator_->degraded_gets(), 0u);
+  EXPECT_EQ(mittos_->ebusy_failovers(), 0u);
+  EXPECT_EQ(mittos_->degraded_gets(), 0u);
 }
 
 // ---------------------------------------------- Done-exactly-once property
 
-// Satellite (b): every GetStrategy must call done exactly once per get, under
-// EBUSY races, timeout/backoff races, drop-retransmit races, and the degraded
-// path. ~1000 seeded get-shuffles across the strategy set.
+// Every GetStrategy must call done exactly once per get, under EBUSY races,
+// timeout/backoff races, drop-retransmit races, and the degraded path:
+// ~1000 seeded get-shuffles across the strategy set, on each store.
 class DoneOncePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
-  const uint64_t seed = GetParam();
+// One store's drill: one noisy node plus lossy links (drops are modeled as
+// lost-then-retransmitted, so late replies race client timers), then
+// shuffled rounds of gets through Base, MittOS, MittOS+wait and MittOS+res.
+void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, kv::ReplicatedStore& store,
+                   os::Os& noisy_os, int64_t num_keys) {
   Rng rng(seed);
-  sim::Simulator sim;
-  cluster::Cluster::Options copt;
-  copt.num_nodes = 3;
-  copt.node.num_keys = 1 << 16;
-  copt.node.os.backend = os::BackendKind::kDiskCfq;
-  copt.node.os.mitt_enabled = true;
-  copt.seed = seed;
-  cluster::Cluster cluster(&sim, copt);
-
-  // A hostile world: one noisy node plus lossy links (drops are modeled as
-  // lost-then-retransmitted, so late replies race client timers).
-  kv::DocStoreNode& noisy = cluster.node(static_cast<int>(seed % 3));
   const int64_t size = 100LL << 30;
-  const uint64_t file = noisy.os().CreateFile(size);
+  const uint64_t file = noisy_os.CreateFile(size);
   noise::IoNoiseInjector::Options nopt;
-  noise::IoNoiseInjector injector(&sim, &noisy.os(), file, size,
+  noise::IoNoiseInjector injector(&sim, &noisy_os, file, size,
                                   {noise::NoiseEpisode{0, Seconds(30), 3}}, nopt, seed + 7);
   injector.Start();
-  cluster.network().SetLinkDropProbability(cluster::Network::kNoPeer,
-                                           0.05 + 0.1 * rng.Uniform(0.0, 1.0));
+  store.network().SetLinkDropProbability(cluster::Network::kNoPeer,
+                                         0.05 + 0.1 * rng.Uniform(0.0, 1.0));
 
   client::TimeoutStrategy::Options topt;
   topt.timeout = Millis(12);
@@ -601,10 +598,10 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
   client::MittosStrategy::Options ropt = mopt;
   ropt.preset = client::MittosPreset::kResilient;
   ropt.health.min_samples = 4;
-  client::TimeoutStrategy timeout(&sim, &cluster, seed, topt);
-  client::MittosStrategy mittos(&sim, &cluster, seed, mopt);
-  client::MittosStrategy mittos_wait(&sim, &cluster, seed, wopt);
-  client::MittosStrategy resilient(&sim, &cluster, seed, ropt);
+  client::TimeoutStrategy timeout(&sim, &store, seed, topt);
+  client::MittosStrategy mittos(&sim, &store, seed, mopt);
+  client::MittosStrategy mittos_wait(&sim, &store, seed, wopt);
+  client::MittosStrategy resilient(&sim, &store, seed, ropt);
   std::vector<client::GetStrategy*> strategies = {&timeout, &mittos, &mittos_wait, &resilient};
 
   sim.RunUntil(Millis(50));
@@ -622,7 +619,7 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
     for (client::GetStrategy* strategy : strategies) {
       calls.push_back(0);
       int* slot = &calls.back();
-      strategy->Get(rng.UniformInt(0, copt.node.num_keys - 1),
+      strategy->Get(rng.UniformInt(0, num_keys - 1),
                     [slot, &completed](const client::GetResult&) {
                       ++*slot;
                       ++completed;
@@ -636,6 +633,41 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
   ASSERT_EQ(calls.size(), strategies.size() * kGetsPerStrategy);
   for (size_t i = 0; i < calls.size(); ++i) {
     EXPECT_EQ(calls[i], 1) << "get " << i << " seed " << seed;
+  }
+}
+
+TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
+  const uint64_t seed = GetParam();
+  constexpr int64_t kKeys = 1 << 16;
+  {
+    SCOPED_TRACE("DocStore cluster");
+    sim::Simulator sim;
+    cluster::Cluster::Options copt;
+    copt.num_nodes = 3;
+    copt.node.num_keys = kKeys;
+    copt.node.os.backend = os::BackendKind::kDiskCfq;
+    copt.node.os.mitt_enabled = true;
+    copt.seed = seed;
+    cluster::Cluster cluster(&sim, copt);
+    DrillDoneOnce(seed, sim, cluster, cluster.node(static_cast<int>(seed % 3)).os(), kKeys);
+  }
+  {
+    SCOPED_TRACE("LSM ring");
+    sim::Simulator sim;
+    cluster::Network network(&sim, cluster::NetworkParams{}, seed ^ 0xBEEF);
+    std::vector<uint64_t> keys(static_cast<size_t>(kKeys));
+    std::iota(keys.begin(), keys.end(), 0);
+    std::vector<std::unique_ptr<lsm::LsmNode>> nodes;
+    for (int i = 0; i < 3; ++i) {
+      lsm::LsmNode::Options opt;
+      opt.os.backend = os::BackendKind::kDiskCfq;
+      opt.os.mitt_enabled = true;
+      opt.os.seed = seed ^ static_cast<uint64_t>(i);
+      nodes.push_back(std::make_unique<lsm::LsmNode>(&sim, i, opt));
+      nodes.back()->lsm().BulkLoad(keys);
+    }
+    kv::LsmRing ring(&sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network);
+    DrillDoneOnce(seed, sim, ring, nodes[seed % 3]->os(), kKeys);
   }
 }
 

@@ -397,7 +397,13 @@ TEST(ShardDeterminismTest, TraceExportIsByteIdenticalAcrossWorkerCounts) {
   };
   const harness::RunResult ref = run(1);
   ASSERT_EQ(ref.num_shards, 8);
+#ifdef MITT_OBS_DISABLED
+  // No span recording compiled in: nothing to keep and nothing to drop.
+  ASSERT_TRUE(ref.trace_spans.empty());
+  ASSERT_EQ(ref.trace_dropped, 0u);
+#else
   ASSERT_GT(ref.trace_dropped, 0u) << "ring must wrap to exercise drop-oldest";
+#endif
   const std::string ref_json = obs::ChromeTraceJson(ref.trace_spans, "scale");
   for (const int workers : {2, 8}) {
     const harness::RunResult r = run(workers);
