@@ -102,20 +102,21 @@ RiakRun RunRing(bool mitt_enabled, uint64_t seed) {
     }
     return false;
   };
-  auto sample = std::make_shared<std::function<void(uint64_t)>>();
-  *sample = [&, sample, bucket_noisy](uint64_t last_ebusy) {
+  // The sampler and `issue` below re-enter themselves by reference; `sim`
+  // runs none of their pending events after the run below returns.
+  std::function<void(uint64_t)> sample = [&](uint64_t last_ebusy) {
     if (completed >= kTarget) {
       return;
     }
     const uint64_t now_ebusy = nodes[0]->ebusy_returned();
     run.timeline.emplace_back(bucket_noisy(sim.Now() - Millis(500), sim.Now()),
                               now_ebusy - last_ebusy);
-    sim.ScheduleDaemon(Millis(500), [sample, now_ebusy] { (*sample)(now_ebusy); });
+    sim.ScheduleDaemon(Millis(500), [&sample, now_ebusy] { sample(now_ebusy); });
   };
-  sim.ScheduleDaemon(Millis(500), [sample] { (*sample)(0); });
+  sim.ScheduleDaemon(Millis(500), [&sample] { sample(0); });
 
-  auto issue = std::make_shared<std::function<void()>>();
-  *issue = [&, issue] {
+  // Issues a client's next get; re-entered from the completion of its last.
+  std::function<void()> issue = [&] {
     if (issued >= kTarget) {
       return;
     }
@@ -125,18 +126,14 @@ RiakRun RunRing(bool mitt_enabled, uint64_t seed) {
     strategy.Get(key, [&, start](const client::GetResult&) {
       run.latencies.Record(sim.Now() - start);
       ++completed;
-      (*issue)();
+      issue();
     });
   };
   for (int c = 0; c < kClients; ++c) {
-    (*issue)();
+    issue();
   }
   sim.RunUntilPredicate([&] { return completed >= kTarget; });
   run.failovers = mittos.ebusy_failovers();
-  // Each self-rescheduling closure holds its own shared_ptr: break the
-  // cycles so the closures are freed.
-  *sample = nullptr;
-  *issue = nullptr;
   return run;
 }
 

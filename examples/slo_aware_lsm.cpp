@@ -52,8 +52,8 @@ int main() {
   size_t done = 0;
   size_t issued = 0;
   constexpr size_t kOps = 8000;
-  auto loop = std::make_shared<std::function<void()>>();
-  *loop = [&] {
+  // Issues a client's next op; re-entered from the completion of its last.
+  std::function<void()> loop = [&] {
     if (issued >= kOps) {
       return;
     }
@@ -64,17 +64,17 @@ int main() {
       mittos.Get(op.key, [&, start](const client::GetResult&) {
         read_latencies.Record(sim.Now() - start);
         ++done;
-        (*loop)();
+        loop();
       });
     } else {
       ring.Put(op.key, [&](Status) {
         ++done;
-        (*loop)();
+        loop();
       });
     }
   };
   for (int c = 0; c < 6; ++c) {
-    (*loop)();
+    loop();
   }
   sim.RunUntilPredicate([&] { return done >= kOps; });
 

@@ -10,7 +10,9 @@
 # below on both builds at MITT_TRIAL_WORKERS=1 and 4, and diffs them:
 #   - stdout of bench_fig3 .. bench_fig13, bench_allinone, bench_table1_nosql,
 #     bench_ablation_accuracy, bench_writes and bench_failslow;
-#   - stdout of examples/slo_aware_lsm (the LSM ring's Get+Put mix);
+#   - stdout of examples/slo_aware_lsm (the LSM ring's Get+Put mix) and of
+#     examples/quickstart, noisy_neighbor_cluster and deadline_tuning (the
+#     DocStore server path);
 #   - stdout and JSON scorecard of bench_resilience --chaos 8 (the CI
 #     resilience-chaos sweep, so the resilient walk's timeout, denied-retry,
 #     late-reply and backoff paths are compared), bench_tenant --small and
@@ -40,7 +42,8 @@ figs=(bench_fig3_dynamism bench_fig4_micro bench_fig5_ec2_cfq bench_fig6_scale b
       bench_fig8_ssd bench_fig9_accuracy bench_fig10_error_inject bench_fig11_macro
       bench_fig12_snitch bench_fig13_riak bench_allinone bench_table1_nosql
       bench_ablation_accuracy bench_writes bench_failslow)
-targets=("${figs[@]}" bench_resilience bench_tenant bench_replay chaos_tool slo_aware_lsm)
+examples=(slo_aware_lsm quickstart noisy_neighbor_cluster deadline_tuning)
+targets=("${figs[@]}" bench_resilience bench_tenant bench_replay chaos_tool "${examples[@]}")
 
 build() {  # <source dir> <build dir>
   echo "compare_outputs: building $1" >&2
@@ -69,7 +72,9 @@ outputs() {  # <build dir> <output dir> <trial workers>
     for b in "${figs[@]}"; do
       run "$bin/$b" "$b.out"
     done
-    run "$1/examples/slo_aware_lsm" slo_aware_lsm.out
+    for e in "${examples[@]}"; do
+      run "$1/examples/$e" "$e.out"
+    done
     run "$bin/bench_resilience" bench_resilience.out resilience.json --chaos 8
     run "$bin/bench_tenant" bench_tenant.out --small tenant.json
     sed -i '/ wall ---$/d' bench_tenant.out
@@ -81,7 +86,9 @@ outputs() {  # <build dir> <output dir> <trial workers>
     "$1/src/chaos_tool" replay "$repo"/tests/data/chaos_corpus/*.chaos > chaos_replay.out 2>&1 ||
       status=$?
     echo "exit $status" >> chaos_replay.out
-    rm -f stderr.log ./*.mitttrace
+    # Trace files the runs leave behind (the examples' Chrome traces) are
+    # not compared.
+    rm -f stderr.log ./*.mitttrace ./*_trace.json
   )
 }
 

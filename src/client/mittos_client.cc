@@ -14,10 +14,9 @@ constexpr int kMaxReplicas = tenant::ReplicaGroup::kMaxReplication;
 constexpr DurationNs kNoHint = -1;
 
 // kResilient's all-busy degradation: full degraded re-walks before giving
-// up, and the largest deadline a degraded attempt may carry (mirrors the
-// server-side escalation cap — bounded, never disabled).
+// up. A degraded attempt's deadline is capped at the server's escalation cap
+// (kv::StorageNode::kDegradedDeadlineCap) — bounded, never disabled.
 constexpr int kDegradedMaxRounds = 12;
-constexpr DurationNs kDegradedDeadlineCap = Seconds(2);
 
 // A replica is fail-slow only when its success latency alone breaks the SLO;
 // sub-deadline contention is the predictor's business, not the breaker's.
@@ -348,13 +347,13 @@ void MittosStrategy::DegradedNext(GetState* g, int round) {
   // Give the degraded server at least one full SLO to work with — bounded,
   // never disabled. When the replica's EBUSY told us its predicted wait, send
   // hint + SLO so the very first degraded attempt admits instead of burning a
-  // server-side reject/wait/escalate cycle; the cap mirrors the server's.
+  // server-side reject/wait/escalate cycle; the cap is the server's.
   DurationNs deadline =
       std::max(g->budget.unlimited() ? g->slo : g->budget.Remaining(sim_->Now()), g->slo);
   if (g->hops[index].hint != kNoHint) {
     deadline = std::max(deadline, g->hops[index].hint + g->slo);
   }
-  deadline = NoteSentDeadline(std::min(deadline, kDegradedDeadlineCap));
+  deadline = NoteSentDeadline(std::min(deadline, kv::StorageNode::kDegradedDeadlineCap));
   ++g->refs;
   SendDegradedGet(
       g->replicas.node[index], g->key, deadline,

@@ -43,11 +43,11 @@ void GetStrategy::Serve(Hop* hop) {
     network_->Deliver(hop->node, hop->home,
                       [this, hop, status, hint] { OnReply(hop, status, hint); });
   };
+  kv::StorageNode& node = store_->node(hop->node);
   if (hop->degraded) {
-    store_->HandleDegradedGet(hop->node, hop->key, hop->deadline, reply, hop->trace);
+    node.HandleDegradedGet(hop->key, hop->deadline, reply, hop->trace);
   } else {
-    store_->HandleGetWithHint(hop->node, hop->key, hop->deadline, reply, hop->trace,
-                              hop->tenant);
+    node.HandleGetWithHint(hop->key, hop->deadline, reply, hop->trace, hop->tenant);
   }
 }
 

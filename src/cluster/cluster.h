@@ -1,13 +1,12 @@
 // A replicated DocStore deployment: N nodes, every key replicated on 3 of
 // them (§3.1's deployment model), one shared network. The client strategies
-// reach it through the kv::ReplicatedStore seam, which forwards each get to
-// the node's DocStoreNode.
+// and the fault injector reach its DocStoreNodes through the
+// kv::ReplicatedStore seam.
 
 #ifndef MITTOS_CLUSTER_CLUSTER_H_
 #define MITTOS_CLUSTER_CLUSTER_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/cluster/network.h"
@@ -43,7 +42,7 @@ class Cluster final : public kv::ReplicatedStore {
   // this throws std::invalid_argument.
   Cluster(sim::ShardedEngine* engine, const Options& options);
 
-  kv::DocStoreNode& node(int i) { return *nodes_[static_cast<size_t>(i)]; }
+  kv::DocStoreNode& node(int i) override { return *nodes_[static_cast<size_t>(i)]; }
   int num_nodes() const override { return static_cast<int>(nodes_.size()); }
   Network& network() override { return *network_; }
   const Options& options() const { return options_; }
@@ -55,15 +54,6 @@ class Cluster final : public kv::ReplicatedStore {
   // ReplicaGroup::kMaxReplication; a fixed array, so routing allocates
   // nothing).
   tenant::ReplicaGroup ReplicasOf(uint64_t key) const override;
-
-  void HandleGetWithHint(int n, uint64_t key, DurationNs deadline, kv::RichReplyFn reply,
-                         obs::TraceContext trace, tenant::TenantId tenant) override {
-    node(n).HandleGetWithHint(key, deadline, std::move(reply), trace, tenant);
-  }
-  void HandleDegradedGet(int n, uint64_t key, DurationNs deadline, kv::RichReplyFn reply,
-                         obs::TraceContext trace) override {
-    node(n).HandleDegradedGet(key, deadline, std::move(reply), trace);
-  }
 
   // Warms every node's cache to the given fraction of its dataset.
   void WarmAll(double fraction);

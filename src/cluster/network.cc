@@ -70,7 +70,6 @@ void Network::DeliverHop(int src, int peer, int dst_shard, DeliverFn fn) {
   }
   // hop >= one_way - jitter == the engine lookahead, so the arrival time
   // clears the open window's horizon (Post clamps defensively regardless).
-  ++lane.cross_hops;
   engine_->Post(dst_shard, src_sim->Now() + hop, std::move(fn));
 }
 
@@ -162,14 +161,6 @@ uint64_t Network::messages_deferred() const {
   uint64_t total = 0;
   for (const Lane& lane : lanes_) {
     total += lane.deferred;
-  }
-  return total;
-}
-
-uint64_t Network::cross_shard_hops() const {
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) {
-    total += lane.cross_hops;
   }
   return total;
 }

@@ -114,7 +114,6 @@ class Network {
   uint64_t messages_delivered() const;
   uint64_t messages_dropped() const;   // Retransmitted.
   uint64_t messages_deferred() const;  // Partition-held.
-  uint64_t cross_shard_hops() const;
 
  private:
   struct LinkFault {
@@ -137,7 +136,6 @@ class Network {
     uint64_t delivered = 0;
     uint64_t dropped = 0;
     uint64_t deferred = 0;
-    uint64_t cross_hops = 0;
     std::vector<HeldMsg> held;  // Messages awaiting partition heal.
   };
 

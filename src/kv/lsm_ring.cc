@@ -20,26 +20,13 @@ tenant::ReplicaGroup LsmRing::ReplicasOf(uint64_t key) const {
   return replicas;
 }
 
-void LsmRing::HandleGetWithHint(int node, uint64_t key, DurationNs deadline, RichReplyFn reply,
-                                obs::TraceContext, tenant::TenantId) {
-  nodes_[static_cast<size_t>(node)]->HandleGetWithHint(key, deadline, std::move(reply));
-}
-
-void LsmRing::HandleDegradedGet(int node, uint64_t key, DurationNs deadline, RichReplyFn reply,
-                                obs::TraceContext) {
-  nodes_[static_cast<size_t>(node)]->HandleDegradedGet(key, deadline, std::move(reply));
-}
-
 void LsmRing::Put(uint64_t key, std::function<void(Status)> done) {
   auto first = std::make_shared<bool>(true);
   auto shared_done = std::make_shared<std::function<void(Status)>>(std::move(done));
   for (const int r : ReplicasOf(key)) {
-    lsm::LsmNode* node = nodes_[static_cast<size_t>(r)];
-    network_->Deliver(cluster::Network::kNoPeer, network_->ShardOfNode(r),
-                      [this, node, key, first, shared_done] {
-      node->HandlePut(key, [this, first, shared_done](Status s) {
-        network_->Deliver(cluster::Network::kNoPeer, home_shard_,
-                          [first, shared_done, s] {
+    network_->DeliverToNode(r, [this, r, key, first, shared_done] {
+      node(r).HandlePut(key, [this, r, first, shared_done](Status s) {
+        network_->Deliver(r, home_shard_, [first, shared_done, s] {
           if (*first) {
             *first = false;
             (*shared_done)(s);

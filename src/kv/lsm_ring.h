@@ -4,8 +4,8 @@
 // from LevelDB's block read fails the get over to the next replica at once,
 // and the last try disables the deadline; with client::TimeoutStrategy's
 // Base configuration the ring behaves like vanilla Riak (wait, no
-// deadline). The ring itself only places keys, dispatches gets onto the
-// nodes, and fans puts out.
+// deadline). The ring itself only places keys, hands out its nodes, and
+// fans puts out.
 
 #ifndef MITTOS_KV_LSM_RING_H_
 #define MITTOS_KV_LSM_RING_H_
@@ -30,15 +30,10 @@ class LsmRing final : public ReplicatedStore {
   int num_nodes() const override { return static_cast<int>(nodes_.size()); }
   tenant::ReplicaGroup ReplicasOf(uint64_t key) const override;
   cluster::Network& network() override { return *network_; }
-
-  // LSM nodes keep no spans or per-tenant counters, so `trace` and `tenant`
-  // go no further.
-  void HandleGetWithHint(int node, uint64_t key, DurationNs deadline, RichReplyFn reply,
-                         obs::TraceContext trace, tenant::TenantId tenant) override;
-  void HandleDegradedGet(int node, uint64_t key, DurationNs deadline, RichReplyFn reply,
-                         obs::TraceContext trace) override;
+  lsm::LsmNode& node(int i) override { return *nodes_[static_cast<size_t>(i)]; }
 
   // Replicated put: writes all replicas, acks after the first (Riak w=1).
+  // Both hops are tagged with the replica, so its per-link faults apply.
   void Put(uint64_t key, std::function<void(Status)> done);
 
  private:

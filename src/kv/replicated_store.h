@@ -1,8 +1,9 @@
-// The store seam under the client strategies (src/client/): what one
-// replicated get needs from whatever holds the replicas. Two stores
-// implement it — cluster::Cluster (DocStore nodes, §5's MongoDB integration)
-// and kv::LsmRing (LSM nodes, §5's LevelDB + Riak integration) — so one
-// EBUSY failover walk, client::MittosStrategy, serves both.
+// The store seam under the client strategies (src/client/) and the fault
+// injector (src/fault/): what one replicated get needs from whatever holds
+// the replicas. Two stores implement it — cluster::Cluster (DocStore nodes,
+// §5's MongoDB integration) and kv::LsmRing (LSM nodes, §5's LevelDB + Riak
+// integration) — and both hand out their nodes as kv::StorageNode, so one
+// EBUSY failover walk, client::MittosStrategy, and one injector serve both.
 
 #ifndef MITTOS_KV_REPLICATED_STORE_H_
 #define MITTOS_KV_REPLICATED_STORE_H_
@@ -10,19 +11,10 @@
 #include <cstdint>
 
 #include "src/cluster/network.h"
-#include "src/common/inline_function.h"
-#include "src/common/status.h"
-#include "src/common/time.h"
-#include "src/obs/trace.h"
-#include "src/sched/io_request.h"
+#include "src/kv/storage_node.h"
 #include "src/tenant/placement.h"
 
 namespace mitt::kv {
-
-// A server's reply to one get: the status plus, for EBUSY, the OS'
-// predicted wait (§7.8.1's interface extension; 0 when the server has no
-// hint). Move-only with 48 bytes of inline capture (InlineFunction).
-using RichReplyFn = InlineFunction<void(Status, DurationNs predicted_wait)>;
 
 class ReplicatedStore {
  public:
@@ -41,18 +33,8 @@ class ReplicatedStore {
   // network().ShardOfNode(n).
   virtual cluster::Network& network() = 0;
 
-  // Serves one get on `node`; called on the node's shard. `deadline` of
-  // sched::kNoDeadline means no SLO. Replies kOk, kNotFound or kEbusy (+
-  // wait hint). `trace` and `tenant` feed the server's spans and per-tenant
-  // accounting where it keeps them.
-  virtual void HandleGetWithHint(int node, uint64_t key, DurationNs deadline, RichReplyFn reply,
-                                 obs::TraceContext trace, tenant::TenantId tenant) = 0;
-
-  // The node's degraded read (all replicas rejected, src/resilience/):
-  // bounded admission behind a shed gate — kUnavailable when over capacity —
-  // and bounded escalating deadlines. Called on the node's shard.
-  virtual void HandleDegradedGet(int node, uint64_t key, DurationNs deadline, RichReplyFn reply,
-                                 obs::TraceContext trace) = 0;
+  // Node i's server; its handlers are called on shard network().ShardOfNode(i).
+  virtual StorageNode& node(int i) = 0;
 };
 
 }  // namespace mitt::kv

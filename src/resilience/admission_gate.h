@@ -4,7 +4,7 @@
 // bounded latency for unbounded queueing: under sustained overload every
 // client's last try piles onto one replica's queue with no admission control
 // at all. The gate makes the degraded path explicit and *bounded*: a node
-// accepts at most `max_inflight` degraded reads at a time; beyond that it
+// accepts at most `capacity` degraded reads at a time; beyond that it
 // sheds (Status::Unavailable + its wait hint) so the client can try the next
 // replica or back off, instead of growing an invisible convoy. Degraded
 // reads that are admitted still carry bounded deadlines (escalated per
@@ -17,19 +17,15 @@
 
 namespace mitt::resilience {
 
-struct AdmissionGateOptions {
-  // Maximum concurrently admitted degraded reads per node. Small by design:
-  // the degraded path exists to guarantee completion, not throughput.
-  int max_inflight = 8;
-};
-
 class AdmissionGate {
  public:
-  explicit AdmissionGate(const AdmissionGateOptions& options) : options_(options) {}
+  // `capacity`: the most reads admitted at once. Small by design: the
+  // degraded path exists to guarantee completion, not throughput.
+  explicit AdmissionGate(int capacity) : capacity_(capacity) {}
 
   // Returns true and takes a slot if the gate has capacity; false = shed.
   bool TryAdmit() {
-    if (inflight_ >= options_.max_inflight) {
+    if (inflight_ >= capacity_) {
       ++sheds_;
       return false;
     }
@@ -46,7 +42,7 @@ class AdmissionGate {
   uint64_t sheds() const { return sheds_; }
 
  private:
-  AdmissionGateOptions options_;
+  int capacity_;
   int inflight_ = 0;
   uint64_t admits_ = 0;
   uint64_t sheds_ = 0;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -17,6 +18,8 @@
 #include "src/fault/plan_serde.h"
 #include "src/fault/injector.h"
 #include "src/harness/experiment.h"
+#include "src/kv/lsm_ring.h"
+#include "src/lsm/lsm_node.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 
@@ -310,28 +313,48 @@ cluster::Cluster::Options SmallClusterOptions(int nodes) {
   return opt;
 }
 
-TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
-  sim::Simulator sim;
-  obs::Tracer tracer;
-  sim.set_tracer(&tracer);
-  cluster::Cluster c(&sim, SmallClusterOptions(2));
+// A 3-node LSM ring on disks (§5's LevelDB + Riak store).
+struct SmallRing {
+  explicit SmallRing(sim::Simulator* sim) : network(sim, cluster::NetworkParams{}, 5) {
+    std::vector<lsm::LsmNode*> members;
+    for (int i = 0; i < 3; ++i) {
+      lsm::LsmNode::Options opt;
+      opt.os.backend = os::BackendKind::kDiskCfq;
+      nodes.push_back(std::make_unique<lsm::LsmNode>(sim, i, opt));
+      members.push_back(nodes.back().get());
+    }
+    ring = std::make_unique<kv::LsmRing>(sim, members, &network);
+  }
+
+  cluster::Network network;
+  std::vector<std::unique_ptr<lsm::LsmNode>> nodes;
+  std::unique_ptr<kv::LsmRing> ring;
+};
+
+// A fail-slow disk on node 0 and a pause on node 1 of `store`: both apply,
+// heal and log, and show in the trace.
+void ExpectAppliesClearsAndLogs(sim::Simulator& sim, const obs::Tracer& tracer,
+                                kv::ReplicatedStore& store) {
   FaultPlanBuilder b;
   b.FailSlowDisk(/*node=*/0, Millis(1), Millis(4), 8.0);
   b.NodePause(/*node=*/1, Millis(2), Millis(3));
-  FaultInjector inj(&sim, &c, b.Build());
+  FaultInjector inj(&sim, &store, b.Build());
   inj.Start();
   // Fault events are daemons: a workload event must keep Run() alive past
   // the last episode end.
   bool saw_peak = false;
+  bool saw_pause = false;
   sim.Schedule(Millis(3), [&] {
-    saw_peak = c.node(0).os().disk()->service_time_multiplier() > 1.0;
+    saw_peak = store.node(0).os().disk()->service_time_multiplier() > 1.0;
+    saw_pause = store.node(1).cpu().paused();
   });
   sim.Schedule(Millis(10), [] {});
   sim.Run();
   EXPECT_TRUE(saw_peak);
+  EXPECT_TRUE(saw_pause);
   EXPECT_EQ(inj.episodes_begun(), 2u);
   EXPECT_EQ(inj.episodes_skipped(), 0u);
-  EXPECT_DOUBLE_EQ(c.node(0).os().disk()->service_time_multiplier(), 1.0);  // Healed.
+  EXPECT_DOUBLE_EQ(store.node(0).os().disk()->service_time_multiplier(), 1.0);  // Healed.
   ASSERT_EQ(inj.applied().size(), 2u);
   EXPECT_EQ(inj.applied()[0].kind, FaultKind::kFailSlowDisk);
   EXPECT_EQ(inj.applied()[0].start, Millis(1));
@@ -348,7 +371,58 @@ TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
     }
   }
   EXPECT_EQ(fault_spans, 2);
+#else
+  (void)tracer;
 #endif
+}
+
+TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
+  {
+    SCOPED_TRACE("DocStore cluster");
+    sim::Simulator sim;
+    obs::Tracer tracer;
+    sim.set_tracer(&tracer);
+    cluster::Cluster c(&sim, SmallClusterOptions(2));
+    ExpectAppliesClearsAndLogs(sim, tracer, c);
+  }
+  {
+    SCOPED_TRACE("LSM ring");
+    sim::Simulator sim;
+    obs::Tracer tracer;
+    sim.set_tracer(&tracer);
+    SmallRing world(&sim);
+    ExpectAppliesClearsAndLogs(sim, tracer, *world.ring);
+  }
+}
+
+// The ring's put hops are tagged with their replica: a partition on one
+// replica holds the hop to it until the heal, while the put acks from
+// another (Riak w=1).
+TEST(FaultInjectorTest, PartitionHoldsRingPutHopToThatReplica) {
+  sim::Simulator sim;
+  SmallRing world(&sim);
+  constexpr uint64_t kKey = 55;
+  FaultPlanBuilder b;
+  b.NetworkPartition(/*node=*/world.ring->ReplicasOf(kKey)[1], Millis(1), Millis(4));
+  FaultInjector inj(&sim, world.ring.get(), b.Build());
+  inj.Start();
+  Status status = Status::Internal();
+  TimeNs acked = -1;
+  sim.Schedule(Millis(2), [&] {
+    world.ring->Put(kKey, [&](Status s) {
+      status = s;
+      acked = sim.Now();
+    });
+  });
+  sim.Schedule(Millis(10), [] {});
+  sim.Run();
+  EXPECT_EQ(inj.episodes_begun(), 1u);
+  EXPECT_EQ(world.network.messages_deferred(), 1u);  // The request hop.
+  EXPECT_TRUE(status.ok());
+  EXPECT_LT(acked, Millis(5));  // Before the heal.
+  for (const auto& node : world.nodes) {
+    EXPECT_EQ(node->lsm().memtable_entries(), 1u);  // The held put landed at the heal.
+  }
 }
 
 TEST(FaultInjectorTest, SkipsEpisodesTheWorldCannotHost) {

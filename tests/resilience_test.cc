@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -108,9 +109,7 @@ TEST(BackoffTest, DecorrelatedJitterIsDeterministicAndBounded) {
 // ----------------------------------------------------------- AdmissionGate
 
 TEST(AdmissionGateTest, ShedsAtCapacityAndReopensOnRelease) {
-  resilience::AdmissionGateOptions opt;
-  opt.max_inflight = 2;
-  resilience::AdmissionGate gate(opt);
+  resilience::AdmissionGate gate(/*capacity=*/2);
   EXPECT_TRUE(gate.TryAdmit());
   EXPECT_TRUE(gate.TryAdmit());
   EXPECT_FALSE(gate.TryAdmit());  // Bounded: the convoy cannot grow.
@@ -475,6 +474,86 @@ TEST(ResilientTenantTest, RoutesViaPlacementGroupAndSendsClassSlo) {
   EXPECT_EQ(res.max_sent_deadline(), Millis(40));
 }
 
+// Queues 40 bypass-cache 1 MB reads on `os`'s disk, so MittCFQ rejects a get
+// that carries a 12 ms deadline.
+void SaturateDisk(os::Os& os) {
+  const uint64_t noise_file = os.CreateFile(100LL << 30);
+  for (int i = 0; i < 40; ++i) {
+    os::Os::ReadArgs args;
+    args.file = noise_file;
+    args.offset = static_cast<int64_t>(i) << 30;
+    args.size = 1 << 20;
+    args.pid = 99;
+    args.bypass_cache = true;
+    os.Read(args, nullptr);
+  }
+}
+
+// ------------------------------------- Degraded server path, both node types
+
+// kv::StorageNode's degraded read on a DocStore node and on an LSM node: the
+// shed gate and the escalating, capped deadlines are one code path.
+enum class NodeKind { kDocStore, kLsm };
+
+void PrintTo(NodeKind kind, std::ostream* os) {
+  *os << (kind == NodeKind::kDocStore ? "DocStore" : "Lsm");
+}
+
+class DegradedPathTest : public ::testing::TestWithParam<NodeKind> {
+ protected:
+  std::unique_ptr<kv::StorageNode> MakeNode() {
+    if (GetParam() == NodeKind::kDocStore) {
+      kv::DocStoreNode::Options opt;
+      opt.num_keys = 1 << 16;
+      opt.os.backend = os::BackendKind::kDiskCfq;
+      opt.os.mitt_enabled = true;
+      return std::make_unique<kv::DocStoreNode>(&sim_, 0, opt);
+    }
+    lsm::LsmNode::Options opt;
+    opt.os.backend = os::BackendKind::kDiskCfq;
+    opt.os.mitt_enabled = true;
+    auto node = std::make_unique<lsm::LsmNode>(&sim_, 0, opt);
+    std::vector<uint64_t> keys(20000);
+    std::iota(keys.begin(), keys.end(), 0);
+    node->lsm().BulkLoad(keys);
+    return node;
+  }
+
+  sim::Simulator sim_;
+};
+
+TEST_P(DegradedPathTest, ShedsOverCapacityAndEscalatesUnderTheCap) {
+  std::unique_ptr<kv::StorageNode> node = MakeNode();
+  SaturateDisk(node->os());
+  constexpr int kGets = kv::StorageNode::kDegradedMaxInflight + 2;
+  constexpr DurationNs kFirstDeadline = Millis(12);
+  std::vector<int> replies(kGets, 0);
+  int replied = 0;
+  int unavailable = 0;
+  for (int i = 0; i < kGets; ++i) {
+    node->HandleDegradedGet(static_cast<uint64_t>(i) * 997, kFirstDeadline,
+                            [&, i](Status s, DurationNs) {
+                              ++replies[static_cast<size_t>(i)];
+                              ++replied;
+                              unavailable += s.code() == StatusCode::kUnavailable ? 1 : 0;
+                            });
+  }
+  sim_.RunUntilPredicate([&] { return replied == kGets; });
+  sim_.Run();  // Drain: no request may reply twice.
+
+  EXPECT_EQ(node->degraded_admits(), static_cast<uint64_t>(kv::StorageNode::kDegradedMaxInflight));
+  EXPECT_EQ(node->degraded_sheds(), 2u);
+  EXPECT_EQ(unavailable, 2);
+  for (int i = 0; i < kGets; ++i) {
+    EXPECT_EQ(replies[static_cast<size_t>(i)], 1) << "get " << i;
+  }
+  EXPECT_GT(node->degraded_max_deadline(), kFirstDeadline);  // Escalated...
+  EXPECT_LE(node->degraded_max_deadline(), kv::StorageNode::kDegradedDeadlineCap);  // ...bounded.
+}
+
+INSTANTIATE_TEST_SUITE_P(NodeKinds, DegradedPathTest,
+                         ::testing::Values(NodeKind::kDocStore, NodeKind::kLsm));
+
 // ---------------------------------------------------- LSM ring, all-EBUSY
 
 // The LSM ring under the MittOS client: kMittos (the paper's walk) or
@@ -507,17 +586,7 @@ class RingResilienceTest : public ::testing::Test {
 
   void SaturateAllNodes() {
     for (auto& node : nodes_) {
-      os::Os& os = node->os();
-      const uint64_t noise_file = os.CreateFile(100LL << 30);
-      for (int i = 0; i < 40; ++i) {
-        os::Os::ReadArgs args;
-        args.file = noise_file;
-        args.offset = static_cast<int64_t>(i) << 30;
-        args.size = 1 << 20;
-        args.pid = 99;
-        args.bypass_cache = true;
-        os.Read(args, nullptr);
-      }
+      SaturateDisk(node->os());
     }
   }
 
