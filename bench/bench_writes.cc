@@ -31,7 +31,7 @@ LatencyRecorder RunWrites(bool with_noise) {
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
   if (with_noise) {
     for (int node = 0; node < 3; ++node) {
-      kv::DocStoreNode& n = cluster.node(node);
+      kv::StorageNode& n = cluster.node(node);
       const int64_t size = 100LL << 30;
       const uint64_t file = n.os().CreateFile(size);
       noise::IoNoiseInjector::Options nopt;

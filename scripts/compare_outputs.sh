@@ -10,7 +10,7 @@
 # below on both builds at MITT_TRIAL_WORKERS=1 and 4, and diffs them:
 #   - stdout of bench_fig3 .. bench_fig13, bench_allinone, bench_table1_nosql,
 #     bench_ablation_accuracy, bench_writes and bench_failslow;
-#   - stdout of examples/slo_aware_lsm (the LSM ring's Get+Put mix) and of
+#   - stdout of examples/slo_aware_lsm (an LSM cluster's Get+Put mix) and of
 #     examples/quickstart, noisy_neighbor_cluster and deadline_tuning (the
 #     DocStore server path);
 #   - stdout and JSON scorecard of bench_resilience --chaos 8 (the CI

@@ -12,10 +12,10 @@ constexpr double kInitialScoreNs = 5.0 * kMillisecond;
 
 }  // namespace
 
-SnitchStrategy::SnitchStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+SnitchStrategy::SnitchStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                                const Options& options)
-    : GetStrategy(sim, store, seed), options_(options) {
-  ewma_ns_.assign(static_cast<size_t>(store->num_nodes()), kInitialScoreNs);
+    : GetStrategy(sim, cluster, seed), options_(options) {
+  ewma_ns_.assign(static_cast<size_t>(cluster->num_nodes()), kInitialScoreNs);
   snapshot_ns_ = ewma_ns_;
   refresh_event_ = sim_->ScheduleDaemon(options_.update_interval, [this] { RefreshTick(); });
 }
@@ -60,12 +60,12 @@ void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
       BeginTrace());
 }
 
-C3Strategy::C3Strategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+C3Strategy::C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                        const Options& options)
-    : GetStrategy(sim, store, seed), options_(options) {
-  ewma_ns_.assign(static_cast<size_t>(store->num_nodes()), kInitialScoreNs);
-  outstanding_.assign(static_cast<size_t>(store->num_nodes()), 0);
-  last_update_.assign(static_cast<size_t>(store->num_nodes()), 0);
+    : GetStrategy(sim, cluster, seed), options_(options) {
+  ewma_ns_.assign(static_cast<size_t>(cluster->num_nodes()), kInitialScoreNs);
+  outstanding_.assign(static_cast<size_t>(cluster->num_nodes()), 0);
+  last_update_.assign(static_cast<size_t>(cluster->num_nodes()), 0);
 }
 
 double C3Strategy::Score(int node) const {

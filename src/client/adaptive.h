@@ -33,7 +33,7 @@ class SnitchStrategy : public GetStrategy {
     double badness_threshold = 0.1;
   };
 
-  SnitchStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+  SnitchStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                  const Options& options);
   ~SnitchStrategy() override;
 
@@ -55,7 +55,7 @@ class C3Strategy : public GetStrategy {
     DurationNs score_decay = Seconds(2);
   };
 
-  C3Strategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+  C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
              const Options& options);
 
   void Get(uint64_t key, GetDoneFn done) override;

@@ -4,8 +4,8 @@
 
 namespace mitt::client {
 
-CloneStrategy::CloneStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed)
-    : GetStrategy(sim, store, seed) {}
+CloneStrategy::CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
+    : GetStrategy(sim, cluster, seed) {}
 
 void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
   const auto replicas = Replicas(key);

@@ -12,7 +12,7 @@ namespace mitt::client {
 
 class CloneStrategy : public GetStrategy {
  public:
-  CloneStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed);
+  CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
 
   void Get(uint64_t key, GetDoneFn done) override;
 };

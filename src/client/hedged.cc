@@ -4,9 +4,9 @@
 
 namespace mitt::client {
 
-HedgedStrategy::HedgedStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+HedgedStrategy::HedgedStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                                const Options& options)
-    : GetStrategy(sim, store, seed), options_(options) {}
+    : GetStrategy(sim, cluster, seed), options_(options) {}
 
 void HedgedStrategy::Get(uint64_t key, GetDoneFn done) {
   const auto replicas = Replicas(key);

@@ -17,7 +17,7 @@ class HedgedStrategy : public GetStrategy {
     DurationNs hedge_delay = Millis(13);  // The p95 expected latency.
   };
 
-  HedgedStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+  HedgedStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                  const Options& options);
 
   void Get(uint64_t key, GetDoneFn done) override;

@@ -89,11 +89,11 @@ struct MittosStrategy::GetState {
   uint32_t pool_epoch = 0;
 };
 
-MittosStrategy::MittosStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                                const Options& options)
-    : GetStrategy(sim, store, seed),
+    : GetStrategy(sim, cluster, seed),
       options_(options),
-      health_(sim, store->num_nodes(), HealthWithSloFloor(options), seed ^ 0x4EA1'74C3ULL),
+      health_(sim, cluster->num_nodes(), HealthWithSloFloor(options), seed ^ 0x4EA1'74C3ULL),
       retry_budget_(options.retry),
       backoff_(options.backoff, seed ^ 0xBAC0'0FF5ULL) {}
 

@@ -1,7 +1,7 @@
 // The MittOS-powered client (§5) and its two extensions, written as three
 // presets of one EBUSY failover walk — the only one, for both of §5's
-// integrations: it runs over any kv::ReplicatedStore, the DocStore cluster
-// (MongoDB) or the LSM ring (LevelDB + Riak). Every preset attaches the user's
+// integrations: it runs over a cluster::Cluster of DocStore nodes (MongoDB)
+// or of LSM nodes (LevelDB + Riak). Every preset attaches the user's
 // deadline SLO to the get and, on EBUSY, instantly fails over to the next
 // replica. They differ only in how the hops are bounded and in the walk's
 // exit when replicas keep rejecting:
@@ -75,7 +75,7 @@ class MittosStrategy : public GetStrategy {
     bool test_swallow_late_reply = false;
   };
 
-  MittosStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+  MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                  const Options& options);
   ~MittosStrategy() override;
 

@@ -4,8 +4,8 @@
 
 namespace mitt::client {
 
-GetStrategy::GetStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed)
-    : sim_(sim), store_(store), network_(&store->network()), rng_(seed) {}
+GetStrategy::GetStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
+    : sim_(sim), cluster_(cluster), network_(&cluster->network()), rng_(seed) {}
 
 void GetStrategy::SendGetWithHint(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
                                   obs::TraceContext trace, tenant::TenantId tenant) {
@@ -43,7 +43,7 @@ void GetStrategy::Serve(Hop* hop) {
     network_->Deliver(hop->node, hop->home,
                       [this, hop, status, hint] { OnReply(hop, status, hint); });
   };
-  kv::StorageNode& node = store_->node(hop->node);
+  kv::StorageNode& node = cluster_->node(hop->node);
   if (hop->degraded) {
     node.HandleDegradedGet(hop->key, hop->deadline, reply, hop->trace);
   } else {
@@ -62,7 +62,7 @@ tenant::ReplicaGroup GetStrategy::RouteReplicas(uint64_t key, tenant::TenantId t
       tenant < placement_->num_tenants()) {
     return placement_->group(tenant);
   }
-  return store_->ReplicasOf(key);
+  return cluster_->ReplicasOf(key);
 }
 
 obs::TraceContext GetStrategy::BeginTrace() {

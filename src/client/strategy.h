@@ -1,21 +1,21 @@
 // Client-side tail-tolerance strategies (§7.2's comparison set).
 //
-// Every strategy implements one replicated get() over a kv::ReplicatedStore
-// (the DocStore cluster or the LSM ring); the experiment harness runs
-// identical workloads and noise replays through each strategy and compares
-// the completion-time distributions. The shared plumbing (network round trip
-// to a chosen replica) lives in the base class.
+// Every strategy implements one replicated get() over a cluster::Cluster
+// (of DocStore or LSM nodes); the experiment harness runs identical
+// workloads and noise replays through each strategy and compares the
+// completion-time distributions. The shared plumbing (network round trip to
+// a chosen replica) lives in the base class.
 
 #ifndef MITTOS_CLIENT_STRATEGY_H_
 #define MITTOS_CLIENT_STRATEGY_H_
 
 #include <cstdint>
 
+#include "src/cluster/cluster.h"
 #include "src/common/inline_function.h"
 #include "src/common/rng.h"
 #include "src/common/slot_pool.h"
 #include "src/common/status.h"
-#include "src/kv/replicated_store.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 #include "src/tenant/placement.h"
@@ -52,7 +52,7 @@ struct GetContext {
 
 class GetStrategy {
  public:
-  GetStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed);
+  GetStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
   virtual ~GetStrategy() = default;
 
   // Issues one replicated get for `key`; calls `done` exactly once.
@@ -94,7 +94,7 @@ class GetStrategy {
   // EBUSY or a timeout) as an instant span.
   void RecordFailover(const obs::TraceContext& trace);
 
-  tenant::ReplicaGroup Replicas(uint64_t key) const { return store_->ReplicasOf(key); }
+  tenant::ReplicaGroup Replicas(uint64_t key) const { return cluster_->ReplicasOf(key); }
 
   // Tenant-aware replica set: the tenant's placement group when a map is
   // attached and the tenant is known, the key's ring replicas otherwise.
@@ -102,8 +102,8 @@ class GetStrategy {
   tenant::ReplicaGroup RouteReplicas(uint64_t key, tenant::TenantId tenant) const;
 
   sim::Simulator* sim_;
-  kv::ReplicatedStore* store_;
-  cluster::Network* network_;  // store_->network(), looked up once.
+  cluster::Cluster* cluster_;
+  cluster::Network* network_;  // cluster_->network(), looked up once.
   Rng rng_;
   const tenant::PlacementMap* placement_ = nullptr;
 

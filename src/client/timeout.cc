@@ -22,9 +22,9 @@ struct TimeoutStrategy::GetState {
   uint32_t pool_epoch = 0;
 };
 
-TimeoutStrategy::TimeoutStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+TimeoutStrategy::TimeoutStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                                  const Options& options)
-    : GetStrategy(sim, store, seed), options_(options) {}
+    : GetStrategy(sim, cluster, seed), options_(options) {}
 
 TimeoutStrategy::~TimeoutStrategy() = default;
 

@@ -23,7 +23,7 @@ class TimeoutStrategy : public GetStrategy {
     int max_tries = 3;  // Last try runs without a timeout.
   };
 
-  TimeoutStrategy(sim::Simulator* sim, kv::ReplicatedStore* store, uint64_t seed,
+  TimeoutStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
                   const Options& options);
   ~TimeoutStrategy() override;
 

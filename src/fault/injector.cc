@@ -9,8 +9,8 @@
 
 namespace mitt::fault {
 
-FaultInjector::FaultInjector(sim::Simulator* sim, kv::ReplicatedStore* store, FaultPlan plan)
-    : sim_(sim), store_(store), plan_(std::move(plan)) {}
+FaultInjector::FaultInjector(sim::Simulator* sim, cluster::Cluster* cluster, FaultPlan plan)
+    : sim_(sim), cluster_(cluster), plan_(std::move(plan)) {}
 
 void FaultInjector::Start() {
   if (started_) {
@@ -36,15 +36,15 @@ void FaultInjector::ScheduleFaultEvent(DurationNs delay, sim::Callback fn) {
 }
 
 bool FaultInjector::Applicable(const FaultEpisode& e) const {
-  const int n = store_->num_nodes();
+  const int n = cluster_->num_nodes();
   switch (e.kind) {
     case FaultKind::kFailSlowDisk:
-      return e.node >= 0 && e.node < n && store_->node(e.node).os().disk() != nullptr;
+      return e.node >= 0 && e.node < n && cluster_->node(e.node).os().disk() != nullptr;
     case FaultKind::kSsdReadRetry: {
       if (e.node < 0 || e.node >= n) {
         return false;
       }
-      const device::SsdModel* ssd = store_->node(e.node).os().ssd();
+      const device::SsdModel* ssd = cluster_->node(e.node).os().ssd();
       return ssd != nullptr && e.chip < ssd->num_chips();
     }
     case FaultKind::kNetworkDegrade:
@@ -60,11 +60,11 @@ bool FaultInjector::Applicable(const FaultEpisode& e) const {
 }
 
 void FaultInjector::ApplyDiskMultiplier(const FaultEpisode& e, double multiplier) {
-  store_->node(e.node).os().disk()->set_service_time_multiplier(multiplier);
+  cluster_->node(e.node).os().disk()->set_service_time_multiplier(multiplier);
 }
 
 void FaultInjector::ApplySsdMultiplier(const FaultEpisode& e, double multiplier) {
-  device::SsdModel* ssd = store_->node(e.node).os().ssd();
+  device::SsdModel* ssd = cluster_->node(e.node).os().ssd();
   if (e.chip >= 0) {
     ssd->set_chip_read_multiplier(e.chip, multiplier);
     return;
@@ -115,19 +115,19 @@ void FaultInjector::Begin(size_t index) {
       ApplySsdMultiplier(e, e.severity);
       break;
     case FaultKind::kNetworkDegrade:
-      store_->network().SetLinkDelayMultiplier(e.node, e.severity);
+      cluster_->network().SetLinkDelayMultiplier(e.node, e.severity);
       break;
     case FaultKind::kNetworkDrop:
-      store_->network().SetLinkDropProbability(e.node, std::clamp(e.severity, 0.0, 1.0));
+      cluster_->network().SetLinkDropProbability(e.node, std::clamp(e.severity, 0.0, 1.0));
       break;
     case FaultKind::kNetworkPartition:
-      store_->network().SetLinkPartitioned(e.node, true);
+      cluster_->network().SetLinkPartitioned(e.node, true);
       break;
     case FaultKind::kNodePause:
-      store_->node(e.node).Pause(e.duration);
+      cluster_->node(e.node).Pause(e.duration);
       break;
     case FaultKind::kNodeCrashRestart:
-      store_->node(e.node).CrashRestart(e.duration);
+      cluster_->node(e.node).CrashRestart(e.duration);
       break;
   }
 
@@ -144,13 +144,13 @@ void FaultInjector::End(size_t index, TimeNs actual_start) {
       ApplySsdMultiplier(e, 1.0);
       break;
     case FaultKind::kNetworkDegrade:
-      store_->network().SetLinkDelayMultiplier(e.node, 1.0);
+      cluster_->network().SetLinkDelayMultiplier(e.node, 1.0);
       break;
     case FaultKind::kNetworkDrop:
-      store_->network().SetLinkDropProbability(e.node, 0.0);
+      cluster_->network().SetLinkDropProbability(e.node, 0.0);
       break;
     case FaultKind::kNetworkPartition:
-      store_->network().SetLinkPartitioned(e.node, false);  // Flushes held.
+      cluster_->network().SetLinkPartitioned(e.node, false);  // Flushes held.
       break;
     case FaultKind::kNodePause:
     case FaultKind::kNodeCrashRestart:

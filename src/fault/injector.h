@@ -1,6 +1,6 @@
-// FaultInjector: replays a FaultPlan against a live store — the DocStore
-// cluster or the LSM ring, through the kv::ReplicatedStore seam, so every
-// node-level fault reaches either store's kv::StorageNode.
+// FaultInjector: replays a FaultPlan against a live cluster::Cluster. Every
+// node-level fault acts on the node's kv::StorageNode, so it reaches DocStore
+// and LSM nodes alike.
 //
 // Start() schedules one daemon begin event per episode (daemon so an idle
 // fault schedule never keeps Simulator::Run() alive after the workload
@@ -21,15 +21,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/cluster/cluster.h"
 #include "src/fault/fault_plan.h"
-#include "src/kv/replicated_store.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::fault {
 
 class FaultInjector {
  public:
-  FaultInjector(sim::Simulator* sim, kv::ReplicatedStore* store, FaultPlan plan);
+  FaultInjector(sim::Simulator* sim, cluster::Cluster* cluster, FaultPlan plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -65,7 +65,7 @@ class FaultInjector {
   void ApplySsdMultiplier(const FaultEpisode& episode, double multiplier);
 
   sim::Simulator* sim_;
-  kv::ReplicatedStore* store_;
+  cluster::Cluster* cluster_;
   FaultPlan plan_;
   std::vector<AppliedEpisode> applied_;
   uint64_t episodes_begun_ = 0;

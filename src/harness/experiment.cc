@@ -131,7 +131,7 @@ void RecordTenantCompletion(const tenant::TenantDirectory& directory,
 tenant::PlacementController::ProbeFn MakeNodeProbe(cluster::Cluster* cluster) {
   return [cluster](int node) {
     tenant::NodeProbe p;
-    kv::DocStoreNode& n = cluster->node(node);
+    kv::StorageNode& n = cluster->node(node);
     if (const sched::SchedObs* o = n.os().scheduler().observer()) {
       p.wait_sum_ns = o->wait_sum_ns();
       p.dispatches = o->dispatches();
@@ -370,6 +370,11 @@ std::string_view StrategyKindName(StrategyKind kind) {
   return "?";
 }
 
+std::vector<noise::NoiseEpisode> Ec2Schedule(const ExperimentOptions& options, int node) {
+  return noise::Ec2NoiseModel(options.ec2, options.seed ^ 0xEC2)
+      .GenerateSchedule(node, options.noise_horizon);
+}
+
 noise::Ec2NoiseParams CompressedEc2Noise() {
   noise::Ec2NoiseParams p;
   p.mean_off = Millis(3500);
@@ -497,7 +502,6 @@ std::unique_ptr<trace::TraceCursor> Experiment::MakeReplayCursor() const {
 cluster::Cluster::Options Experiment::BuildClusterOptions(StrategyKind kind) const {
   cluster::Cluster::Options copt;
   copt.num_nodes = options_.num_nodes;
-  copt.replication = std::min(3, options_.num_nodes);
   copt.seed = options_.seed;
   copt.shared_cpu_cores = options_.shared_cpu_cores;
   copt.node.num_keys = options_.num_keys_per_node;
@@ -525,10 +529,8 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
                             std::vector<std::unique_ptr<workload::MacroWorkload>>& macro_noise) {
   // Every injector runs on its node's shard: noise is node-local by
   // construction, so it never crosses a shard boundary.
-  const noise::Ec2NoiseModel ec2(options_.ec2, options_.seed ^ 0xEC2);
-
   auto make_io_injector = [&](int node, std::vector<noise::NoiseEpisode> schedule) {
-    kv::DocStoreNode& n = cluster.node(node);
+    kv::StorageNode& n = cluster.node(node);
     const int64_t noise_file_size = 200LL << 30;
     const uint64_t noise_file = n.os().CreateFile(noise_file_size);
     noise::IoNoiseInjector::Options opt;
@@ -552,7 +554,7 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
         if (options_.noise_only_node >= 0 && node != options_.noise_only_node) {
           continue;
         }
-        make_io_injector(node, ec2.GenerateSchedule(node, options_.noise_horizon));
+        make_io_injector(node, Ec2Schedule(options_, node));
       }
       break;
     case NoiseKind::kContinuous: {
@@ -576,7 +578,8 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
         if (options_.noise_only_node >= 0 && node != options_.noise_only_node) {
           continue;
         }
-        kv::DocStoreNode& n = cluster.node(node);
+        // Run() rejects cache drops on LSM nodes up front.
+        auto& n = static_cast<kv::DocStoreNode&>(cluster.node(node));
         noise::CacheNoiseInjector::Options opt;
         opt.file = n.data_file();
         opt.file_size = n.data_file_size();
@@ -590,7 +593,7 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
           schedule.push_back({0, options_.noise_horizon, 1});
         } else {
           opt.drop_fraction_per_intensity = options_.cache_drop_fraction;
-          schedule = ec2.GenerateSchedule(node, options_.noise_horizon);
+          schedule = Ec2Schedule(options_, node);
         }
         cache_noise.push_back(std::make_unique<noise::CacheNoiseInjector>(
             n.sim(), &n.os(), std::move(schedule), opt,
@@ -610,7 +613,7 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
       break;
     case NoiseKind::kMacroMix:
       for (int node = 0; node < options_.num_nodes; ++node) {
-        kv::DocStoreNode& n = cluster.node(node);
+        kv::StorageNode& n = cluster.node(node);
         const int64_t file_size = 100LL << 30;
         const uint64_t file = n.os().CreateFile(file_size);
         workload::MacroWorkload::Options opt;
@@ -637,6 +640,13 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
 }
 
 RunResult Experiment::Run(StrategyKind kind) {
+  if (options_.access == kv::AccessPath::kLsm &&
+      (options_.warm_fraction > 0 || options_.noise == NoiseKind::kCacheDrop ||
+       options_.noise == NoiseKind::kStaticCacheDrop)) {
+    // Both act on a DocStore node's data file; an LSM node keeps SSTables.
+    throw std::invalid_argument(
+        "experiment: warm_fraction and cache-drop noise need DocStore nodes");
+  }
   const int num_shards = ResolveShards(options_);
   const auto shard_count = static_cast<size_t>(num_shards);
 
@@ -717,7 +727,8 @@ RunResult Experiment::Run(StrategyKind kind) {
     }
     directory = tenant::TenantDirectory::BuildMix(mix);
     placement = std::make_unique<tenant::PlacementMap>(tenant::PlacementMap::Uniform(
-        directory.num_tenants(), options_.num_nodes, std::min(3, options_.num_nodes),
+        directory.num_tenants(), options_.num_nodes,
+        std::min(cluster::Cluster::kReplication, options_.num_nodes),
         options_.seed ^ 0x9A7C));
     for (ShardCtx& ctx : shard_ctx) {
       ctx.strategy->set_placement(placement.get());

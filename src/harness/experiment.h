@@ -1,8 +1,8 @@
 // Shared experiment driver used by the benchmark binaries and examples.
 //
 // An Experiment describes one of the paper's evaluation setups: a cluster of
-// DocStore nodes on a chosen backend (disk+CFQ, disk+noop, SSD, or cache-
-// resident data), a noise regime (EC2 replay, continuous one-node noise,
+// DocStore or LSM nodes on a chosen backend (disk+CFQ, disk+noop, SSD, or
+// cache-resident data), a noise regime (EC2 replay, continuous one-node noise,
 // cache drops, rotating contention, or macro workload mixes), and a YCSB
 // client population with a scale factor. Run(kind) builds a *fresh* world
 // with identical seeds for every strategy, so CDFs are comparable point by
@@ -79,13 +79,16 @@ struct ExperimentOptions {
   size_t measure_requests = 12000;
   size_t warmup_requests = 400;
   workload::KeyDistribution distribution = workload::KeyDistribution::kUniform;
-  int64_t num_keys_per_node = 1 << 21;  // 8 GB of 4 KB slots on disk nodes.
+  int64_t num_keys_per_node = 1 << 21;  // 8 GB of 4 KB slots on DocStore disk nodes.
   // Pin all keys so their primary replica is this node (micro experiments
   // direct all gets at the noisy node); -1 disables.
   int pin_primary_node = -1;
 
   // Node / OS configuration.
   os::BackendKind backend = os::BackendKind::kDiskCfq;
+  // kLsm builds LSM nodes (§5's LevelDB + Riak); they have no data file, so
+  // Run() throws std::invalid_argument for warm_fraction > 0 and for the
+  // cache-drop noise kinds.
   kv::AccessPath access = kv::AccessPath::kRead;
   size_t cache_pages = 1 << 17;  // 512 MB page cache.
   double warm_fraction = 0.0;
@@ -210,10 +213,9 @@ struct ExperimentOptions {
   // Engine knobs, forwarded to ShardedEngine::Options verbatim. Both are
   // schedule-preserving (results identical at any setting):
   // windows between adaptive LPT repacks (0 = static s % workers map,
-  // < 0 = $MITT_ENGINE_REBALANCE else 64) ...
+  // < 0 = 64) ...
   int engine_rebalance = -1;
-  // ... and quiet-frontier window fusion (0 = off, 1 = on,
-  // < 0 = $MITT_ENGINE_FUSION != "0" else on).
+  // ... and quiet-frontier window fusion (0 = off, 1 or < 0 = on).
   int engine_fusion = -1;
 
   // Per-trial invariant-oracle harvest (src/chaos/): wrap every issued get
@@ -361,6 +363,10 @@ struct RunResult {
   std::vector<obs::SpanRecord> trace_spans;
   uint64_t trace_dropped = 0;
 };
+
+// The EC2 episode schedule Run() replays on `node` under NoiseKind::kEc2 (and
+// the episodic cache drops), identical for every strategy.
+std::vector<noise::NoiseEpisode> Ec2Schedule(const ExperimentOptions& options, int node);
 
 // Compressed EC2 noise preset: same per-node busy fraction and sub-second
 // burstiness as §6, but with shorter quiet gaps so a few simulated minutes of

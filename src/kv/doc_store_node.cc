@@ -7,7 +7,7 @@ namespace mitt::kv {
 DocStoreNode::DocStoreNode(sim::Simulator* sim, int node_id, const Options& options,
                            cluster::CpuPool* shared_cpu)
     : StorageNode(sim, node_id, options, /*seed_salt=*/0x1000'0001ULL, shared_cpu,
-                  options.tenant_slots, options.exception_on_ebusy),
+                  options.exception_on_ebusy),
       options_(options) {
   data_file_ = os().CreateFile(data_file_size());
 }

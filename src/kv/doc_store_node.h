@@ -10,6 +10,9 @@
 //   * kRead — the read(..., deadline) syscall; the deadline propagates into
 //     the IO scheduler, where MittNoop/MittCFQ/MittSSD accept or reject.
 //
+// The third path, kLsm, is the other store: cluster::Cluster builds
+// lsm::LsmNodes (LevelDB under Riak) in place of DocStore nodes for it.
+//
 // The request path around the read — handler CPU on the node's CpuPool
 // (Fig. 8's contention lives there), the degraded read, puts and the fault
 // hooks — is StorageNode's. EBUSY handling is "exceptionless" by default —
@@ -33,22 +36,17 @@ namespace mitt::kv {
 enum class AccessPath {
   kMmapAddrCheck,
   kRead,
+  kLsm,  // LevelDB block reads through an LsmTree (lsm::LsmNode).
 };
 
 class DocStoreNode final : public StorageNode {
  public:
   struct Options : StorageNode::Options {
-    int64_t num_keys = 1 << 20;
     int64_t doc_size = 1024;   // 1 KB documents (YCSB workloads, §7).
     int64_t slot_size = 4096;  // One page per document slot.
     AccessPath access = AccessPath::kRead;
     bool exception_on_ebusy = false;  // Paper default: exceptionless path.
     int32_t server_pid = 1;
-
-    // Per-tenant accounting (src/tenant/): >0 sizes a dense gets counter
-    // array indexed by tenant id — one array increment on the get path, no
-    // allocation. 0 disables (single-tenant worlds pay nothing).
-    uint32_t tenant_slots = 0;
   };
 
   // `shared_cpu` (optional) makes several nodes contend for one physical

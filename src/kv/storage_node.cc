@@ -9,13 +9,12 @@
 namespace mitt::kv {
 
 StorageNode::StorageNode(sim::Simulator* sim, int node_id, const Options& options,
-                         uint64_t seed_salt, cluster::CpuPool* shared_cpu, uint32_t tenant_slots,
-                         bool exception_on_ebusy)
+                         uint64_t seed_salt, cluster::CpuPool* shared_cpu, bool exception_on_ebusy)
     : sim_(sim),
       node_id_(node_id),
       handler_cpu_(options.handler_cpu),
       exception_on_ebusy_(exception_on_ebusy),
-      tenant_gets_(tenant_slots, 0) {
+      tenant_gets_(options.tenant_slots, 0) {
   os::OsOptions os_options = options.os;
   os_options.seed ^= static_cast<uint64_t>(node_id) * seed_salt;
   os_options.node_label = node_id;

@@ -52,6 +52,12 @@ class StorageNode {
     os::OsOptions os;
     int cpu_cores = 8;
     DurationNs handler_cpu = Micros(30);  // Parse + dispatch + reply.
+    // Entries the node holds; it serves key k from entry k mod num_keys.
+    int64_t num_keys = 1 << 20;
+    // Per-tenant accounting (src/tenant/): >0 sizes a dense gets counter
+    // array indexed by tenant id — one array increment on the get path, no
+    // allocation. 0 disables (single-tenant worlds pay nothing).
+    uint32_t tenant_slots = 0;
   };
 
   // Degraded-read bounds: at most kDegradedMaxInflight admitted degraded
@@ -124,11 +130,10 @@ class StorageNode {
   // Builds the node's Os, seeded with `options.os.seed ^ node_id *
   // seed_salt`, then its CPU pool: `shared_cpu` (several nodes contending
   // for one machine's cores, §7.5) or, when null, one of its own. A store
-  // builds its data (file or tree) after this returns. `tenant_slots` > 0
-  // sizes the per-tenant get counters; `exception_on_ebusy` adds
-  // kEbusyExceptionCost to every EBUSY reply burst.
+  // builds its data (file or tree) after this returns. `exception_on_ebusy`
+  // adds kEbusyExceptionCost to every EBUSY reply burst.
   StorageNode(sim::Simulator* sim, int node_id, const Options& options, uint64_t seed_salt,
-              cluster::CpuPool* shared_cpu, uint32_t tenant_slots, bool exception_on_ebusy);
+              cluster::CpuPool* shared_cpu, bool exception_on_ebusy);
 
   // One get being served, from its arrival to the reply burst: every event
   // on the way captures {this, record}. Pooled; released before `reply`

@@ -23,6 +23,7 @@
 #include "src/common/status.h"
 #include "src/lsm/memtable.h"
 #include "src/lsm/sstable.h"
+#include "src/obs/trace.h"
 #include "src/os/os.h"
 #include "src/sim/simulator.h"
 
@@ -49,7 +50,10 @@ class LsmTree {
   //   kOk        — found (or definitively absent after all candidate tables);
   //   kNotFound  — key in no layer;
   //   kEbusy     — some required data-block IO was rejected by MittOS.
-  void Get(uint64_t key, DurationNs deadline, std::function<void(Status)> done);
+  // `trace` rides on the block reads, so their syscall and EBUSY spans carry
+  // the originating get's request id (src/obs/; default: untraced).
+  void Get(uint64_t key, DurationNs deadline, std::function<void(Status)> done,
+           obs::TraceContext trace = {});
 
   // Bulk-loads sorted keys directly into L1 tables (dataset setup), bypassing
   // the write path; optionally pre-warms nothing (reads hit the device).
@@ -67,7 +71,7 @@ class LsmTree {
   void FinishCompaction(std::vector<std::shared_ptr<SsTable>> new_l1);
   std::shared_ptr<SsTable> BuildTable(std::vector<uint64_t> sorted_keys, int level);
   // Continues the lookup at candidate index `idx` of `candidates`.
-  void GetFromTables(uint64_t key, DurationNs deadline,
+  void GetFromTables(uint64_t key, DurationNs deadline, obs::TraceContext trace,
                      std::shared_ptr<std::vector<std::shared_ptr<SsTable>>> candidates,
                      size_t idx, std::function<void(Status)> done);
 

@@ -39,8 +39,7 @@ class IoNoiseInjector {
 
   void Start();
 
-  // True while inside an episode — the ground-truth busyness signal used by
-  // Fig. 13's "when EBUSY is returned" timeline.
+  // True while inside an episode: the injector's ground-truth busyness.
   bool noisy_now() const { return active_streams_ > 0; }
   uint64_t ios_issued() const { return ios_issued_; }
 

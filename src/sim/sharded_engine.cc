@@ -45,23 +45,6 @@ int DefaultIntraWorkers() {
   return 1;
 }
 
-int DefaultRebalancePeriod() {
-  if (const char* env = std::getenv("MITT_ENGINE_REBALANCE")) {
-    const int v = std::atoi(env);
-    if (v >= 0) {
-      return v;
-    }
-  }
-  return 64;
-}
-
-bool DefaultFusionEnabled() {
-  if (const char* env = std::getenv("MITT_ENGINE_FUSION")) {
-    return std::atoi(env) != 0;
-  }
-  return true;
-}
-
 ShardedEngine::ShardedEngine(const Options& options)
     : options_(options),
       frontier_(options.num_shards < 1 ? 1 : options.num_shards) {
@@ -71,9 +54,8 @@ ShardedEngine::ShardedEngine(const Options& options)
   if (workers_ > num_shards) {
     workers_ = num_shards;
   }
-  rebalance_period_ =
-      options_.rebalance_period >= 0 ? options_.rebalance_period : DefaultRebalancePeriod();
-  fusion_ = options_.fusion >= 0 ? options_.fusion != 0 : DefaultFusionEnabled();
+  rebalance_period_ = options_.rebalance_period >= 0 ? options_.rebalance_period : 64;
+  fusion_ = options_.fusion != 0;
 
   const auto S = static_cast<size_t>(num_shards);
   shards_.reserve(S);

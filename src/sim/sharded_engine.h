@@ -109,10 +109,6 @@ namespace mitt::sim {
 // trial-level parallelism is never oversubscribed implicitly).
 int DefaultIntraWorkers();
 
-// Env-resolved defaults for the engine knobs below. Exposed for tests.
-int DefaultRebalancePeriod();  // $MITT_ENGINE_REBALANCE, else 64.
-bool DefaultFusionEnabled();   // $MITT_ENGINE_FUSION != "0", else true.
-
 class ShardedEngine {
  public:
   struct Options {
@@ -126,12 +122,12 @@ class ShardedEngine {
     int workers = 0;
     // Windows between adaptive LPT repacks of the shard->worker map.
     // 0 = static map (shard s on worker s % workers, the pre-overhaul
-    // behavior); < 0 resolves via DefaultRebalancePeriod(). Never affects
-    // results, only which thread runs which shard.
+    // behavior); < 0 = 64. Never affects results, only which thread runs
+    // which shard.
     int rebalance_period = -1;
-    // Quiet-frontier window fusion. 0 = off, 1 = on; < 0 resolves via
-    // DefaultFusionEnabled(). Schedule-preserving: results and window
-    // counts are identical either way, only per-window cost changes.
+    // Quiet-frontier window fusion. 0 = off; 1 or < 0 = on.
+    // Schedule-preserving: results and window counts are identical either
+    // way, only per-window cost changes.
     int fusion = -1;
   };
 

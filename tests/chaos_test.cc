@@ -303,6 +303,39 @@ TEST(ChaosTrialTest, FingerprintBitIdenticalAcrossWorkerGrid) {
   }
 }
 
+// The LSM store in the chaos world: the same two-shard recipe under a
+// generated plan, with LSM nodes in place of DocStore nodes.
+TEST(ChaosTrialTest, LsmWorldUnderGeneratedPlanHasNoViolations) {
+  const ChaosWorldOptions world;
+  fault::ChaosOptions chaos;
+  chaos.network_drop = true;
+  chaos.network_partition = true;
+  chaos.node_crash = true;
+  chaos.mean_gap = Millis(200);
+  chaos.min_on = Millis(20);
+  chaos.max_on = Millis(150);
+  chaos.blast_radius = 1.0;
+  const FaultPlan plan = fault::GenerateChaosPlan(chaos, world.num_nodes, world.horizon, 11);
+  ASSERT_FALSE(plan.empty());
+  std::vector<harness::Trial> trials;
+  for (const harness::StrategyKind kind : world.strategies) {
+    harness::Trial t{chaos::MakeExperimentOptions(world, plan), kind, ""};
+    t.options.access = kv::AccessPath::kLsm;
+    trials.push_back(t);
+  }
+  const std::vector<harness::RunResult> results = harness::RunTrialsParallel(trials);
+  std::vector<Violation> violations;
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].num_shards, 2);
+    EXPECT_GT(results[i].fault_episodes, 0u);
+    const bool resilient = world.strategies[i] == harness::StrategyKind::kMittosResilient;
+    chaos::CheckOracles(results[i], resilient, /*tenants=*/false, &violations);
+  }
+  for (const Violation& v : violations) {
+    ADD_FAILURE() << "[" << v.oracle << "] " << v.strategy << ": " << v.detail;
+  }
+}
+
 // The acceptance demo: the planted PR-5 denied-retry hang (behind
 // test_swallow_late_reply) is found by the coverage-guided search within a
 // small trial budget and shrunk to a <=3-episode reproducer that still

@@ -25,7 +25,7 @@ class ClientFixture : public ::testing::Test {
     opt.node.os.mitt_enabled = mitt_enabled;
     cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
     if (noisy_node >= 0) {
-      kv::DocStoreNode& n = cluster_->node(noisy_node);
+      kv::StorageNode& n = cluster_->node(noisy_node);
       const int64_t size = 100LL << 30;
       const uint64_t file = n.os().CreateFile(size);
       noise::IoNoiseInjector::Options nopt;
@@ -157,7 +157,7 @@ TEST_F(ClientFixture, MittosLastTryDisablesDeadline) {
   cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
   for (int node = 0; node < 3; ++node) {
-    kv::DocStoreNode& n = cluster_->node(node);
+    kv::StorageNode& n = cluster_->node(node);
     const int64_t size = 100LL << 30;
     const uint64_t file = n.os().CreateFile(size);
     noise::IoNoiseInjector::Options nopt;
@@ -225,7 +225,7 @@ TEST_F(ClientFixture, MittosWaitHintPicksLeastBusyWhenAllReject) {
   cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
   for (int node = 0; node < 3; ++node) {
-    kv::DocStoreNode& n = cluster_->node(node);
+    kv::StorageNode& n = cluster_->node(node);
     const int64_t size = 100LL << 30;
     const uint64_t file = n.os().CreateFile(size);
     noise::IoNoiseInjector::Options nopt;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -78,19 +79,25 @@ kv::DocStoreNode::Options SmallNodeOptions() {
   return opt;
 }
 
+// A cluster smaller than its replication factor keeps one replica on each
+// of its nodes.
 TEST(ClusterTest, ReplicasAreDistinctAndStable) {
-  sim::Simulator sim;
-  Cluster::Options opt;
-  opt.num_nodes = 20;
-  opt.node = SmallNodeOptions();
-  opt.node.os.mitt_enabled = false;
-  Cluster cluster(&sim, opt);
-  for (uint64_t key = 0; key < 500; ++key) {
-    const auto replicas = cluster.ReplicasOf(key);
-    ASSERT_EQ(replicas.size, 3);
-    EXPECT_EQ(replicas, cluster.ReplicasOf(key));
-    const std::set<int> unique(replicas.begin(), replicas.end());
-    EXPECT_EQ(unique.size(), 3u);
+  for (const int nodes : {20, 2}) {
+    SCOPED_TRACE(nodes);
+    sim::Simulator sim;
+    Cluster::Options opt;
+    opt.num_nodes = nodes;
+    opt.node = SmallNodeOptions();
+    opt.node.os.mitt_enabled = false;
+    Cluster cluster(&sim, opt);
+    const int group = std::min(Cluster::kReplication, nodes);
+    for (uint64_t key = 0; key < 500; ++key) {
+      const auto replicas = cluster.ReplicasOf(key);
+      ASSERT_EQ(replicas.size, group);
+      EXPECT_EQ(replicas, cluster.ReplicasOf(key));
+      const std::set<int> unique(replicas.begin(), replicas.end());
+      EXPECT_EQ(unique.size(), static_cast<size_t>(group));
+    }
   }
 }
 
@@ -220,48 +227,55 @@ TEST_F(DocStoreNodeTest, ExceptionPathCostsMore) {
 // (shard 0 -> node's shard -> shard 0), so completion times exercise the
 // mailbox path end to end. The whole delivery log must be bit-identical at
 // any worker count, including the env-resolved default (workers=0).
+// Both stores: DocStore nodes with half their documents cached, and LSM nodes.
 TEST(ShardedClusterTest, CrossShardGetsAreBitIdenticalAcrossWorkerCounts) {
   constexpr int kNodes = 16;
-  auto run = [](int workers) {
-    sim::ShardedEngine::Options eopt;
-    eopt.num_shards = 4;
-    eopt.lookahead = MinOneWayHop(NetworkParams{});
-    eopt.workers = workers;
-    sim::ShardedEngine engine(eopt);
-    Cluster::Options copt;
-    copt.num_nodes = kNodes;
-    copt.node = SmallNodeOptions();
-    copt.node.num_keys = 1 << 10;
-    copt.seed = 7;
-    Cluster cluster(&engine, copt);
-    cluster.WarmAll(0.5);
+  for (const kv::AccessPath access : {kv::AccessPath::kRead, kv::AccessPath::kLsm}) {
+    SCOPED_TRACE(access == kv::AccessPath::kLsm ? "LSM nodes" : "DocStore nodes");
+    auto run = [access](int workers) {
+      sim::ShardedEngine::Options eopt;
+      eopt.num_shards = 4;
+      eopt.lookahead = MinOneWayHop(NetworkParams{});
+      eopt.workers = workers;
+      sim::ShardedEngine engine(eopt);
+      Cluster::Options copt;
+      copt.num_nodes = kNodes;
+      copt.node = SmallNodeOptions();
+      copt.node.num_keys = 1 << 10;
+      copt.node.access = access;
+      copt.seed = 7;
+      Cluster cluster(&engine, copt);
+      if (access != kv::AccessPath::kLsm) {
+        cluster.WarmAll(0.5);
+      }
 
-    size_t completed = 0;
-    std::vector<TimeNs> done(kNodes, -1);
-    for (int n = 0; n < kNodes; ++n) {
-      engine.shard(0)->ScheduleAt(Micros(10) * (n + 1), [&engine, &cluster, &done,
-                                                         &completed, n] {
-        cluster.network().DeliverToNode(n, [&engine, &cluster, &done, &completed, n] {
-          cluster.node(n).HandleGetWithHint(
-              static_cast<uint64_t>(n) * 17, Millis(20),
-              [&engine, &cluster, &done, &completed, n](Status, DurationNs) {
-                cluster.network().Deliver(n, /*dst_shard=*/0, [&engine, &done, &completed, n] {
-                  done[n] = engine.shard(0)->Now();
-                  ++completed;
+      size_t completed = 0;
+      std::vector<TimeNs> done(kNodes, -1);
+      for (int n = 0; n < kNodes; ++n) {
+        engine.shard(0)->ScheduleAt(Micros(10) * (n + 1), [&engine, &cluster, &done,
+                                                           &completed, n] {
+          cluster.network().DeliverToNode(n, [&engine, &cluster, &done, &completed, n] {
+            cluster.node(n).HandleGetWithHint(
+                static_cast<uint64_t>(n) * 17, Millis(20),
+                [&engine, &cluster, &done, &completed, n](Status, DurationNs) {
+                  cluster.network().Deliver(n, /*dst_shard=*/0, [&engine, &done, &completed, n] {
+                    done[n] = engine.shard(0)->Now();
+                    ++completed;
+                  });
                 });
-              });
+          });
         });
-      });
-    }
-    engine.RunUntilPredicate([&completed] { return completed == kNodes; });
-    done.push_back(static_cast<TimeNs>(engine.cross_shard_messages()));
-    return done;
-  };
-  const auto base = run(1);
-  EXPECT_GT(base.back(), 0) << "gets must actually cross shards";
-  EXPECT_EQ(run(2), base);
-  EXPECT_EQ(run(4), base);
-  EXPECT_EQ(run(0), base);  // Env-resolved default (4 under the TSan CI job).
+      }
+      engine.RunUntilPredicate([&completed] { return completed == kNodes; });
+      done.push_back(static_cast<TimeNs>(engine.cross_shard_messages()));
+      return done;
+    };
+    const auto base = run(1);
+    EXPECT_GT(base.back(), 0) << "gets must actually cross shards";
+    EXPECT_EQ(run(2), base);
+    EXPECT_EQ(run(4), base);
+    EXPECT_EQ(run(0), base);  // Env-resolved default (4 under the TSan CI job).
+  }
 }
 
 // A shared CPU pool is cross-node state: on several shards their threads

@@ -18,7 +18,6 @@
 #include "src/fault/plan_serde.h"
 #include "src/fault/injector.h"
 #include "src/harness/experiment.h"
-#include "src/kv/lsm_ring.h"
 #include "src/lsm/lsm_node.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
@@ -313,28 +312,17 @@ cluster::Cluster::Options SmallClusterOptions(int nodes) {
   return opt;
 }
 
-// A 3-node LSM ring on disks (§5's LevelDB + Riak store).
-struct SmallRing {
-  explicit SmallRing(sim::Simulator* sim) : network(sim, cluster::NetworkParams{}, 5) {
-    std::vector<lsm::LsmNode*> members;
-    for (int i = 0; i < 3; ++i) {
-      lsm::LsmNode::Options opt;
-      opt.os.backend = os::BackendKind::kDiskCfq;
-      nodes.push_back(std::make_unique<lsm::LsmNode>(sim, i, opt));
-      members.push_back(nodes.back().get());
-    }
-    ring = std::make_unique<kv::LsmRing>(sim, members, &network);
-  }
-
-  cluster::Network network;
-  std::vector<std::unique_ptr<lsm::LsmNode>> nodes;
-  std::unique_ptr<kv::LsmRing> ring;
-};
+// A 3-node cluster of LSM nodes on disks (§5's LevelDB + Riak store).
+cluster::Cluster::Options SmallRingOptions() {
+  cluster::Cluster::Options opt = SmallClusterOptions(3);
+  opt.node.access = kv::AccessPath::kLsm;
+  return opt;
+}
 
 // A fail-slow disk on node 0 and a pause on node 1 of `store`: both apply,
 // heal and log, and show in the trace.
 void ExpectAppliesClearsAndLogs(sim::Simulator& sim, const obs::Tracer& tracer,
-                                kv::ReplicatedStore& store) {
+                                cluster::Cluster& store) {
   FaultPlanBuilder b;
   b.FailSlowDisk(/*node=*/0, Millis(1), Millis(4), 8.0);
   b.NodePause(/*node=*/1, Millis(2), Millis(3));
@@ -386,12 +374,12 @@ TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
     ExpectAppliesClearsAndLogs(sim, tracer, c);
   }
   {
-    SCOPED_TRACE("LSM ring");
+    SCOPED_TRACE("LSM cluster");
     sim::Simulator sim;
     obs::Tracer tracer;
     sim.set_tracer(&tracer);
-    SmallRing world(&sim);
-    ExpectAppliesClearsAndLogs(sim, tracer, *world.ring);
+    cluster::Cluster ring(&sim, SmallRingOptions());
+    ExpectAppliesClearsAndLogs(sim, tracer, ring);
   }
 }
 
@@ -400,16 +388,16 @@ TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
 // another (Riak w=1).
 TEST(FaultInjectorTest, PartitionHoldsRingPutHopToThatReplica) {
   sim::Simulator sim;
-  SmallRing world(&sim);
+  cluster::Cluster ring(&sim, SmallRingOptions());
   constexpr uint64_t kKey = 55;
   FaultPlanBuilder b;
-  b.NetworkPartition(/*node=*/world.ring->ReplicasOf(kKey)[1], Millis(1), Millis(4));
-  FaultInjector inj(&sim, world.ring.get(), b.Build());
+  b.NetworkPartition(/*node=*/ring.ReplicasOf(kKey)[1], Millis(1), Millis(4));
+  FaultInjector inj(&sim, &ring, b.Build());
   inj.Start();
   Status status = Status::Internal();
   TimeNs acked = -1;
   sim.Schedule(Millis(2), [&] {
-    world.ring->Put(kKey, [&](Status s) {
+    ring.Put(kKey, [&](Status s) {
       status = s;
       acked = sim.Now();
     });
@@ -417,11 +405,12 @@ TEST(FaultInjectorTest, PartitionHoldsRingPutHopToThatReplica) {
   sim.Schedule(Millis(10), [] {});
   sim.Run();
   EXPECT_EQ(inj.episodes_begun(), 1u);
-  EXPECT_EQ(world.network.messages_deferred(), 1u);  // The request hop.
+  EXPECT_EQ(ring.network().messages_deferred(), 1u);  // The request hop.
   EXPECT_TRUE(status.ok());
   EXPECT_LT(acked, Millis(5));  // Before the heal.
-  for (const auto& node : world.nodes) {
-    EXPECT_EQ(node->lsm().memtable_entries(), 1u);  // The held put landed at the heal.
+  for (int i = 0; i < ring.num_nodes(); ++i) {
+    // The held put landed at the heal.
+    EXPECT_EQ(static_cast<lsm::LsmNode&>(ring.node(i)).lsm().memtable_entries(), 1u);
   }
 }
 

@@ -1,4 +1,4 @@
-// Golden RunResult fingerprints of fifteen small one-shard Experiment worlds.
+// Golden RunResult fingerprints of seventeen small one-shard Experiment worlds.
 //
 // Every paper figure runs on one shard, so these pin the 1-shard schedule end
 // to end: requests, executed events, simulated duration and noise IOs;
@@ -327,6 +327,21 @@ TEST(OneShardGoldenTest, TracedRun) {
             "get=2000,6215140,50009040,101628557 user=2000,6215140,50009040,101628557 "
             "faults=0,0,0 spans=4096:10dd13f172e3172f");
 #endif
+}
+
+// The LSM store (§5's LevelDB + Riak): three LSM nodes under EC2 noise.
+TEST(OneShardGoldenTest, LsmStoreBaseAndMittos) {
+  ExperimentOptions o = Small();
+  o.num_nodes = 3;
+  o.access = kv::AccessPath::kLsm;
+  EXPECT_EQ(Probe(o, StrategyKind::kBase),
+            "req=2100 ev=13542 dur=5400230879 noise=560 ebusy=0 to=0 hedge=0 deg=0 err=0 "
+            "get=2000,6737009,65616921,95502205 user=2000,6737009,65616921,95502205 "
+            "faults=0,0,0");
+  EXPECT_EQ(Probe(o, StrategyKind::kMittos),
+            "req=2100 ev=20664 dur=4078559479 noise=522 ebusy=1452 to=0 hedge=0 deg=0 err=0 "
+            "get=2000,7648224,53939416,94617923 user=2000,7648224,53939416,94617923 "
+            "faults=0,0,0");
 }
 
 TEST(OneShardGoldenTest, ScaleFactorThree) {

@@ -152,6 +152,23 @@ TEST(ExperimentTest, Ec2NoiseProducesTailsNotMedians) {
             2 * base.get_latencies.Percentile(50));
 }
 
+// Warming and cache-drop noise act on a DocStore node's data file, which an
+// LSM node does not have.
+TEST(ExperimentTest, LsmNodesRejectWarmingAndCacheDrops) {
+  ExperimentOptions lsm = MicroOptions();
+  lsm.access = kv::AccessPath::kLsm;
+  lsm.num_keys_per_node = 1 << 12;
+  ExperimentOptions warm = lsm;
+  warm.warm_fraction = 0.5;
+  EXPECT_THROW(Experiment(warm).Run(StrategyKind::kBase), std::invalid_argument);
+  for (const NoiseKind noise : {NoiseKind::kCacheDrop, NoiseKind::kStaticCacheDrop}) {
+    ExperimentOptions drops = lsm;
+    drops.noise = noise;
+    EXPECT_THROW(Experiment(drops).Run(StrategyKind::kBase), std::invalid_argument);
+  }
+  EXPECT_EQ(Experiment(lsm).Run(StrategyKind::kBase).requests, 650u);
+}
+
 // The parallel trial runner's determinism contract: merged results must be
 // bit-identical regardless of worker count (ISSUE acceptance criterion).
 TEST(RunTrialsTest, ParallelMergeBitIdenticalToSerial) {

@@ -5,13 +5,15 @@
 #include <vector>
 
 #include "src/client/mittos_client.h"
-#include "src/kv/lsm_ring.h"
+#include "src/cluster/cluster.h"
 #include "src/lsm/bloom.h"
 #include "src/lsm/lsm_node.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/lsm/memtable.h"
 #include "src/lsm/sstable.h"
 #include "src/noise/noise_injector.h"
+#include "src/obs/gate.h"
+#include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::lsm {
@@ -195,33 +197,27 @@ TEST_F(LsmTreeTest, EbusyPropagatesFromReadPath) {
   EXPECT_LT(done, kMillisecond);  // Fast rejection, no queueing.
 }
 
-// The LSM ring under the MittOS client: the same EBUSY failover walk the
-// DocStore cluster runs.
+// A cluster of LSM nodes under the MittOS client: the same EBUSY failover
+// walk the DocStore cluster runs.
 class RingTest : public ::testing::Test {
  protected:
   void Build() {
-    network_ = std::make_unique<cluster::Network>(&sim_, cluster::NetworkParams{}, 5);
-    std::vector<uint64_t> keys(20000);
-    std::iota(keys.begin(), keys.end(), 0);
-    for (int i = 0; i < 3; ++i) {
-      LsmNode::Options opt;
-      opt.os.backend = os::BackendKind::kDiskCfq;
-      opt.os.mitt_enabled = true;
-      nodes_.push_back(std::make_unique<LsmNode>(&sim_, i, opt));
-      nodes_.back()->lsm().BulkLoad(keys);
-    }
-    ring_ = std::make_unique<kv::LsmRing>(
-        &sim_, std::vector<LsmNode*>{nodes_[0].get(), nodes_[1].get(), nodes_[2].get()},
-        network_.get());
+    cluster::Cluster::Options copt;
+    copt.num_nodes = 3;
+    copt.node.access = kv::AccessPath::kLsm;
+    copt.node.num_keys = 20000;
+    copt.node.os.backend = os::BackendKind::kDiskCfq;
+    copt.node.os.mitt_enabled = true;
+    ring_ = std::make_unique<cluster::Cluster>(&sim_, copt);
     client::MittosStrategy::Options mopt;
     mopt.deadline = Millis(12);
     mittos_ = std::make_unique<client::MittosStrategy>(&sim_, ring_.get(), 1, mopt);
   }
 
+  LsmNode& node(int i) { return static_cast<LsmNode&>(ring_->node(i)); }
+
   sim::Simulator sim_;
-  std::unique_ptr<cluster::Network> network_;
-  std::vector<std::unique_ptr<LsmNode>> nodes_;
-  std::unique_ptr<kv::LsmRing> ring_;
+  std::unique_ptr<cluster::Cluster> ring_;
   std::unique_ptr<client::MittosStrategy> mittos_;
 };
 
@@ -238,11 +234,15 @@ TEST_F(RingTest, GetSucceedsQuietCluster) {
   EXPECT_EQ(mittos_->ebusy_failovers(), 0u);
 }
 
+// The get is traced: the primary's rejected block read records its syscall
+// and EBUSY spans under the get's request id and the primary's node label.
 TEST_F(RingTest, EbusyTriggersReplicaFailover) {
   Build();
+  obs::Tracer tracer;
+  sim_.set_tracer(&tracer);
   // Saturate the primary replica of key 123.
   const int primary = ring_->ReplicasOf(123)[0];
-  os::Os& primary_os = nodes_[static_cast<size_t>(primary)]->os();
+  os::Os& primary_os = ring_->node(primary).os();
   const uint64_t noise_file = primary_os.CreateFile(100LL << 30);
   for (int i = 0; i < 40; ++i) {
     os::Os::ReadArgs args;
@@ -264,6 +264,19 @@ TEST_F(RingTest, EbusyTriggersReplicaFailover) {
   EXPECT_TRUE(status.ok());
   EXPECT_GE(mittos_->ebusy_failovers(), 1u);
   EXPECT_LT(done - start, Millis(15));  // No waiting on the busy primary.
+#if MITT_OBS_ENABLED
+  int syscalls = 0;
+  int rejects = 0;
+  for (const obs::SpanRecord& span : tracer.OrderedSpans()) {
+    if (span.request_id != 1 || span.node != primary) {
+      continue;
+    }
+    syscalls += span.kind == obs::SpanKind::kSyscall ? 1 : 0;
+    rejects += span.kind == obs::SpanKind::kEbusyReject ? 1 : 0;
+  }
+  EXPECT_EQ(syscalls, 1);
+  EXPECT_EQ(rejects, 1);
+#endif
 }
 
 TEST_F(RingTest, PutReplicatesAndAcks) {
@@ -278,8 +291,8 @@ TEST_F(RingTest, PutReplicatesAndAcks) {
   EXPECT_TRUE(status.ok());
   EXPECT_LT(done, Millis(2));  // WAL hits NVRAM; buffered ack.
   sim_.Run();
-  for (auto& node : nodes_) {
-    EXPECT_GT(node->lsm().memtable_entries(), 0u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_GT(node(i).lsm().memtable_entries(), 0u);
   }
 }
 

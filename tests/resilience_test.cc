@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <ostream>
 #include <tuple>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "src/cluster/cluster.h"
 #include "src/fault/fault_plan.h"
 #include "src/harness/scenario_runner.h"
-#include "src/kv/lsm_ring.h"
 #include "src/lsm/lsm_node.h"
 #include "src/noise/noise_injector.h"
 #include "src/obs/export.h"
@@ -296,7 +294,7 @@ class ResilientClientTest : public ::testing::Test {
     opt.network = net;
     cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
     for (const int node : noisy_nodes) {
-      kv::DocStoreNode& n = cluster_->node(node);
+      kv::StorageNode& n = cluster_->node(node);
       const int64_t size = 100LL << 30;
       const uint64_t file = n.os().CreateFile(size);
       noise::IoNoiseInjector::Options nopt;
@@ -509,14 +507,11 @@ class DegradedPathTest : public ::testing::TestWithParam<NodeKind> {
       opt.os.mitt_enabled = true;
       return std::make_unique<kv::DocStoreNode>(&sim_, 0, opt);
     }
-    lsm::LsmNode::Options opt;
+    kv::StorageNode::Options opt;
+    opt.num_keys = 20000;
     opt.os.backend = os::BackendKind::kDiskCfq;
     opt.os.mitt_enabled = true;
-    auto node = std::make_unique<lsm::LsmNode>(&sim_, 0, opt);
-    std::vector<uint64_t> keys(20000);
-    std::iota(keys.begin(), keys.end(), 0);
-    node->lsm().BulkLoad(keys);
-    return node;
+    return std::make_unique<lsm::LsmNode>(&sim_, 0, opt);
   }
 
   sim::Simulator sim_;
@@ -554,29 +549,20 @@ TEST_P(DegradedPathTest, ShedsOverCapacityAndEscalatesUnderTheCap) {
 INSTANTIATE_TEST_SUITE_P(NodeKinds, DegradedPathTest,
                          ::testing::Values(NodeKind::kDocStore, NodeKind::kLsm));
 
-// ---------------------------------------------------- LSM ring, all-EBUSY
+// ------------------------------------------------- LSM cluster, all-EBUSY
 
-// The LSM ring under the MittOS client: kMittos (the paper's walk) or
-// kResilient.
+// A cluster of LSM nodes under the MittOS client: kMittos (the paper's walk)
+// or kResilient.
 class RingResilienceTest : public ::testing::Test {
  protected:
   void Build(bool resilience_enabled) {
-    network_ = std::make_unique<cluster::Network>(&sim_, cluster::NetworkParams{}, 5);
-    std::vector<uint64_t> keys(20000);
-    for (uint64_t i = 0; i < keys.size(); ++i) {
-      keys[i] = i;
-    }
-    for (int i = 0; i < 3; ++i) {
-      lsm::LsmNode::Options opt;
-      opt.os.backend = os::BackendKind::kDiskCfq;
-      opt.os.mitt_enabled = true;
-      nodes_.push_back(std::make_unique<lsm::LsmNode>(&sim_, i, opt));
-      nodes_.back()->lsm().BulkLoad(keys);
-    }
-    ring_ = std::make_unique<kv::LsmRing>(
-        &sim_,
-        std::vector<lsm::LsmNode*>{nodes_[0].get(), nodes_[1].get(), nodes_[2].get()},
-        network_.get());
+    cluster::Cluster::Options copt;
+    copt.num_nodes = 3;
+    copt.node.access = kv::AccessPath::kLsm;
+    copt.node.num_keys = 20000;
+    copt.node.os.backend = os::BackendKind::kDiskCfq;
+    copt.node.os.mitt_enabled = true;
+    ring_ = std::make_unique<cluster::Cluster>(&sim_, copt);
     client::MittosStrategy::Options mopt;
     mopt.preset =
         resilience_enabled ? client::MittosPreset::kResilient : client::MittosPreset::kMittos;
@@ -585,8 +571,8 @@ class RingResilienceTest : public ::testing::Test {
   }
 
   void SaturateAllNodes() {
-    for (auto& node : nodes_) {
-      SaturateDisk(node->os());
+    for (int i = 0; i < ring_->num_nodes(); ++i) {
+      SaturateDisk(ring_->node(i).os());
     }
   }
 
@@ -602,9 +588,7 @@ class RingResilienceTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<cluster::Network> network_;
-  std::vector<std::unique_ptr<lsm::LsmNode>> nodes_;
-  std::unique_ptr<kv::LsmRing> ring_;
+  std::unique_ptr<cluster::Cluster> ring_;
   std::unique_ptr<client::MittosStrategy> mittos_;
 };
 
@@ -646,7 +630,7 @@ class DoneOncePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 // One store's drill: one noisy node plus lossy links (drops are modeled as
 // lost-then-retransmitted, so late replies race client timers), then
 // shuffled rounds of gets through Base, MittOS, MittOS+wait and MittOS+res.
-void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, kv::ReplicatedStore& store,
+void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, cluster::Cluster& cluster,
                    os::Os& noisy_os, int64_t num_keys) {
   Rng rng(seed);
   const int64_t size = 100LL << 30;
@@ -655,7 +639,7 @@ void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, kv::ReplicatedStore& stor
   noise::IoNoiseInjector injector(&sim, &noisy_os, file, size,
                                   {noise::NoiseEpisode{0, Seconds(30), 3}}, nopt, seed + 7);
   injector.Start();
-  store.network().SetLinkDropProbability(cluster::Network::kNoPeer,
+  cluster.network().SetLinkDropProbability(cluster::Network::kNoPeer,
                                          0.05 + 0.1 * rng.Uniform(0.0, 1.0));
 
   client::TimeoutStrategy::Options topt;
@@ -667,10 +651,10 @@ void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, kv::ReplicatedStore& stor
   client::MittosStrategy::Options ropt = mopt;
   ropt.preset = client::MittosPreset::kResilient;
   ropt.health.min_samples = 4;
-  client::TimeoutStrategy timeout(&sim, &store, seed, topt);
-  client::MittosStrategy mittos(&sim, &store, seed, mopt);
-  client::MittosStrategy mittos_wait(&sim, &store, seed, wopt);
-  client::MittosStrategy resilient(&sim, &store, seed, ropt);
+  client::TimeoutStrategy timeout(&sim, &cluster, seed, topt);
+  client::MittosStrategy mittos(&sim, &cluster, seed, mopt);
+  client::MittosStrategy mittos_wait(&sim, &cluster, seed, wopt);
+  client::MittosStrategy resilient(&sim, &cluster, seed, ropt);
   std::vector<client::GetStrategy*> strategies = {&timeout, &mittos, &mittos_wait, &resilient};
 
   sim.RunUntil(Millis(50));
@@ -708,35 +692,18 @@ void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, kv::ReplicatedStore& stor
 TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
   const uint64_t seed = GetParam();
   constexpr int64_t kKeys = 1 << 16;
-  {
-    SCOPED_TRACE("DocStore cluster");
+  for (const kv::AccessPath access : {kv::AccessPath::kRead, kv::AccessPath::kLsm}) {
+    SCOPED_TRACE(access == kv::AccessPath::kLsm ? "LSM cluster" : "DocStore cluster");
     sim::Simulator sim;
     cluster::Cluster::Options copt;
     copt.num_nodes = 3;
+    copt.node.access = access;
     copt.node.num_keys = kKeys;
     copt.node.os.backend = os::BackendKind::kDiskCfq;
     copt.node.os.mitt_enabled = true;
     copt.seed = seed;
     cluster::Cluster cluster(&sim, copt);
     DrillDoneOnce(seed, sim, cluster, cluster.node(static_cast<int>(seed % 3)).os(), kKeys);
-  }
-  {
-    SCOPED_TRACE("LSM ring");
-    sim::Simulator sim;
-    cluster::Network network(&sim, cluster::NetworkParams{}, seed ^ 0xBEEF);
-    std::vector<uint64_t> keys(static_cast<size_t>(kKeys));
-    std::iota(keys.begin(), keys.end(), 0);
-    std::vector<std::unique_ptr<lsm::LsmNode>> nodes;
-    for (int i = 0; i < 3; ++i) {
-      lsm::LsmNode::Options opt;
-      opt.os.backend = os::BackendKind::kDiskCfq;
-      opt.os.mitt_enabled = true;
-      opt.os.seed = seed ^ static_cast<uint64_t>(i);
-      nodes.push_back(std::make_unique<lsm::LsmNode>(&sim, i, opt));
-      nodes.back()->lsm().BulkLoad(keys);
-    }
-    kv::LsmRing ring(&sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network);
-    DrillDoneOnce(seed, sim, ring, nodes[seed % 3]->os(), kKeys);
   }
 }
 
