@@ -6,6 +6,7 @@
 
 #include "src/chaos/mutator.h"
 #include "src/chaos/shrinker.h"
+#include "src/obs/export.h"
 
 namespace mitt::chaos {
 namespace {
@@ -14,33 +15,6 @@ int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -59,8 +33,8 @@ std::string SearchReport::ToJson() const {
   for (size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     j += i == 0 ? "\n" : ",\n";
-    j += "    {\"oracle\": \"" + JsonEscape(f.oracle) + "\", \"strategy\": \"" +
-         JsonEscape(f.strategy) + "\", \"detail\": \"" + JsonEscape(f.detail) + "\", ";
+    j += "    {\"oracle\": \"" + obs::JsonEscape(f.oracle) + "\", \"strategy\": \"" +
+         obs::JsonEscape(f.strategy) + "\", \"detail\": \"" + obs::JsonEscape(f.detail) + "\", ";
     std::snprintf(buf, sizeof(buf),
                   "\"found_at_trial\": %d, \"shrink_trials\": %d, \"plan_episodes\": %zu, "
                   "\"shrunk_episodes\": %zu}",

@@ -1,7 +1,6 @@
 #include "src/client/adaptive.h"
 
 #include <cmath>
-#include <vector>
 
 namespace mitt::client {
 namespace {
@@ -37,25 +36,29 @@ void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
   }
   // Badness threshold: near-equal scores spread randomly instead of herding.
   const double best_score = snapshot_ns_[static_cast<size_t>(best)];
-  std::vector<int> close;
+  int close[tenant::ReplicaGroup::kMaxReplication];
+  int num_close = 0;
   for (const int node : replicas) {
     if (snapshot_ns_[static_cast<size_t>(node)] <=
         best_score * (1.0 + options_.badness_threshold)) {
-      close.push_back(node);
+      close[num_close++] = node;
     }
   }
-  if (close.size() > 1) {
-    best = close[static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(close.size()) - 1))];
+  if (num_close > 1) {
+    best = close[rng_.UniformInt(0, num_close - 1)];
   }
   const TimeNs start = sim_->Now();
-  auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
+  GetRecord* g = gets_.Acquire(std::move(done));
+  g->tries = 1;
+  gets_.Hold(g);
   SendGetWithHint(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status, DurationNs) {
+      [this, g, best, start](Status status, DurationNs) {
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];
         score = (1.0 - options_.ewma_alpha) * score + options_.ewma_alpha * sample;
-        (*shared_done)({status, 1});
+        Settle(g, status);
+        gets_.Drop(g);
       },
       BeginTrace());
 }
@@ -95,16 +98,19 @@ void C3Strategy::Get(uint64_t key, GetDoneFn done) {
   }
   const TimeNs start = sim_->Now();
   ++outstanding_[static_cast<size_t>(best)];
-  auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
+  GetRecord* g = gets_.Acquire(std::move(done));
+  g->tries = 1;
+  gets_.Hold(g);
   SendGetWithHint(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status, DurationNs) {
+      [this, g, best, start](Status status, DurationNs) {
         --outstanding_[static_cast<size_t>(best)];
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];
         score = (1.0 - options_.ewma_alpha) * score + options_.ewma_alpha * sample;
         last_update_[static_cast<size_t>(best)] = sim_->Now();
-        (*shared_done)({status, 1});
+        Settle(g, status);
+        gets_.Drop(g);
       },
       BeginTrace());
 }

@@ -46,6 +46,7 @@ class SnitchStrategy : public GetStrategy {
   std::vector<double> ewma_ns_;      // Live per-node EWMA.
   std::vector<double> snapshot_ns_;  // Scores actually used for routing.
   sim::EventId refresh_event_ = sim::kInvalidEventId;
+  GetPool<GetRecord> gets_;
 };
 
 class C3Strategy : public GetStrategy {
@@ -70,6 +71,7 @@ class C3Strategy : public GetStrategy {
   // from a burst is re-tried within a few seconds (without this, min-score
   // selection never revisits a once-slow replica).
   std::vector<TimeNs> last_update_;
+  GetPool<GetRecord> gets_;
 };
 
 }  // namespace mitt::client

@@ -1,6 +1,6 @@
 #include "src/client/clone.h"
 
-#include <memory>
+#include <algorithm>
 
 namespace mitt::client {
 
@@ -9,24 +9,26 @@ CloneStrategy::CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uin
 
 void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
   const auto replicas = Replicas(key);
-  // Two distinct random replicas.
-  const auto first = static_cast<size_t>(rng_.UniformInt(0, 2));
-  size_t second = static_cast<size_t>(rng_.UniformInt(0, 1));
-  if (second >= first) {
+  // Two distinct random replicas of the group (both copies go to the only
+  // replica of a one-node group).
+  const int first = static_cast<int>(rng_.UniformInt(0, replicas.size - 1));
+  int second = static_cast<int>(rng_.UniformInt(0, std::max(replicas.size - 2, 0)));
+  if (replicas.size > 1 && second >= first) {
     ++second;
   }
-  auto settled = std::make_shared<bool>(false);
-  auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
-  auto on_reply = [settled, shared_done](Status status, DurationNs) {
-    if (*settled) {
-      return;  // The slower clone; discarded.
-    }
-    *settled = true;
-    (*shared_done)({status, 2});
-  };
+  GetRecord* g = gets_.Acquire(std::move(done));
+  g->tries = 2;
   const obs::TraceContext trace = BeginTrace();
-  SendGetWithHint(replicas[static_cast<int>(first)], key, sched::kNoDeadline, on_reply, trace);
-  SendGetWithHint(replicas[static_cast<int>(second)], key, sched::kNoDeadline, on_reply, trace);
+  for (const int index : {first, second}) {
+    gets_.Hold(g);
+    SendGetWithHint(
+        replicas[index], key, sched::kNoDeadline,
+        [this, g](Status status, DurationNs) {
+          Settle(g, status);  // The slower clone finds the get settled.
+          gets_.Drop(g);
+        },
+        trace);
+  }
 }
 
 }  // namespace mitt::client

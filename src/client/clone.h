@@ -15,6 +15,9 @@ class CloneStrategy : public GetStrategy {
   CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
 
   void Get(uint64_t key, GetDoneFn done) override;
+
+ private:
+  GetPool<GetRecord> gets_;
 };
 
 }  // namespace mitt::client

@@ -28,12 +28,9 @@ resilience::ReplicaHealthOptions HealthWithSloFloor(const MittosStrategy::Option
 
 }  // namespace
 
-// One logical get, pooled per strategy. `settled` is the done-exactly-once
-// latch: every completion path funnels through Settle(), and late replies
-// from attempts the timer already abandoned check it before doing anything
-// user-visible. The record outlives the settle while `refs` scheduled events
-// (hop replies, attempt timers, backoff resumes) still refer to it.
-struct MittosStrategy::GetState {
+// One logical get. Late replies from attempts the timer already abandoned
+// check the settle-once latch before doing anything user-visible.
+struct MittosStrategy::GetState : GetRecord {
   // Under kResilient the attempt timer and the reply race for each hop.
   enum class HopState : uint8_t {
     kInFlight,
@@ -74,19 +71,13 @@ struct MittosStrategy::GetState {
   Hop hops[kMaxReplicas];         // Indexed like `replicas`.
   int order[kMaxReplicas] = {};   // Filled by OrderByHint() for the exits.
   int next = 0;
-  int tries = 0;
   resilience::DeadlineBudget budget{0, 0};
   // Remaining budget sent by the previous primary-walk hop; <0 until the
   // first hop. Feeds the budget-monotonicity oracle counter.
   DurationNs last_sent_remaining = -1;
   int degraded_next = 0;
   Status last_degraded_status = Status::Unavailable();
-  bool settled = false;
-  int refs = 0;
-  GetDoneFn done;
   obs::TraceContext trace;
-  uint32_t pool_slot = 0;
-  uint32_t pool_epoch = 0;
 };
 
 MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
@@ -98,12 +89,6 @@ MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, u
       backoff_(options.backoff, seed ^ 0xBAC0'0FF5ULL) {}
 
 MittosStrategy::~MittosStrategy() = default;
-
-void MittosStrategy::Drop(GetState* g) {
-  if (--g->refs == 0 && g->settled) {
-    gets_.Release(g);
-  }
-}
 
 DurationNs MittosStrategy::NoteSentDeadline(DurationNs deadline) {
   // The bounded-deadline contract: kResilient never disables a deadline.
@@ -118,7 +103,7 @@ DurationNs MittosStrategy::NoteSentDeadline(DurationNs deadline) {
 void MittosStrategy::Get(uint64_t key, GetDoneFn done) { Get(key, GetContext{}, std::move(done)); }
 
 void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
-  GetState* g = gets_.Acquire();
+  GetState* g = gets_.Acquire(std::move(done));
   g->key = key;
   g->tenant = ctx.tenant;
   g->slo = ctx.deadline > 0 ? ctx.deadline : options_.deadline;
@@ -127,24 +112,16 @@ void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
     health_.OrderReplicas(std::span<int>(g->replicas.node, static_cast<size_t>(g->replicas.size)));
     g->budget = resilience::DeadlineBudget(g->slo, sim_->Now());
   }
-  g->done = std::move(done);
   g->trace = BeginTrace();
-  ++g->refs;  // The walk below may settle the get before it returns.
   TryNext(g);
-  Drop(g);
 }
 
-void MittosStrategy::Settle(GetState* g, Status status) {
-  if (g->settled) {
-    return;
-  }
-  g->settled = true;
-  if (status.ok()) {
+void MittosStrategy::Finish(GetState* g, Status status) {
+  if (!g->settled && status.ok()) {
     retry_budget_.OnSuccess();
     backoff_.Reset();
   }
-  GetDoneFn done = std::move(g->done);
-  done({status, g->tries});
+  Settle(g, status);
 }
 
 void MittosStrategy::ScheduleBackoff(GetState* g, int round) {
@@ -155,14 +132,14 @@ void MittosStrategy::ScheduleBackoff(GetState* g, int round) {
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("resilience_backoff_total").Add();
   }
-  ++g->refs;
+  gets_.Hold(g);
   sim_->Schedule(delay, [this, g, round] {
     if (round < 0) {
       TryNext(g);
     } else {
       StartDegraded(g, round);
     }
-    Drop(g);
+    gets_.Drop(g);
   });
 }
 
@@ -215,19 +192,19 @@ void MittosStrategy::TryNext(GetState* g) {
     // SLO, so a healthy world never races it.
     GetState::Hop& hop = g->hops[index];
     hop.sent_at = now;
-    ++g->refs;
+    gets_.Hold(g);
     hop.timer = sim_->Schedule(deadline + 2 * network_->round_trip_estimate() + g->slo,
                                [this, g, index] {
                                  OnTimer(g, index);
-                                 Drop(g);
+                                 gets_.Drop(g);
                                });
   }
-  ++g->refs;
+  gets_.Hold(g);
   SendGetWithHint(
       g->replicas.node[index], g->key, deadline,
       [this, g, index](Status status, DurationNs hint) {
         OnReply(g, index, status, hint);
-        Drop(g);
+        gets_.Drop(g);
       },
       g->trace, g->tenant);
 }
@@ -262,7 +239,7 @@ void MittosStrategy::OnReply(GetState* g, int index, Status status, DurationNs h
     if (hop.state == GetState::HopState::kInFlight) {
       hop.state = GetState::HopState::kReplied;
       if (sim_->Cancel(hop.timer)) {
-        Drop(g);  // The timer's reference; this reply still holds one.
+        gets_.Drop(g);  // The timer's reference; this reply still holds one.
       }
     } else if (!status.ok() &&
                (options_.test_swallow_late_reply || hop.state == GetState::HopState::kRetried)) {
@@ -284,7 +261,7 @@ void MittosStrategy::OnReply(GetState* g, int index, Status status, DurationNs h
     TryNext(g);  // Instant, exceptionless failover (§5) — no backoff.
     return;
   }
-  Settle(g, status);
+  Finish(g, status);
 }
 
 void MittosStrategy::Exit(GetState* g) {
@@ -302,12 +279,12 @@ void MittosStrategy::Exit(GetState* g) {
   }
   ++unbounded_tries_;
   ++g->tries;
-  ++g->refs;
+  gets_.Hold(g);
   SendGetWithHint(
       g->replicas.node[index], g->key, sched::kNoDeadline,
       [this, g](Status status, DurationNs) {
-        Settle(g, status);
-        Drop(g);
+        Finish(g, status);
+        gets_.Drop(g);
       },
       g->trace, g->tenant);
 }
@@ -332,7 +309,7 @@ void MittosStrategy::DegradedNext(GetState* g, int round) {
     // its degraded-admission capacity. Back off and re-walk; slots free up
     // as admitted reads complete.
     if (round + 1 >= kDegradedMaxRounds) {
-      Settle(g, g->last_degraded_status);
+      Finish(g, g->last_degraded_status);
       return;
     }
     ScheduleBackoff(g, round + 1);
@@ -354,12 +331,12 @@ void MittosStrategy::DegradedNext(GetState* g, int round) {
     deadline = std::max(deadline, g->hops[index].hint + g->slo);
   }
   deadline = NoteSentDeadline(std::min(deadline, kv::StorageNode::kDegradedDeadlineCap));
-  ++g->refs;
+  gets_.Hold(g);
   SendDegradedGet(
       g->replicas.node[index], g->key, deadline,
       [this, g, round](Status status, DurationNs) {
         OnDegradedReply(g, round, status);
-        Drop(g);
+        gets_.Drop(g);
       },
       g->trace);
 }
@@ -374,7 +351,7 @@ void MittosStrategy::OnDegradedReply(GetState* g, int round, Status status) {
     DegradedNext(g, round);
     return;
   }
-  Settle(g, status);
+  Finish(g, status);
 }
 
 }  // namespace mitt::client

@@ -118,16 +118,13 @@ class MittosStrategy : public GetStrategy {
   void StartDegraded(GetState* g, int round);
   void DegradedNext(GetState* g, int round);
   void OnDegradedReply(GetState* g, int round, Status status);
-  void Settle(GetState* g, Status status);
+  // Settles the get; a first success also refills the retry budget and
+  // resets the backoff.
+  void Finish(GetState* g, Status status);
   // Backs off, then resumes the primary walk (round < 0) or degraded round
   // `round`.
   void ScheduleBackoff(GetState* g, int round);
   DurationNs NoteSentDeadline(DurationNs deadline);
-  // Every scheduled event that refers to a get (a hop's reply, an attempt
-  // timer, a backoff resume) holds one reference (GetState::refs) from
-  // scheduling until it has fired or been cancelled; the last Drop returns
-  // a settled get to the pool.
-  void Drop(GetState* g);
 
   Options options_;
   resilience::ReplicaHealthTracker health_;
@@ -141,7 +138,7 @@ class MittosStrategy : public GetStrategy {
   uint64_t deadline_exhausted_ = 0;
   uint64_t budget_regressions_ = 0;
   DurationNs max_sent_deadline_ = 0;
-  SlotPool<GetState> gets_;
+  GetPool<GetState> gets_;
 };
 
 }  // namespace mitt::client

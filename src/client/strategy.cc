@@ -57,6 +57,15 @@ void GetStrategy::OnReply(Hop* hop, Status status, DurationNs hint) {
   on_reply(status, hint);
 }
 
+void GetStrategy::Settle(GetRecord* g, Status status) {
+  if (g->settled) {
+    return;
+  }
+  g->settled = true;
+  GetDoneFn done = std::move(g->done);
+  done({status, g->tries});
+}
+
 tenant::ReplicaGroup GetStrategy::RouteReplicas(uint64_t key, tenant::TenantId tenant) const {
   if (placement_ != nullptr && tenant != tenant::kNoTenant &&
       tenant < placement_->num_tenants()) {

@@ -3,8 +3,9 @@
 // Every strategy implements one replicated get() over a cluster::Cluster
 // (of DocStore or LSM nodes); the experiment harness runs identical
 // workloads and noise replays through each strategy and compares the
-// completion-time distributions. The shared plumbing (network round trip to
-// a chosen replica) lives in the base class.
+// completion-time distributions. The shared plumbing lives in the base
+// class: the network round trip to a chosen replica, and the pooled per-Get
+// record with its one lifetime rule (GetRecord, GetPool, Settle).
 
 #ifndef MITTOS_CLIENT_STRATEGY_H_
 #define MITTOS_CLIENT_STRATEGY_H_
@@ -100,6 +101,49 @@ class GetStrategy {
   // attached and the tenant is known, the key's ring replicas otherwise.
   // Both are dense-array copies, so routing allocates nothing.
   tenant::ReplicaGroup RouteReplicas(uint64_t key, tenant::TenantId tenant) const;
+
+  // One logical get. Every strategy keeps a Get's state in a pooled record
+  // derived from this one. `refs` counts the scheduled events that still
+  // refer to the record (a hop's reply, a timer, a backoff resume), each
+  // from scheduling until it has fired or been cancelled. Every completion
+  // path funnels through Settle(), the settle-once latch, and the record
+  // goes back to its pool after the settle and the last reference.
+  struct GetRecord {
+    GetDoneFn done;
+    int tries = 0;
+    bool settled = false;
+    int refs = 0;
+    uint32_t pool_slot = 0;
+    uint32_t pool_epoch = 0;
+  };
+
+  // A strategy's pool of `Record`s (GetRecord or a type derived from it).
+  template <typename Record>
+  class GetPool {
+   public:
+    Record* Acquire(GetDoneFn done) {
+      Record* g = pool_.Acquire();
+      g->done = std::move(done);
+      return g;
+    }
+    // Taken when scheduling an event that refers to `g`.
+    void Hold(Record* g) { ++g->refs; }
+    // Called by that event once it has fired or been cancelled.
+    void Drop(Record* g) {
+      if (--g->refs == 0 && g->settled) {
+        pool_.Release(g);
+      }
+    }
+
+   private:
+    SlotPool<Record> pool_;
+  };
+
+  // Calls the Get's `done` with `status` and the record's try count, the
+  // first time only; later calls (the slower clone, a stale reply) do
+  // nothing. Runs inside an event that holds a reference, so the record
+  // outlives `done`, which may issue the next Get at once.
+  static void Settle(GetRecord* g, Status status);
 
   sim::Simulator* sim_;
   cluster::Cluster* cluster_;

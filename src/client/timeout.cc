@@ -4,22 +4,14 @@
 
 namespace mitt::client {
 
-// One logical get. Only the newest attempt can still settle it: an older
-// attempt's timer already fired (that is what started the newer one), so
-// its late reply is stale. `refs` counts the scheduled events holding the
-// record — each attempt's reply and its pending timer — and the record goes
-// back to the pool once the get has finished and the last of them is gone.
-struct TimeoutStrategy::GetState {
+// One logical get; `tries - 1` is the newest try. At most one timer is
+// pending, the newest try's: an older try's timer already fired (that is
+// what sent the newer try).
+struct TimeoutStrategy::GetState : GetRecord {
   uint64_t key = 0;
   GetContext ctx;
   obs::TraceContext trace;
-  GetDoneFn done;
-  int try_index = 0;  // The newest attempt.
   sim::EventId timer = sim::kInvalidEventId;
-  bool finished = false;
-  int refs = 0;
-  uint32_t pool_slot = 0;
-  uint32_t pool_epoch = 0;
 };
 
 TimeoutStrategy::TimeoutStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
@@ -33,77 +25,63 @@ void TimeoutStrategy::Get(uint64_t key, GetDoneFn done) {
 }
 
 void TimeoutStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
-  GetState* g = gets_.Acquire();
+  GetState* g = gets_.Acquire(std::move(done));
   g->key = key;
   g->ctx = ctx;
-  g->done = std::move(done);
   g->trace = BeginTrace();
   Attempt(g);
 }
 
 void TimeoutStrategy::Attempt(GetState* g) {
   const tenant::ReplicaGroup replicas = RouteReplicas(g->key, g->ctx.tenant);
-  const int try_index = g->try_index;
+  const int try_index = g->tries++;
   const int node =
       replicas.node[static_cast<size_t>(try_index) % static_cast<size_t>(replicas.size)];
-  const bool last_try = try_index + 1 >= options_.max_tries;
+  const bool last_try = g->tries >= options_.max_tries;
   const DurationNs timeout = g->ctx.deadline > 0 ? g->ctx.deadline : options_.timeout;
 
-  // One timer + one reply race; whichever fires first settles this attempt.
+  // One timer + one reply race; whichever fires first settles this try.
   g->timer = sim::kInvalidEventId;
   if (!last_try && timeout > 0) {
-    ++g->refs;
-    g->timer = sim_->Schedule(timeout, [this, g, try_index] {
-      OnTimer(g, try_index);
-      Drop(g);
+    gets_.Hold(g);
+    g->timer = sim_->Schedule(timeout, [this, g] {
+      OnTimer(g);
+      gets_.Drop(g);
     });
   }
-  ++g->refs;
+  gets_.Hold(g);
   SendGetWithHint(
       node, g->key, sched::kNoDeadline,
       [this, g, try_index](Status status, DurationNs) {
         OnReply(g, try_index, status);
-        Drop(g);
+        gets_.Drop(g);
       },
       g->trace, g->ctx.tenant);
 }
 
-void TimeoutStrategy::OnTimer(GetState* g, int try_index) {
-  if (g->finished || try_index != g->try_index) {
+void TimeoutStrategy::OnTimer(GetState* g) {
+  if (g->settled) {
     return;
   }
   ++timeouts_fired_;
   if (!options_.failover_on_timeout) {
     // The user receives a read error even though less-busy replicas are
     // available (§2's surprising finding).
-    Finish(g, Status::Timeout());
+    Settle(g, Status::Timeout());
     return;
   }
   RecordFailover(g->trace);
-  ++g->try_index;
   Attempt(g);
 }
 
 void TimeoutStrategy::OnReply(GetState* g, int try_index, Status status) {
-  if (g->finished || try_index != g->try_index) {
-    return;  // Timed out earlier; this reply is stale (app-level cancel).
+  if (g->settled || (options_.abandon_on_timeout && try_index != g->tries - 1)) {
+    return;  // Settled already, or timed out earlier (app-level cancel).
   }
   if (g->timer != sim::kInvalidEventId && sim_->Cancel(g->timer)) {
-    --g->refs;  // The caller's reference keeps the record alive.
+    gets_.Drop(g);  // The timer's reference; this reply still holds one.
   }
-  Finish(g, status);
-}
-
-void TimeoutStrategy::Finish(GetState* g, Status status) {
-  g->finished = true;
-  GetDoneFn done = std::move(g->done);
-  done({status, g->try_index + 1});
-}
-
-void TimeoutStrategy::Drop(GetState* g) {
-  if (--g->refs == 0 && g->finished) {
-    gets_.Release(g);
-  }
+  Settle(g, status);
 }
 
 }  // namespace mitt::client

@@ -15,10 +15,11 @@
 // issue a new request that reuses the slot at once).
 //
 // Owners: Os (syscall-layer descriptors), DiskModel (NVRAM destages), SsdGc
-// (garbage-collection IOs), GetStrategy (client hop records), MittosStrategy
-// and TimeoutStrategy (per-Get state), StorageNode (server request records,
-// DocStore and LSM nodes alike). Pools start empty and grow one block at a
-// time. A pool is touched by one thread only: the shard its owner runs on.
+// (garbage-collection IOs), GetStrategy (client hop records, and every
+// strategy's per-Get records through GetStrategy::GetPool), StorageNode
+// (server request records, DocStore and LSM nodes alike). Pools start empty
+// and grow one block at a time. A pool is touched by one thread only: the
+// shard its owner runs on.
 
 #ifndef MITTOS_COMMON_SLOT_POOL_H_
 #define MITTOS_COMMON_SLOT_POOL_H_

@@ -12,7 +12,6 @@
 
 #include "src/client/adaptive.h"
 #include "src/client/clone.h"
-#include "src/client/hedged.h"
 #include "src/client/mittos_client.h"
 #include "src/client/timeout.h"
 #include "src/common/table.h"
@@ -409,11 +408,10 @@ std::unique_ptr<client::GetStrategy> Experiment::MakeStrategy(StrategyKind kind,
     }
     case StrategyKind::kClone:
       return std::make_unique<client::CloneStrategy>(sim, cluster, seed);
-    case StrategyKind::kHedged: {
-      client::HedgedStrategy::Options opt;
-      opt.hedge_delay = Resolve(options_.hedge_delay, deadline);
-      return std::make_unique<client::HedgedStrategy>(sim, cluster, seed, opt);
-    }
+    case StrategyKind::kHedged:
+      return std::make_unique<client::TimeoutStrategy>(
+          sim, cluster, seed,
+          client::TimeoutStrategy::Options::Hedged(Resolve(options_.hedge_delay, deadline)));
     case StrategyKind::kSnitch:
       return std::make_unique<client::SnitchStrategy>(sim, cluster, seed,
                                                       client::SnitchStrategy::Options{});
@@ -443,7 +441,8 @@ void Experiment::CollectCounters(StrategyKind kind, const client::GetStrategy& s
           static_cast<const client::TimeoutStrategy&>(strategy).timeouts_fired();
       break;
     case StrategyKind::kHedged:
-      out->hedges_sent += static_cast<const client::HedgedStrategy&>(strategy).hedges_sent();
+      out->hedges_sent +=
+          static_cast<const client::TimeoutStrategy&>(strategy).timeouts_fired();
       break;
     case StrategyKind::kMittos:
     case StrategyKind::kMittosWait:

@@ -3,21 +3,34 @@
 #include "src/common/table.h"
 
 namespace mitt::obs {
+namespace {
+
+// Find-or-create: the name is copied only when the metric is created.
+template <typename Metric>
+Metric& FindOrCreate(MetricsRegistry::Map<Metric>& map, std::string_view name, int node) {
+  auto it = map.find(MetricsRegistry::KeyLess::View{name, node});
+  if (it == map.end()) {
+    it = map.emplace(MetricsRegistry::Key{std::string(name), node}, Metric{}).first;
+  }
+  return it->second;
+}
+
+}  // namespace
 
 Counter& MetricsRegistry::counter(std::string_view name, int node) {
-  return counters_[Key{std::string(name), node}];
+  return FindOrCreate(counters_, name, node);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, int node) {
-  return gauges_[Key{std::string(name), node}];
+  return FindOrCreate(gauges_, name, node);
 }
 
 LatencyRecorder& MetricsRegistry::histogram(std::string_view name, int node) {
-  return histograms_[Key{std::string(name), node}];
+  return FindOrCreate(histograms_, name, node);
 }
 
 uint64_t MetricsRegistry::CounterValue(std::string_view name, int node) const {
-  const auto it = counters_.find(Key{std::string(name), node});
+  const auto it = counters_.find(KeyLess::View{name, node});
   return it == counters_.end() ? 0 : it->second.value();
 }
 
@@ -32,7 +45,7 @@ uint64_t MetricsRegistry::CounterTotal(std::string_view name) const {
 }
 
 double MetricsRegistry::GaugeValue(std::string_view name, int node) const {
-  const auto it = gauges_.find(Key{std::string(name), node});
+  const auto it = gauges_.find(KeyLess::View{name, node});
   return it == gauges_.end() ? 0.0 : it->second.value();
 }
 

@@ -12,11 +12,13 @@
 // order. Each trial owns its own registry (attached to its Simulator), so
 // parallel trial runs stay bit-identical.
 //
-// Cost: lookup is a map probe; recording through a cached Counter*/Gauge* is
-// one add. Instrumented layers resolve their metric handles once (lazily, on
-// first use) and record through the cached pointers — std::map node
-// addresses are stable. With MITT_OBS_DISABLED, Simulator::metrics() is
-// constant null and every site folds away.
+// Cost: lookup is a map probe on (string_view, node) that allocates only
+// when it creates the metric, so a layer may look a counter up by name on
+// every event. Layers on the hottest paths (Os, the schedulers) resolve
+// their handles once and record through the cached pointers — std::map node
+// addresses are stable — which makes a record one add. With
+// MITT_OBS_DISABLED, Simulator::metrics() is constant null and every site
+// folds away.
 
 #ifndef MITTOS_OBS_METRICS_H_
 #define MITTOS_OBS_METRICS_H_
@@ -25,6 +27,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/latency_recorder.h"
@@ -56,8 +59,21 @@ class MetricsRegistry {
   struct Key {
     std::string name;
     int node = -1;
-    auto operator<=>(const Key&) const = default;
   };
+  // Orders Keys by (name, node), and lets a (string_view, node) pair probe
+  // the maps without building a Key.
+  struct KeyLess {
+    using is_transparent = void;
+    using View = std::pair<std::string_view, int>;
+    static View view(const Key& k) { return {k.name, k.node}; }
+    static View view(const View& v) { return v; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return view(a) < view(b);
+    }
+  };
+  template <typename Metric>
+  using Map = std::map<Key, Metric, KeyLess>;
 
   // Find-or-create. References are stable for the registry's lifetime.
   Counter& counter(std::string_view name, int node = -1);
@@ -69,9 +85,9 @@ class MetricsRegistry {
   uint64_t CounterTotal(std::string_view name) const;  // Summed over nodes.
   double GaugeValue(std::string_view name, int node = -1) const;
 
-  const std::map<Key, Counter>& counters() const { return counters_; }
-  const std::map<Key, Gauge>& gauges() const { return gauges_; }
-  const std::map<Key, LatencyRecorder>& histograms() const { return histograms_; }
+  const Map<Counter>& counters() const { return counters_; }
+  const Map<Gauge>& gauges() const { return gauges_; }
+  const Map<LatencyRecorder>& histograms() const { return histograms_; }
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
@@ -85,9 +101,9 @@ class MetricsRegistry {
   void Clear();
 
  private:
-  std::map<Key, Counter> counters_;
-  std::map<Key, Gauge> gauges_;
-  std::map<Key, LatencyRecorder> histograms_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<LatencyRecorder> histograms_;
 };
 
 // Prints every counter and gauge as a (metric, node, value) table, one row

@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/harness/experiment.h"
+#include "src/obs/metrics.h"
 #include "src/os/os.h"
 #include "src/os/page_cache.h"
 #include "src/sim/sharded_engine.h"
@@ -54,6 +56,11 @@
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
 }  // namespace
+
+namespace mitt::harness {
+// Parameterized cases print, and so are named, by strategy.
+void PrintTo(StrategyKind kind, std::ostream* os) { *os << StrategyKindName(kind); }
+}  // namespace mitt::harness
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
@@ -400,6 +407,22 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
 }
 
+TEST(SteadyStateAllocTest, MetricLookupByNameIsAllocationFree) {
+  // Client backoff, breakers, shedding and faults look counters up by name
+  // on every event; names longer than the string's inline buffer must not
+  // cost an allocation once the metric exists.
+  obs::MetricsRegistry metrics;
+  metrics.counter("resilience_retry_denied_total", 2);
+  metrics.gauge("a_gauge_with_a_long_name", 2);
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    metrics.counter("resilience_retry_denied_total", 2).Add();
+    metrics.gauge("a_gauge_with_a_long_name", 2).Add(1.0);
+  }
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(metrics.CounterValue("resilience_retry_denied_total", 2), 1000u);
+}
+
 // --- Full-Experiment gates ------------------------------------------------
 //
 // One Experiment::Run (world build, closed-loop drive, harvest, teardown) at
@@ -466,10 +489,21 @@ ExperimentOptions DiskCfqEc2World() {
   return o;
 }
 
-TEST(GetPathAllocTest, MittosDiskCfqWithEc2Noise) {
+// Every strategy keeps its per-Get state in GetStrategy's pooled record, so
+// none of the nine allocates per Get.
+class GetPathAllocPerStrategyTest : public ::testing::TestWithParam<StrategyKind> {};
+
+TEST_P(GetPathAllocPerStrategyTest, DiskCfqWithEc2Noise) {
   MITT_SKIP_UNDER_PREDICT_CHECK();
-  EXPECT_LE(MarginalAllocsPerGet(DiskCfqEc2World(), StrategyKind::kMittos), kMaxAllocsPerGet);
+  EXPECT_LE(MarginalAllocsPerGet(DiskCfqEc2World(), GetParam()), kMaxAllocsPerGet);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, GetPathAllocPerStrategyTest,
+                         ::testing::Values(StrategyKind::kBase, StrategyKind::kAppTimeout,
+                                           StrategyKind::kClone, StrategyKind::kHedged,
+                                           StrategyKind::kSnitch, StrategyKind::kC3,
+                                           StrategyKind::kMittos, StrategyKind::kMittosWait,
+                                           StrategyKind::kMittosResilient));
 
 TEST(GetPathAllocTest, MittosMmapAddrCheckWithCacheDrops) {
   MITT_SKIP_UNDER_PREDICT_CHECK();
@@ -500,11 +534,6 @@ TEST(GetPathAllocTest, ResilientSsdOnSharedCpuPool) {
   o.noise_io_size = 256 << 10;
   o.deadline = Micros(830);
   EXPECT_LE(MarginalAllocsPerGet(o, StrategyKind::kMittosResilient), kMaxAllocsPerGet);
-}
-
-TEST(GetPathAllocTest, BaseTimeoutClient) {
-  MITT_SKIP_UNDER_PREDICT_CHECK();
-  EXPECT_LE(MarginalAllocsPerGet(DiskCfqEc2World(), StrategyKind::kBase), kMaxAllocsPerGet);
 }
 
 TEST(GetPathAllocTest, TwoShardMittos) {

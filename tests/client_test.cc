@@ -4,7 +4,6 @@
 
 #include "src/client/adaptive.h"
 #include "src/client/clone.h"
-#include "src/client/hedged.h"
 #include "src/client/mittos_client.h"
 #include "src/client/timeout.h"
 #include "src/cluster/cluster.h"
@@ -118,18 +117,38 @@ TEST_F(ClientFixture, CloneTakesFasterReplica) {
   EXPECT_LT(total / n, Millis(25));
 }
 
+TEST_F(ClientFixture, CloneReachesBothNodesOfATwoNodeGroup) {
+  // Two nodes make two-replica groups: every Get's two copies must go to
+  // distinct nodes, never twice to one.
+  cluster::Cluster::Options opt;
+  opt.num_nodes = 2;
+  opt.node.num_keys = 1 << 18;
+  opt.node.os.backend = os::BackendKind::kDiskCfq;
+  cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
+  CloneStrategy clone(&sim_, cluster_.get(), 1);
+  for (uint64_t key = 0; key < 100; ++key) {
+    const uint64_t served0 = cluster_->node(0).gets_served();
+    const uint64_t served1 = cluster_->node(1).gets_served();
+    GetResult result;
+    RunOneGet(clone, key, &result);
+    sim_.Run();  // The slower copy lands too.
+    EXPECT_TRUE(result.status.ok());
+    EXPECT_EQ(result.tries, 2);
+    EXPECT_EQ(cluster_->node(0).gets_served(), served0 + 1) << "key " << key;
+    EXPECT_EQ(cluster_->node(1).gets_served(), served1 + 1) << "key " << key;
+  }
+}
+
 TEST_F(ClientFixture, HedgedCutsTailAfterDelay) {
   Build(false, 0);
-  HedgedStrategy::Options opt;
-  opt.hedge_delay = Millis(15);
-  HedgedStrategy hedged(&sim_, cluster_.get(), 1, opt);
+  TimeoutStrategy hedged(&sim_, cluster_.get(), 1, TimeoutStrategy::Options::Hedged(Millis(15)));
   sim_.RunUntil(Millis(100));
   GetResult result;
   const DurationNs latency = RunOneGet(hedged, KeyWithPrimary(0), &result);
   EXPECT_TRUE(result.status.ok());
   EXPECT_GT(latency, Millis(15));  // Waited for the hedge to fire...
   EXPECT_LT(latency, Millis(45));  // ...then the clean replica answered.
-  EXPECT_GT(hedged.hedges_sent(), 0u);
+  EXPECT_GT(hedged.timeouts_fired(), 0u);  // The hedges sent.
 }
 
 TEST_F(ClientFixture, MittosFailsOverInstantly) {

@@ -349,7 +349,7 @@ TEST(OneShardGoldenTest, ScaleFactorThree) {
   o.scale_factor = 3;
   o.measure_requests = 600;
   EXPECT_EQ(Probe(o, StrategyKind::kHedged),
-            "req=700 ev=22654 dur=3402805268 noise=632 ebusy=0 to=0 hedge=1126 deg=0 err=0 "
+            "req=700 ev=21680 dur=3402805268 noise=632 ebusy=0 to=0 hedge=1126 deg=0 err=0 "
             "get=1800,15259200,62691899,95875192 user=600,24041122,77835103,137568476 "
             "faults=0,0,0");
 }

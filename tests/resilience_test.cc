@@ -13,6 +13,8 @@
 #include <tuple>
 #include <vector>
 
+#include "src/client/adaptive.h"
+#include "src/client/clone.h"
 #include "src/client/mittos_client.h"
 #include "src/client/timeout.h"
 #include "src/cluster/cluster.h"
@@ -629,7 +631,9 @@ class DoneOncePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 // One store's drill: one noisy node plus lossy links (drops are modeled as
 // lost-then-retransmitted, so late replies race client timers), then
-// shuffled rounds of gets through Base, MittOS, MittOS+wait and MittOS+res.
+// shuffled rounds of gets through every client strategy: AppTO, Hedged,
+// Clone, Snitch, C3, MittOS, MittOS+wait and MittOS+res, all on the
+// settle-once latch of GetStrategy's pooled record.
 void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, cluster::Cluster& cluster,
                    os::Os& noisy_os, int64_t num_keys) {
   Rng rng(seed);
@@ -652,13 +656,20 @@ void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, cluster::Cluster& cluster
   ropt.preset = client::MittosPreset::kResilient;
   ropt.health.min_samples = 4;
   client::TimeoutStrategy timeout(&sim, &cluster, seed, topt);
+  client::TimeoutStrategy hedged(&sim, &cluster, seed,
+                                 client::TimeoutStrategy::Options::Hedged(Millis(12)));
+  client::CloneStrategy clone(&sim, &cluster, seed);
+  client::SnitchStrategy snitch(&sim, &cluster, seed, client::SnitchStrategy::Options{});
+  client::C3Strategy c3(&sim, &cluster, seed, client::C3Strategy::Options{});
   client::MittosStrategy mittos(&sim, &cluster, seed, mopt);
   client::MittosStrategy mittos_wait(&sim, &cluster, seed, wopt);
   client::MittosStrategy resilient(&sim, &cluster, seed, ropt);
-  std::vector<client::GetStrategy*> strategies = {&timeout, &mittos, &mittos_wait, &resilient};
+  std::vector<client::GetStrategy*> strategies = {&timeout, &hedged, &clone,       &snitch,
+                                                  &c3,      &mittos, &mittos_wait, &resilient};
 
   sim.RunUntil(Millis(50));
-  constexpr int kGetsPerStrategy = 25;  // x4 strategies x10 seeds = 1000 gets.
+  // x8 strategies x10 seeds x2 stores = 4000 gets.
+  constexpr int kGetsPerStrategy = 25;
   int completed = 0;
   std::vector<int> calls;
   calls.reserve(strategies.size() * kGetsPerStrategy);

@@ -413,5 +413,57 @@ TEST(ShardDeterminismTest, TraceExportIsByteIdenticalAcrossWorkerCounts) {
   }
 }
 
+// --------------------------------------- every client strategy, 2 shards
+
+// What one run of a strategy hands the harness, as one comparable string.
+std::string Fingerprint(const harness::RunResult& r) {
+  std::string f = r.name + " ev=" + std::to_string(r.sim_events) +
+                  " dur=" + std::to_string(r.sim_duration) +
+                  " xshard=" + std::to_string(r.cross_shard_messages) +
+                  " ebusy=" + std::to_string(r.ebusy_failovers) +
+                  " hedge=" + std::to_string(r.hedges_sent) +
+                  " to=" + std::to_string(r.timeouts_fired) +
+                  " err=" + std::to_string(r.user_errors) + " lat=";
+  for (const DurationNs sample : r.get_latencies.samples()) {
+    f += std::to_string(sample) + ",";
+  }
+  return f;
+}
+
+TEST(ShardDeterminismTest, EveryStrategyIsBitIdenticalAcrossIntraWorkers) {
+  // Each strategy's pooled per-Get records live on the shard that issued the
+  // Get, and replies come home through the engine's mailboxes: no strategy's
+  // results may depend on how many threads drive the windows.
+  auto run = [](StrategyKind kind, int intra_workers) {
+    harness::ExperimentOptions opt;
+    opt.num_nodes = 8;
+    opt.num_clients = 8;
+    opt.num_shards = 2;
+    opt.num_keys_per_node = 1 << 12;
+    opt.measure_requests = 400;
+    opt.warmup_requests = 40;
+    opt.noise = harness::NoiseKind::kEc2;
+    opt.ec2 = harness::CompressedEc2Noise();
+    opt.deadline = Millis(20);
+    opt.hedge_delay = Millis(20);
+    opt.app_timeout = Millis(20);
+    opt.intra_workers = intra_workers;
+    opt.seed = 20;
+    harness::Experiment experiment(opt);
+    return experiment.Run(kind);
+  };
+  for (const StrategyKind kind :
+       {StrategyKind::kBase, StrategyKind::kAppTimeout, StrategyKind::kClone,
+        StrategyKind::kHedged, StrategyKind::kSnitch, StrategyKind::kC3, StrategyKind::kMittos,
+        StrategyKind::kMittosWait, StrategyKind::kMittosResilient}) {
+    const harness::RunResult ref = run(kind, 1);
+    ASSERT_EQ(ref.num_shards, 2);
+    EXPECT_GT(ref.cross_shard_messages, 0u) << ref.name;
+    const std::string expected = Fingerprint(ref);
+    EXPECT_EQ(Fingerprint(run(kind, 2)), expected);
+    EXPECT_EQ(Fingerprint(run(kind, 0)), expected);  // Env-resolved (4 in the TSan job).
+  }
+}
+
 }  // namespace
 }  // namespace mitt

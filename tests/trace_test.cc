@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -83,7 +84,16 @@ std::vector<trace::TraceEvent> MakeEvents(size_t n) {
 
 // --- Format round-trip ---
 
-TEST(TraceFormatTest, RoundTripIsExactAcrossBlocks) {
+// FileTraceCursor reads through an mmap of the file by default, and through
+// fseek+fread, the only path off POSIX, under MITT_TRACE_MMAP=0. The tests
+// below run on both paths: first the default, then in this scope.
+class FreadPathScope {
+ public:
+  FreadPathScope() { setenv("MITT_TRACE_MMAP", "0", /*overwrite=*/1); }
+  ~FreadPathScope() { unsetenv("MITT_TRACE_MMAP"); }
+};
+
+void CheckRoundTrip(bool mmapped) {
   const std::string path = TempPath("roundtrip.mitttrace");
   const auto events = MakeEvents(1000);  // 64-record blocks -> 16 blocks, partial tail.
   ASSERT_TRUE(WriteTrace(path, events, /*block_records=*/64));
@@ -91,6 +101,7 @@ TEST(TraceFormatTest, RoundTripIsExactAcrossBlocks) {
   std::string error;
   auto cursor = trace::FileTraceCursor::Open(path, &error);
   ASSERT_NE(cursor, nullptr) << error;
+  EXPECT_EQ(cursor->mmapped(), mmapped);
   EXPECT_EQ(cursor->header().record_count, events.size());
   EXPECT_EQ(cursor->header().num_blocks, (events.size() + 63) / 64);
   EXPECT_EQ(cursor->header().num_streams, 5u);
@@ -113,6 +124,12 @@ TEST(TraceFormatTest, RoundTripIsExactAcrossBlocks) {
   ASSERT_TRUE(cursor->Next(&got));
   EXPECT_EQ(got.at, events[0].at);
   std::remove(path.c_str());
+}
+
+TEST(TraceFormatTest, RoundTripIsExactAcrossBlocks) {
+  CheckRoundTrip(/*mmapped=*/true);
+  FreadPathScope fread_path;
+  CheckRoundTrip(/*mmapped=*/false);
 }
 
 TEST(TraceFormatTest, SpanBytesDerivedFromLargestExtent) {
@@ -271,7 +288,8 @@ TEST_F(TraceValidationTest, RejectsTornUnfinishedFile) {
 
 // --- Seek-by-time ---
 
-TEST(TraceSeekTest, SeekMatchesLinearScan) {
+// The fread run also covers ReadIndexEntry's fread branch.
+void CheckSeek(bool mmapped) {
   const std::string path = TempPath("seek.mitttrace");
   const auto events = MakeEvents(500);  // Arrivals every 7 us -> last at 3493 us.
   ASSERT_TRUE(WriteTrace(path, events, /*block_records=*/32));
@@ -279,6 +297,7 @@ TEST(TraceSeekTest, SeekMatchesLinearScan) {
   std::string error;
   auto cursor = trace::FileTraceCursor::Open(path, &error);
   ASSERT_NE(cursor, nullptr) << error;
+  EXPECT_EQ(cursor->mmapped(), mmapped);
 
   for (const uint64_t probe_us : {0ULL, 1ULL, 7ULL, 100ULL, 333ULL, 1750ULL, 3493ULL}) {
     // Reference: first event with arrival >= probe, by linear scan.
@@ -305,6 +324,12 @@ TEST(TraceSeekTest, SeekMatchesLinearScan) {
   ASSERT_TRUE(cursor->Next(&got));
   EXPECT_EQ(got.at, events[0].at);
   std::remove(path.c_str());
+}
+
+TEST(TraceSeekTest, SeekMatchesLinearScan) {
+  CheckSeek(/*mmapped=*/true);
+  FreadPathScope fread_path;
+  CheckSeek(/*mmapped=*/false);
 }
 
 // --- Synthetic cursor unification ---
