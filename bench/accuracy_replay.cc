@@ -77,7 +77,7 @@ LatencyRecorder Replay(const workload::TraceProfile& profile, const AccuracyOpti
           args.pid = 1;
           args.bypass_cache = true;
           const TimeNs start = sim->Now();
-          target->Read(args, [&, start](Status) {
+          target->ReadWithWaitHint(args, [&, start](Status, DurationNs) {
             latencies.Record(sim->Now() - start);
             ++completed;
           });
@@ -88,7 +88,7 @@ LatencyRecorder Replay(const workload::TraceProfile& profile, const AccuracyOpti
           args.size = event.len;
           args.pid = 2;
           args.sync = true;
-          target->Write(args, [&](Status) { ++completed; });
+          target->Write(args, [&](Status, DurationNs) { ++completed; });
         }
       });
   driver.Start();

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,6 +35,35 @@ struct NodeSeries {
   std::vector<std::pair<TimeNs, DurationNs>> samples;
 };
 
+// One node's prober: a 4KB read, then the next one a probe interval after
+// the last one started ("≥20ms sleep is used"). All probers share one RNG.
+struct Prober {
+  sim::Simulator* sim;
+  Rng* rng;
+  os::Os* target;
+  uint64_t file;
+  TimeNs horizon;
+  const DeviceStudy* study;
+  NodeSeries* series;
+
+  void Probe() {
+    if (sim->Now() >= horizon) {
+      return;
+    }
+    os::Os::ReadArgs args;
+    args.file = file;
+    args.offset = rng->UniformInt(0, (4LL << 30) - 8192);
+    args.size = 4096;
+    args.bypass_cache = !study->cache_resident;
+    const TimeNs start = sim->Now();
+    target->ReadWithWaitHint(args, [this, start](Status, DurationNs) {
+      series->latencies.Record(sim->Now() - start);
+      series->samples.emplace_back(start, sim->Now() - start);
+      sim->ScheduleAt(start + study->probe_interval, [this] { Probe(); });
+    });
+  }
+};
+
 void RunStudy(const DeviceStudy& study, TimeNs horizon, uint64_t seed) {
   sim::Simulator sim;
   constexpr int kNodes = 20;
@@ -46,7 +74,7 @@ void RunStudy(const DeviceStudy& study, TimeNs horizon, uint64_t seed) {
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> io_noise;
   std::vector<std::unique_ptr<noise::CacheNoiseInjector>> cache_noise;
   std::vector<uint64_t> probe_files;
-  auto series = std::make_shared<std::vector<NodeSeries>>(kNodes);
+  std::vector<NodeSeries> series(kNodes);
 
   for (int node = 0; node < kNodes; ++node) {
     os::OsOptions opt;
@@ -84,31 +112,14 @@ void RunStudy(const DeviceStudy& study, TimeNs horizon, uint64_t seed) {
     }
   }
 
-  // Probers: one 4KB read per interval per node ("≥20ms sleep is used").
+  // Probers: one 4KB read per interval per node.
   Rng probe_rng(seed ^ 0x9807);
+  std::vector<std::unique_ptr<Prober>> probers;
   for (int node = 0; node < kNodes; ++node) {
-    auto loop = std::make_shared<std::function<void()>>();
-    os::Os* target = systems[static_cast<size_t>(node)].get();
-    const uint64_t file = probe_files[static_cast<size_t>(node)];
-    *loop = [&sim, &probe_rng, series, node, target, file, horizon, &study, loop] {
-      if (sim.Now() >= horizon) {
-        return;
-      }
-      os::Os::ReadArgs args;
-      args.file = file;
-      args.offset = probe_rng.UniformInt(0, (4LL << 30) - 8192);
-      args.size = 4096;
-      args.bypass_cache = !study.cache_resident;
-      const TimeNs start = sim.Now();
-      target->Read(args, [&sim, series, node, start, loop, &study, horizon](Status) {
-        NodeSeries& s = (*series)[static_cast<size_t>(node)];
-        s.latencies.Record(sim.Now() - start);
-        s.samples.emplace_back(start, sim.Now() - start);
-        const TimeNs next = start + study.probe_interval;
-        sim.ScheduleAt(next, [loop] { (*loop)(); });
-      });
-    };
-    sim.Schedule(node * Millis(1), [loop] { (*loop)(); });
+    const auto n = static_cast<size_t>(node);
+    probers.push_back(std::make_unique<Prober>(&sim, &probe_rng, systems[n].get(), probe_files[n],
+                                               horizon, &study, &series[n]));
+    sim.Schedule(node * Millis(1), [prober = probers.back().get()] { prober->Probe(); });
   }
 
   sim.RunUntil(horizon + Seconds(2));
@@ -116,18 +127,18 @@ void RunStudy(const DeviceStudy& study, TimeNs horizon, uint64_t seed) {
 
   // --- Fig 3a-c: per-node latency percentiles (aggregate + spread) ---
   LatencyRecorder all;
-  for (const auto& s : *series) {
+  for (const auto& s : series) {
     for (const DurationNs v : s.latencies.samples()) {
       all.Record(v);
     }
   }
   std::printf("\n--- Fig 3 (%s): probe latency CDF, %d nodes x %zu probes ---\n", study.name,
-              kNodes, (*series)[0].latencies.count());
+              kNodes, series[0].latencies.count());
   Table lat({"pct", "aggregate (ms)", "min node (ms)", "max node (ms)"});
   for (const double p : {50.0, 90.0, 97.0, 99.0, 99.9}) {
-    DurationNs lo = (*series)[0].latencies.Percentile(p);
+    DurationNs lo = series[0].latencies.Percentile(p);
     DurationNs hi = lo;
-    for (const auto& s : *series) {
+    for (const auto& s : series) {
       lo = std::min(lo, s.latencies.Percentile(p));
       hi = std::max(hi, s.latencies.Percentile(p));
     }
@@ -141,7 +152,7 @@ void RunStudy(const DeviceStudy& study, TimeNs horizon, uint64_t seed) {
 
   // --- Fig 3d-f: noisy-period inter-arrival spread ---
   LatencyRecorder inter_arrivals;
-  for (const auto& s : *series) {
+  for (const auto& s : series) {
     TimeNs last_noisy = -1;
     for (const auto& [at, lat_ns] : s.samples) {
       if (lat_ns > study.busy_threshold) {
@@ -162,7 +173,7 @@ void RunStudy(const DeviceStudy& study, TimeNs horizon, uint64_t seed) {
   const auto windows = static_cast<size_t>(horizon / Millis(100));
   std::vector<std::vector<char>> busy_by_window(kNodes, std::vector<char>(windows, 0));
   for (int node = 0; node < kNodes; ++node) {
-    for (const auto& [at, lat_ns] : (*series)[static_cast<size_t>(node)].samples) {
+    for (const auto& [at, lat_ns] : series[static_cast<size_t>(node)].samples) {
       const auto w = static_cast<size_t>(at / Millis(100));
       if (w < windows && lat_ns > study.busy_threshold) {
         busy_by_window[static_cast<size_t>(node)][w] = 1;

@@ -259,7 +259,7 @@ struct Stream {
       w.offset = rng.UniformInt(0, pages - 1) * 4096;
       w.size = 4096;
       w.pid = pid;
-      o->Write(w, [this](Status) { Done(false); });
+      o->Write(w, [this](Status, DurationNs) { Done(false); });
       return;
     }
     os::Os::ReadArgs a;
@@ -309,7 +309,7 @@ E2eResult RunE2e(os::BackendKind backend, uint64_t target_ios, uint64_t warmup_i
       w.offset = prime_rng.UniformInt(0, pages - 1) * 4096;
       w.size = 4096;
       w.pid = 99;
-      osys.Write(w, [](Status) {});
+      osys.Write(w, [](Status, DurationNs) {});
     }
     sim.RunUntil(sim.Now() + 2 * opt.flush_interval + Millis(1));
   }

@@ -65,7 +65,7 @@ LatencyRecorder RunWrites(bool with_noise) {
     const int primary = cluster.ReplicasOf(key)[0];
     const TimeNs start = sim.Now();
     cluster.network().Deliver([&, key, primary, start] {
-      cluster.node(primary).HandlePut(key, [&, start](Status) {
+      cluster.node(primary).HandlePut(key, [&, start](Status, DurationNs) {
         cluster.network().Deliver([&, start] {
           latencies.Record(sim.Now() - start);
           ++completed;

@@ -46,7 +46,7 @@ int main() {
   read.bypass_cache = true;
   read.trace = {tracer.NewRequestId(), /*node=*/-1};
 
-  machine.Read(read, [&](Status status) {
+  machine.ReadWithWaitHint(read, [&](Status status, DurationNs) {
     std::printf("[%7.3f ms] idle disk:  read -> %s\n", ToMillis(sim.Now()),
                 std::string(status.name()).c_str());
   });
@@ -60,7 +60,7 @@ int main() {
     noise.size = 1 << 20;
     noise.pid = 9001;  // A different tenant.
     noise.bypass_cache = true;
-    machine.Read(noise, nullptr);
+    machine.ReadWithWaitHint(noise, nullptr);
   }
 
   // ...and the same SLO-tagged read is now rejected *immediately*: the
@@ -68,7 +68,7 @@ int main() {
   // can fail over to a replica instead of waiting.
   const TimeNs before = sim.Now();
   read.trace = {tracer.NewRequestId(), /*node=*/-1};
-  machine.Read(read, [&](Status status) {
+  machine.ReadWithWaitHint(read, [&](Status status, DurationNs) {
     std::printf("[%7.3f ms] busy disk:  read(deadline=20ms) -> %s after %.1f us\n",
                 ToMillis(sim.Now()), std::string(status.name()).c_str(),
                 ToMicros(sim.Now() - before));
@@ -79,7 +79,7 @@ int main() {
   os::Os::ReadArgs patient = read;
   patient.deadline = sched::kNoDeadline;
   patient.trace = {tracer.NewRequestId(), /*node=*/-1};
-  machine.Read(patient, [&](Status status) {
+  machine.ReadWithWaitHint(patient, [&](Status status, DurationNs) {
     std::printf("[%7.3f ms] busy disk:  read(no SLO)        -> %s after %.1f ms\n",
                 ToMillis(sim.Now()), std::string(status.name()).c_str(),
                 ToMillis(sim.Now() - before));

@@ -71,7 +71,7 @@ void Cluster::Put(uint64_t key, std::function<void(Status)> done) {
   auto shared_done = std::make_shared<std::function<void(Status)>>(std::move(done));
   for (const int r : ReplicasOf(key)) {
     network_->DeliverToNode(r, [this, r, key, home, first, shared_done] {
-      node(r).HandlePut(key, [this, r, home, first, shared_done](Status s) {
+      node(r).HandlePut(key, [this, r, home, first, shared_done](Status s, DurationNs) {
         network_->Deliver(r, home, [first, shared_done, s] {
           if (*first) {
             *first = false;

@@ -48,13 +48,13 @@ void DocStoreNode::Read(Request* r) {
   os().ReadWithWaitHint(args, [this, r](Status s, DurationNs hint) { ReadDone(r, s, hint); });
 }
 
-void DocStoreNode::Write(uint64_t key, std::function<void(Status)> done) {
+void DocStoreNode::Write(Request* r) {
   os::Os::WriteArgs args;
   args.file = data_file_;
-  args.offset = OffsetOfKey(key);
+  args.offset = OffsetOfKey(r->key);
   args.size = options_.doc_size;
   args.pid = options_.server_pid;
-  os().Write(args, std::move(done));
+  os().Write(args, [this, r](Status s, DurationNs) { WriteDone(r, s); });
 }
 
 }  // namespace mitt::kv

@@ -24,7 +24,6 @@
 #define MITTOS_KV_DOC_STORE_NODE_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/cluster/cpu_pool.h"
 #include "src/common/status.h"
@@ -71,7 +70,7 @@ class DocStoreNode final : public StorageNode {
   // wait hint paces its retries.
   void Read(Request* r) override;
   // A buffered write of the document's slot (§7.8.6).
-  void Write(uint64_t key, std::function<void(Status)> done) override;
+  void Write(Request* r) override;
 
   Options options_;
   uint64_t data_file_ = 0;

@@ -138,12 +138,13 @@ void StorageNode::DegradedAttempt(Request* r) {
   Read(r);
 }
 
-void StorageNode::HandlePut(uint64_t key, std::function<void(Status)> reply) {
-  cpu_->Execute(handler_cpu_ / 2, [this, key, reply = std::move(reply)] {
-    Write(key, [this, reply](Status s) {
-      cpu_->Execute(handler_cpu_ / 2, [reply, s] { reply(s); });
-    });
-  });
+void StorageNode::HandlePut(uint64_t key, RichReplyFn reply) {
+  Request* r = NewRequest(key, sched::kNoDeadline, {}, std::move(reply));
+  cpu_->Execute(handler_cpu_ / 2, [this, r] { Write(r); });
+}
+
+void StorageNode::WriteDone(Request* r, Status status) {
+  cpu_->Execute(handler_cpu_ / 2, [this, r, status] { Respond(r, status, 0); });
 }
 
 }  // namespace mitt::kv

@@ -8,7 +8,7 @@
 //   * get: a handler CPU burst, the store's read, then the reply burst;
 //   * degraded get (src/resilience/): admission behind a load-shed gate, and
 //     an admitted read that retries EBUSY with escalating, capped deadlines;
-//   * put: a handler CPU burst, the store's write, then the reply burst;
+//   * put: the same record and bursts around the store's write;
 //   * the node's fault hooks (src/fault/): stop-the-world pause and
 //     crash-restart;
 //   * the get / EBUSY / per-tenant counters the harness and the placement
@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,9 +39,10 @@
 
 namespace mitt::kv {
 
-// A server's reply to one get: the status plus, for EBUSY, the OS'
+// A server's reply to one get or put: the status plus, for EBUSY, the OS'
 // predicted wait (§7.8.1's interface extension; 0 when the server has no
-// hint). Move-only with 48 bytes of inline capture (InlineFunction).
+// hint, and always 0 for a put). Move-only with 48 bytes of inline capture
+// (InlineFunction).
 using RichReplyFn = InlineFunction<void(Status, DurationNs predicted_wait)>;
 
 class StorageNode {
@@ -94,7 +94,7 @@ class StorageNode {
                          obs::TraceContext trace = {});
 
   // Serves one put(): the store's write between two handler bursts.
-  void HandlePut(uint64_t key, std::function<void(Status)> reply);
+  void HandlePut(uint64_t key, RichReplyFn reply);
 
   // --- Fault hooks (src/fault/) ---
   // Stop-the-world pause (language-runtime GC, hypervisor freeze): no handler
@@ -135,12 +135,12 @@ class StorageNode {
   StorageNode(sim::Simulator* sim, int node_id, const Options& options, uint64_t seed_salt,
               cluster::CpuPool* shared_cpu, bool exception_on_ebusy);
 
-  // One get being served, from its arrival to the reply burst: every event
-  // on the way captures {this, record}. Pooled; released before `reply`
-  // runs.
+  // One get or put being served, from its arrival to the reply burst: every
+  // event on the way captures {this, record}. Pooled; released before
+  // `reply` runs.
   struct Request {
     uint64_t key = 0;
-    DurationNs deadline = 0;
+    DurationNs deadline = 0;  // Gets only.
     obs::TraceContext trace;
     bool degraded = false;  // Arrived through HandleDegradedGet.
     int attempt = 0;        // Degraded path: reads issued so far.
@@ -156,8 +156,10 @@ class StorageNode {
   virtual void Read(Request* r) = 0;
   void ReadDone(Request* r, Status status, DurationNs hint);
 
-  // The store's write of `key`; `done` runs when the write may be acked.
-  virtual void Write(uint64_t key, std::function<void(Status)> done) = 0;
+  // The store's write of r->key. Ends in exactly one WriteDone(r, status),
+  // when the write may be acked.
+  virtual void Write(Request* r) = 0;
+  void WriteDone(Request* r, Status status);
 
  private:
   // A node serves a few dozen gets at once; small blocks keep a large

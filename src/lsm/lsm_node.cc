@@ -1,7 +1,6 @@
 #include "src/lsm/lsm_node.h"
 
 #include <numeric>
-#include <utility>
 #include <vector>
 
 namespace mitt::lsm {
@@ -20,14 +19,14 @@ LsmNode::LsmNode(sim::Simulator* sim, int node_id, const kv::StorageNode::Option
 void LsmNode::Read(Request* r) {
   lsm_->Get(
       EntryOf(r->key), r->deadline,
-      [this, r](Status s) {
+      [this, r](Status s, DurationNs) {
         ReadDone(r, s, r->degraded && s.busy() ? os().MinDeviceLatency() : 0);
       },
       r->trace);
 }
 
-void LsmNode::Write(uint64_t key, std::function<void(Status)> done) {
-  lsm_->Put(EntryOf(key), std::move(done));
+void LsmNode::Write(Request* r) {
+  lsm_->Put(EntryOf(r->key), [this, r](Status s, DurationNs) { WriteDone(r, s); });
 }
 
 }  // namespace mitt::lsm

@@ -9,7 +9,6 @@
 #define MITTOS_LSM_LSM_NODE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "src/cluster/cpu_pool.h"
@@ -38,7 +37,7 @@ class LsmNode final : public kv::StorageNode {
   // the device floor, which paces its retries.
   void Read(Request* r) override;
   // WAL append + memtable insert.
-  void Write(uint64_t key, std::function<void(Status)> done) override;
+  void Write(Request* r) override;
 
   uint64_t num_keys_;
   std::unique_ptr<LsmTree> lsm_;

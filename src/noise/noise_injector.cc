@@ -46,7 +46,8 @@ void IoNoiseInjector::StreamLoop(TimeNs episode_end) {
     args.io_class = options_.io_class;
     args.priority = options_.priority;
     args.bypass_cache = true;  // Always hit the device.
-    os_->Read(args, [this, episode_end](Status) { StreamLoop(episode_end); });
+    os_->ReadWithWaitHint(args,
+                          [this, episode_end](Status, DurationNs) { StreamLoop(episode_end); });
   } else {
     os::Os::WriteArgs args;
     args.file = file_;
@@ -56,7 +57,7 @@ void IoNoiseInjector::StreamLoop(TimeNs episode_end) {
     args.io_class = options_.io_class;
     args.priority = options_.priority;
     args.sync = true;  // Contend at the device, not the buffer cache.
-    os_->Write(args, [this, episode_end](Status) { StreamLoop(episode_end); });
+    os_->Write(args, [this, episode_end](Status, DurationNs) { StreamLoop(episode_end); });
   }
 }
 

@@ -7,7 +7,7 @@
 // request crosses:
 //
 //   client get  ──────────────────────────────────────────────▶ done
-//      │ syscall      [Os::Read entry .. completion delivery]
+//      │ syscall      [read syscall entry .. completion delivery]
 //      │   cache_lookup   (instant, at entry)
 //      │   predict        (instant, at admission check)
 //      │   queue_wait     [scheduler enqueue .. device dispatch]
@@ -48,7 +48,7 @@ struct TraceContext {
 };
 
 enum class SpanKind : uint8_t {
-  kSyscall,        // Os::Read/ReadWithWaitHint/AddrCheck entry -> reply.
+  kSyscall,        // Os::ReadWithWaitHint/AddrCheck entry -> reply.
   kCacheLookup,    // Page-cache residency probe (instant).
   kPredict,        // Mitt* admission check (instant).
   kQueueWait,      // Scheduler enqueue -> device dispatch.

@@ -190,24 +190,7 @@ bool MittCfqPredictor::ShouldReject(sched::IoRequest* req) {
   req->predicted_wait = wait;
   req->predicted_process = PredictProcess(*req);
 
-  if (!req->has_deadline()) {
-    return false;
-  }
-
-  bool reject = wait > req->deadline + options_.failover_hop;
-  if (reject && options_.false_negative_rate > 0 &&
-      error_rng_.Bernoulli(options_.false_negative_rate)) {
-    reject = false;
-  } else if (!reject && options_.false_positive_rate > 0 &&
-             error_rng_.Bernoulli(options_.false_positive_rate)) {
-    reject = true;
-  }
-
-  if (reject && options_.accuracy_mode) {
-    req->ebusy_flagged = true;
-    return false;
-  }
-  return reject;
+  return DecideReject(options_, error_rng_, req, wait);
 }
 
 const std::vector<sched::IoRequest*>& MittCfqPredictor::OnAccepted(sched::IoRequest* req) {
@@ -374,11 +357,8 @@ void MittCfqPredictor::OnCompletion(const sched::IoRequest& req, DurationNs actu
              cfq_options_.margin_ewma_alpha * excess;
     margin = std::max(margin, 0.0);
   }
-  if (options_.calibrate && req.op != sched::IoOp::kWrite) {
-    // Bounded diff (see MittNoop): transient destage interference must not
-    // swing the estimate; writes calibrate nothing (NVRAM ack vs destage).
-    device_next_free_ += std::clamp<DurationNs>(actual_process - req.predicted_process,
-                                                -Millis(5), Millis(5));
+  if (const auto diff = CalibrationDiff(options_, req, actual_process)) {
+    device_next_free_ += *diff;
     if (cfq_options_.gain_calibration && req.predicted_process > 0) {
       // Fold the SSTF-reordering advantage (and any device drift) into the
       // service model: gain tracks actual/predicted service time.
@@ -389,9 +369,7 @@ void MittCfqPredictor::OnCompletion(const sched::IoRequest& req, DurationNs actu
                     cfq_options_.gain_ewma_alpha * ratio;
     }
   }
-  if (options_.accuracy_mode && req.has_deadline()) {
-    stats_.Account(req, sim_->Now() - req.submit_time);
-  }
+  AccountCompletion(options_, req, sim_->Now(), &stats_);
 }
 
 #ifdef MITT_PREDICT_CHECK

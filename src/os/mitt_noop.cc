@@ -23,25 +23,7 @@ bool MittNoopPredictor::ShouldReject(sched::IoRequest* req) {
   req->predicted_wait = wait;
   req->predicted_process = profile_.PredictServiceTime(tail_offset_, *req);
 
-  if (!req->has_deadline()) {
-    return false;
-  }
-
-  bool reject = wait > req->deadline + options_.failover_hop;
-  // §7.7 error injection.
-  if (reject && options_.false_negative_rate > 0 &&
-      error_rng_.Bernoulli(options_.false_negative_rate)) {
-    reject = false;
-  } else if (!reject && options_.false_positive_rate > 0 &&
-             error_rng_.Bernoulli(options_.false_positive_rate)) {
-    reject = true;
-  }
-
-  if (reject && options_.accuracy_mode) {
-    req->ebusy_flagged = true;
-    return false;
-  }
-  return reject;
+  return DecideReject(options_, error_rng_, req, wait);
 }
 
 void MittNoopPredictor::OnAccepted(const sched::IoRequest& req) {
@@ -54,19 +36,11 @@ void MittNoopPredictor::OnAccepted(const sched::IoRequest& req) {
 }
 
 void MittNoopPredictor::OnCompletion(const sched::IoRequest& req, DurationNs actual_process) {
-  // NVRAM-acked writes complete in microseconds while their destage runs
-  // later; calibrating on the ack would cancel the pre-charged destage cost.
-  if (options_.calibrate && req.op != sched::IoOp::kWrite) {
-    // §4.1: T_diff = T_processActual - T_processNewIO; T_nextFree += T_diff.
-    // The diff is bounded: a single completion delayed by background destage
-    // traffic must not swing the whole estimate.
-    const DurationNs diff =
-        std::clamp<DurationNs>(actual_process - req.predicted_process, -Millis(5), Millis(5));
-    next_free_ += diff;
+  // §4.1: T_nextFree += T_diff.
+  if (const auto diff = CalibrationDiff(options_, req, actual_process)) {
+    next_free_ += *diff;
   }
-  if (options_.accuracy_mode && req.has_deadline()) {
-    stats_.Account(req, sim_->Now() - req.submit_time);
-  }
+  AccountCompletion(options_, req, sim_->Now(), &stats_);
 }
 
 }  // namespace mitt::os

@@ -80,22 +80,7 @@ bool MittSsdPredictor::ShouldReject(sched::IoRequest* req) {
   req->predicted_wait = wait;
   req->predicted_process = SubIoService(*req, ssd_->PageOfOffset(req->offset));
 
-  if (!req->has_deadline()) {
-    return false;
-  }
-  bool reject = wait > req->deadline + options_.failover_hop;
-  if (reject && options_.false_negative_rate > 0 &&
-      error_rng_.Bernoulli(options_.false_negative_rate)) {
-    reject = false;
-  } else if (!reject && options_.false_positive_rate > 0 &&
-             error_rng_.Bernoulli(options_.false_positive_rate)) {
-    reject = true;
-  }
-  if (reject && options_.accuracy_mode) {
-    req->ebusy_flagged = true;
-    return false;
-  }
-  return reject;
+  return DecideReject(options_, error_rng_, req, wait);
 }
 
 void MittSsdPredictor::OnAccepted(sched::IoRequest* req) {
@@ -152,9 +137,7 @@ void MittSsdPredictor::OnCompletion(sched::IoRequest* req) {
     check_channels_of_.erase(it);
 #endif
   }
-  if (options_.accuracy_mode && req->has_deadline()) {
-    stats_.Account(*req, sim_->Now() - req->submit_time);
-  }
+  AccountCompletion(options_, *req, sim_->Now(), &stats_);
 }
 
 SsdBlockLayer::SsdBlockLayer(sim::Simulator* sim, device::SsdModel* ssd,

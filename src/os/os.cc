@@ -95,14 +95,6 @@ sched::IoRequest* Os::NewRequest() {
   return req;
 }
 
-void Os::Read(const ReadArgs& args, std::function<void(Status)> done) {
-  if (done) {
-    ReadWithWaitHint(args, [done = std::move(done)](Status s, DurationNs) { done(s); });
-  } else {
-    ReadWithWaitHint(args, nullptr);
-  }
-}
-
 void Os::TraceReadDone(const obs::TraceContext& trace, TimeNs begin, TimeNs end,
                        DurationNs deadline, Status status) {
   if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled() && trace.traced()) {
@@ -145,21 +137,7 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
       }
       cache_->Touch(args.file, args.offset, args.size);
       TraceReadDone(trace, t0, t0 + options_.hit_latency, args.deadline, Status::Ok());
-      // `done` (64 bytes) would overflow the event's inline capture, so a
-      // pooled descriptor carries it to the delivery event. The null-`done`
-      // arm still schedules an (empty) event: event sequence numbers feed
-      // tie-breaking, so the event COUNT must not depend on the callback.
-      if (done) {
-        sched::IoRequest* req = pool_.Acquire();
-        req->done = std::move(done);
-        sim_->Schedule(options_.hit_latency, [this, req] {
-          auto cb = std::move(req->done);
-          pool_.Release(req);
-          cb(Status::Ok(), 0);
-        });
-      } else {
-        sim_->Schedule(options_.hit_latency, [] {});
-      }
+      ReplyAfter(options_.hit_latency, Status::Ok(), 0, std::move(done));
       return;
     }
     if (cache_miss_total_ != nullptr) {
@@ -173,21 +151,8 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
     // no device IO can make the deadline. Reject without queueing anything.
     // The wait hint is the device floor: the soonest any retry here could
     // complete.
-    const DurationNs hint = MinDeviceLatency();
     TraceReadDone(trace, t0, t0 + options_.syscall_overhead, args.deadline, Status::Ebusy());
-    if (done) {
-      sched::IoRequest* req = pool_.Acquire();
-      req->done = std::move(done);
-      req->predicted_wait = hint;
-      sim_->Schedule(options_.syscall_overhead, [this, req] {
-        auto cb = std::move(req->done);
-        const DurationNs wait_hint = req->predicted_wait;
-        pool_.Release(req);
-        cb(Status::Ebusy(), wait_hint);
-      });
-    } else {
-      sim_->Schedule(options_.syscall_overhead, [] {});
-    }
+    ReplyAfter(options_.syscall_overhead, Status::Ebusy(), MinDeviceLatency(), std::move(done));
     return;
   }
 
@@ -231,21 +196,31 @@ void Os::ReadComplete(sched::IoRequest* req, Status status) {
     TraceReadDone(req->trace, req->submit_time, sim_->Now() + return_cost, req->deadline, status);
   }
   if (req->done) {
-    // The descriptor stays alive to carry `done` and the wait hint to the
-    // delivery event; it is released there, before the callback runs, so the
-    // callback can issue a new IO that reuses the slot.
-    sim_->Schedule(return_cost, [this, req, status] {
-      auto cb = std::move(req->done);
-      const DurationNs hint = req->predicted_wait;
-      pool_.Release(req);
-      cb(status, hint);
-    });
+    Deliver(req, return_cost, status, req->predicted_wait);
   } else {
     pool_.Release(req);
   }
 }
 
-void Os::Write(const WriteArgs& args, std::function<void(Status)> done) {
+void Os::ReplyAfter(DurationNs delay, Status status, DurationNs hint, RichReadFn done) {
+  if (!done) {
+    sim_->Schedule(delay, [] {});
+    return;
+  }
+  sched::IoRequest* req = pool_.Acquire();
+  req->done = std::move(done);
+  Deliver(req, delay, status, hint);
+}
+
+void Os::Deliver(sched::IoRequest* req, DurationNs delay, Status status, DurationNs hint) {
+  sim_->Schedule(delay, [this, req, status, hint] {
+    auto cb = std::move(req->done);
+    pool_.Release(req);
+    cb(status, hint);
+  });
+}
+
+void Os::Write(const WriteArgs& args, sched::IoDoneFn done) {
   if (args.sync) {
     SubmitDeviceWrite(args, std::move(done));
     return;
@@ -256,14 +231,10 @@ void Os::Write(const WriteArgs& args, std::function<void(Status)> done) {
   // drive-level contention").
   cache_->Insert(args.file, args.offset, args.size);
   dirty_.push_back(DirtyRange{args.file, args.offset, args.size});
-  sim_->Schedule(options_.hit_latency, [done = std::move(done)] {
-    if (done) {
-      done(Status::Ok());
-    }
-  });
+  ReplyAfter(options_.hit_latency, Status::Ok(), 0, std::move(done));
 }
 
-void Os::SubmitDeviceWrite(const WriteArgs& args, std::function<void(Status)> done) {
+void Os::SubmitDeviceWrite(const WriteArgs& args, sched::IoDoneFn done) {
   sched::IoRequest* req = NewRequest();
   req->op = sched::IoOp::kWrite;
   req->offset = FileBase(args.file) + args.offset;
@@ -272,9 +243,7 @@ void Os::SubmitDeviceWrite(const WriteArgs& args, std::function<void(Status)> do
   req->io_class = args.io_class;
   req->priority = args.priority;
   req->trace.node = options_.node_label;  // Untraced, but labelled for metrics.
-  if (done) {
-    req->done = [cb = std::move(done)](Status s, DurationNs) { cb(s); };
-  }
+  req->done = std::move(done);
   req->on_complete = [this](const sched::IoRequest& r, Status status) {
     WriteComplete(const_cast<sched::IoRequest*>(&r), status);
   };
@@ -283,11 +252,7 @@ void Os::SubmitDeviceWrite(const WriteArgs& args, std::function<void(Status)> do
 
 void Os::WriteComplete(sched::IoRequest* req, Status status) {
   if (req->done) {
-    sim_->Schedule(options_.syscall_overhead / 2, [this, req, status] {
-      auto cb = std::move(req->done);
-      pool_.Release(req);
-      cb(status, 0);
-    });
+    Deliver(req, options_.syscall_overhead / 2, status, 0);
   } else {
     pool_.Release(req);
   }
@@ -367,15 +332,7 @@ Os::AddrCheckResult Os::AddrCheck(uint64_t file, int64_t offset, int64_t size, D
 void Os::MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid, RichReadFn done) {
   if (cache_->Resident(file, offset, size)) {
     cache_->Touch(file, offset, size);
-    // As on ReadWithWaitHint's hit path, a pooled descriptor carries `done`
-    // to the delivery event.
-    sched::IoRequest* req = pool_.Acquire();
-    req->done = std::move(done);
-    sim_->Schedule(options_.mmap_access_cost, [this, req] {
-      auto cb = std::move(req->done);
-      pool_.Release(req);
-      cb(Status::Ok(), 0);
-    });
+    ReplyAfter(options_.mmap_access_cost, Status::Ok(), 0, std::move(done));
     return;
   }
   // Page fault: a blocking device read with no deadline (no syscall is

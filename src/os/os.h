@@ -3,7 +3,8 @@
 // wired in (§3.2, §4).
 //
 // The interface mirrors the paper's additions to Linux:
-//   * Read(..., deadline)  -> data later, or EBUSY (possibly immediately);
+//   * ReadWithWaitHint(..., deadline) -> data later, or EBUSY (possibly
+//     immediately) with the predicted wait;
 //   * AddrCheck(..., deadline) -> synchronous residency probe for mmap-ed
 //     regions (82 ns), with background swap-in after an EBUSY;
 //   * Write(...)           -> buffered by default (user-facing write
@@ -102,14 +103,12 @@ class Os {
     bool bypass_cache = false;  // O_DIRECT-style; used by noise tenants.
     obs::TraceContext trace;    // Originating client request (id 0: untraced).
   };
-  void Read(const ReadArgs& args, std::function<void(Status)> done);
-
-  // §7.8.1 / §8.1 extension: like Read, but EBUSY responses carry the
-  // predictor's wait estimate, so the application can route to the
-  // least-busy replica when every replica rejects ("extending the MittOS
-  // interface to return the expected wait time, with which MongoDB can
-  // choose the shortest wait time when all replicas return EBUSY").
-  // Move-only; captures up to 48 bytes without allocating (InlineFunction).
+  // The read syscall. Its EBUSY carries the predictor's wait estimate, the
+  // §7.8.1 / §8.1 extension, so the application can route to the least-busy
+  // replica when every replica rejects ("extending the MittOS interface to
+  // return the expected wait time, with which MongoDB can choose the
+  // shortest wait time when all replicas return EBUSY"). Move-only; captures
+  // up to 48 bytes without allocating (InlineFunction). `done` may be null.
   using RichReadFn = sched::IoDoneFn;
   void ReadWithWaitHint(const ReadArgs& args, RichReadFn done);
 
@@ -123,7 +122,8 @@ class Os {
     int8_t priority = 4;
     bool sync = false;
   };
-  void Write(const WriteArgs& args, std::function<void(Status)> done);
+  // `done` reports wait hint 0 and may be null.
+  void Write(const WriteArgs& args, sched::IoDoneFn done);
 
   // --- AddrCheck syscall (§4.4): synchronous page-table probe ---
   struct AddrCheckResult {
@@ -134,8 +134,8 @@ class Os {
                             const obs::TraceContext& trace = {});
 
   // mmap-ed access without AddrCheck: page faults block (vanilla MongoDB).
-  // The RichReadFn form carries its callback on a pooled descriptor, so it
-  // allocates nothing (the hint is always 0: a fault cannot be rejected).
+  // The hint is always 0: a fault cannot be rejected. The unary overload
+  // serves perfbench, its only non-test caller.
   void MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid, RichReadFn done);
   void MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid,
                   std::function<void(Status)> done);
@@ -163,12 +163,23 @@ class Os {
   void SubmitDeviceRead(uint64_t file, int64_t offset, int64_t size, DurationNs deadline,
                         int32_t pid, sched::IoClass io_class, int8_t priority, bool fill_cache,
                         obs::TraceContext trace, RichReadFn done);
-  void SubmitDeviceWrite(const WriteArgs& args, std::function<void(Status)> done);
+  void SubmitDeviceWrite(const WriteArgs& args, sched::IoDoneFn done);
   // Scheduler completion for a device read/write: page-cache fill, syscall
   // accounting, and the return-path delivery event. The descriptor stays
   // alive (carrying the caller's `done`) until that event fires.
   void ReadComplete(sched::IoRequest* req, Status status);
   void WriteComplete(sched::IoRequest* req, Status status);
+  // Answers a syscall that needs no device IO (a cache or mmap hit, the
+  // device-floor EBUSY, a buffered-write ack) after `delay`. A pooled
+  // descriptor carries `done` to the delivery event, since `done` (64 bytes)
+  // would overflow the event's inline capture. A null `done` still
+  // schedules an (empty) event: event sequence numbers feed tie-breaking, so
+  // the event count must not depend on the callback.
+  void ReplyAfter(DurationNs delay, Status status, DurationNs hint, RichReadFn done);
+  // Delivers `status` and `hint` to req->done after `delay`. The descriptor
+  // is released before the callback runs, so the callback can issue a new IO
+  // that reuses the slot.
+  void Deliver(sched::IoRequest* req, DurationNs delay, Status status, DurationNs hint);
 
   // Records the syscall-level span/counters for one finished read attempt.
   // `end` is the simulated instant the result reaches the caller; it may lie

@@ -1,11 +1,15 @@
-// Types shared by the Mitt* admission predictors: options (including the
-// §7.7 error-injection knobs and the §7.6 accuracy-accounting mode) and the
-// false-positive/false-negative statistics of Figure 9.
+// What the Mitt* admission predictors share: options (including the §7.7
+// error-injection knobs and the §7.6 accuracy-accounting mode), the
+// false-positive/false-negative statistics of Figure 9, and the steps every
+// predictor takes around its own wait model — the admission decision, the
+// bounded calibration sample and the accuracy accounting at completion.
 
 #ifndef MITTOS_OS_PREDICTOR_COMMON_H_
 #define MITTOS_OS_PREDICTOR_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "src/common/rng.h"
 #include "src/common/time.h"
@@ -76,6 +80,57 @@ struct PredictionStats {
     }
   }
 };
+
+// The admission decision for `req` once a predictor has filled in its
+// predicted `wait` (§4.1): reject when the wait exceeds the deadline plus one
+// failover hop. §7.7's error injection then flips the decision with the
+// configured probabilities, drawing from the predictor's own `error_rng`. In
+// accuracy mode a rejection only sets req->ebusy_flagged. Returns true if
+// the IO must fail with EBUSY; an IO without a deadline is never rejected
+// and draws nothing.
+inline bool DecideReject(const PredictorOptions& options, Rng& error_rng, sched::IoRequest* req,
+                         DurationNs wait) {
+  if (!req->has_deadline()) {
+    return false;
+  }
+  bool reject = wait > req->deadline + options.failover_hop;
+  if (reject && options.false_negative_rate > 0 &&
+      error_rng.Bernoulli(options.false_negative_rate)) {
+    reject = false;
+  } else if (!reject && options.false_positive_rate > 0 &&
+             error_rng.Bernoulli(options.false_positive_rate)) {
+    reject = true;
+  }
+  if (reject && options.accuracy_mode) {
+    req->ebusy_flagged = true;
+    return false;
+  }
+  return reject;
+}
+
+// §4.1's calibration sample from a completion: T_diff = T_processActual -
+// T_processNewIO, bounded so that one completion delayed by background
+// destage traffic cannot swing the whole estimate. Empty when calibration is
+// off, and for writes: an NVRAM-acked write completes in microseconds while
+// its destage runs later, so calibrating on the ack would cancel the
+// pre-charged destage cost.
+inline std::optional<DurationNs> CalibrationDiff(const PredictorOptions& options,
+                                                 const sched::IoRequest& req,
+                                                 DurationNs actual_process) {
+  if (!options.calibrate || req.op == sched::IoOp::kWrite) {
+    return std::nullopt;
+  }
+  return std::clamp<DurationNs>(actual_process - req.predicted_process, -Millis(5), Millis(5));
+}
+
+// §7.6: in accuracy mode, accounts a completed deadline-carrying IO whose
+// syscall-entry-to-completion latency ends at `now`.
+inline void AccountCompletion(const PredictorOptions& options, const sched::IoRequest& req,
+                              TimeNs now, PredictionStats* stats) {
+  if (options.accuracy_mode && req.has_deadline()) {
+    stats->Account(req, now - req.submit_time);
+  }
+}
 
 }  // namespace mitt::os
 

@@ -44,7 +44,7 @@ struct IoRequest;
 // it, which lets the callback release the descriptor back to its pool.
 using IoCompletionFn = InlineFunction<void(const IoRequest& req, Status status)>;
 
-// End-of-syscall delivery to the caller of Os::Read/ReadWithWaitHint/Write:
+// End-of-syscall delivery to the caller of Os::ReadWithWaitHint/Write:
 // status plus the predictor's wait estimate (§7.8.1 EBUSY-with-wait-time).
 // Carried on the descriptor itself rather than nested inside on_complete so
 // no closure ever outgrows the inline buffer.

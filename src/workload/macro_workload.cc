@@ -1,10 +1,13 @@
 #include "src/workload/macro_workload.h"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 
 namespace mitt::workload {
+namespace {
+
+constexpr int64_t kHadoopChunk = 1 << 20;  // One sequential scan read.
+
+}  // namespace
 
 std::string_view MacroProfileName(MacroProfile profile) {
   switch (profile) {
@@ -28,9 +31,11 @@ MacroWorkload::MacroWorkload(sim::Simulator* sim, os::Os* target_os, uint64_t fi
 void MacroWorkload::Start(TimeNs until) {
   for (int t = 0; t < options_.threads; ++t) {
     if (options_.profile == MacroProfile::kHadoop) {
+      HadoopThread* thread = &hadoop_threads_.emplace_back();
+      thread->until = until;
       // Stagger job arrivals.
       sim_->Schedule(static_cast<DurationNs>(rng_.Exponential(static_cast<double>(Seconds(2)))),
-                     [this, until] { HadoopJobLoop(until); });
+                     [this, thread] { HadoopJobLoop(thread); });
     } else {
       sim_->Schedule(rng_.UniformInt(0, Millis(5)), [this, until] { ThreadLoop(until); });
     }
@@ -73,7 +78,7 @@ void MacroWorkload::IssueOne(TimeNs until) {
       break;  // Handled by HadoopJobLoop.
   }
 
-  auto next = [this, until, think_mean](Status) {
+  auto next = [this, until, think_mean](Status, DurationNs) {
     const auto think = static_cast<DurationNs>(rng_.Exponential(think_mean));
     sim_->Schedule(think, [this, until] { ThreadLoop(until); });
   };
@@ -88,7 +93,7 @@ void MacroWorkload::IssueOne(TimeNs until) {
     args.io_class = options_.io_class;
     args.priority = options_.priority;
     args.bypass_cache = true;
-    os_->Read(args, next);
+    os_->ReadWithWaitHint(args, next);
   } else {
     os::Os::WriteArgs args;
     args.file = file_;
@@ -102,44 +107,38 @@ void MacroWorkload::IssueOne(TimeNs until) {
   }
 }
 
-void MacroWorkload::HadoopJobLoop(TimeNs until) {
-  if (sim_->Now() >= until) {
+void MacroWorkload::HadoopJobLoop(HadoopThread* thread) {
+  if (sim_->Now() >= thread->until) {
     return;
   }
   // One map-task scan: a burst of large sequential reads (FB-2010 jobs are
   // dominated by small jobs with heavy-tailed large scans).
-  const int chunks =
-      rng_.Bernoulli(0.8) ? static_cast<int>(rng_.UniformInt(4, 16))
-                          : static_cast<int>(rng_.UniformInt(64, 192));
-  const int64_t chunk_size = 1 << 20;
-  const int64_t start =
-      rng_.UniformInt(0, std::max<int64_t>(1, file_size_ - chunks * chunk_size - 1));
+  thread->chunks = rng_.Bernoulli(0.8) ? static_cast<int>(rng_.UniformInt(4, 16))
+                                       : static_cast<int>(rng_.UniformInt(64, 192));
+  thread->start =
+      rng_.UniformInt(0, std::max<int64_t>(1, file_size_ - thread->chunks * kHadoopChunk - 1));
+  thread->next_chunk = 0;
+  HadoopScanStep(thread);
+}
 
-  // The chain's pending IO callback holds the strong ref; the lambda only
-  // keeps a weak self-reference (a strong one would be a cycle and leak).
-  auto step = std::make_shared<std::function<void(int)>>();
-  *step = [this, until, chunks, chunk_size, start,
-           wstep = std::weak_ptr<std::function<void(int)>>(step)](int i) {
-    if (i >= chunks || sim_->Now() >= until) {
-      // Job done; next job after a heavy-tailed gap.
-      const auto gap = static_cast<DurationNs>(
-          rng_.BoundedPareto(static_cast<double>(Millis(500)),
-                             static_cast<double>(Seconds(20)), 1.2));
-      sim_->Schedule(gap, [this, until] { HadoopJobLoop(until); });
-      return;
-    }
-    ++ios_issued_;
-    os::Os::ReadArgs args;
-    args.file = file_;
-    args.offset = start + static_cast<int64_t>(i) * chunk_size;
-    args.size = chunk_size;
-    args.pid = options_.pid;
-    args.io_class = options_.io_class;
-    args.priority = options_.priority;
-    args.bypass_cache = true;
-    os_->Read(args, [step = wstep.lock(), i](Status) { (*step)(i + 1); });
-  };
-  (*step)(0);
+void MacroWorkload::HadoopScanStep(HadoopThread* thread) {
+  if (thread->next_chunk >= thread->chunks || sim_->Now() >= thread->until) {
+    // Job done; next job after a heavy-tailed gap.
+    const auto gap = static_cast<DurationNs>(rng_.BoundedPareto(
+        static_cast<double>(Millis(500)), static_cast<double>(Seconds(20)), 1.2));
+    sim_->Schedule(gap, [this, thread] { HadoopJobLoop(thread); });
+    return;
+  }
+  ++ios_issued_;
+  os::Os::ReadArgs args;
+  args.file = file_;
+  args.offset = thread->start + static_cast<int64_t>(thread->next_chunk++) * kHadoopChunk;
+  args.size = kHadoopChunk;
+  args.pid = options_.pid;
+  args.io_class = options_.io_class;
+  args.priority = options_.priority;
+  args.bypass_cache = true;
+  os_->ReadWithWaitHint(args, [this, thread](Status, DurationNs) { HadoopScanStep(thread); });
 }
 
 }  // namespace mitt::workload

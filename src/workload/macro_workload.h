@@ -8,6 +8,7 @@
 #define MITTOS_WORKLOAD_MACRO_WORKLOAD_H_
 
 #include <cstdint>
+#include <deque>
 #include <string_view>
 
 #include "src/common/rng.h"
@@ -40,8 +41,18 @@ class MacroWorkload {
   uint64_t ios_issued() const { return ios_issued_; }
 
  private:
+  // One Hadoop thread: the scan its current job runs, one chunk read at a
+  // time.
+  struct HadoopThread {
+    TimeNs until = 0;
+    int chunks = 0;
+    int next_chunk = 0;
+    int64_t start = 0;
+  };
+
   void ThreadLoop(TimeNs until);
-  void HadoopJobLoop(TimeNs until);
+  void HadoopJobLoop(HadoopThread* thread);
+  void HadoopScanStep(HadoopThread* thread);
   void IssueOne(TimeNs until);
 
   sim::Simulator* sim_;
@@ -51,6 +62,7 @@ class MacroWorkload {
   Options options_;
   Rng rng_;
   uint64_t ios_issued_ = 0;
+  std::deque<HadoopThread> hadoop_threads_;  // Stable addresses across Starts.
 };
 
 }  // namespace mitt::workload

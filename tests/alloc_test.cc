@@ -111,7 +111,7 @@ struct Stream {
       w.offset = rng.UniformInt(0, pages - 1) * 4096;
       w.size = 4096;
       w.pid = pid;
-      o->Write(w, [this](Status) { Done(); });
+      o->Write(w, [this](Status, DurationNs) { Done(); });
       return;
     }
     os::Os::ReadArgs a;
@@ -503,6 +503,21 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, GetPathAllocPerStrategyTest,
                                            StrategyKind::kClone, StrategyKind::kHedged,
                                            StrategyKind::kSnitch, StrategyKind::kC3,
                                            StrategyKind::kMittos, StrategyKind::kMittosWait,
+                                           StrategyKind::kMittosResilient));
+
+// §5's LevelDB path: the lookup finds the one table holding the key without
+// IO and hands the get's callback straight to the block read.
+class GetPathAllocLsmTest : public ::testing::TestWithParam<StrategyKind> {};
+
+TEST_P(GetPathAllocLsmTest, DiskCfqWithEc2Noise) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  ExperimentOptions o = DiskCfqEc2World();
+  o.access = kv::AccessPath::kLsm;
+  EXPECT_LE(MarginalAllocsPerGet(o, GetParam()), kMaxAllocsPerGet);
+}
+
+INSTANTIATE_TEST_SUITE_P(LsmStrategies, GetPathAllocLsmTest,
+                         ::testing::Values(StrategyKind::kBase, StrategyKind::kMittos,
                                            StrategyKind::kMittosResilient));
 
 TEST(GetPathAllocTest, MittosMmapAddrCheckWithCacheDrops) {

@@ -190,7 +190,7 @@ TEST_F(DocStoreNodeTest, ReadPathPropagatesDeadline) {
     args.size = 1 << 20;
     args.pid = 99;
     args.bypass_cache = true;
-    node.os().Read(args, nullptr);
+    node.os().ReadWithWaitHint(args, nullptr);
   }
   Status status = Status::Internal();
   TimeNs done = -1;
@@ -305,7 +305,7 @@ TEST_F(DocStoreNodeTest, PutIsBufferedAndFast) {
   kv::DocStoreNode node(&sim_, 0, opt);
   TimeNs done = -1;
   Status status = Status::Internal();
-  node.HandlePut(42, [&](Status s) {
+  node.HandlePut(42, [&](Status s, DurationNs) {
     status = s;
     done = sim_.Now();
   });

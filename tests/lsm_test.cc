@@ -103,7 +103,7 @@ TEST_F(LsmTreeTest, PutsFlushToL0) {
   LsmTree tree(&sim_, os_.get(), opt);
   int acked = 0;
   for (uint64_t k = 0; k < 200; ++k) {
-    tree.Put(k, [&](Status s) {
+    tree.Put(k, [&](Status s, DurationNs) {
       EXPECT_TRUE(s.ok());
       ++acked;
     });
@@ -126,6 +126,14 @@ TEST_F(LsmTreeTest, CompactionMergesL0IntoL1) {
   EXPECT_GT(tree.compactions_done(), 0u);
   EXPECT_LT(tree.level_size(0), 3u);
   EXPECT_GT(tree.level_size(1), 0u);
+  // Flushes land while a compaction's IO runs; the compaction drops only the
+  // L0 tables it merged, so every key stays readable.
+  int found = 0;
+  for (uint64_t k = 0; k < 500; ++k) {
+    tree.Get(k * 13, sched::kNoDeadline, [&](Status s, DurationNs) { found += s.ok() ? 1 : 0; });
+  }
+  sim_.Run();
+  EXPECT_EQ(found, 500);
 }
 
 TEST_F(LsmTreeTest, GetFromMemtableIsInstant) {
@@ -133,7 +141,7 @@ TEST_F(LsmTreeTest, GetFromMemtableIsInstant) {
   tree.Put(42, nullptr);
   sim_.Run();
   Status status = Status::Internal();
-  tree.Get(42, sched::kNoDeadline, [&](Status s) { status = s; });
+  tree.Get(42, sched::kNoDeadline, [&](Status s, DurationNs) { status = s; });
   EXPECT_TRUE(status.ok());  // Synchronous memtable hit.
 }
 
@@ -144,7 +152,7 @@ TEST_F(LsmTreeTest, GetFromSstableCostsOneRead) {
   tree.BulkLoad(keys);
   Status status = Status::Internal();
   TimeNs done = -1;
-  tree.Get(777, sched::kNoDeadline, [&](Status s) {
+  tree.Get(777, sched::kNoDeadline, [&](Status s, DurationNs) {
     status = s;
     done = sim_.Now();
   });
@@ -160,7 +168,7 @@ TEST_F(LsmTreeTest, MissingKeyNotFoundWithoutIo) {
   std::iota(keys.begin(), keys.end(), 0);
   tree.BulkLoad(keys);
   Status status = Status::Internal();
-  tree.Get(999999, sched::kNoDeadline, [&](Status s) { status = s; });
+  tree.Get(999999, sched::kNoDeadline, [&](Status s, DurationNs) { status = s; });
   // Range check rejects instantly; no IO, synchronous NotFound.
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
@@ -184,11 +192,11 @@ TEST_F(LsmTreeTest, EbusyPropagatesFromReadPath) {
     args.size = 1 << 20;
     args.pid = 99;
     args.bypass_cache = true;
-    os_->Read(args, nullptr);
+    os_->ReadWithWaitHint(args, nullptr);
   }
   Status status = Status::Internal();
   TimeNs done = -1;
-  tree.Get(777, Millis(10), [&](Status s) {
+  tree.Get(777, Millis(10), [&](Status s, DurationNs) {
     status = s;
     done = sim_.Now();
   });
@@ -251,7 +259,7 @@ TEST_F(RingTest, EbusyTriggersReplicaFailover) {
     args.size = 1 << 20;
     args.pid = 99;
     args.bypass_cache = true;
-    primary_os.Read(args, nullptr);
+    primary_os.ReadWithWaitHint(args, nullptr);
   }
   Status status = Status::Internal();
   TimeNs done = -1;

@@ -163,7 +163,7 @@ TEST(IoNoiseInjectorTest, ProbeLatencyRisesDuringEpisode) {
     args.offset = 10LL << 30;
     args.size = 4096;
     args.bypass_cache = true;
-    target.Read(args, [&](Status) { done = sim.Now(); });
+    target.ReadWithWaitHint(args, [&](Status, DurationNs) { done = sim.Now(); });
     sim.RunUntilPredicate([&] { return done >= 0; });
     return done - start;
   };

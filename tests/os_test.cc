@@ -33,7 +33,7 @@ TEST_F(OsTest, CacheHitIsFast) {
   args.file = file;
   args.offset = 4096;
   args.size = 1024;
-  os.Read(args, [&](Status s) {
+  os.ReadWithWaitHint(args, [&](Status s, DurationNs) {
     result = s;
     done_at = sim_.Now();
   });
@@ -51,7 +51,7 @@ TEST_F(OsTest, CacheMissGoesToDisk) {
   args.file = file;
   args.offset = 100 << 20;
   args.size = 4096;
-  os.Read(args, [&](Status s) {
+  os.ReadWithWaitHint(args, [&](Status s, DurationNs) {
     result = s;
     done_at = sim_.Now();
   });
@@ -61,7 +61,7 @@ TEST_F(OsTest, CacheMissGoesToDisk) {
   // And the pages are now cached: a re-read is fast.
   TimeNs start = sim_.Now();
   TimeNs second = -1;
-  os.Read(args, [&](Status) { second = sim_.Now(); });
+  os.ReadWithWaitHint(args, [&](Status, DurationNs) { second = sim_.Now(); });
   sim_.RunUntilPredicate([&] { return second >= 0; });
   EXPECT_LE(second - start, Micros(50));
 }
@@ -76,7 +76,7 @@ TEST_F(OsTest, TinyDeadlineOnMissRejectedImmediately) {
   args.offset = 0;
   args.size = 4096;
   args.deadline = Micros(100);  // The user expects an in-memory read (§4.4).
-  os.Read(args, [&](Status s) {
+  os.ReadWithWaitHint(args, [&](Status s, DurationNs) {
     result = s;
     done_at = sim_.Now();
   });
@@ -97,7 +97,7 @@ TEST_F(OsTest, VanillaOsIgnoresDeadlines) {
   args.offset = 0;
   args.size = 4096;
   args.deadline = Micros(100);
-  os.Read(args, [&](Status s) {
+  os.ReadWithWaitHint(args, [&](Status s, DurationNs) {
     result = s;
     done_at = sim_.Now();
   });
@@ -118,7 +118,7 @@ TEST_F(OsTest, BusyDiskRejectsDeadlineRead) {
     noise.size = 1 << 20;
     noise.pid = 99;
     noise.bypass_cache = true;
-    os.Read(noise, [&](Status) { ++noise_done; });
+    os.ReadWithWaitHint(noise, [&](Status, DurationNs) { ++noise_done; });
   }
   Status result = Status::Internal();
   Os::ReadArgs args;
@@ -128,7 +128,7 @@ TEST_F(OsTest, BusyDiskRejectsDeadlineRead) {
   args.deadline = Millis(20);
   args.pid = 1;
   bool got = false;
-  os.Read(args, [&](Status s) {
+  os.ReadWithWaitHint(args, [&](Status s, DurationNs) {
     result = s;
     got = true;
   });
@@ -194,7 +194,7 @@ TEST_F(OsTest, BufferedWriteAcksFastDespiteBusyDisk) {
     noise.size = 1 << 20;
     noise.pid = 99;
     noise.bypass_cache = true;
-    os.Read(noise, nullptr);
+    os.ReadWithWaitHint(noise, nullptr);
   }
   TimeNs start = sim_.Now();
   TimeNs acked = -1;
@@ -202,7 +202,7 @@ TEST_F(OsTest, BufferedWriteAcksFastDespiteBusyDisk) {
   w.file = file;
   w.offset = 60LL << 30;
   w.size = 4096;
-  os.Write(w, [&](Status s) {
+  os.Write(w, [&](Status s, DurationNs) {
     EXPECT_TRUE(s.ok());
     acked = sim_.Now();
   });
@@ -232,7 +232,7 @@ TEST_F(OsTest, SsdBackendReadAndReject) {
   args.size = 4096;
   args.deadline = Millis(2);
   args.bypass_cache = true;
-  os.Read(args, [&](Status s) {
+  os.ReadWithWaitHint(args, [&](Status s, DurationNs) {
     result = s;
     done_at = sim_.Now();
   });
@@ -251,7 +251,7 @@ TEST_F(OsTest, ReadWithWaitHintReportsQueueDelay) {
     noise.size = 1 << 20;
     noise.pid = 99;
     noise.bypass_cache = true;
-    os.Read(noise, nullptr);
+    os.ReadWithWaitHint(noise, nullptr);
   }
   Status result = Status::Internal();
   DurationNs hint = -1;
@@ -287,7 +287,7 @@ TEST_F(OsTest, EbusyHintMatchesPredictorAndIsObservedOnce) {
     noise.size = 1 << 20;
     noise.pid = 99;
     noise.bypass_cache = true;
-    os.Read(noise, nullptr);
+    os.ReadWithWaitHint(noise, nullptr);
   }
   // The hint handed back with EBUSY must be the predictor's wait estimate at
   // submission time, not a post-hoc number: capture it just before the call.

@@ -485,7 +485,7 @@ void SaturateDisk(os::Os& os) {
     args.size = 1 << 20;
     args.pid = 99;
     args.bypass_cache = true;
-    os.Read(args, nullptr);
+    os.ReadWithWaitHint(args, nullptr);
   }
 }
 

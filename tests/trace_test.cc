@@ -31,7 +31,12 @@
 namespace mitt {
 namespace {
 
-std::string TempPath(const std::string& name) { return testing::TempDir() + "trace_test_" + name; }
+// Prefixed with the running test's name: ctest runs every case as its own
+// process, in parallel, and the TraceValidationTest cases share file names.
+std::string TempPath(const std::string& name) {
+  const testing::TestInfo* test = testing::UnitTest::GetInstance()->current_test_info();
+  return testing::TempDir() + "trace_test_" + test->name() + "_" + name;
+}
 
 std::string SampleTracePath() { return std::string(MITT_TEST_DATA_DIR) + "/sample_mix.mitttrace"; }
 
