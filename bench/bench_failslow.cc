@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
   // calibration exists for: the additive next-free correction absorbs a
   // one-off misprediction, the gain follows a persistent service-time shift.
   disk_opt.base.mitt_cfq.gain_calibration = true;
-  disk_opt.base.mitt_cfq.gain_ewma_alpha = 0.2;
   disk_opt.strategies = strategies;
   harness::ScenarioRunner disk_runner(disk_opt);
   const auto disk_scenarios = DiskScenarios();

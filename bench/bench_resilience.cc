@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
   opt.base = MicroWorld(20170919);
   opt.base.trace = true;
   opt.base.mitt_cfq.gain_calibration = true;
-  opt.base.mitt_cfq.gain_ewma_alpha = 0.2;
   opt.strategies = strategies;
   harness::ScenarioRunner runner(opt);
   const auto scenarios = Scenarios();

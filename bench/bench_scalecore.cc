@@ -21,9 +21,8 @@
 //     and invalid speedups print as n/a instead of a misleading < 1x.
 //   - critical-path speedup: sim_events / critical_path_events(w) — the sum
 //     over conservative windows of the busiest worker's event count, under
-//     the engine's (adaptive) shard map, with the static s % w map reported
-//     alongside. Host-independent and bit-deterministic (derived from event
-//     counts, not timers).
+//     the engine's adaptive LPT shard map. Host-independent and
+//     bit-deterministic (derived from event counts, not timers).
 //
 // Determinism is asserted, not assumed: every worker count must produce the
 // same requests / sim_events / window counts / latency percentiles, and the
@@ -273,16 +272,14 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // Deterministic parallelism exposed by the engine: total events over the
-  // busiest worker's events, adaptive map vs the static s % w map.
-  std::printf("critical-path speedup (host-independent, adaptive/static):");
+  // busiest worker's events.
+  std::printf("critical-path speedup (host-independent):");
   for (const auto& [w, cp] : ref.critical_path) {
-    std::printf("  %dw %.2fx/%.2fx", w,
-                cp > 0 ? static_cast<double>(ref.sim_events) / static_cast<double>(cp) : 0,
-                Lookup(ref.critical_path_static, w, ref.sim_events));
+    std::printf("  %dw %.2fx", w,
+                cp > 0 ? static_cast<double>(ref.sim_events) / static_cast<double>(cp) : 0);
   }
   std::printf("\n");
-  std::printf("imbalance max/mean at 8w: adaptive %.3f, static %.3f\n",
-              Lookup(ref.imbalance, 8), Lookup(ref.imbalance_static, 8));
+  std::printf("imbalance max/mean at 8w: %.3f\n", Lookup(ref.imbalance, 8));
   std::printf("events/window: p50 %.0f, p99 %.0f; windows=%llu fused=%llu\n",
               ref.events_per_window_p50, ref.events_per_window_p99,
               static_cast<unsigned long long>(ref.engine_windows),
@@ -312,7 +309,6 @@ int main(int argc, char** argv) {
                  "  \"events_per_window_p50\": %.1f,\n"
                  "  \"events_per_window_p99\": %.1f,\n"
                  "  \"imbalance_adaptive_8w\": %.4f,\n"
-                 "  \"imbalance_static_8w\": %.4f,\n"
                  "  \"fusion\": {\"scorecard_identical\": %s, \"barrier_ratio\": %.2f,\n"
                  "             \"events_per_sec_ratio\": %.3f, \"unfused_wall_sec\": %.3f},\n"
                  "  \"runs\": [\n",
@@ -326,25 +322,20 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(ref.engine_fused_windows),
                  static_cast<unsigned long long>(ref.cross_shard_messages),
                  ref.events_per_window_p50, ref.events_per_window_p99,
-                 Lookup(ref.imbalance, 8), Lookup(ref.imbalance_static, 8),
+                 Lookup(ref.imbalance, 8),
                  fusion_identical ? "true" : "false", fusion_barrier_ratio,
                  fusion_events_ratio, fusion_wall_sec);
     for (size_t i = 0; i < runs.size(); ++i) {
       const WorkerRun& run = runs[i];
-      const double cp_speedup = Lookup(ref.critical_path, run.workers, ref.sim_events);
-      const double cp_static = Lookup(ref.critical_path_static, run.workers, ref.sim_events);
       std::fprintf(out,
                    "    {\"workers\": %d, \"wall_sec\": %.3f, \"events_per_sec\": %.0f,\n"
                    "     \"wall_speedup_valid\": %s, \"speedup_vs_1\": %.3f,\n"
-                   "     \"critical_path_speedup\": %.3f, "
-                   "\"critical_path_speedup_static\": %.3f,\n"
-                   "     \"imbalance\": %.4f, \"imbalance_static\": %.4f}%s\n",
+                   "     \"critical_path_speedup\": %.3f, \"imbalance\": %.4f}%s\n",
                    run.workers, run.wall_sec, run.events_per_sec,
                    run.wall_valid ? "true" : "false",
                    run.wall_valid && base_eps > 0 ? run.events_per_sec / base_eps : 0,
-                   cp_speedup, cp_static, Lookup(ref.imbalance, run.workers),
-                   Lookup(ref.imbalance_static, run.workers),
-                   i + 1 < runs.size() ? "," : "");
+                   Lookup(ref.critical_path, run.workers, ref.sim_events),
+                   Lookup(ref.imbalance, run.workers), i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -12,6 +12,7 @@
 #include "src/common/latency_recorder.h"
 #include "src/common/table.h"
 #include "src/noise/noise_injector.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
 
@@ -20,13 +21,14 @@ namespace {
 using namespace mitt;
 
 LatencyRecorder RunWrites(bool with_noise) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
   cluster::Cluster::Options copt;
   copt.num_nodes = 3;
   copt.node.num_keys = 1 << 20;
   copt.node.os.mitt_enabled = false;
   copt.seed = 99;
-  cluster::Cluster cluster(&sim, copt);
+  cluster::Cluster cluster(&engine, copt);
 
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
   if (with_noise) {

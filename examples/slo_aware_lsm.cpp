@@ -14,13 +14,15 @@
 #include "src/cluster/cluster.h"
 #include "src/common/latency_recorder.h"
 #include "src/lsm/lsm_node.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
 
 int main() {
   using namespace mitt;
 
-  sim::Simulator sim;
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
   // Three LSM nodes, each bulk-loaded with 40k keys in L1.
   cluster::Cluster::Options copt;
   copt.num_nodes = 3;
@@ -28,7 +30,7 @@ int main() {
   copt.node.num_keys = 40000;
   copt.node.os.mitt_enabled = true;
   copt.seed = 3;
-  cluster::Cluster cluster(&sim, copt);
+  cluster::Cluster cluster(&engine, copt);
   client::MittosStrategy::Options mopt;
   mopt.deadline = Millis(13);
   client::MittosStrategy mittos(&sim, &cluster, /*seed=*/3, mopt);

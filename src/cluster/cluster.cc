@@ -9,17 +9,6 @@
 
 namespace mitt::cluster {
 
-Cluster::Cluster(sim::Simulator* sim, const Options& options) : options_(options) {
-  network_ = std::make_unique<Network>(sim, options_.network, options_.seed ^ 0xBEEF);
-  if (options_.shared_cpu_cores > 0) {
-    shared_cpu_ = std::make_unique<CpuPool>(sim, options_.shared_cpu_cores);
-  }
-  nodes_.reserve(static_cast<size_t>(options_.num_nodes));
-  for (int i = 0; i < options_.num_nodes; ++i) {
-    AddNode(sim, i);
-  }
-}
-
 Cluster::Cluster(sim::ShardedEngine* engine, const Options& options)
     : options_(options), engine_(engine) {
   const int num_shards = engine->num_shards();
@@ -66,7 +55,7 @@ tenant::ReplicaGroup Cluster::ReplicasOf(uint64_t key) const {
 }
 
 void Cluster::Put(uint64_t key, std::function<void(Status)> done) {
-  const int home = engine_ != nullptr ? engine_->CurrentShardId() : 0;
+  const int home = engine_->CurrentShardId();
   auto first = std::make_shared<bool>(true);
   auto shared_done = std::make_shared<std::function<void(Status)>>(std::move(done));
   for (const int r : ReplicasOf(key)) {

@@ -17,6 +17,7 @@
 #include "src/common/status.h"
 #include "src/kv/doc_store_node.h"
 #include "src/kv/storage_node.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 #include "src/tenant/placement.h"
 
@@ -39,16 +40,15 @@ class Cluster final {
     uint64_t seed = 1;
   };
 
-  Cluster(sim::Simulator* sim, const Options& options);
-
-  // Sharded deployment: node n lives on shard n*S/N (contiguous blocks, so
-  // a replica group of consecutive ring successors usually shares a shard),
+  // Node n lives on shard n*S/N of the engine (contiguous blocks, so a
+  // replica group of consecutive ring successors usually shares a shard),
   // each node's full stack (OS, devices, scheduler, cache) built on its
-  // shard's simulator. The network is attached to the engine with the
-  // node->shard map; shard counts must not depend on worker count (the
-  // engine's determinism contract). A shared CPU pool (shared_cpu_cores >
-  // 0) is cross-node state, so it needs a 1-shard engine; with more shards
-  // this throws std::invalid_argument.
+  // shard's simulator; a 1-shard engine (`sim::ShardedEngine engine({})`)
+  // runs the plain Simulator schedule. The network is attached to the
+  // engine with the node->shard map; shard counts must not depend on worker
+  // count (the engine's determinism contract). A shared CPU pool
+  // (shared_cpu_cores > 0) is cross-node state, so it needs a 1-shard
+  // engine; with more shards this throws std::invalid_argument.
   Cluster(sim::ShardedEngine* engine, const Options& options);
 
   // Strategies, injectors and in-flight puts hold the cluster's address.
@@ -61,8 +61,11 @@ class Cluster final {
   // The fabric between clients and nodes.
   Network& network() { return *network_; }
   const Options& options() const { return options_; }
+  // The engine the world runs on; fault and placement events are its
+  // global events.
+  sim::ShardedEngine* engine() const { return engine_; }
 
-  // Shard owning node i (0 when built on a plain Simulator).
+  // Shard owning node i.
   int shard_of_node(int i) const { return network_->ShardOfNode(i); }
 
   // The nodes holding `key`, primary first: min(kReplication, num_nodes)
@@ -83,7 +86,7 @@ class Cluster final {
   void AddNode(sim::Simulator* sim, int i);
 
   Options options_;
-  sim::ShardedEngine* engine_ = nullptr;
+  sim::ShardedEngine* engine_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<CpuPool> shared_cpu_;
   std::vector<std::unique_ptr<kv::StorageNode>> nodes_;

@@ -45,6 +45,10 @@
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
 
+namespace mitt::sim {
+class ShardedEngine;
+}  // namespace mitt::sim
+
 namespace mitt::cluster {
 
 struct NetworkParams {

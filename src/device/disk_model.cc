@@ -112,7 +112,6 @@ void DiskModel::StartNext() {
 
   const DurationNs service = SampledServiceTime(head_pos_, *req);
   in_service_ = req;
-  in_service_done_ = sim_->Now() + service;
   sim_->Schedule(service, [this, req] { OnServiceDone(req); });
 }
 

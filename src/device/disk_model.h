@@ -93,15 +93,11 @@ class DiskModel {
 
   // Number of IOs held by the device (queued + in service).
   size_t Occupancy() const { return queue_.size() + (in_service_ != nullptr ? 1 : 0); }
-  size_t QueuedCount() const { return queue_.size(); }
   bool idle() const { return in_service_ == nullptr && queue_.empty(); }
 
   // Pending (not yet in-service) IOs, for O(N) baseline predictors and tests.
   const std::vector<sched::IoRequest*>& queued() const { return queue_; }
-  const sched::IoRequest* in_service() const { return in_service_; }
-  TimeNs in_service_completion_time() const { return in_service_done_; }
 
-  int64_t head_position() const { return head_pos_; }
   const DiskParams& params() const { return params_; }
 
   // --- Fail-slow injection (src/fault/) ---
@@ -133,7 +129,6 @@ class DiskModel {
 
   std::vector<sched::IoRequest*> queue_;
   sched::IoRequest* in_service_ = nullptr;
-  TimeNs in_service_done_ = 0;
   double service_multiplier_ = 1.0;
   int64_t head_pos_ = 0;
   uint64_t completed_ = 0;

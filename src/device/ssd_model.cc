@@ -49,12 +49,10 @@ void SsdModel::Submit(sched::IoRequest* req) {
   for (int64_t p = first_page; p <= last_page; ++p) {
     const SubIo sub{req, p, req->op, 0};
     const int chip = ChipOfPage(p);
-    const int channel = ChannelOfChip(chip);
-    ++channels_[channel].outstanding;
     if (req->op == sched::IoOp::kRead) {
       EnqueueChip(chip, sub);  // Media read first, then channel transfer.
     } else {
-      EnqueueChannel(channel, sub);  // Data in over the channel, then program.
+      EnqueueChannel(ChannelOfChip(chip), sub);  // Data in over the channel, then program.
     }
   }
 }
@@ -131,9 +129,6 @@ void SsdModel::OnTransferDone(int channel, SubIo sub) {
 }
 
 void SsdModel::FinishSub(const SubIo& sub) {
-  if (sub.op != sched::IoOp::kErase) {
-    --channels_[ChannelOfChip(ChipOfPage(sub.logical_page))].outstanding;
-  }
   sched::IoRequest* parent = sub.parent;
   assert(parent->subs_remaining > 0);
   if (--parent->subs_remaining > 0) {

@@ -71,13 +71,6 @@ class SsdModel {
 
   const SsdParams& params() const { return params_; }
 
-  // Observability for predictors/tests: chip busy-until and per-channel
-  // outstanding transfer counts. The MittSSD predictor keeps its own shadow
-  // copies (as the kernel would); tests use these to cross-check.
-  size_t ChipQueueDepth(int chip) const { return chips_[chip].queue.size(); }
-  bool ChipBusy(int chip) const { return chips_[chip].busy; }
-  size_t ChannelOutstanding(int channel) const { return channels_[channel].outstanding; }
-
   // --- Read-retry storm injection (src/fault/) ---
   // Media reads on `chip` take `m`x their profiled time (firmware re-reading
   // a marginal page with shifted reference voltages). Applied at media start,
@@ -85,9 +78,6 @@ class SsdModel {
   // MittSSD predictor's shadow model keeps assuming the healthy read time.
   void set_chip_read_multiplier(int chip, double m) {
     chips_[static_cast<size_t>(chip)].read_multiplier = m;
-  }
-  double chip_read_multiplier(int chip) const {
-    return chips_[static_cast<size_t>(chip)].read_multiplier;
   }
 
   uint64_t completed_count() const { return completed_; }
@@ -109,7 +99,6 @@ class SsdModel {
   struct Channel {
     RingQueue<SubIo> queue;
     bool busy = false;
-    size_t outstanding = 0;  // Sub-IOs somewhere between submit and done.
   };
 
   void EnqueueChip(int chip, SubIo sub);

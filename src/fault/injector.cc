@@ -9,8 +9,8 @@
 
 namespace mitt::fault {
 
-FaultInjector::FaultInjector(sim::Simulator* sim, cluster::Cluster* cluster, FaultPlan plan)
-    : sim_(sim), cluster_(cluster), plan_(std::move(plan)) {}
+FaultInjector::FaultInjector(cluster::Cluster* cluster, FaultPlan plan)
+    : sim_(cluster->engine()->shard(0)), cluster_(cluster), plan_(std::move(plan)) {}
 
 void FaultInjector::Start() {
   if (started_) {
@@ -21,18 +21,12 @@ void FaultInjector::Start() {
   for (size_t i = 0; i < plan_.size(); ++i) {
     const FaultEpisode& e = plan_.episodes()[i];
     const DurationNs delay = e.start > now ? e.start - now : 0;
-    // Daemon-like: a pending fault schedule must not keep Run() alive once
-    // the workload has drained.
     ScheduleFaultEvent(delay, [this, i] { Begin(i); });
   }
 }
 
 void FaultInjector::ScheduleFaultEvent(DurationNs delay, sim::Callback fn) {
-  if (sim::ShardedEngine* engine = sim_->engine(); engine != nullptr) {
-    engine->ScheduleGlobal(sim_->Now() + delay, std::move(fn));
-    return;
-  }
-  sim_->ScheduleDaemon(delay, std::move(fn));
+  cluster_->engine()->ScheduleGlobal(sim_->Now() + delay, std::move(fn));
 }
 
 bool FaultInjector::Applicable(const FaultEpisode& e) const {

@@ -692,8 +692,7 @@ RunResult Experiment::Run(StrategyKind kind) {
   // FaultInjector::ScheduleFaultEvent) on shard 0's clock.
   std::unique_ptr<fault::FaultInjector> faults;
   if (!options_.fault_plan.empty()) {
-    faults = std::make_unique<fault::FaultInjector>(engine.shard(0), &cluster,
-                                                    options_.fault_plan);
+    faults = std::make_unique<fault::FaultInjector>(&cluster, options_.fault_plan);
     faults->Start();
   }
 
@@ -735,7 +734,7 @@ RunResult Experiment::Run(StrategyKind kind) {
     }
     if (options_.tenants.slo_aware) {
       controller = std::make_unique<tenant::PlacementController>(
-          engine.shard(0), &directory, placement.get(), options_.num_nodes,
+          &engine, &directory, placement.get(), options_.num_nodes,
           MakeNodeProbe(&cluster), options_.tenants.controller);
       controller->Start();
     }
@@ -994,14 +993,8 @@ RunResult Experiment::Run(StrategyKind kind) {
     if (const uint64_t cp = engine.critical_path_events(w); cp != 0) {
       result.critical_path.emplace_back(w, cp);
     }
-    if (const uint64_t cp = engine.critical_path_events_static(w); cp != 0) {
-      result.critical_path_static.emplace_back(w, cp);
-    }
     if (const double r = engine.imbalance_ratio(w); r != 0) {
       result.imbalance.emplace_back(w, r);
-    }
-    if (const double r = engine.imbalance_ratio_static(w); r != 0) {
-      result.imbalance_static.emplace_back(w, r);
     }
   }
   if (faults != nullptr) {

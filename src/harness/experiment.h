@@ -212,8 +212,7 @@ struct ExperimentOptions {
   int intra_workers = 0;
   // Engine knobs, forwarded to ShardedEngine::Options verbatim. Both are
   // schedule-preserving (results identical at any setting):
-  // windows between adaptive LPT repacks (0 = static s % workers map,
-  // < 0 = 64) ...
+  // windows between adaptive LPT repacks (<= 0 = 64) ...
   int engine_rebalance = -1;
   // ... and quiet-frontier window fusion (0 = off, 1 or < 0 = on).
   int engine_fusion = -1;
@@ -306,17 +305,13 @@ struct RunResult {
   // log-bucket histogram (0 for unsharded runs).
   double events_per_window_p50 = 0;
   double events_per_window_p99 = 0;
-  // (workers, critical-path events) pairs under the engine's map policy
-  // (adaptive when rebalancing is on): sim_events / cp is the ideal w-core
-  // speedup, deterministic and host-independent (see
-  // ShardedEngine::critical_path_events()). critical_path_static is the
-  // same sum under the frozen s % workers map — the before/after pair.
+  // (workers, critical-path events) pairs under the engine's adaptive LPT
+  // maps: sim_events / cp is the ideal w-core speedup, deterministic and
+  // host-independent (see ShardedEngine::critical_path_events()).
   std::vector<std::pair<int, uint64_t>> critical_path;
-  std::vector<std::pair<int, uint64_t>> critical_path_static;
   // Whole-run per-worker executed-event imbalance (max/mean, 1.0 = perfect)
-  // per hypothetical worker count, adaptive map vs static s % w map.
+  // per hypothetical worker count, under the same maps.
   std::vector<std::pair<int, double>> imbalance;
-  std::vector<std::pair<int, double>> imbalance_static;
 
   // Resilience harvest (src/resilience/). For naive strategies,
   // unbounded_deadline_tries counts deadline-disabled last-try sends; the

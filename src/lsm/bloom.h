@@ -18,8 +18,6 @@ class BloomFilter {
   void Add(uint64_t key);
   bool MayContain(uint64_t key) const;
 
-  size_t bit_count() const { return bits_.size(); }
-
  private:
   static uint64_t Mix(uint64_t key, uint64_t salt);
 

@@ -1,7 +1,6 @@
 #include "src/lsm/lsm_tree.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 namespace mitt::lsm {
@@ -66,14 +65,16 @@ void LsmTree::MaybeStartCompaction() {
 
   // Merge every L0 table with all of L1 (single-shard simplification of
   // LevelDB's range-overlap selection; our tables span wide key ranges, so
-  // overlap is near-total anyway).
-  std::set<uint64_t> merged;
+  // overlap is near-total anyway): every input key in one vector, sorted and
+  // deduplicated.
+  std::vector<uint64_t> all;
   for (const auto& level : levels_) {
     for (const auto& table : level) {
-      merged.insert(table->keys().begin(), table->keys().end());
+      all.insert(all.end(), table->keys().begin(), table->keys().end());
     }
   }
-  std::vector<uint64_t> all(merged.begin(), merged.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
 
   // Split into ~8MB output tables.
   const auto keys_per_out = static_cast<size_t>(

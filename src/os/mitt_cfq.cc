@@ -9,6 +9,17 @@ namespace {
 
 int ClassRank(sched::IoClass c) { return static_cast<int>(c); }
 
+// EWMA weights of the learned starvation margin and of the service-model
+// gain (MittCfqOptions::starvation_margin and gain_calibration).
+constexpr double kMarginEwmaAlpha = 0.1;
+constexpr double kGainEwmaAlpha = 0.2;
+// The starvation margin applies once the device holds this many IOs.
+constexpr int kBusyDeviceInflight = 3;
+// Per-IO service estimate when use_profile is off (the §7.6 ablation).
+constexpr DurationNs kFlatServiceEstimate = Millis(6);
+// Tolerance-wheel bucket width: the paper groups tolerable times by 1 ms.
+constexpr DurationNs kTolerableBucket = Millis(1);
+
 }  // namespace
 
 // --- ToleranceWheel ---------------------------------------------------------
@@ -132,14 +143,14 @@ MittCfqPredictor::MittCfqPredictor(sim::Simulator* sim, device::DiskProfile prof
       profile_(std::move(profile)),
       options_(options),
       cfq_options_(cfq_options),
-      error_rng_(options.error_seed) {
+      error_rng_(kErrorSeed) {
   procs_.reserve(64);
   victims_.reserve(16);
 }
 
 DurationNs MittCfqPredictor::PredictProcess(const sched::IoRequest& req) const {
   if (!cfq_options_.use_profile) {
-    return cfq_options_.flat_service_estimate;
+    return kFlatServiceEstimate;
   }
   const auto it = procs_.find(req.pid);
   const int64_t from = it != procs_.end() ? it->second.tail_offset : 0;
@@ -172,7 +183,7 @@ DurationNs MittCfqPredictor::WaitEstimate(int32_t pid, sched::IoClass io_class) 
   // SSTF-reordering risk: on a busy device, later-arriving nearer IOs can
   // overtake this process' IOs up to the firmware's anti-starvation bound.
   if (cfq_options_.starvation_margin &&
-      device_inflight_ >= cfq_options_.busy_device_inflight) {
+      device_inflight_ >= kBusyDeviceInflight) {
     const auto it = procs_.find(pid);
     if (it != procs_.end()) {
       wait += static_cast<DurationNs>(it->second.starvation_margin_ns);
@@ -211,9 +222,9 @@ const std::vector<sched::IoRequest*>& MittCfqPredictor::OnAccepted(sched::IoRequ
   if (req->has_deadline() && !req->ebusy_flagged) {
     ClassState& cls = classes_[ClassRank(req->io_class)];
     const DurationNs tolerance =
-        req->deadline + options_.failover_hop - req->predicted_wait;
+        req->deadline + kFailoverHop - req->predicted_wait;
     const DurationNs stored = tolerance + cls.debt;
-    const int64_t bucket = stored / cfq_options_.tolerable_bucket;
+    const int64_t bucket = stored / kTolerableBucket;
     cls.wheel.Insert(req, bucket);
 #ifdef MITT_PREDICT_CHECK
     check_by_tolerance_[ClassRank(req->io_class)][bucket].push_back(req);
@@ -232,11 +243,11 @@ const std::vector<sched::IoRequest*>& MittCfqPredictor::OnAccepted(sched::IoRequ
       // Entries in bucket b have stored tolerance in
       // [b*bucket, (b+1)*bucket); all are certainly negative once
       // (b+1)*bucket <= debt, and possibly negative when b*bucket < debt.
-      const int64_t bucket_lo = bucket * cfq_options_.tolerable_bucket;
+      const int64_t bucket_lo = bucket * kTolerableBucket;
       if (bucket_lo >= cls.debt) {
         break;
       }
-      const int64_t bucket_hi = bucket_lo + cfq_options_.tolerable_bucket;
+      const int64_t bucket_hi = bucket_lo + kTolerableBucket;
       if (bucket_hi <= cls.debt) {
         cls.wheel.PopBucketInto(bucket, &victims_);
         continue;
@@ -256,11 +267,11 @@ const std::vector<sched::IoRequest*>& MittCfqPredictor::OnAccepted(sched::IoRequ
     const DurationNs debt = classes_[c].debt;
     while (!table.empty()) {
       auto it = table.begin();
-      const int64_t bucket_lo = it->first * cfq_options_.tolerable_bucket;
+      const int64_t bucket_lo = it->first * kTolerableBucket;
       if (bucket_lo >= debt) {
         break;
       }
-      if (bucket_lo + cfq_options_.tolerable_bucket <= debt) {
+      if (bucket_lo + kTolerableBucket <= debt) {
         for (sched::IoRequest* victim : it->second) {
           check_index_.erase(victim);
           oracle.push_back(victim);
@@ -353,8 +364,7 @@ void MittCfqPredictor::OnCompletion(const sched::IoRequest& req, DurationNs actu
     const double excess =
         std::clamp(static_cast<double>(actual_wait - req.predicted_wait) + margin,
                    -static_cast<double>(Millis(100)), static_cast<double>(Millis(100)));
-    margin = (1.0 - cfq_options_.margin_ewma_alpha) * margin +
-             cfq_options_.margin_ewma_alpha * excess;
+    margin = (1.0 - kMarginEwmaAlpha) * margin + kMarginEwmaAlpha * excess;
     margin = std::max(margin, 0.0);
   }
   if (const auto diff = CalibrationDiff(options_, req, actual_process)) {
@@ -365,8 +375,7 @@ void MittCfqPredictor::OnCompletion(const sched::IoRequest& req, DurationNs actu
       double ratio = static_cast<double>(actual_process) /
                      static_cast<double>(req.predicted_process);
       ratio = std::clamp(ratio * model_gain_, 0.1, 10.0);
-      model_gain_ = (1.0 - cfq_options_.gain_ewma_alpha) * model_gain_ +
-                    cfq_options_.gain_ewma_alpha * ratio;
+      model_gain_ = (1.0 - kGainEwmaAlpha) * model_gain_ + kGainEwmaAlpha * ratio;
     }
   }
   AccountCompletion(options_, req, sim_->Now(), &stats_);

@@ -49,7 +49,6 @@ struct MittCfqOptions {
   // cost up front the additive next-free calibration suffices, and the gain
   // slightly over-corrects; kept as an experimental knob, off by default.
   bool gain_calibration = false;
-  double gain_ewma_alpha = 0.05;
   // Appendix A also models the device's SSTF *ordering*: a far-from-head IO
   // entering a busy device queue waits behind nearer IOs — including ones
   // that arrive later — up to the device's anti-starvation bound. We learn
@@ -57,10 +56,6 @@ struct MittCfqOptions {
   // estimate, gated on a busy device) instead of hard-coding firmware
   // geometry.
   bool starvation_margin = true;
-  double margin_ewma_alpha = 0.1;
-  int busy_device_inflight = 3;  // Gate: margin applies at this occupancy.
-  DurationNs flat_service_estimate = Millis(6);
-  DurationNs tolerable_bucket = Millis(1);
 };
 
 class MittCfqPredictor {

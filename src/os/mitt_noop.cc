@@ -6,7 +6,7 @@ namespace mitt::os {
 
 MittNoopPredictor::MittNoopPredictor(sim::Simulator* sim, device::DiskProfile profile,
                                      const PredictorOptions& options)
-    : sim_(sim), profile_(std::move(profile)), options_(options), error_rng_(options.error_seed) {}
+    : sim_(sim), profile_(std::move(profile)), options_(options), error_rng_(kErrorSeed) {}
 
 DurationNs MittNoopPredictor::PredictedWaitNow() const {
   return std::max<DurationNs>(0, next_free_ - sim_->Now());

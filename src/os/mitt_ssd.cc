@@ -14,7 +14,7 @@ MittSsdPredictor::MittSsdPredictor(sim::Simulator* sim, const device::SsdModel* 
       profile_(std::move(profile)),
       options_(options),
       ssd_options_(ssd_options),
-      error_rng_(options.error_seed) {
+      error_rng_(kErrorSeed) {
   chip_next_free_.assign(static_cast<size_t>(ssd_->num_chips()), 0);
   channel_outstanding_.assign(static_cast<size_t>(ssd_->params().num_channels), 0);
 }

@@ -17,11 +17,14 @@
 
 namespace mitt::os {
 
-struct PredictorOptions {
-  // T_hop: one failover hop; an IO is rejected when the predicted wait
-  // exceeds deadline + failover_hop (§4.1).
-  DurationNs failover_hop = Micros(300);
+// T_hop: one failover hop; an IO is rejected when the predicted wait exceeds
+// deadline + kFailoverHop (§4.1).
+constexpr DurationNs kFailoverHop = Micros(300);
 
+// Seed of every predictor's §7.7 error-injection stream.
+constexpr uint64_t kErrorSeed = 1234;
+
+struct PredictorOptions {
   // Continuous calibration of the next-free-time via the predicted-vs-actual
   // diff attached to the IO descriptor (§4.1). Disabling this is the
   // "without our precision improvements" ablation (§7.6).
@@ -37,7 +40,6 @@ struct PredictorOptions {
   // false_positive_rate, an IO that meets its deadline is rejected anyway.
   double false_negative_rate = 0.0;
   double false_positive_rate = 0.0;
-  uint64_t error_seed = 1234;
 };
 
 // Figure 9's inaccuracy accounting, valid in accuracy_mode: "false positives
@@ -93,7 +95,7 @@ inline bool DecideReject(const PredictorOptions& options, Rng& error_rng, sched:
   if (!req->has_deadline()) {
     return false;
   }
-  bool reject = wait > req->deadline + options.failover_hop;
+  bool reject = wait > req->deadline + kFailoverHop;
   if (reject && options.false_negative_rate > 0 &&
       error_rng.Bernoulli(options.false_negative_rate)) {
     reject = false;

@@ -120,7 +120,6 @@ class ReplicaHealthTracker {
   void OrderReplicas(std::span<int> replicas);
 
   // --- Introspection ---
-  double ebusy_rate(int replica) const { return stats_[Index(replica)].ebusy_ewma; }
   double latency_ewma(int replica) const { return stats_[Index(replica)].latency_ewma; }
   uint64_t breaker_opens() const { return breaker_opens_; }
   uint64_t probes_sent() const { return probes_sent_; }

@@ -54,14 +54,14 @@ ShardedEngine::ShardedEngine(const Options& options)
   if (workers_ > num_shards) {
     workers_ = num_shards;
   }
-  rebalance_period_ = options_.rebalance_period >= 0 ? options_.rebalance_period : 64;
+  rebalance_period_ = options_.rebalance_period > 0 ? options_.rebalance_period : 64;
   fusion_ = options_.fusion != 0;
 
   const auto S = static_cast<size_t>(num_shards);
   shards_.reserve(S);
   for (int s = 0; s < num_shards; ++s) {
     auto sim = std::make_unique<Simulator>();
-    sim->SetShardContext(this, s);
+    sim->set_shard_id(s);
     shards_.push_back(std::move(sim));
   }
   mail_.resize(S * S);
@@ -91,7 +91,6 @@ ShardedEngine::ShardedEngine(const Options& options)
       maps_[k][static_cast<size_t>(s)] = static_cast<uint8_t>(s % w);
     }
     worker_events_[k].resize(static_cast<size_t>(w), 0);
-    worker_events_static_[k].resize(static_cast<size_t>(w), 0);
   }
   ready_shards_.reserve(S);
 }
@@ -182,15 +181,6 @@ uint64_t ShardedEngine::critical_path_events(int workers) const {
   return 0;
 }
 
-uint64_t ShardedEngine::critical_path_events_static(int workers) const {
-  for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
-    if (kCpWorkerCounts[k] == workers) {
-      return critical_path_static_[k];
-    }
-  }
-  return 0;
-}
-
 namespace {
 double ImbalanceOf(const std::vector<uint64_t>& bins) {
   uint64_t total = 0;
@@ -211,15 +201,6 @@ double ShardedEngine::imbalance_ratio(int workers) const {
   for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
     if (kCpWorkerCounts[k] == workers) {
       return ImbalanceOf(worker_events_[k]);
-    }
-  }
-  return 0;
-}
-
-double ShardedEngine::imbalance_ratio_static(int workers) const {
-  for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
-    if (kCpWorkerCounts[k] == workers) {
-      return ImbalanceOf(worker_events_static_[k]);
     }
   }
   return 0;
@@ -319,18 +300,6 @@ void ShardedEngine::AccountWindow() {
       max_load = std::max(max_load, cp_bin_scratch_[static_cast<size_t>(worker)]);
     }
     critical_path_[k] += max_load;
-
-    std::fill(cp_bin_scratch_.begin(), cp_bin_scratch_.begin() + w, 0);
-    for (const int s : ready_shards_) {
-      cp_bin_scratch_[static_cast<size_t>(s % w)] += cp_window_delta_[static_cast<size_t>(s)];
-    }
-    max_load = 0;
-    for (int worker = 0; worker < w; ++worker) {
-      worker_events_static_[k][static_cast<size_t>(worker)] +=
-          cp_bin_scratch_[static_cast<size_t>(worker)];
-      max_load = std::max(max_load, cp_bin_scratch_[static_cast<size_t>(worker)]);
-    }
-    critical_path_static_[k] += max_load;
   }
   ++windows_since_rebalance_;
 }
@@ -343,13 +312,9 @@ void ShardedEngine::AccountFusedWindow(int s) {
   rebalance_load_[idx] += delta;
   window_hist_.Record(delta);
   // Single active shard: the busiest bin is its bin under every map.
-  const int num = num_shards();
   for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
-    const int w = std::min(kCpWorkerCounts[k], num);
     critical_path_[k] += delta;
-    critical_path_static_[k] += delta;
     worker_events_[k][maps_[k][idx]] += delta;
-    worker_events_static_[k][static_cast<size_t>(s % w)] += delta;
   }
   ++windows_since_rebalance_;
 }
@@ -702,8 +667,7 @@ bool ShardedEngine::RunLoop(const std::function<bool()>& pred) {
     // ExecuteWindow returned, so refilling ready_shards_ needs no lock.
     ready_shards_.clear();
     frontier_.ForEachBelow(window_end, [this](int s) { ready_shards_.push_back(s); });
-    if (rebalance_period_ > 0 &&
-        windows_since_rebalance_ >= static_cast<uint64_t>(rebalance_period_)) {
+    if (windows_since_rebalance_ >= static_cast<uint64_t>(rebalance_period_)) {
       Rebalance();
     }
     ExecuteWindow(window_end);

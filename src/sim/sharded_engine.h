@@ -120,10 +120,8 @@ class ShardedEngine {
     // Threads executing shard windows. <= 0 resolves via
     // DefaultIntraWorkers(). Results are bit-identical at any value.
     int workers = 0;
-    // Windows between adaptive LPT repacks of the shard->worker map.
-    // 0 = static map (shard s on worker s % workers, the pre-overhaul
-    // behavior); < 0 = 64. Never affects results, only which thread runs
-    // which shard.
+    // Windows between adaptive LPT repacks of the shard->worker map;
+    // <= 0 = 64. Never affects results, only which thread runs which shard.
     int rebalance_period = -1;
     // Quiet-frontier window fusion. 0 = off; 1 or < 0 = on.
     // Schedule-preserving: results and window counts are identical either
@@ -187,27 +185,21 @@ class ShardedEngine {
   uint64_t fused_windows() const { return fused_windows_; }
 
   // Critical-path event count for a hypothetical `workers`-thread run: the
-  // sum over windows of the busiest worker's event count under the engine's
-  // shard->worker map policy (adaptive LPT maps maintained per hypothetical
-  // count when rebalancing is on, the static s % workers map when off).
+  // sum over windows of the busiest worker's event count under the adaptive
+  // LPT shard->worker map the engine maintains for that count.
   // executed_events() / critical_path_events(w) is the wall-clock speedup a
   // w-core host could reach, computed deterministically from event counts —
   // it is how the scaling bench reports parallelism on hosts with fewer
   // cores than workers. Tracked for workers in {1, 2, 4, 8, 16, 32};
-  // returns 0 for other values. critical_path_events_static(w) is the same
-  // sum under the static map regardless of policy — the before/after pair
-  // the scaling bench reports.
+  // returns 0 for other values.
   uint64_t critical_path_events(int workers) const;
-  uint64_t critical_path_events_static(int workers) const;
 
   // Whole-run executed-event imbalance for a hypothetical `workers`-thread
-  // run: max over workers of total events executed, divided by the mean —
-  // 1.0 is a perfect split. Same tracked counts as critical_path_events();
-  // returns 0 for untracked counts or before any window ran. The adaptive
-  // flavor reflects the engine's map policy; the static flavor always bins
-  // by s % workers.
+  // run under the same maps: max over workers of total events executed,
+  // divided by the mean — 1.0 is a perfect split. Same tracked counts as
+  // critical_path_events(); returns 0 for untracked counts or before any
+  // window ran.
   double imbalance_ratio(int workers) const;
-  double imbalance_ratio_static(int workers) const;
 
   // Approximate percentile (p in [0, 100]) of executed events per window,
   // from a fixed-size log-bucket histogram (8 sub-buckets per octave,
@@ -327,7 +319,6 @@ class ShardedEngine {
   static constexpr int kCpWorkerCounts[] = {1, 2, 4, 8, 16, 32};
   static constexpr size_t kNumCpWorkerCounts = sizeof(kCpWorkerCounts) / sizeof(int);
   uint64_t critical_path_[kNumCpWorkerCounts] = {};
-  uint64_t critical_path_static_[kNumCpWorkerCounts] = {};
   std::vector<uint64_t> cp_prev_executed_;  // Per-shard last-seen executed.
   std::vector<uint64_t> cp_window_delta_;   // Per-shard events this window.
   std::vector<uint64_t> cp_bin_scratch_;    // Per-worker bins, reused.
@@ -336,8 +327,7 @@ class ShardedEngine {
   // pool. Static (s % w) until the first Rebalance(), then LPT-packed.
   std::vector<uint8_t> maps_[kNumCpWorkerCounts];
   std::vector<uint8_t> assignment_;
-  std::vector<uint64_t> worker_events_[kNumCpWorkerCounts];   // Adaptive bins.
-  std::vector<uint64_t> worker_events_static_[kNumCpWorkerCounts];
+  std::vector<uint64_t> worker_events_[kNumCpWorkerCounts];   // Per-worker totals.
   std::vector<uint64_t> rebalance_load_;    // Per-shard events since repack.
   std::vector<int> lpt_order_;              // Shard ids, sorted by load.
   std::vector<uint64_t> lpt_bins_;          // Per-worker packed load.

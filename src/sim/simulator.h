@@ -39,8 +39,6 @@ class Tracer;
 
 namespace mitt::sim {
 
-class ShardedEngine;
-
 // Handle for cancelling a scheduled event. Encodes (pool slot + 1) in the
 // high 32 bits and the slot's generation in the low 32 bits; 0 is never a
 // valid id. Ids are unique over any realistic run (a slot must be reused
@@ -111,17 +109,13 @@ class Simulator {
 
   // --- Sharded-engine hooks (src/sim/sharded_engine.h) ---
   //
-  // A Simulator either runs standalone (every hook below is inert and
-  // engine() is nullptr) or as one shard of a ShardedEngine, which drives it
+  // A world's Simulators are the shards of a ShardedEngine, which drives them
   // through RunWindow/AdvanceTo/NextEventTime at conservative-window
-  // barriers (or through its own loop, if it is the only shard). Components
-  // query shard_id()/engine() to route cross-shard interactions; none of
-  // this touches the Step() hot path.
-  void SetShardContext(ShardedEngine* engine, int shard_id) {
-    engine_ = engine;
-    shard_id_ = shard_id;
-  }
-  ShardedEngine* engine() const { return engine_; }
+  // barriers (or through the shard's own loop, if it is the only shard).
+  // The engine stamps each shard's id; a client reads shard_id() to route
+  // replies home. A standalone Simulator (device and OS tests, perfbench's
+  // node worlds) is shard 0. None of this touches the Step() hot path.
+  void set_shard_id(int shard_id) { shard_id_ = shard_id; }
   int shard_id() const { return shard_id_; }
 
   // Time of the earliest live event, or -1 when the queue holds nothing
@@ -141,9 +135,6 @@ class Simulator {
       now_ = t;
     }
   }
-
-  // Pool introspection (perf monitoring; see bench_simcore).
-  size_t pool_capacity() const { return num_slots_; }
 
   // --- Observability hooks (src/obs/) ---
   //
@@ -278,7 +269,6 @@ class Simulator {
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 
-  ShardedEngine* engine_ = nullptr;
   int shard_id_ = 0;
 
   TimeNs now_ = 0;

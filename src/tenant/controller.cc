@@ -5,16 +5,17 @@
 
 namespace mitt::tenant {
 
-PlacementController::PlacementController(sim::Simulator* sim, const TenantDirectory* directory,
+PlacementController::PlacementController(sim::ShardedEngine* engine,
+                                         const TenantDirectory* directory,
                                          PlacementMap* placement, int num_nodes, ProbeFn probe,
                                          const PlacementControllerOptions& options)
-    : sim_(sim),
+    : engine_(engine),
       directory_(directory),
       placement_(placement),
       num_nodes_(num_nodes),
       probe_(std::move(probe)),
       options_(options),
-      health_(sim, num_nodes, options.health, options.seed),
+      health_(engine->shard(0), num_nodes, options.health, options.seed),
       prev_(static_cast<size_t>(num_nodes)),
       prev_tenant_gets_(static_cast<size_t>(num_nodes) * directory->num_tenants(), 0),
       pressure_(static_cast<size_t>(num_nodes), 0.0),
@@ -29,26 +30,15 @@ PlacementController::PlacementController(sim::Simulator* sim, const TenantDirect
   }
 }
 
-void PlacementController::Start() {
-  const sim::ShardedEngine* engine = sim_->engine();
-  Arm((engine != nullptr ? engine->Now() : sim_->Now()) + options_.period);
-}
+void PlacementController::Start() { Arm(engine_->Now() + options_.period); }
 
 void PlacementController::Arm(TimeNs when) {
-  // Engine worlds tick at a quiesced barrier (every shard parked, so the
-  // probe reads and the placement writes race with nothing); a plain
-  // Simulator uses a daemon event. Both never keep the run alive.
-  if (sim::ShardedEngine* engine = sim_->engine(); engine != nullptr) {
-    engine->ScheduleGlobal(when, [this, when] {
-      TickOnce();
-      Arm(when + options_.period);
-    });
-  } else {
-    sim_->ScheduleDaemon(when - sim_->Now(), [this] {
-      TickOnce();
-      Arm(sim_->Now() + options_.period);
-    });
-  }
+  // Ticks run at a quiesced barrier (every shard parked, so the probe reads
+  // and the placement writes race with nothing) and never keep the run alive.
+  engine_->ScheduleGlobal(when, [this, when] {
+    TickOnce();
+    Arm(when + options_.period);
+  });
 }
 
 void PlacementController::TickOnce() {

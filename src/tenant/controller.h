@@ -22,9 +22,9 @@
 // least-loaded healthy nodes, capped per tick, with a per-tenant cooldown so
 // placements do not thrash.
 //
-// Determinism: every tick runs as a quiesced sim::ShardedEngine global event
-// (a daemon event on a plain Simulator), so all shards observe each
-// migration at the same simulated instant; inputs are scheduler aggregates
+// Determinism: every tick runs as a quiesced sim::ShardedEngine global event,
+// so all shards observe each migration at the same simulated instant; inputs
+// are scheduler aggregates
 // at the barrier plus the controller's own seeded state, making runs
 // bit-identical at any MITT_INTRA_WORKERS x MITT_TRIAL_WORKERS. See
 // DESIGN.md §4i.
@@ -39,7 +39,6 @@
 #include "src/common/time.h"
 #include "src/resilience/replica_health.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/simulator.h"
 #include "src/tenant/placement.h"
 #include "src/tenant/tenant.h"
 
@@ -88,9 +87,9 @@ class PlacementController {
  public:
   using ProbeFn = std::function<NodeProbe(int node)>;
 
-  // Ticks are global events on sim->engine(), or daemon events on a plain
-  // `sim`. `placement` and the probe target must outlive the controller.
-  PlacementController(sim::Simulator* sim, const TenantDirectory* directory,
+  // Ticks are global events on `engine`; the health tracker runs on its
+  // shard 0. `placement` and the probe target must outlive the controller.
+  PlacementController(sim::ShardedEngine* engine, const TenantDirectory* directory,
                       PlacementMap* placement, int num_nodes, ProbeFn probe,
                       const PlacementControllerOptions& options);
 
@@ -113,7 +112,7 @@ class PlacementController {
  private:
   void Arm(TimeNs when);
 
-  sim::Simulator* sim_;
+  sim::ShardedEngine* engine_;
   const TenantDirectory* directory_;
   PlacementMap* placement_;
   int num_nodes_;

@@ -71,9 +71,6 @@ void TenantLoadDriver::PumpNext() {
 
 void TenantLoadDriver::Fire() {
   ++dispatched_;
-  if (pending_measured_) {
-    ++measured_;
-  }
   dispatch_(pending_tenant_, pending_key_, pending_measured_);
   PumpNext();
 }

@@ -58,7 +58,6 @@ class TenantLoadDriver {
   // drives the sim until done() AND its own completion count catches up.
   bool done() const { return done_; }
   uint64_t dispatched() const { return dispatched_; }
-  uint64_t measured_dispatched() const { return measured_; }
 
  private:
   void PumpNext();
@@ -80,7 +79,6 @@ class TenantLoadDriver {
   uint64_t pending_key_ = 0;
   bool pending_measured_ = false;
   uint64_t dispatched_ = 0;
-  uint64_t measured_ = 0;
   bool started_ = false;
   bool done_ = false;
 };

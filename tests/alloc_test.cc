@@ -39,6 +39,7 @@
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/harness/experiment.h"
+#include "src/lsm/lsm_tree.h"
 #include "src/obs/metrics.h"
 #include "src/os/os.h"
 #include "src/os/page_cache.h"
@@ -421,6 +422,56 @@ TEST(SteadyStateAllocTest, MetricLookupByNameIsAllocationFree) {
   }
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(metrics.CounterValue("resilience_retry_denied_total", 2), 1000u);
+}
+
+// An LSM compaction merges every input key, so its cost must scale with
+// the output tables, not the keys: a node-based merge would make about one
+// allocation per bulk-loaded key. Counted from the first put (96 puts of a
+// 32 KB memtable fill the three L0 tables that trigger it) until the
+// compaction starts.
+TEST(LsmCompactionAllocTest, FirstCompactionAllocatesPerTableNotPerKey) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  constexpr uint64_t kBulkKeys = uint64_t{1} << 16;
+  sim::Simulator sim;
+  os::OsOptions oopt;
+  oopt.backend = os::BackendKind::kDiskCfq;
+  oopt.mitt_enabled = false;
+  os::Os osys(&sim, oopt);
+  lsm::LsmTree::Options lopt;
+  lopt.memtable_flush_bytes = 32 << 10;
+  lopt.l0_compaction_trigger = 3;
+  lsm::LsmTree tree(&sim, &osys, lopt);
+  std::vector<uint64_t> keys(kBulkKeys);
+  for (uint64_t i = 0; i < kBulkKeys; ++i) {
+    keys[i] = 2 * i;
+  }
+  tree.BulkLoad(keys);
+
+  // One closed-loop writer of new (odd) keys; it stops once the compaction
+  // has started.
+  struct Writer {
+    lsm::LsmTree* tree;
+    uint64_t key = 1;
+    uint64_t puts = 0;
+    void Put() {
+      ++puts;
+      tree->Put(key, [this](Status, DurationNs) {
+        if (!tree->compaction_running()) {
+          Put();
+        }
+      });
+      key += 2;
+    }
+  };
+  Writer writer{&tree};
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  writer.Put();
+  sim.RunUntilPredicate([&tree] { return tree.compaction_running(); });
+  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(tree.compaction_running());
+  EXPECT_EQ(writer.puts, 96u);
+  EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(kBulkKeys), 0.01)
+      << allocs << " allocations";
 }
 
 // --- Full-Experiment gates ------------------------------------------------

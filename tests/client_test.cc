@@ -8,6 +8,7 @@
 #include "src/client/timeout.h"
 #include "src/cluster/cluster.h"
 #include "src/noise/noise_injector.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::client {
@@ -22,7 +23,7 @@ class ClientFixture : public ::testing::Test {
     opt.node.num_keys = 1 << 18;
     opt.node.os.backend = os::BackendKind::kDiskCfq;
     opt.node.os.mitt_enabled = mitt_enabled;
-    cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
+    cluster_ = std::make_unique<cluster::Cluster>(&engine_, opt);
     if (noisy_node >= 0) {
       kv::StorageNode& n = cluster_->node(noisy_node);
       const int64_t size = 100LL << 30;
@@ -60,7 +61,8 @@ class ClientFixture : public ::testing::Test {
     return done - start;
   }
 
-  sim::Simulator sim_;
+  sim::ShardedEngine engine_{{}};
+  sim::Simulator& sim_ = *engine_.shard(0);
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<noise::IoNoiseInjector> injector_;
 };
@@ -124,7 +126,7 @@ TEST_F(ClientFixture, CloneReachesBothNodesOfATwoNodeGroup) {
   opt.num_nodes = 2;
   opt.node.num_keys = 1 << 18;
   opt.node.os.backend = os::BackendKind::kDiskCfq;
-  cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
+  cluster_ = std::make_unique<cluster::Cluster>(&engine_, opt);
   CloneStrategy clone(&sim_, cluster_.get(), 1);
   for (uint64_t key = 0; key < 100; ++key) {
     const uint64_t served0 = cluster_->node(0).gets_served();
@@ -173,7 +175,7 @@ TEST_F(ClientFixture, MittosLastTryDisablesDeadline) {
   opt.node.num_keys = 1 << 18;
   opt.node.os.backend = os::BackendKind::kDiskCfq;
   opt.node.os.mitt_enabled = true;
-  cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
+  cluster_ = std::make_unique<cluster::Cluster>(&engine_, opt);
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
   for (int node = 0; node < 3; ++node) {
     kv::StorageNode& n = cluster_->node(node);
@@ -241,7 +243,7 @@ TEST_F(ClientFixture, MittosWaitHintPicksLeastBusyWhenAllReject) {
   opt.node.num_keys = 1 << 18;
   opt.node.os.backend = os::BackendKind::kDiskCfq;
   opt.node.os.mitt_enabled = true;
-  cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
+  cluster_ = std::make_unique<cluster::Cluster>(&engine_, opt);
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
   for (int node = 0; node < 3; ++node) {
     kv::StorageNode& n = cluster_->node(node);

@@ -84,12 +84,12 @@ kv::DocStoreNode::Options SmallNodeOptions() {
 TEST(ClusterTest, ReplicasAreDistinctAndStable) {
   for (const int nodes : {20, 2}) {
     SCOPED_TRACE(nodes);
-    sim::Simulator sim;
+    sim::ShardedEngine engine({});
     Cluster::Options opt;
     opt.num_nodes = nodes;
     opt.node = SmallNodeOptions();
     opt.node.os.mitt_enabled = false;
-    Cluster cluster(&sim, opt);
+    Cluster cluster(&engine, opt);
     const int group = std::min(Cluster::kReplication, nodes);
     for (uint64_t key = 0; key < 500; ++key) {
       const auto replicas = cluster.ReplicasOf(key);
@@ -102,12 +102,12 @@ TEST(ClusterTest, ReplicasAreDistinctAndStable) {
 }
 
 TEST(ClusterTest, PrimariesSpreadAcrossNodes) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine({});
   Cluster::Options opt;
   opt.num_nodes = 20;
   opt.node = SmallNodeOptions();
   opt.node.os.mitt_enabled = false;
-  Cluster cluster(&sim, opt);
+  Cluster cluster(&engine, opt);
   std::vector<int> hits(20, 0);
   for (uint64_t key = 0; key < 4000; ++key) {
     ++hits[static_cast<size_t>(cluster.ReplicasOf(key)[0])];
@@ -119,13 +119,13 @@ TEST(ClusterTest, PrimariesSpreadAcrossNodes) {
 }
 
 TEST(ClusterTest, SharedCpuPoolIsShared) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine({});
   Cluster::Options opt;
   opt.num_nodes = 6;
   opt.shared_cpu_cores = 8;
   opt.node = SmallNodeOptions();
   opt.node.os.mitt_enabled = false;
-  Cluster cluster(&sim, opt);
+  Cluster cluster(&engine, opt);
   EXPECT_EQ(&cluster.node(0).cpu(), &cluster.node(5).cpu());
   EXPECT_FALSE(cluster.node(0).owns_cpu());
 }

@@ -20,6 +20,7 @@
 #include "src/harness/experiment.h"
 #include "src/lsm/lsm_node.h"
 #include "src/obs/trace.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::fault {
@@ -326,7 +327,7 @@ void ExpectAppliesClearsAndLogs(sim::Simulator& sim, const obs::Tracer& tracer,
   FaultPlanBuilder b;
   b.FailSlowDisk(/*node=*/0, Millis(1), Millis(4), 8.0);
   b.NodePause(/*node=*/1, Millis(2), Millis(3));
-  FaultInjector inj(&sim, &store, b.Build());
+  FaultInjector inj(&store, b.Build());
   inj.Start();
   // Fault events are daemons: a workload event must keep Run() alive past
   // the last episode end.
@@ -367,18 +368,20 @@ void ExpectAppliesClearsAndLogs(sim::Simulator& sim, const obs::Tracer& tracer,
 TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
   {
     SCOPED_TRACE("DocStore cluster");
-    sim::Simulator sim;
+    sim::ShardedEngine engine({});
+    sim::Simulator& sim = *engine.shard(0);
     obs::Tracer tracer;
     sim.set_tracer(&tracer);
-    cluster::Cluster c(&sim, SmallClusterOptions(2));
+    cluster::Cluster c(&engine, SmallClusterOptions(2));
     ExpectAppliesClearsAndLogs(sim, tracer, c);
   }
   {
     SCOPED_TRACE("LSM cluster");
-    sim::Simulator sim;
+    sim::ShardedEngine engine({});
+    sim::Simulator& sim = *engine.shard(0);
     obs::Tracer tracer;
     sim.set_tracer(&tracer);
-    cluster::Cluster ring(&sim, SmallRingOptions());
+    cluster::Cluster ring(&engine, SmallRingOptions());
     ExpectAppliesClearsAndLogs(sim, tracer, ring);
   }
 }
@@ -387,12 +390,13 @@ TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
 // replica holds the hop to it until the heal, while the put acks from
 // another (Riak w=1).
 TEST(FaultInjectorTest, PartitionHoldsRingPutHopToThatReplica) {
-  sim::Simulator sim;
-  cluster::Cluster ring(&sim, SmallRingOptions());
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
+  cluster::Cluster ring(&engine, SmallRingOptions());
   constexpr uint64_t kKey = 55;
   FaultPlanBuilder b;
   b.NetworkPartition(/*node=*/ring.ReplicasOf(kKey)[1], Millis(1), Millis(4));
-  FaultInjector inj(&sim, &ring, b.Build());
+  FaultInjector inj(&ring, b.Build());
   inj.Start();
   Status status = Status::Internal();
   TimeNs acked = -1;
@@ -415,12 +419,13 @@ TEST(FaultInjectorTest, PartitionHoldsRingPutHopToThatReplica) {
 }
 
 TEST(FaultInjectorTest, SkipsEpisodesTheWorldCannotHost) {
-  sim::Simulator sim;
-  cluster::Cluster c(&sim, SmallClusterOptions(2));  // Disk backend, 2 nodes.
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
+  cluster::Cluster c(&engine, SmallClusterOptions(2));  // Disk backend, 2 nodes.
   FaultPlanBuilder b;
   b.SsdReadRetry(/*node=*/0, Millis(1), Millis(2), 25.0);  // No SSD here.
   b.NodePause(/*node=*/9, Millis(1), Millis(2));           // No such node.
-  FaultInjector inj(&sim, &c, b.Build());
+  FaultInjector inj(&c, b.Build());
   inj.Start();
   sim.Schedule(Millis(5), [] {});
   sim.Run();

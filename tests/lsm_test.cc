@@ -14,6 +14,7 @@
 #include "src/noise/noise_injector.h"
 #include "src/obs/gate.h"
 #include "src/obs/trace.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::lsm {
@@ -216,7 +217,7 @@ class RingTest : public ::testing::Test {
     copt.node.num_keys = 20000;
     copt.node.os.backend = os::BackendKind::kDiskCfq;
     copt.node.os.mitt_enabled = true;
-    ring_ = std::make_unique<cluster::Cluster>(&sim_, copt);
+    ring_ = std::make_unique<cluster::Cluster>(&engine_, copt);
     client::MittosStrategy::Options mopt;
     mopt.deadline = Millis(12);
     mittos_ = std::make_unique<client::MittosStrategy>(&sim_, ring_.get(), 1, mopt);
@@ -224,7 +225,8 @@ class RingTest : public ::testing::Test {
 
   LsmNode& node(int i) { return static_cast<LsmNode&>(ring_->node(i)); }
 
-  sim::Simulator sim_;
+  sim::ShardedEngine engine_{{}};
+  sim::Simulator& sim_ = *engine_.shard(0);
   std::unique_ptr<cluster::Cluster> ring_;
   std::unique_ptr<client::MittosStrategy> mittos_;
 };

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/latency_recorder.h"
@@ -81,11 +82,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorProperty, ::testing::Values(1, 2, 3, 17
 
 // ---------------------------------------------------------------- DiskModel
 
+// No padding bytes: gtest names each case by the struct's raw bytes
+// ("24-byte object <...>"), and padding would make those names differ
+// between builds.
 struct DiskCase {
   uint64_t seed;
   size_t queue_depth;
-  int ios;
+  int64_t ios;
 };
+static_assert(std::has_unique_object_representations_v<DiskCase>);
 
 class DiskProperty : public ::testing::TestWithParam<DiskCase> {};
 

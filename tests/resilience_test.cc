@@ -27,6 +27,7 @@
 #include "src/resilience/deadline_budget.h"
 #include "src/resilience/replica_health.h"
 #include "src/resilience/retry_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 
 namespace mitt {
@@ -294,7 +295,7 @@ class ResilientClientTest : public ::testing::Test {
     opt.node.os.backend = os::BackendKind::kDiskCfq;
     opt.node.os.mitt_enabled = true;
     opt.network = net;
-    cluster_ = std::make_unique<cluster::Cluster>(&sim_, opt);
+    cluster_ = std::make_unique<cluster::Cluster>(&engine_, opt);
     for (const int node : noisy_nodes) {
       kv::StorageNode& n = cluster_->node(node);
       const int64_t size = 100LL << 30;
@@ -333,7 +334,8 @@ class ResilientClientTest : public ::testing::Test {
     return done - start;
   }
 
-  sim::Simulator sim_;
+  sim::ShardedEngine engine_{{}};
+  sim::Simulator& sim_ = *engine_.shard(0);
   std::unique_ptr<cluster::Cluster> cluster_;
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors_;
 };
@@ -421,14 +423,15 @@ TEST_F(ResilientClientTest, SlowLinkNeverSendsNegativeOrDisabledDeadline) {
 }
 
 TEST(ResilientTenantTest, RoutesViaPlacementGroupAndSendsClassSlo) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
   cluster::Cluster::Options copt;
   copt.num_nodes = 6;
   copt.node.num_keys = 1 << 16;
   copt.node.os.backend = os::BackendKind::kDiskCfq;
   copt.node.os.mitt_enabled = true;
   copt.node.tenant_slots = 1;
-  cluster::Cluster cluster(&sim, copt);
+  cluster::Cluster cluster(&engine, copt);
   tenant::PlacementMap placement(/*num_tenants=*/1, /*replication=*/3);
   tenant::ReplicaGroup group;
   group.size = 3;
@@ -564,7 +567,7 @@ class RingResilienceTest : public ::testing::Test {
     copt.node.num_keys = 20000;
     copt.node.os.backend = os::BackendKind::kDiskCfq;
     copt.node.os.mitt_enabled = true;
-    ring_ = std::make_unique<cluster::Cluster>(&sim_, copt);
+    ring_ = std::make_unique<cluster::Cluster>(&engine_, copt);
     client::MittosStrategy::Options mopt;
     mopt.preset =
         resilience_enabled ? client::MittosPreset::kResilient : client::MittosPreset::kMittos;
@@ -589,7 +592,8 @@ class RingResilienceTest : public ::testing::Test {
     return status;
   }
 
-  sim::Simulator sim_;
+  sim::ShardedEngine engine_{{}};
+  sim::Simulator& sim_ = *engine_.shard(0);
   std::unique_ptr<cluster::Cluster> ring_;
   std::unique_ptr<client::MittosStrategy> mittos_;
 };
@@ -705,7 +709,7 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
   constexpr int64_t kKeys = 1 << 16;
   for (const kv::AccessPath access : {kv::AccessPath::kRead, kv::AccessPath::kLsm}) {
     SCOPED_TRACE(access == kv::AccessPath::kLsm ? "LSM cluster" : "DocStore cluster");
-    sim::Simulator sim;
+    sim::ShardedEngine engine({});
     cluster::Cluster::Options copt;
     copt.num_nodes = 3;
     copt.node.access = access;
@@ -713,8 +717,8 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
     copt.node.os.backend = os::BackendKind::kDiskCfq;
     copt.node.os.mitt_enabled = true;
     copt.seed = seed;
-    cluster::Cluster cluster(&sim, copt);
-    DrillDoneOnce(seed, sim, cluster, cluster.node(static_cast<int>(seed % 3)).os(), kKeys);
+    cluster::Cluster cluster(&engine, copt);
+    DrillDoneOnce(seed, *engine.shard(0), cluster, cluster.node(static_cast<int>(seed % 3)).os(), kKeys);
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,30 @@ namespace mitt {
 namespace {
 
 using harness::StrategyKind;
+
+// One self-rescheduling event chain: fires `left` + 1 times, 30 µs apart.
+struct Chain {
+  sim::Simulator* sim;
+  int left;
+  void Fire() {
+    if (left > 0) {
+      --left;
+      sim->ScheduleAt(sim->Now() + Micros(30), [this] { Fire(); });
+    }
+  }
+};
+
+// Skewed load for the accounting tests: shard s of `engine` runs s+1 chains
+// of `events` events each. The chains live in `chains`, which must outlive
+// the run (a deque keeps their addresses stable).
+void StartSkewedChains(sim::ShardedEngine& engine, int events, std::deque<Chain>* chains) {
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    for (int c = 0; c <= s; ++c) {
+      Chain& chain = chains->emplace_back(Chain{engine.shard(s), events - 1});
+      chain.sim->ScheduleAt(Micros(1) * (c + 1), [&chain] { chain.Fire(); });
+    }
+  }
+}
 
 // ------------------------------------------------------------ engine basics
 
@@ -128,25 +154,9 @@ TEST(ShardedEngineTest, CriticalPathAccountingIsConsistent) {
     opt.lookahead = Micros(100);
     opt.workers = workers;
     sim::ShardedEngine engine(opt);
-    std::vector<std::shared_ptr<std::function<void(int)>>> chains;
-    for (int s = 0; s < 8; ++s) {
-      // Uneven load: shard s runs s+1 chains of 50 self-rescheduling events.
-      for (int c = 0; c <= s; ++c) {
-        auto* sim = engine.shard(s);
-        auto chain = std::make_shared<std::function<void(int)>>();
-        *chain = [sim, chain](int left) {
-          if (left > 0) {
-            sim->ScheduleAt(sim->Now() + Micros(30), [chain, left] { (*chain)(left - 1); });
-          }
-        };
-        sim->ScheduleAt(Micros(1) * (c + 1), [chain] { (*chain)(49); });
-        chains.push_back(std::move(chain));
-      }
-    }
+    std::deque<Chain> chains;  // Uneven load: shard s runs s+1 chains of 50 events.
+    StartSkewedChains(engine, 50, &chains);
     engine.Run();
-    for (auto& chain : chains) {
-      *chain = nullptr;  // Break the self-reference cycle (LSan flags it).
-    }
     EXPECT_EQ(engine.critical_path_events(1), engine.executed_events());
     EXPECT_GE(engine.critical_path_events(1), engine.critical_path_events(2));
     EXPECT_GE(engine.critical_path_events(2), engine.critical_path_events(4));
@@ -200,7 +210,6 @@ TEST(ShardedEngineTest, FusionFastPathPreservesScheduleByteForByte) {
     opt.lookahead = Micros(100);
     opt.workers = workers;
     opt.fusion = fusion;
-    opt.rebalance_period = 0;
     sim::ShardedEngine engine(opt);
     std::vector<std::vector<int>> logs(4);  // Per-shard: written only by its owner.
     std::function<void(int, int)> link = [&](int shard, int left) {
@@ -238,8 +247,8 @@ TEST(ShardedEngineTest, AdaptiveRebalanceIsScheduleInvariantAndBalances) {
   // Skewed load (shard s runs s+1 event chains): the adaptive LPT repack
   // must leave every schedule observable untouched — it only moves shards
   // between threads — while packing the hypothetical 4-worker bins tighter
-  // than the static s % 4 map. Period 0 keeps the static map, in which case
-  // the adaptive and static imbalance ratios coincide by construction.
+  // than the s % 4 map every engine starts from. A period longer than the
+  // run never repacks, so that run keeps the s % 4 map throughout.
   auto run = [](int period, int workers) {
     sim::ShardedEngine::Options opt;
     opt.num_shards = 8;
@@ -248,34 +257,21 @@ TEST(ShardedEngineTest, AdaptiveRebalanceIsScheduleInvariantAndBalances) {
     opt.rebalance_period = period;
     opt.fusion = 0;
     sim::ShardedEngine engine(opt);
-    std::vector<std::shared_ptr<std::function<void(int)>>> chains;
-    for (int s = 0; s < 8; ++s) {
-      for (int c = 0; c <= s; ++c) {
-        auto* sim = engine.shard(s);
-        auto chain = std::make_shared<std::function<void(int)>>();
-        *chain = [sim, chain](int left) {
-          if (left > 0) {
-            sim->ScheduleAt(sim->Now() + Micros(30), [chain, left] { (*chain)(left - 1); });
-          }
-        };
-        sim->ScheduleAt(Micros(1) * (c + 1), [chain] { (*chain)(199); });
-        chains.push_back(std::move(chain));
-      }
-    }
+    std::deque<Chain> chains;
+    StartSkewedChains(engine, 200, &chains);
     engine.Run();
-    for (auto& chain : chains) {
-      *chain = nullptr;  // Break the self-reference cycle (LSan flags it).
-    }
     return std::tuple(engine.windows_run(), engine.executed_events(), engine.Now(),
-                      engine.imbalance_ratio(4), engine.imbalance_ratio_static(4));
+                      engine.imbalance_ratio(4));
   };
-  const auto statc = run(0, 1);
+  const auto statc = run(std::numeric_limits<int>::max(), 1);
   const auto adaptive = run(8, 1);
   EXPECT_EQ(std::get<0>(statc), std::get<0>(adaptive));
   EXPECT_EQ(std::get<1>(statc), std::get<1>(adaptive));
   EXPECT_EQ(std::get<2>(statc), std::get<2>(adaptive));
-  EXPECT_EQ(std::get<3>(statc), std::get<4>(statc)) << "period 0 must keep the static map";
-  EXPECT_LT(std::get<3>(adaptive), std::get<4>(adaptive))
+  // Shard s executes 200 * (s + 1) events; s % 4 bins them 1200, 1600, 2000
+  // and 2400 (mean 1800).
+  EXPECT_DOUBLE_EQ(std::get<3>(statc), 2400.0 / 1800.0) << "the s % 4 map must hold";
+  EXPECT_LT(std::get<3>(adaptive), std::get<3>(statc))
       << "LPT should beat s % w on a skewed world";
   // Accounting (including imbalance) is derived from event counts, so it is
   // itself bit-deterministic across worker counts.
@@ -341,21 +337,23 @@ TEST(ShardDeterminismTest, ChaosScorecardIsByteIdenticalAcrossWorkerGrids) {
 
 TEST(ShardDeterminismTest, FusionAndRebalanceKeepChaosScorecardByteIdentical) {
   // The scale-out machinery is schedule-preserving: the chaos scorecard with
-  // window fusion disabled, or with the static shard map (rebalance period
-  // 0), must be byte-identical to the default engine's (fusion on, adaptive
-  // LPT repacks every 64 windows) — at every {intra} x {trial} grid corner.
+  // window fusion disabled, or with an LPT repack at every barrier
+  // (rebalance period 1), must be byte-identical to the default engine's
+  // (fusion on, repacks every 64 windows) — at every {intra} x {trial} grid
+  // corner.
   const std::string reference = ChaosScorecard(/*intra_workers=*/1, /*trial_workers=*/1);
   ASSERT_FALSE(reference.empty());
   // Unfused engine across the grid.
   EXPECT_EQ(ChaosScorecard(1, 1, /*engine_fusion=*/0), reference);
   EXPECT_EQ(ChaosScorecard(2, 4, /*engine_fusion=*/0), reference);
   EXPECT_EQ(ChaosScorecard(8, 1, /*engine_fusion=*/0), reference);
-  // Static-map engine across the grid.
-  EXPECT_EQ(ChaosScorecard(1, 4, -1, /*engine_rebalance=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(2, 1, -1, /*engine_rebalance=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(8, 4, -1, /*engine_rebalance=*/0), reference);
-  // Both off at the far grid corner, and an aggressive repack cadence.
-  EXPECT_EQ(ChaosScorecard(8, 4, 0, 0), reference);
+  // A repack at every barrier across the grid.
+  EXPECT_EQ(ChaosScorecard(1, 4, -1, /*engine_rebalance=*/1), reference);
+  EXPECT_EQ(ChaosScorecard(2, 1, -1, /*engine_rebalance=*/1), reference);
+  EXPECT_EQ(ChaosScorecard(8, 4, -1, /*engine_rebalance=*/1), reference);
+  // Fusion off with a repack at every barrier at the far grid corner, and a
+  // period-4 cadence.
+  EXPECT_EQ(ChaosScorecard(8, 4, 0, 1), reference);
   EXPECT_EQ(ChaosScorecard(2, 4, -1, /*engine_rebalance=*/4), reference);
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/harness/experiment.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 #include "src/tenant/controller.h"
 #include "src/tenant/placement.h"
@@ -158,7 +159,7 @@ struct FakeNodes {
 };
 
 struct ControllerWorld {
-  sim::Simulator sim;
+  sim::ShardedEngine engine{{}};
   TenantDirectory directory;
   PlacementMap map;
   FakeNodes nodes;
@@ -180,7 +181,7 @@ struct ControllerWorld {
 
 TEST(PlacementControllerTest, QuietClusterNeverMigrates) {
   ControllerWorld w(60, 4);
-  PlacementController c(&w.sim, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
+  PlacementController c(&w.engine, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 4; ++i) {
       w.nodes.Window(i, w.map, 50, Micros(100));  // Under the pressure floor.
@@ -195,7 +196,7 @@ TEST(PlacementControllerTest, QuietClusterNeverMigrates) {
 
 TEST(PlacementControllerTest, HotNodeDrainsStrictestClassFirst) {
   ControllerWorld w(60, 4);
-  PlacementController c(&w.sim, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
+  PlacementController c(&w.engine, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
 
   // Tick 1 establishes the cumulative baseline; tick 2 sees node 0 imposing
   // 20 ms mean waits while the rest sit at 200 us.
@@ -254,7 +255,7 @@ TEST(PlacementControllerTest, HotNodeDrainsStrictestClassFirst) {
 TEST(PlacementControllerTest, CooldownPinsMigratedTenants) {
   ControllerWorld w(60, 4);
   w.options.tenant_cooldown_ticks = 100;  // Pin effectively forever.
-  PlacementController c(&w.sim, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
+  PlacementController c(&w.engine, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
   for (int i = 0; i < 4; ++i) {
     w.nodes.Window(i, w.map, 50, Micros(200));
   }
@@ -292,7 +293,7 @@ TEST(PlacementControllerTest, CooldownPinsMigratedTenants) {
 // behavior, kept as the control arm of this scripted scenario.
 TEST(PlacementControllerTest, WeightAwareDrainMovesWeightedWhaleFirst) {
   for (const bool weight_aware : {true, false}) {
-    sim::Simulator sim;
+    sim::ShardedEngine engine({});
     TenantDirectory dir;
     dir.AddClass({"gold", Millis(10), /*weight=*/8.0, /*priority=*/0});
     dir.AddClass({"bronze", Millis(50), /*weight=*/1.0, /*priority=*/0});
@@ -314,7 +315,7 @@ TEST(PlacementControllerTest, WeightAwareDrainMovesWeightedWhaleFirst) {
     options.pressure_floor = Micros(500);
     options.max_migrations_per_tick = 1;
     options.weight_aware = weight_aware;
-    PlacementController c(&sim, &dir, &map, 4, nodes.probe(), options);
+    PlacementController c(&engine, &dir, &map, 4, nodes.probe(), options);
 
     c.TickOnce();  // Baseline probe (all counters zero).
     // One hot window on node 0: gold tenant 0 serves 3 gets, bronze tenant 1
@@ -345,7 +346,7 @@ TEST(PlacementControllerTest, WeightAwareDrainMovesWeightedWhaleFirst) {
 TEST(PlacementControllerTest, MigrationBudgetCapsEachTick) {
   ControllerWorld w(120, 4);
   w.options.max_migrations_per_tick = 3;
-  PlacementController c(&w.sim, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
+  PlacementController c(&w.engine, &w.directory, &w.map, 4, w.nodes.probe(), w.options);
   for (int i = 0; i < 4; ++i) {
     w.nodes.Window(i, w.map, 60, Micros(200));
   }
