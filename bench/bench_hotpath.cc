@@ -311,7 +311,7 @@ E2eResult RunE2e(os::BackendKind backend, uint64_t target_ios, uint64_t warmup_i
       w.pid = 99;
       osys.Write(w, [](Status, DurationNs) {});
     }
-    sim.RunUntil(sim.Now() + 2 * opt.flush_interval + Millis(1));
+    sim.RunUntil(sim.Now() + 2 * os::kFlushInterval + Millis(1));
   }
 
   const bool is_ssd = backend == os::BackendKind::kSsd;

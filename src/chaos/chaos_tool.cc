@@ -5,7 +5,9 @@
 //       Coverage-guided search. Writes each finding's minimized reproducer to
 //       DIR/<oracle>.chaos (when --out-dir is given) and the machine-readable
 //       report to FILE. --expect-find exits 1 when NO violation was found —
-//       the CI mode that proves the planted bug stays findable.
+//       the CI mode that proves the planted bug stays findable. The summary
+//       line ends with the search's wall time and trials/s (shrink trials
+//       included); the JSON report carries no host time.
 //
 //   chaos_tool replay FILE...
 //       Re-executes each corpus file across the full worker grid
@@ -20,6 +22,7 @@
 // Exit codes are the CI contract: 0 ok, 1 expectation failure, 2 determinism
 // failure, 64 usage / IO error.
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -94,10 +97,16 @@ int RunSearchCmd(int argc, char** argv) {
     }
   }
 
+  const auto start = std::chrono::steady_clock::now();
   const chaos::SearchReport report = chaos::RunSearch(opt);
-  std::printf("chaos search: %d trials (+%d shrink), corpus=%zu, features=%zu, findings=%zu\n",
-              report.trials, report.shrink_trials, report.corpus_size,
-              report.coverage_features, report.findings.size());
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const int total_trials = report.trials + report.shrink_trials;
+  std::printf(
+      "chaos search: %d trials (+%d shrink), corpus=%zu, features=%zu, findings=%zu, "
+      "wall=%.2f s (%.1f trials/s)\n",
+      report.trials, report.shrink_trials, report.corpus_size, report.coverage_features,
+      report.findings.size(), secs, secs > 0 ? total_trials / secs : 0.0);
   for (const chaos::Finding& f : report.findings) {
     std::printf("  [%s] %s: %s\n    plan %zu episodes -> shrunk %zu (in %d shrink trials)\n",
                 f.oracle.c_str(), f.strategy.c_str(), f.detail.c_str(), f.plan.size(),

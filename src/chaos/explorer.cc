@@ -11,6 +11,14 @@
 namespace mitt::chaos {
 namespace {
 
+constexpr int kInitialSeeds = 3;   // GenerateChaosPlan-derived corpus seeds.
+constexpr int kShrinkBudget = 80;  // Trial budget per finding's shrink.
+constexpr size_t kMaxCorpus = 64;
+// Every kGridCheckEvery-th novel corpus entrant is re-run at (trial=4,
+// intra=2) and its fingerprint compared against the (1,1) run: the
+// determinism oracle.
+constexpr int kGridCheckEvery = 4;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -87,7 +95,7 @@ SearchReport RunSearch(const ExplorerOptions& options) {
       f.plan = plan;
       f.found_at_trial = report.trials;
       ShrinkOptions sopt;
-      sopt.max_trials = options.shrink_budget;
+      sopt.max_trials = kShrinkBudget;
       sopt.trial_workers = options.trial_workers;
       sopt.intra_workers = options.intra_workers;
       const ShrinkResult shrunk = ShrinkPlan(options.world, plan, v.oracle, sopt);
@@ -98,14 +106,13 @@ SearchReport RunSearch(const ExplorerOptions& options) {
     }
 
     const std::vector<Feature> features = CollectFeatures(plan, outcome.results);
-    if (coverage.AddAll(features) > 0 && corpus.size() < options.max_corpus) {
+    if (coverage.AddAll(features) > 0 && corpus.size() < kMaxCorpus) {
       // Novel behavior: candidate corpus entrant. The grid determinism
       // oracle re-runs every Nth entrant at the far corner of the worker
       // grid — same world, same plan, so any fingerprint drift is an engine
       // or merge-order bug, reported like any other oracle.
       bool admit = true;
-      if (options.grid_check_every > 0 &&
-          static_cast<int>(corpus.size()) % options.grid_check_every == 0) {
+      if (static_cast<int>(corpus.size()) % kGridCheckEvery == 0) {
         ++report.grid_checks;
         const TrialOutcome far = RunChaosTrial(options.world, plan, /*trial_workers=*/4,
                                                /*intra_workers=*/2);
@@ -132,7 +139,7 @@ SearchReport RunSearch(const ExplorerOptions& options) {
 
   // --- Seed round: the empty plan plus a few GenerateChaosPlan mixes ---
   run_one(fault::FaultPlan());
-  for (int i = 0; i < options.initial_seeds && report.trials < options.max_trials; ++i) {
+  for (int i = 0; i < kInitialSeeds && report.trials < options.max_trials; ++i) {
     if (out_of_time() || static_cast<int>(report.findings.size()) >= options.max_findings) {
       break;
     }

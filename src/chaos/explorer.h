@@ -33,14 +33,7 @@ struct ExplorerOptions {
   ChaosWorldOptions world;
   int max_trials = 150;
   uint64_t seed = 1;
-  int initial_seeds = 3;   // GenerateChaosPlan-derived corpus seeds.
-  int shrink_budget = 80;  // Trial budget per finding's shrink.
-  int max_findings = 3;    // Stop after this many distinct-oracle findings.
-  size_t max_corpus = 64;
-  // Re-run corpus entrants at (trial=4, intra=2) and compare fingerprints
-  // against the (1,1) run — the determinism oracle. Applied to every Nth
-  // novel entrant (1 = all); 0 disables.
-  int grid_check_every = 4;
+  int max_findings = 3;  // Stop after this many distinct-oracle findings.
   // Wall-clock bound in milliseconds; 0 = none (fully deterministic search).
   int64_t time_budget_ms = 0;
   // Worker knobs for trial execution (wall clock only, never results).

@@ -68,9 +68,9 @@ FaultEpisode PlanMutator::RandomEpisode() {
   e.kind = RandomKind();
   e.node = static_cast<int>(rng_.UniformInt(0, options_.num_nodes - 1));
   e.start = static_cast<TimeNs>(
-      rng_.UniformInt(0, std::max<int64_t>(1, options_.horizon - options_.min_duration)));
-  const DurationNs max_dur = std::max<DurationNs>(options_.min_duration, options_.horizon / 4);
-  e.duration = rng_.UniformInt(options_.min_duration, max_dur);
+      rng_.UniformInt(0, std::max<int64_t>(1, options_.horizon - kMinEpisodeDuration)));
+  const DurationNs max_dur = std::max<DurationNs>(kMinEpisodeDuration, options_.horizon / 4);
+  e.duration = rng_.UniformInt(kMinEpisodeDuration, max_dur);
   switch (e.kind) {
     case FaultKind::kFailSlowDisk:
       e.severity = rng_.Uniform(2.0, 20.0);
@@ -99,9 +99,9 @@ fault::FaultPlan PlanMutator::Canonicalize(std::vector<FaultEpisode> episodes) c
       e.start = 0;
     }
     if (e.start >= options_.horizon) {
-      e.start = options_.horizon - options_.min_duration;
+      e.start = options_.horizon - kMinEpisodeDuration;
     }
-    e.duration = std::max(e.duration, options_.min_duration);
+    e.duration = std::max(e.duration, kMinEpisodeDuration);
     if (e.end() > options_.horizon) {
       // Slide back first, truncate only when the episode is longer than the
       // whole horizon — keeps every canonical episode inside [0, horizon].
@@ -128,7 +128,7 @@ fault::FaultPlan PlanMutator::Canonicalize(std::vector<FaultEpisode> episodes) c
     if (!overlaps) {
       kept.push_back(e);
     }
-    if (kept.size() >= options_.max_episodes) {
+    if (kept.size() >= kMaxPlanEpisodes) {
       break;
     }
   }
@@ -172,12 +172,12 @@ fault::FaultPlan PlanMutator::Mutate(const fault::FaultPlan& parent) {
         break;
       case 1: {  // Split into two halves with a gap.
         FaultEpisode& e = eps[i];
-        if (e.duration >= 4 * options_.min_duration) {
+        if (e.duration >= 4 * kMinEpisodeDuration) {
           FaultEpisode tail = e;
           const DurationNs half = e.duration / 2;
-          e.duration = half - options_.min_duration;
-          tail.start = e.start + half + options_.min_duration;
-          tail.duration = half - options_.min_duration;
+          e.duration = half - kMinEpisodeDuration;
+          tail.start = e.start + half + kMinEpisodeDuration;
+          tail.duration = half - kMinEpisodeDuration;
           eps.push_back(tail);
         }
         break;

@@ -24,11 +24,14 @@
 
 namespace mitt::chaos {
 
+// Children are truncated (keep-first) past kMaxPlanEpisodes, and no episode
+// is shorter than kMinEpisodeDuration.
+inline constexpr size_t kMaxPlanEpisodes = 24;
+inline constexpr DurationNs kMinEpisodeDuration = Millis(5);
+
 struct MutatorOptions {
   int num_nodes = 3;
   TimeNs horizon = Millis(700);
-  size_t max_episodes = 24;  // Children are truncated (keep-first) past this.
-  DurationNs min_duration = Millis(5);
 };
 
 class PlanMutator {
@@ -40,7 +43,7 @@ class PlanMutator {
   fault::FaultPlan Splice(const fault::FaultPlan& a, const fault::FaultPlan& b);
 
   // Sort, clamp severities/durations into the kind's legal range, drop
-  // same-target overlaps (keep-first) and truncate to max_episodes. Public
+  // same-target overlaps (keep-first) and truncate to kMaxPlanEpisodes. Public
   // because the shrinker reuses it after weakening episodes.
   fault::FaultPlan Canonicalize(std::vector<fault::FaultEpisode> episodes) const;
 

@@ -9,6 +9,15 @@ namespace {
 // few requests spread across replicas instead of piling onto node 0.
 constexpr double kInitialScoreNs = 5.0 * kMillisecond;
 
+constexpr double kSnitchEwmaAlpha = 0.2;
+// Cassandra's dynamic-snitch badness threshold: when replica scores are
+// within this relative band, requests spread round-robin/randomly instead of
+// herding onto the single best replica.
+constexpr double kSnitchBadnessThreshold = 0.1;
+
+constexpr double kC3EwmaAlpha = 0.3;
+constexpr DurationNs kC3ScoreDecay = Seconds(2);
+
 }  // namespace
 
 SnitchStrategy::SnitchStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
@@ -40,7 +49,7 @@ void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
   int num_close = 0;
   for (const int node : replicas) {
     if (snapshot_ns_[static_cast<size_t>(node)] <=
-        best_score * (1.0 + options_.badness_threshold)) {
+        best_score * (1.0 + kSnitchBadnessThreshold)) {
       close[num_close++] = node;
     }
   }
@@ -56,16 +65,15 @@ void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
       [this, g, best, start](Status status, DurationNs) {
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];
-        score = (1.0 - options_.ewma_alpha) * score + options_.ewma_alpha * sample;
+        score = (1.0 - kSnitchEwmaAlpha) * score + kSnitchEwmaAlpha * sample;
         Settle(g, status);
         gets_.Drop(g);
       },
       BeginTrace());
 }
 
-C3Strategy::C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
-                       const Options& options)
-    : GetStrategy(sim, cluster, seed), options_(options) {
+C3Strategy::C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
+    : GetStrategy(sim, cluster, seed) {
   ewma_ns_.assign(static_cast<size_t>(cluster->num_nodes()), kInitialScoreNs);
   outstanding_.assign(static_cast<size_t>(cluster->num_nodes()), 0);
   last_update_.assign(static_cast<size_t>(cluster->num_nodes()), 0);
@@ -80,7 +88,7 @@ double C3Strategy::Score(int node) const {
   }
   mean /= static_cast<double>(ewma_ns_.size());
   const double age = static_cast<double>(sim_->Now() - last_update_[i]);
-  const double freshness = std::exp(-age / static_cast<double>(options_.score_decay));
+  const double freshness = std::exp(-age / static_cast<double>(kC3ScoreDecay));
   const double base = mean + (ewma_ns_[i] - mean) * freshness;
   const double q = 1.0 + outstanding_[i];
   // Cubic penalty on concurrency (C3's q-hat^3 term), scaled by the observed
@@ -107,7 +115,7 @@ void C3Strategy::Get(uint64_t key, GetDoneFn done) {
         --outstanding_[static_cast<size_t>(best)];
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];
-        score = (1.0 - options_.ewma_alpha) * score + options_.ewma_alpha * sample;
+        score = (1.0 - kC3EwmaAlpha) * score + kC3EwmaAlpha * sample;
         last_update_[static_cast<size_t>(best)] = sim_->Now();
         Settle(g, status);
         gets_.Drop(g);

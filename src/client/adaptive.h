@@ -23,14 +23,9 @@ namespace mitt::client {
 class SnitchStrategy : public GetStrategy {
  public:
   struct Options {
-    double ewma_alpha = 0.2;
     // Scores used for routing are only refreshed this often (Cassandra
     // resets/recomputes snitch scores on a coarse interval).
     DurationNs update_interval = Millis(100);
-    // Cassandra's dynamic-snitch badness threshold: when replica scores are
-    // within this relative band, requests spread round-robin/randomly
-    // instead of herding onto the single best replica.
-    double badness_threshold = 0.1;
   };
 
   SnitchStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
@@ -51,20 +46,13 @@ class SnitchStrategy : public GetStrategy {
 
 class C3Strategy : public GetStrategy {
  public:
-  struct Options {
-    double ewma_alpha = 0.3;
-    DurationNs score_decay = Seconds(2);
-  };
-
-  C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed,
-             const Options& options);
+  C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
 
   void Get(uint64_t key, GetDoneFn done) override;
 
  private:
   double Score(int node) const;
 
-  Options options_;
   std::vector<double> ewma_ns_;
   std::vector<int> outstanding_;
   // A stale score decays toward the fleet mean, so a replica that recovered

@@ -86,7 +86,7 @@ MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, u
       options_(options),
       health_(sim, cluster->num_nodes(), HealthWithSloFloor(options), seed ^ 0x4EA1'74C3ULL),
       retry_budget_(options.retry),
-      backoff_(options.backoff, seed ^ 0xBAC0'0FF5ULL) {}
+      backoff_(resilience::BackoffOptions{}, seed ^ 0xBAC0'0FF5ULL) {}
 
 MittosStrategy::~MittosStrategy() = default;
 

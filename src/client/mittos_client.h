@@ -61,10 +61,10 @@ class MittosStrategy : public GetStrategy {
     // The per-user deadline SLO (the p95 expected latency, §7.2). A tenant
     // get's class SLO (GetContext::deadline) replaces it for that get.
     DurationNs deadline = Millis(13);
-    // kResilient's breakers, retry token bucket and timeout backoff.
+    // kResilient's breakers and retry token bucket (its timeout backoff
+    // always runs on BackoffOptions' defaults).
     resilience::ReplicaHealthOptions health;
     resilience::RetryBudgetOptions retry;
-    resilience::BackoffOptions backoff;
     // TEST ONLY. Reintroduces the denied-retry/late-EBUSY liveness bug the
     // resilient walk originally shipped with: when the attempt timer fired,
     // the retry budget denied the resend, and the late reply is an

@@ -54,7 +54,7 @@ void Network::DeliverHop(int src, int peer, int dst_shard, DeliverFn fn) {
   }
   if (drop_prob > 0.0 && lane.rng.Bernoulli(drop_prob)) {
     // Lost on the wire; the transport retransmits after its timeout.
-    hop += params_.retransmit_timeout;
+    hop += kRetransmitTimeout;
     ++lane.dropped;
   }
   ++lane.delivered;

@@ -51,11 +51,12 @@ class ShardedEngine;
 
 namespace mitt::cluster {
 
+// Retransmit timeout for messages lost to kNetworkDrop faults.
+inline constexpr DurationNs kRetransmitTimeout = Millis(200);
+
 struct NetworkParams {
   DurationNs one_way = Micros(150);
   DurationNs jitter = Micros(15);  // Uniform +/- jitter.
-  // Retransmit timeout for messages lost to kNetworkDrop faults.
-  DurationNs retransmit_timeout = Millis(200);
 };
 
 // The conservative lookahead a ShardedEngine may use when this network is

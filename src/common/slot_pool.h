@@ -14,10 +14,10 @@
 // releasing it (the release-before-callback rule: the callback may then
 // issue a new request that reuses the slot at once).
 //
-// Owners: Os (syscall-layer descriptors), DiskModel (NVRAM destages), SsdGc
-// (garbage-collection IOs), GetStrategy (client hop records, and every
-// strategy's per-Get records through GetStrategy::GetPool), StorageNode
-// (server request records, DocStore and LSM nodes alike). Pools start empty
+// Owners: Os (syscall-layer descriptors), DiskModel (NVRAM destages),
+// GetStrategy (client hop records, and every strategy's per-Get records
+// through GetStrategy::GetPool), StorageNode (server request records,
+// DocStore and LSM nodes alike). Pools start empty
 // and grow one block at a time. A pool is touched by one thread only: the
 // shard its owner runs on.
 

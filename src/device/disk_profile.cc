@@ -10,6 +10,13 @@ namespace {
 
 constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
 
+// The profiling pass: IO pairs per measurement, the seek distances it
+// samples, and the seed of its offset draws.
+constexpr int kSamplesPerBucket = 12;
+constexpr double kDistancesGb[] = {0.0,   0.5,   1.0,   2.0,   5.0,   10.0, 20.0,
+                                   50.0, 100.0, 200.0, 400.0, 700.0, 950.0};
+constexpr uint64_t kProfilerSeed = 42;
+
 // Issues one IO on an idle disk and runs the simulator until it completes.
 // Returns the measured service latency.
 DurationNs MeasureOne(sim::Simulator* sim, DiskModel* disk, int64_t offset, int64_t size,
@@ -75,9 +82,8 @@ DurationNs DiskProfile::PredictServiceTime(int64_t from_offset,
   return PositioningCost(from_offset, io.offset) + transfer;
 }
 
-DiskProfile ProfileDisk(sim::Simulator* sim, DiskModel* disk,
-                        const DiskProfilerOptions& options) {
-  Rng rng(options.seed);
+DiskProfile ProfileDisk(sim::Simulator* sim, DiskModel* disk) {
+  Rng rng(kProfilerSeed);
   const int64_t capacity = disk->params().capacity_bytes;
   uint64_t next_id = 0xBEEF0000;
 
@@ -88,7 +94,7 @@ DiskProfile ProfileDisk(sim::Simulator* sim, DiskModel* disk,
   const int64_t size_hi = 1024 * 1024;
   double lat_lo = 0;
   double lat_hi = 0;
-  for (int i = 0; i < options.samples_per_bucket; ++i) {
+  for (int i = 0; i < kSamplesPerBucket; ++i) {
     const int64_t base = rng.UniformInt(0, capacity - 2 * size_hi);
     // Position the head at `base` with a warm-up IO, then time a same-place
     // read of each size.
@@ -99,19 +105,19 @@ DiskProfile ProfileDisk(sim::Simulator* sim, DiskModel* disk,
     lat_hi += static_cast<double>(
         MeasureOne(sim, disk, base + 4096, size_hi, sched::IoOp::kRead, next_id++));
   }
-  lat_lo /= options.samples_per_bucket;
-  lat_hi /= options.samples_per_bucket;
+  lat_lo /= kSamplesPerBucket;
+  lat_hi /= kSamplesPerBucket;
   const auto transfer_per_kb = static_cast<DurationNs>(
       (lat_hi - lat_lo) / (static_cast<double>(size_hi - size_lo) / 1024.0));
 
   // 2. Positioning cost per distance bucket: park the head at x, read at
   // x + d, subtract the transfer estimate.
   std::vector<DiskProfile::Bucket> buckets;
-  for (const double d_gb : options.distances_gb) {
+  for (const double d_gb : kDistancesGb) {
     const auto d_bytes = static_cast<int64_t>(d_gb * kBytesPerGb);
     double sum = 0;
     int n = 0;
-    for (int i = 0; i < options.samples_per_bucket; ++i) {
+    for (int i = 0; i < kSamplesPerBucket; ++i) {
       const int64_t x = rng.UniformInt(0, std::max<int64_t>(1, capacity - d_bytes - size_hi));
       MeasureOne(sim, disk, x, 4096, sched::IoOp::kRead, next_id++);
       const DurationNs lat =
@@ -124,14 +130,14 @@ DiskProfile ProfileDisk(sim::Simulator* sim, DiskModel* disk,
 
   // 3. Write acknowledgement latency (NVRAM-buffered writes ack fast).
   double wsum = 0;
-  for (int i = 0; i < options.samples_per_bucket; ++i) {
+  for (int i = 0; i < kSamplesPerBucket; ++i) {
     const int64_t x = rng.UniformInt(0, capacity - size_hi);
     wsum += static_cast<double>(
         MeasureOne(sim, disk, x, 4096, sched::IoOp::kWrite, next_id++));
     // Drain the background destage before the next measurement.
     sim->Run();
   }
-  const auto write_ack = static_cast<DurationNs>(wsum / options.samples_per_bucket);
+  const auto write_ack = static_cast<DurationNs>(wsum / kSamplesPerBucket);
 
   return DiskProfile(std::move(buckets), transfer_per_kb, write_ack);
 }

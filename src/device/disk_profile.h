@@ -52,18 +52,10 @@ class DiskProfile {
   DurationNs write_ack_latency_ = 0;
 };
 
-struct DiskProfilerOptions {
-  int samples_per_bucket = 12;
-  std::vector<double> distances_gb = {0.0, 0.5,   1.0,   2.0,   5.0,   10.0,  20.0,
-                                      50.0, 100.0, 200.0, 400.0, 700.0, 950.0};
-  uint64_t seed = 42;
-};
-
 // Runs the one-time profiling pass (the paper's took 11 hours of wall time on
 // a real disk; here it is simulated). The simulator and disk must be
 // dedicated to the profiler while it runs.
-DiskProfile ProfileDisk(sim::Simulator* sim, DiskModel* disk,
-                        const DiskProfilerOptions& options = {});
+DiskProfile ProfileDisk(sim::Simulator* sim, DiskModel* disk);
 
 }  // namespace mitt::device
 

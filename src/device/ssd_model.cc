@@ -38,7 +38,7 @@ void SsdModel::Submit(sched::IoRequest* req) {
   if (req->op == sched::IoOp::kErase) {
     const int64_t page = PageOfOffset(req->offset);
     req->subs_remaining = 1;
-    EnqueueChip(ChipOfPage(page), SubIo{req, page, sched::IoOp::kErase, 0});
+    EnqueueChip(ChipOfPage(page), SubIo{req, page, sched::IoOp::kErase});
     return;
   }
 
@@ -47,7 +47,7 @@ void SsdModel::Submit(sched::IoRequest* req) {
   const int n = static_cast<int>(last_page - first_page + 1);
   req->subs_remaining = n;
   for (int64_t p = first_page; p <= last_page; ++p) {
-    const SubIo sub{req, p, req->op, 0};
+    const SubIo sub{req, p, req->op};
     const int chip = ChipOfPage(p);
     if (req->op == sched::IoOp::kRead) {
       EnqueueChip(chip, sub);  // Media read first, then channel transfer.
@@ -136,70 +136,15 @@ void SsdModel::FinishSub(const SubIo& sub) {
   }
   ++completed_;
   // Contract: when a listener is installed it owns completion delivery
-  // (including invoking on_complete for requests it does not recognize, e.g.
-  // GC traffic). Without a listener we invoke on_complete directly. Either
-  // way the callback may release the descriptor, so move it out first.
+  // (including invoking on_complete). Without a listener we invoke
+  // on_complete directly. Either way the callback may release the
+  // descriptor, so move it out first.
   if (listener_ != nullptr) {
     listener_(parent);
   } else if (parent->on_complete) {
     auto cb = std::move(parent->on_complete);
     cb(*parent, Status::Ok());
   }
-}
-
-SsdGc::SsdGc(sim::Simulator* sim, SsdModel* ssd, const Options& options, uint64_t seed)
-    : sim_(sim), ssd_(ssd), options_(options), rng_(seed) {}
-
-void SsdGc::Start() {
-  if (running_ || !options_.enabled) {
-    return;
-  }
-  running_ = true;
-  ScheduleNext();
-}
-
-void SsdGc::Stop() { running_ = false; }
-
-void SsdGc::ScheduleNext() {
-  if (!running_) {
-    return;
-  }
-  sim_->ScheduleDaemon(static_cast<DurationNs>(
-                     rng_.Exponential(static_cast<double>(options_.mean_interval))),
-                 [this] { RunRound(); });
-}
-
-void SsdGc::RunRound() {
-  if (!running_) {
-    return;
-  }
-  ++rounds_;
-  const int chip = static_cast<int>(rng_.UniformInt(0, ssd_->num_chips() - 1));
-  // Victim-block cleaning: move a few valid pages (read + program on the same
-  // chip), then erase the block.
-  const int64_t page_size = ssd_->params().page_size;
-  auto make_req = [&](sched::IoOp op, int64_t logical_page) {
-    sched::IoRequest* req = pool_.Acquire();
-    req->id = next_id_++;
-    req->op = op;
-    req->offset = logical_page * page_size;
-    req->size = page_size;
-    req->pid = -1;  // Kernel-internal.
-    req->on_complete = [this, req](const sched::IoRequest&, Status) {
-      pool_.Release(req);
-    };
-    return req;
-  };
-
-  // Logical pages congruent to `chip` mod num_chips() land on this chip.
-  const int64_t stride = ssd_->num_chips();
-  const int64_t base = rng_.UniformInt(0, 1'000'000) * stride + chip;
-  for (int i = 0; i < options_.pages_moved; ++i) {
-    ssd_->Submit(make_req(sched::IoOp::kRead, base + i * stride));
-    ssd_->Submit(make_req(sched::IoOp::kWrite, base + (i + 1000) * stride));
-  }
-  ssd_->Submit(make_req(sched::IoOp::kErase, base));
-  ScheduleNext();
 }
 
 }  // namespace mitt::device

@@ -87,7 +87,6 @@ class SsdModel {
     sched::IoRequest* parent = nullptr;
     int64_t logical_page = 0;
     sched::IoOp op = sched::IoOp::kRead;
-    uint64_t erase_cookie = 0;  // For erase ops injected by GC.
   };
 
   struct Chip {
@@ -121,38 +120,6 @@ class SsdModel {
 
   // Outstanding sub-IO counts live on the parent (IoRequest::subs_remaining).
   uint64_t completed_ = 0;
-};
-
-// Background garbage collection / wear-leveling noise source (§3.3, §4.3):
-// periodically claims a chip for an erase plus a handful of page movements.
-class SsdGc {
- public:
-  struct Options {
-    DurationNs mean_interval = Millis(200);  // Mean time between GC rounds.
-    int pages_moved = 4;                     // Read+program pairs per round.
-    bool enabled = true;
-  };
-
-  SsdGc(sim::Simulator* sim, SsdModel* ssd, const Options& options, uint64_t seed);
-
-  void Start();
-  void Stop();
-
-  uint64_t rounds() const { return rounds_; }
-
- private:
-  void RunRound();
-  void ScheduleNext();
-
-  sim::Simulator* sim_;
-  SsdModel* ssd_;
-  Options options_;
-  Rng rng_;
-  bool running_ = false;
-  uint64_t rounds_ = 0;
-  uint64_t next_id_ = 0x6C00'0000'0000'0000ULL;
-  // GC descriptors are pooled; each completion callback releases its slot.
-  sched::IoRequestPool pool_;
 };
 
 }  // namespace mitt::device

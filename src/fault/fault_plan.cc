@@ -28,6 +28,11 @@ std::string_view FaultKindName(FaultKind kind) {
 
 namespace {
 
+// Severities of GenerateChaosPlan's kSsdReadRetry and kNetworkDegrade
+// episodes.
+constexpr double kChaosReadRetryMultiplier = 25.0;
+constexpr double kChaosNetworkMultiplier = 20.0;
+
 void SortEpisodes(std::vector<FaultEpisode>& episodes) {
   std::stable_sort(episodes.begin(), episodes.end(),
                    [](const FaultEpisode& a, const FaultEpisode& b) {
@@ -199,14 +204,14 @@ FaultPlan GenerateChaosPlan(const ChaosOptions& options, int num_nodes, TimeNs h
     for (const int node : victims(FaultKind::kSsdReadRetry)) {
       const int chip = static_cast<int>(pick_rng.UniformInt(0, 127));
       builder.RepeatEpisodes(FaultKind::kSsdReadRetry, node, horizon, options.mean_gap,
-                             options.min_on, options.max_on, options.read_retry_multiplier,
+                             options.min_on, options.max_on, kChaosReadRetryMultiplier,
                              seed ^ 0x55D, chip);
     }
   }
   if (options.network_degrade) {
     for (const int node : victims(FaultKind::kNetworkDegrade)) {
       builder.RepeatEpisodes(FaultKind::kNetworkDegrade, node, horizon, options.mean_gap,
-                             options.min_on, options.max_on, options.network_multiplier,
+                             options.min_on, options.max_on, kChaosNetworkMultiplier,
                              seed ^ 0xDE6);
     }
   }

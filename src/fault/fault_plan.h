@@ -183,8 +183,6 @@ struct ChaosOptions {
   DurationNs min_on = Millis(200);
   DurationNs max_on = Seconds(2);
   double fail_slow_multiplier = 4.0;
-  double read_retry_multiplier = 25.0;
-  double network_multiplier = 20.0;
   double drop_probability = 0.85;          // kNetworkDrop severity, in (0, 1].
   DurationNs pause_duration = Millis(120);
   DurationNs restart_duration = Millis(250);

@@ -416,8 +416,7 @@ std::unique_ptr<client::GetStrategy> Experiment::MakeStrategy(StrategyKind kind,
       return std::make_unique<client::SnitchStrategy>(sim, cluster, seed,
                                                       client::SnitchStrategy::Options{});
     case StrategyKind::kC3:
-      return std::make_unique<client::C3Strategy>(sim, cluster, seed,
-                                                  client::C3Strategy::Options{});
+      return std::make_unique<client::C3Strategy>(sim, cluster, seed);
     case StrategyKind::kMittos:
     case StrategyKind::kMittosWait:
     case StrategyKind::kMittosResilient: {

@@ -3,6 +3,13 @@
 #include <utility>
 
 namespace mitt::kv {
+namespace {
+
+constexpr int64_t kDocSize = 1024;   // 1 KB documents (YCSB workloads, §7).
+constexpr int64_t kSlotSize = 4096;  // One page per document slot.
+constexpr int32_t kServerPid = 1;
+
+}  // namespace
 
 DocStoreNode::DocStoreNode(sim::Simulator* sim, int node_id, const Options& options,
                            cluster::CpuPool* shared_cpu)
@@ -12,18 +19,24 @@ DocStoreNode::DocStoreNode(sim::Simulator* sim, int node_id, const Options& opti
   data_file_ = os().CreateFile(data_file_size());
 }
 
+int64_t DocStoreNode::data_file_size() const { return options_.num_keys * kSlotSize; }
+
+int64_t DocStoreNode::OffsetOfKey(uint64_t key) const {
+  return static_cast<int64_t>(key % static_cast<uint64_t>(options_.num_keys)) * kSlotSize;
+}
+
 void DocStoreNode::WarmCache(double fraction) {
   const auto warm_keys =
       static_cast<int64_t>(static_cast<double>(options_.num_keys) * fraction);
   for (int64_t k = 0; k < warm_keys; ++k) {
-    os().Prefault(data_file_, k * options_.slot_size, options_.doc_size);
+    os().Prefault(data_file_, k * kSlotSize, kDocSize);
   }
 }
 
 void DocStoreNode::Read(Request* r) {
   const int64_t offset = OffsetOfKey(r->key);
   if (options_.access == AccessPath::kMmapAddrCheck && !r->degraded) {
-    const auto check = os().AddrCheck(data_file_, offset, options_.doc_size, r->deadline, r->trace);
+    const auto check = os().AddrCheck(data_file_, offset, kDocSize, r->deadline, r->trace);
     if (check.status.busy()) {
       // Fail over instantly; the OS keeps swapping the page in behind us.
       // The wait hint is the device floor (the page must come off the disk).
@@ -32,7 +45,7 @@ void DocStoreNode::Read(Request* r) {
       return;
     }
     sim()->Schedule(check.cost, [this, r, offset] {
-      os().MmapAccess(data_file_, offset, options_.doc_size, options_.server_pid,
+      os().MmapAccess(data_file_, offset, kDocSize, kServerPid,
                       [this, r](Status s, DurationNs) { ReadDone(r, s, 0); });
     });
     return;
@@ -41,9 +54,9 @@ void DocStoreNode::Read(Request* r) {
   os::Os::ReadArgs args;
   args.file = data_file_;
   args.offset = offset;
-  args.size = options_.doc_size;
+  args.size = kDocSize;
   args.deadline = r->deadline;
-  args.pid = options_.server_pid;
+  args.pid = kServerPid;
   args.trace = r->trace;
   os().ReadWithWaitHint(args, [this, r](Status s, DurationNs hint) { ReadDone(r, s, hint); });
 }
@@ -52,8 +65,8 @@ void DocStoreNode::Write(Request* r) {
   os::Os::WriteArgs args;
   args.file = data_file_;
   args.offset = OffsetOfKey(r->key);
-  args.size = options_.doc_size;
-  args.pid = options_.server_pid;
+  args.size = kDocSize;
+  args.pid = kServerPid;
   os().Write(args, [this, r](Status s, DurationNs) { WriteDone(r, s); });
 }
 

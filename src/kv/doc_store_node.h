@@ -41,11 +41,8 @@ enum class AccessPath {
 class DocStoreNode final : public StorageNode {
  public:
   struct Options : StorageNode::Options {
-    int64_t doc_size = 1024;   // 1 KB documents (YCSB workloads, §7).
-    int64_t slot_size = 4096;  // One page per document slot.
     AccessPath access = AccessPath::kRead;
     bool exception_on_ebusy = false;  // Paper default: exceptionless path.
-    int32_t server_pid = 1;
   };
 
   // `shared_cpu` (optional) makes several nodes contend for one physical
@@ -58,13 +55,10 @@ class DocStoreNode final : public StorageNode {
   void WarmCache(double fraction);
 
   uint64_t data_file() const { return data_file_; }
-  int64_t data_file_size() const { return options_.num_keys * options_.slot_size; }
+  int64_t data_file_size() const;
 
  private:
-  int64_t OffsetOfKey(uint64_t key) const {
-    return static_cast<int64_t>(key % static_cast<uint64_t>(options_.num_keys)) *
-           options_.slot_size;
-  }
+  int64_t OffsetOfKey(uint64_t key) const;
 
   // The access path's read; a degraded read always takes read(), whose
   // wait hint paces its retries.

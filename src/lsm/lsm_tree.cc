@@ -4,6 +4,16 @@
 #include <utility>
 
 namespace mitt::lsm {
+namespace {
+
+constexpr int64_t kBlockSize = 4096;
+constexpr int kKeysPerBlock = 4;
+constexpr uint32_t kValueSize = 1024;
+constexpr int32_t kServerPid = 1;
+constexpr int32_t kCompactionPid = kServerPid + 1000;  // The compaction thread.
+constexpr bool kWalSync = true;
+
+}  // namespace
 
 LsmTree::LsmTree(sim::Simulator* sim, os::Os* node_os, const Options& options)
     : sim_(sim), os_(node_os), options_(options) {
@@ -12,23 +22,23 @@ LsmTree::LsmTree(sim::Simulator* sim, os::Os* node_os, const Options& options)
 }
 
 std::unique_ptr<SsTable> LsmTree::BuildTable(std::vector<uint64_t> sorted_keys, int level) {
-  const auto blocks = (static_cast<int64_t>(sorted_keys.size()) + options_.keys_per_block - 1) /
-                      options_.keys_per_block;
-  const uint64_t file = os_->CreateFile(std::max<int64_t>(1, blocks) * options_.block_size);
+  const auto blocks = (static_cast<int64_t>(sorted_keys.size()) + kKeysPerBlock - 1) /
+                      kKeysPerBlock;
+  const uint64_t file = os_->CreateFile(std::max<int64_t>(1, blocks) * kBlockSize);
   return std::make_unique<SsTable>(next_table_id_++, file, std::move(sorted_keys), level,
-                                   options_.block_size, options_.keys_per_block);
+                                   kBlockSize, kKeysPerBlock);
 }
 
 void LsmTree::Put(uint64_t key, sched::IoDoneFn done) {
   os::Os::WriteArgs wal;
   wal.file = wal_file_;
   wal.offset = wal_offset_;
-  wal.size = static_cast<int64_t>(sizeof(uint64_t)) + options_.value_size;
-  wal.pid = options_.server_pid;
-  wal.sync = options_.wal_sync;
+  wal.size = static_cast<int64_t>(sizeof(uint64_t)) + kValueSize;
+  wal.pid = kServerPid;
+  wal.sync = kWalSync;
   wal_offset_ = (wal_offset_ + wal.size) % (48 << 20);  // Circular log region.
   os_->Write(wal, [this, key, done = std::move(done)](Status s, DurationNs) mutable {
-    memtable_.Put(key, options_.value_size);
+    memtable_.Put(key, kValueSize);
     MaybeFlushMemtable();
     if (done) {
       done(s, 0);
@@ -48,7 +58,7 @@ void LsmTree::MaybeFlushMemtable() {
   w.file = table->file();
   w.offset = 0;
   w.size = table->size_bytes();
-  w.pid = options_.server_pid;
+  w.pid = kServerPid;
   w.sync = false;
   os_->Write(w, nullptr);
   levels_[0].insert(levels_[0].begin(), std::move(table));  // Newest first.
@@ -78,7 +88,7 @@ void LsmTree::MaybeStartCompaction() {
 
   // Split into ~8MB output tables.
   const auto keys_per_out = static_cast<size_t>(
-      (8LL << 20) / options_.block_size * static_cast<int64_t>(options_.keys_per_block));
+      (8LL << 20) / kBlockSize * static_cast<int64_t>(kKeysPerBlock));
   compaction_out_.clear();
   for (size_t i = 0; i < all.size(); i += keys_per_out) {
     const size_t end = std::min(all.size(), i + keys_per_out);
@@ -123,7 +133,7 @@ void LsmTree::CompactionStep() {
     w.file = io.file;
     w.offset = io.offset;
     w.size = io.size;
-    w.pid = options_.server_pid + 1000;  // Compaction thread.
+    w.pid = kCompactionPid;
     w.io_class = sched::IoClass::kIdle;
     w.priority = 7;
     w.sync = true;
@@ -133,7 +143,7 @@ void LsmTree::CompactionStep() {
     r.file = io.file;
     r.offset = io.offset;
     r.size = io.size;
-    r.pid = options_.server_pid + 1000;
+    r.pid = kCompactionPid;
     r.io_class = sched::IoClass::kIdle;
     r.priority = 7;
     r.bypass_cache = true;
@@ -142,9 +152,17 @@ void LsmTree::CompactionStep() {
 }
 
 void LsmTree::FinishCompaction() {
-  // The merged inputs are the oldest L0 tables; those flushed while the
-  // compaction ran stay in L0, in front of them.
-  levels_[0].resize(levels_[0].size() - compaction_l0_inputs_);
+  // The merged inputs are the oldest L0 tables and all of L1; those flushed
+  // while the compaction ran stay in L0, in front of them. The inputs' files
+  // are deleted, so later tables reuse their space.
+  const size_t l0_kept = levels_[0].size() - compaction_l0_inputs_;
+  for (size_t i = l0_kept; i < levels_[0].size(); ++i) {
+    os_->DeleteFile(levels_[0][i]->file());
+  }
+  for (const auto& table : levels_[1]) {
+    os_->DeleteFile(table->file());
+  }
+  levels_[0].resize(l0_kept);
   levels_[1] = std::move(compaction_out_);
   compaction_running_ = false;
   ++compactions_done_;
@@ -153,7 +171,7 @@ void LsmTree::FinishCompaction() {
 
 void LsmTree::BulkLoad(const std::vector<uint64_t>& sorted_keys) {
   const auto keys_per_out = static_cast<size_t>(
-      (8LL << 20) / options_.block_size * static_cast<int64_t>(options_.keys_per_block));
+      (8LL << 20) / kBlockSize * static_cast<int64_t>(kKeysPerBlock));
   for (size_t i = 0; i < sorted_keys.size(); i += keys_per_out) {
     const size_t end = std::min(sorted_keys.size(), i + keys_per_out);
     levels_[1].push_back(
@@ -188,9 +206,9 @@ void LsmTree::Get(uint64_t key, DurationNs deadline, sched::IoDoneFn done,
       os::Os::ReadArgs r;
       r.file = table->file();
       r.offset = block_offset;
-      r.size = options_.block_size;
+      r.size = kBlockSize;
       r.deadline = deadline;
-      r.pid = options_.server_pid;
+      r.pid = kServerPid;
       r.trace = trace;
       os_->ReadWithWaitHint(r, std::move(done));
       return;

@@ -9,7 +9,8 @@
 // lookup so the caller (Riak) can fail over to another replica.
 // Compaction: when L0 grows past a threshold, L0 and overlapping L1 tables
 // merge into new L1 tables; compaction IO runs at Idle class with no
-// deadline, providing the paper's background-maintenance contention.
+// deadline, providing the paper's background-maintenance contention. The
+// merged input tables' files are deleted when it finishes.
 
 #ifndef MITTOS_LSM_LSM_TREE_H_
 #define MITTOS_LSM_LSM_TREE_H_
@@ -34,11 +35,6 @@ class LsmTree {
   struct Options {
     int64_t memtable_flush_bytes = 4 << 20;
     int l0_compaction_trigger = 4;
-    int64_t block_size = 4096;
-    int keys_per_block = 4;
-    uint32_t value_size = 1024;
-    int32_t server_pid = 1;
-    bool wal_sync = true;
   };
 
   LsmTree(sim::Simulator* sim, os::Os* node_os, const Options& options);

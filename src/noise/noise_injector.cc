@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace mitt::noise {
+namespace {
+
+// Delay after a cache episode's end until the working set is resident again.
+constexpr DurationNs kCacheRestoreDelay = Millis(50);
+
+}  // namespace
 
 IoNoiseInjector::IoNoiseInjector(sim::Simulator* sim, os::Os* target_os, uint64_t file,
                                  int64_t file_size, std::vector<NoiseEpisode> schedule,
@@ -76,7 +82,7 @@ void CacheNoiseInjector::RunEpisode(const NoiseEpisode& episode) {
   ++episodes_run_;
   const double fraction =
       std::min(1.0, options_.drop_fraction_per_intensity * episode.intensity);
-  const int64_t page = os_->cache().params().page_size;
+  const int64_t page = os::kPageSize;
   const int64_t total_pages = std::max<int64_t>(1, options_.file_size / page);
   const auto pages_to_drop =
       static_cast<int64_t>(static_cast<double>(total_pages) * fraction);
@@ -92,7 +98,7 @@ void CacheNoiseInjector::RunEpisode(const NoiseEpisode& episode) {
   }
   if (options_.restore) {
     sim_->ScheduleDaemon(
-        episode.duration + options_.restore_delay, [this, dropped = std::move(dropped)] {
+        episode.duration + kCacheRestoreDelay, [this, dropped = std::move(dropped)] {
           for (const auto& [offset, len] : dropped) {
             os_->Prefault(options_.file, offset, len);
           }

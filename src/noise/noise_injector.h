@@ -70,8 +70,7 @@ class CacheNoiseInjector {
     int64_t file_size = 0;
     // Fraction of the file's pages dropped per intensity unit.
     double drop_fraction_per_intensity = 0.08;
-    // Delay after episode end until the working set is resident again.
-    DurationNs restore_delay = Millis(50);
+    // Swap the dropped pages back in kCacheRestoreDelay after the episode.
     bool restore = true;
   };
 

@@ -101,42 +101,35 @@ void MittSsdPredictor::OnAccepted(sched::IoRequest* req) {
     check_channels_of_[req->id].push_back(channel);
 #endif
   }
-  req->ssd_tracked = true;
 }
 
 void MittSsdPredictor::OnCompletion(sched::IoRequest* req) {
-  // Device-internal IOs (GC) go straight to the device and never pass
-  // admission; they carry no accounting to unwind.
-  if (req->ssd_tracked) {
-    req->ssd_tracked = false;
-    // Recompute the channels the request touched — same page walk, and
-    // therefore the same decrement order, as OnAccepted.
-    const int64_t first = ssd_->PageOfOffset(req->offset);
-    const int64_t last =
-        ssd_->PageOfOffset(req->offset + std::max<int64_t>(req->size, 1) - 1);
+  // Recompute the channels the request touched — same page walk, and
+  // therefore the same decrement order, as OnAccepted.
+  const int64_t first = ssd_->PageOfOffset(req->offset);
+  const int64_t last = ssd_->PageOfOffset(req->offset + std::max<int64_t>(req->size, 1) - 1);
 #ifdef MITT_PREDICT_CHECK
-    const auto it = check_channels_of_.find(req->id);
-    if (it == check_channels_of_.end() ||
-        it->second.size() != static_cast<size_t>(last - first + 1)) {
-      std::fprintf(stderr, "MittSsd predict-check: channel list mismatch for io %llu\n",
-                   static_cast<unsigned long long>(req->id));
+  const auto it = check_channels_of_.find(req->id);
+  if (it == check_channels_of_.end() ||
+      it->second.size() != static_cast<size_t>(last - first + 1)) {
+    std::fprintf(stderr, "MittSsd predict-check: channel list mismatch for io %llu\n",
+                 static_cast<unsigned long long>(req->id));
+    std::abort();
+  }
+#endif
+  for (int64_t p = first; p <= last; ++p) {
+    const int channel = ssd_->ChannelOfChip(ssd_->ChipOfPage(p));
+#ifdef MITT_PREDICT_CHECK
+    if (it->second[static_cast<size_t>(p - first)] != channel) {
+      std::fprintf(stderr, "MittSsd predict-check: recomputed channel diverges\n");
       std::abort();
     }
 #endif
-    for (int64_t p = first; p <= last; ++p) {
-      const int channel = ssd_->ChannelOfChip(ssd_->ChipOfPage(p));
-#ifdef MITT_PREDICT_CHECK
-      if (it->second[static_cast<size_t>(p - first)] != channel) {
-        std::fprintf(stderr, "MittSsd predict-check: recomputed channel diverges\n");
-        std::abort();
-      }
-#endif
-      channel_outstanding_[channel] = std::max(0, channel_outstanding_[channel] - 1);
-    }
-#ifdef MITT_PREDICT_CHECK
-    check_channels_of_.erase(it);
-#endif
+    channel_outstanding_[channel] = std::max(0, channel_outstanding_[channel] - 1);
   }
+#ifdef MITT_PREDICT_CHECK
+  check_channels_of_.erase(it);
+#endif
   AccountCompletion(options_, *req, sim_->Now(), &stats_);
 }
 

@@ -19,10 +19,9 @@
 // Incremental aggregates: the strawman (single-queue) estimate is a running
 // maximum of the chip next-free times (exact, since they only ever advance),
 // and completion-side channel accounting is recomputed from the request's
-// offset/size instead of a per-request hash-map entry — the request's
-// ssd_tracked flag marks IOs that passed admission (device-internal GC IOs
-// bypass it). Building with -DMITT_PREDICT_CHECK=ON keeps the old map in
-// lockstep and aborts on divergence.
+// offset/size instead of a per-request hash-map entry: every IO the device
+// completes passed admission first. Building with -DMITT_PREDICT_CHECK=ON
+// keeps the old map in lockstep and aborts on divergence.
 
 #ifndef MITTOS_OS_MITT_SSD_H_
 #define MITTOS_OS_MITT_SSD_H_
@@ -65,10 +64,10 @@ class MittSsdPredictor {
   bool ShouldReject(sched::IoRequest* req);
 
   // Registers an accepted request: advances the next-free time of every chip
-  // it touches and the outstanding counts of every channel. Marks the
-  // request ssd_tracked so OnCompletion knows to unwind the accounting.
+  // it touches and the outstanding counts of every channel.
   void OnAccepted(sched::IoRequest* req);
 
+  // Unwinds an accepted request's channel counts.
   void OnCompletion(sched::IoRequest* req);
 
   // Worst-case predicted wait across the request's sub-pages, for EBUSY-with-

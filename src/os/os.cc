@@ -8,6 +8,14 @@ namespace {
 
 constexpr int64_t kAllocAlignment = 64LL * 1024 * 1024;
 
+// Syscall-path costs. Making a system call and receiving EBUSY takes <5 us
+// (§3.3); AddrCheck costs 82 ns (§4.4); a buffer-cache hit is tens of us
+// end-to-end.
+constexpr DurationNs kSyscallOverhead = Micros(2);
+constexpr DurationNs kHitLatency = Micros(15);
+constexpr DurationNs kMmapAccessCost = kMicrosecond;
+constexpr DurationNs kAddrCheckCost = 82;
+
 int64_t AlignUp(int64_t v, int64_t a) { return (v + a - 1) / a * a; }
 
 }  // namespace
@@ -56,7 +64,7 @@ Os::Os(sim::Simulator* sim, const OsOptions& options)
     }
   }
   cache_ = std::make_unique<PageCache>(options_.cache);
-  flush_event_ = sim_->ScheduleDaemon(options_.flush_interval, [this] { FlushTick(); });
+  flush_event_ = sim_->ScheduleDaemon(kFlushInterval, [this] { FlushTick(); });
 
   if (obs::MetricsRegistry* mx = sim_->metrics()) {
     const int node = options_.node_label;
@@ -71,14 +79,35 @@ Os::Os(sim::Simulator* sim, const OsOptions& options)
 Os::~Os() { sim_->Cancel(flush_event_); }
 
 uint64_t Os::CreateFile(int64_t size_bytes) {
-  const uint64_t id = file_bases_.size();
-  file_bases_.push_back(next_alloc_);
-  next_alloc_ += AlignUp(size_bytes, kAllocAlignment);
-  return id;
+  const int64_t bytes = AlignUp(size_bytes, kAllocAlignment);
+  const auto fit = std::find_if(free_regions_.begin(), free_regions_.end(),
+                                [bytes](const FileRegion& r) { return r.bytes >= bytes; });
+  if (fit == free_regions_.end()) {
+    files_.push_back({next_alloc_, bytes});
+    next_alloc_ += bytes;
+  } else {
+    files_.push_back(*fit);  // The file takes the whole freed region.
+    free_regions_.erase(fit);
+  }
+  return files_.size() - 1;
 }
 
 int64_t Os::FileBase(uint64_t file) const {
-  return file < file_bases_.size() ? file_bases_[file] : 0;
+  return file < files_.size() ? files_[file].base : 0;
+}
+
+void Os::DeleteFile(uint64_t file) {
+  if (file == 0 || file >= files_.size() || files_[file].deleted) {
+    return;
+  }
+  FileRegion& f = files_[file];
+  f.deleted = true;
+  cache_->EvictRange(file, 0, f.bytes);
+  std::erase_if(dirty_, [file](const DirtyRange& d) { return d.file == file; });
+  free_regions_.insert(
+      std::lower_bound(free_regions_.begin(), free_regions_.end(), f.base,
+                       [](const FileRegion& r, int64_t base) { return r.base < base; }),
+      FileRegion{f.base, f.bytes});
 }
 
 DurationNs Os::MinDeviceLatency() const {
@@ -136,8 +165,8 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
         cache_hit_total_->Add();
       }
       cache_->Touch(args.file, args.offset, args.size);
-      TraceReadDone(trace, t0, t0 + options_.hit_latency, args.deadline, Status::Ok());
-      ReplyAfter(options_.hit_latency, Status::Ok(), 0, std::move(done));
+      TraceReadDone(trace, t0, t0 + kHitLatency, args.deadline, Status::Ok());
+      ReplyAfter(kHitLatency, Status::Ok(), 0, std::move(done));
       return;
     }
     if (cache_miss_total_ != nullptr) {
@@ -151,8 +180,8 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
     // no device IO can make the deadline. Reject without queueing anything.
     // The wait hint is the device floor: the soonest any retry here could
     // complete.
-    TraceReadDone(trace, t0, t0 + options_.syscall_overhead, args.deadline, Status::Ebusy());
-    ReplyAfter(options_.syscall_overhead, Status::Ebusy(), MinDeviceLatency(), std::move(done));
+    TraceReadDone(trace, t0, t0 + kSyscallOverhead, args.deadline, Status::Ebusy());
+    ReplyAfter(kSyscallOverhead, Status::Ebusy(), MinDeviceLatency(), std::move(done));
     return;
   }
 
@@ -185,11 +214,12 @@ void Os::SubmitDeviceRead(uint64_t file, int64_t offset, int64_t size, DurationN
 }
 
 void Os::ReadComplete(sched::IoRequest* req, Status status) {
-  if (status.ok() && req->fill_cache) {
+  // A file deleted while its read was in flight gets no cache pages.
+  const bool deleted = req->file < files_.size() && files_[req->file].deleted;
+  if (status.ok() && req->fill_cache && !deleted) {
     cache_->Insert(req->file, req->file_offset, req->size);
   }
-  const DurationNs return_cost =
-      status.busy() ? options_.syscall_overhead : options_.syscall_overhead / 2;
+  const DurationNs return_cost = status.busy() ? kSyscallOverhead : kSyscallOverhead / 2;
   if (req->trace.traced() || req->has_deadline()) {
     // submit_time == the syscall entry instant: submission into the
     // scheduler is synchronous.
@@ -231,7 +261,7 @@ void Os::Write(const WriteArgs& args, sched::IoDoneFn done) {
   // drive-level contention").
   cache_->Insert(args.file, args.offset, args.size);
   dirty_.push_back(DirtyRange{args.file, args.offset, args.size});
-  ReplyAfter(options_.hit_latency, Status::Ok(), 0, std::move(done));
+  ReplyAfter(kHitLatency, Status::Ok(), 0, std::move(done));
 }
 
 void Os::SubmitDeviceWrite(const WriteArgs& args, sched::IoDoneFn done) {
@@ -252,7 +282,7 @@ void Os::SubmitDeviceWrite(const WriteArgs& args, sched::IoDoneFn done) {
 
 void Os::WriteComplete(sched::IoRequest* req, Status status) {
   if (req->done) {
-    Deliver(req, options_.syscall_overhead / 2, status, 0);
+    Deliver(req, kSyscallOverhead / 2, status, 0);
   } else {
     pool_.Release(req);
   }
@@ -278,12 +308,12 @@ void Os::FlushTick() {
     args.sync = true;
     SubmitDeviceWrite(args, nullptr);
   }
-  flush_event_ = sim_->ScheduleDaemon(options_.flush_interval, [this] { FlushTick(); });
+  flush_event_ = sim_->ScheduleDaemon(kFlushInterval, [this] { FlushTick(); });
 }
 
 Os::AddrCheckResult Os::AddrCheck(uint64_t file, int64_t offset, int64_t size, DurationNs deadline,
                                   const obs::TraceContext& trace) {
-  const DurationNs cost = options_.addrcheck_cost;
+  const DurationNs cost = kAddrCheckCost;
   obs::TraceContext ctx = trace;
   ctx.node = options_.node_label;
   const TimeNs t0 = sim_->Now();
@@ -332,7 +362,7 @@ Os::AddrCheckResult Os::AddrCheck(uint64_t file, int64_t offset, int64_t size, D
 void Os::MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid, RichReadFn done) {
   if (cache_->Resident(file, offset, size)) {
     cache_->Touch(file, offset, size);
-    ReplyAfter(options_.mmap_access_cost, Status::Ok(), 0, std::move(done));
+    ReplyAfter(kMmapAccessCost, Status::Ok(), 0, std::move(done));
     return;
   }
   // Page fault: a blocking device read with no deadline (no syscall is

@@ -48,6 +48,9 @@ enum class BackendKind {
   kSsd,       // noop-style block layer + OpenChannel SSD (MittSSD, §4.3)
 };
 
+// Period of the background flush of buffered writes.
+inline constexpr DurationNs kFlushInterval = Millis(500);
+
 struct OsOptions {
   BackendKind backend = BackendKind::kDiskCfq;
   bool mitt_enabled = true;
@@ -60,17 +63,6 @@ struct OsOptions {
   PredictorOptions predictor;
   MittCfqOptions mitt_cfq;
   MittSsdOptions mitt_ssd;
-
-  // Syscall-path costs. Making a system call and receiving EBUSY takes <5 us
-  // (§3.3); AddrCheck costs 82 ns (§4.4); a buffer-cache hit is tens of us
-  // end-to-end.
-  DurationNs syscall_overhead = Micros(2);
-  DurationNs hit_latency = Micros(15);
-  DurationNs mmap_access_cost = kMicrosecond;
-  DurationNs addrcheck_cost = 82;
-
-  // Background flush of buffered writes.
-  DurationNs flush_interval = Millis(500);
 
   // Node label stamped on spans and metrics this machine emits (src/obs/);
   // -1 for single-machine setups.
@@ -88,8 +80,15 @@ class Os {
   Os& operator=(const Os&) = delete;
 
   // --- Files (contiguous regions of the backing device) ---
+  // A file occupies a 64 MB-aligned region: the lowest region a deleted file
+  // freed that is large enough, else fresh space past every region
+  // allocated so far.
   uint64_t CreateFile(int64_t size_bytes);
   int64_t FileBase(uint64_t file) const;
+  // Frees the file's region for reuse and drops its cached pages and its
+  // unflushed buffered writes. IO already in flight completes, but fills no
+  // cache pages. The file id is never handed out again.
+  void DeleteFile(uint64_t file);
 
   // --- Read syscall with SLO (§3.2) ---
   struct ReadArgs {
@@ -211,9 +210,16 @@ class Os {
   std::unique_ptr<sched::IoScheduler> scheduler_;
   std::unique_ptr<PageCache> cache_;
 
+  struct FileRegion {
+    int64_t base = 0;
+    int64_t bytes = 0;  // Aligned extent.
+    bool deleted = false;
+  };
   // File ids are handed out sequentially from 1; index = file id.
-  // file_bases_[0] is a sentinel for unknown handles.
-  std::vector<int64_t> file_bases_{0};
+  // files_[0] is a sentinel for unknown handles.
+  std::vector<FileRegion> files_{FileRegion{}};
+  // Regions of deleted files, sorted by base.
+  std::vector<FileRegion> free_regions_;
   int64_t next_alloc_ = 0;
   uint64_t next_io_ = 1;
 

@@ -139,8 +139,8 @@ void PageCache::InsertOne(uint64_t key) {
 }
 
 bool PageCache::Resident(uint64_t file, int64_t offset, int64_t len) const {
-  const int64_t first = offset / params_.page_size;
-  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / params_.page_size;
+  const int64_t first = offset / kPageSize;
+  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / kPageSize;
   for (int64_t p = first; p <= last; ++p) {
     if (FindIndex(Key(file, p)) == kNil) {
       return false;
@@ -150,16 +150,16 @@ bool PageCache::Resident(uint64_t file, int64_t offset, int64_t len) const {
 }
 
 void PageCache::Insert(uint64_t file, int64_t offset, int64_t len) {
-  const int64_t first = offset / params_.page_size;
-  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / params_.page_size;
+  const int64_t first = offset / kPageSize;
+  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / kPageSize;
   for (int64_t p = first; p <= last; ++p) {
     InsertOne(Key(file, p));
   }
 }
 
 void PageCache::Touch(uint64_t file, int64_t offset, int64_t len) {
-  const int64_t first = offset / params_.page_size;
-  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / params_.page_size;
+  const int64_t first = offset / kPageSize;
+  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / kPageSize;
   for (int64_t p = first; p <= last; ++p) {
     const uint32_t i = FindIndex(Key(file, p));
     if (i != kNil) {
@@ -170,8 +170,8 @@ void PageCache::Touch(uint64_t file, int64_t offset, int64_t len) {
 }
 
 void PageCache::EvictRange(uint64_t file, int64_t offset, int64_t len) {
-  const int64_t first = offset / params_.page_size;
-  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / params_.page_size;
+  const int64_t first = offset / kPageSize;
+  const int64_t last = (offset + (len > 0 ? len : 1) - 1) / kPageSize;
   for (int64_t p = first; p <= last; ++p) {
     const uint32_t i = FindIndex(Key(file, p));
     if (i != kNil) {

@@ -24,8 +24,9 @@
 
 namespace mitt::os {
 
+inline constexpr int64_t kPageSize = 4096;
+
 struct PageCacheParams {
-  int64_t page_size = 4096;
   size_t capacity_pages = 1 << 20;  // 4 GiB of 4 KiB pages.
 };
 

@@ -6,6 +6,21 @@
 #include "src/obs/trace.h"
 
 namespace mitt::resilience {
+namespace {
+
+// EWMA weight of the newest sample.
+constexpr double kEwmaAlpha = 0.25;
+// EBUSY-rate EWMA at or above which the breaker opens.
+constexpr double kOpenEbusyThreshold = 0.85;
+// Consecutive timeouts (no reply before the client's attempt timer) that
+// open the breaker regardless of the EWMAs.
+constexpr int kTimeoutStrikesToOpen = 2;
+// Cap of the escalating open window.
+constexpr DurationNs kOpenMax = Millis(1600);
+// Length of the transition log; further transitions count as dropped.
+constexpr size_t kTransitionLogCap = 65536;
+
+}  // namespace
 
 std::string_view BreakerStateName(BreakerState state) {
   switch (state) {
@@ -25,7 +40,7 @@ ReplicaHealthTracker::ReplicaHealthTracker(sim::Simulator* sim, int num_replicas
 
 void ReplicaHealthTracker::OnReply(int replica, DurationNs latency, bool ebusy) {
   ReplicaStats& s = stats_[Index(replica)];
-  const double a = options_.ewma_alpha;
+  const double a = kEwmaAlpha;
   s.ebusy_ewma = (1.0 - a) * s.ebusy_ewma + a * (ebusy ? 1.0 : 0.0);
   if (!ebusy) {
     const double sample = static_cast<double>(latency);
@@ -55,7 +70,7 @@ void ReplicaHealthTracker::OnWindow(int replica, uint64_t replies, uint64_t ebus
     return;
   }
   ReplicaStats& s = stats_[Index(replica)];
-  const double a = options_.ewma_alpha;
+  const double a = kEwmaAlpha;
   const double ebusy_frac =
       static_cast<double>(ebusy) / static_cast<double>(replies);
   s.ebusy_ewma = (1.0 - a) * s.ebusy_ewma + a * ebusy_frac;
@@ -80,8 +95,7 @@ void ReplicaHealthTracker::OnTimeout(int replica) {
     Open(replica);
     return;
   }
-  if (s.state == BreakerState::kClosed &&
-      s.timeout_strikes >= options_.timeout_strikes_to_open) {
+  if (s.state == BreakerState::kClosed && s.timeout_strikes >= kTimeoutStrikesToOpen) {
     Open(replica);
   }
 }
@@ -142,7 +156,7 @@ void ReplicaHealthTracker::MaybeOpen(int replica) {
   if (s.state != BreakerState::kClosed || s.samples < options_.min_samples) {
     return;
   }
-  if (s.ebusy_ewma >= options_.open_ebusy_threshold) {
+  if (s.ebusy_ewma >= kOpenEbusyThreshold) {
     Open(replica);
     return;
   }
@@ -171,10 +185,10 @@ void ReplicaHealthTracker::Open(int replica) {
   // lockstep. The jitter draw comes from the tracker's own seeded stream —
   // deterministic across runs and worker counts.
   DurationNs window = options_.open_base;
-  for (int i = 0; i < s.reopenings && window < options_.open_max; ++i) {
+  for (int i = 0; i < s.reopenings && window < kOpenMax; ++i) {
     window *= 2;
   }
-  window = std::min(window, options_.open_max);
+  window = std::min(window, kOpenMax);
   const double jitter = rng_.Uniform(-options_.open_jitter, options_.open_jitter);
   window += static_cast<DurationNs>(static_cast<double>(window) * jitter);
   if (window < Micros(1)) {
@@ -204,7 +218,7 @@ void ReplicaHealthTracker::Close(int replica) {
 
 void ReplicaHealthTracker::RecordTransition(int replica, BreakerState from, BreakerState to) {
   if (options_.record_transitions) {
-    if (transitions_.size() < options_.transition_log_cap) {
+    if (transitions_.size() < kTransitionLogCap) {
       transitions_.push_back({replica, from, to, sim_->Now()});
     } else {
       ++transitions_dropped_;

@@ -57,13 +57,9 @@ struct BreakerTransition {
 };
 
 struct ReplicaHealthOptions {
-  // EWMA weight of the newest sample.
-  double ewma_alpha = 0.25;
   // Minimum observations before a breaker may open (keeps healthy worlds
   // from tripping on startup noise).
   int min_samples = 12;
-  // EBUSY-rate EWMA at or above which the breaker opens.
-  double open_ebusy_threshold = 0.85;
   // Open when the replica's success-latency EWMA exceeds this multiple of
   // the healthiest replica's (and at least `latency_floor`). Clients raise
   // the floor to their SLO deadline: ordinary contention that still meets
@@ -71,17 +67,12 @@ struct ReplicaHealthOptions {
   // breaker's — only SLO-breaking latency marks a replica fail-slow.
   double latency_slow_factor = 4.0;
   DurationNs latency_floor = Millis(2);
-  // Consecutive timeouts (no reply before the client's attempt timer) that
-  // open the breaker regardless of the EWMAs.
-  int timeout_strikes_to_open = 2;
   // Open-window schedule: base * 2^(reopenings), capped, +/- jitter.
   DurationNs open_base = Millis(40);
-  DurationNs open_max = Millis(1600);
   double open_jitter = 0.25;  // Fraction of the window drawn as +/- jitter.
   // Keep an in-order BreakerTransition log (for the chaos oracles). Off by
   // default: long benches would otherwise grow an unbounded vector.
   bool record_transitions = false;
-  size_t transition_log_cap = 65536;  // Further transitions count as dropped.
 };
 
 class ReplicaHealthTracker {

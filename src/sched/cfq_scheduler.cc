@@ -5,6 +5,9 @@
 namespace mitt::sched {
 namespace {
 
+// Max IOs a single process may keep in the device queue at once.
+constexpr int kQuantum = 8;
+
 int ClassRank(IoClass c) { return static_cast<int>(c); }
 
 }  // namespace
@@ -209,7 +212,7 @@ void CfqScheduler::DispatchMore() {
       return;
     }
     ProcQueue* proc = active_;
-    if (proc->sorted.empty() || proc->in_device >= params_.quantum) {
+    if (proc->sorted.empty() || proc->in_device >= kQuantum) {
       // Nothing dispatchable from the active queue right now. If the block is
       // only the quantum, wait for a completion; if the queue is empty the
       // next SelectActive will rotate.

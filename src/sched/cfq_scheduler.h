@@ -42,8 +42,6 @@ struct CfqParams {
   // Slice for priority p (0 highest .. 7 lowest):
   //   slice = base_slice * (8 - p) / 4   (tunable, monotone in priority).
   DurationNs base_slice = Millis(40);
-  // Max IOs a single process may keep in the device queue at once.
-  int quantum = 8;
 };
 
 class CfqScheduler : public IoScheduler {

@@ -86,9 +86,8 @@ struct IoRequest {
   int64_t file_offset = 0;  // Offset within `file` (device offset minus base).
   bool fill_cache = false;  // Populate the page cache on completion.
 
-  // --- SSD bookkeeping (device sub-IO fan-out, predictor shadow) ---
+  // --- SSD bookkeeping (device sub-IO fan-out) ---
   int32_t subs_remaining = 0;  // Sub-IOs still in flight (SsdModel).
-  bool ssd_tracked = false;    // MittSSD shadow accounting covers this IO.
 
   // --- MittCFQ tolerance-wheel intrusive links (src/os/mitt_cfq.h) ---
   IoRequest* tol_prev = nullptr;
@@ -103,14 +102,14 @@ struct IoRequest {
   IoCompletionFn on_complete;
 
   // End-of-syscall delivery, fired by the Os layer after on_complete's
-  // bookkeeping; null for kernel-internal IOs (destages, GC, prefetch).
+  // bookkeeping; null for kernel-internal IOs (destages, prefetch).
   IoDoneFn done;
 
   bool has_deadline() const { return deadline != kNoDeadline; }
 };
 
 // Pooled descriptors. Owners: Os (syscall-layer descriptors), DiskModel
-// (NVRAM destages), SsdGc (garbage-collection IOs).
+// (NVRAM destages).
 using IoRequestPool = SlotPool<IoRequest>;
 
 }  // namespace mitt::sched

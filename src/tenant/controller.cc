@@ -4,6 +4,12 @@
 #include <cstddef>
 
 namespace mitt::tenant {
+namespace {
+
+// A node whose window pressure exceeds this multiple of the cluster mean is hot.
+constexpr double kOverloadFactor = 2.0;
+
+}  // namespace
 
 PlacementController::PlacementController(sim::ShardedEngine* engine,
                                          const TenantDirectory* directory,
@@ -15,7 +21,7 @@ PlacementController::PlacementController(sim::ShardedEngine* engine,
       num_nodes_(num_nodes),
       probe_(std::move(probe)),
       options_(options),
-      health_(engine->shard(0), num_nodes, options.health, options.seed),
+      health_(engine->shard(0), num_nodes, resilience::ReplicaHealthOptions{}, options.seed),
       prev_(static_cast<size_t>(num_nodes)),
       prev_tenant_gets_(static_cast<size_t>(num_nodes) * directory->num_tenants(), 0),
       pressure_(static_cast<size_t>(num_nodes), 0.0),
@@ -81,12 +87,10 @@ void PlacementController::TickOnce() {
         weighted_load += weight_[t] * static_cast<double>(d_tg);
         prev_tg[t] = cum;
       }
-      // Weight-aware load units: a gold get occupies `weight` units of a
-      // node's capacity share, so a node serving few-but-gold tenants reads
-      // as loaded as one serving many bronze mice.
-      if (options_.weight_aware) {
-        load_[ni] = weighted_load;
-      }
+      // Weighted load units: a gold get occupies `weight` units of a node's
+      // capacity share, so a node serving few-but-gold tenants reads as
+      // loaded as one serving many bronze mice.
+      load_[ni] = weighted_load;
     }
   }
 
@@ -101,7 +105,7 @@ void PlacementController::TickOnce() {
     }
     return win_dispatches_[ni] >= options_.min_window_dispatches &&
            pressure_[ni] >= static_cast<double>(options_.pressure_floor) &&
-           pressure_[ni] > options_.overload_factor * mean_pressure;
+           pressure_[ni] > kOverloadFactor * mean_pressure;
   };
   for (int i = 0; i < num_nodes_; ++i) {
     if (is_hot(i)) {
@@ -159,11 +163,10 @@ void PlacementController::TickOnce() {
       }
     }
     // Within a priority tier the drain rate is measured in the same units as
-    // keep_load: weighted gets when weight_aware (a weight-8 whale at 3 gets
-    // outranks a weight-1 mouse at 5), raw gets otherwise.
+    // keep_load: weighted gets (a weight-8 whale at 3 gets outranks a
+    // weight-1 mouse at 5).
     auto drain_rate = [this](TenantId t) {
-      const double rate = static_cast<double>(tenant_rate_[t]);
-      return options_.weight_aware ? weight_[t] * rate : rate;
+      return weight_[t] * static_cast<double>(tenant_rate_[t]);
     };
     std::stable_sort(drain_list_.begin(), drain_list_.end(),
                      [this, &drain_rate](TenantId a, TenantId b) {

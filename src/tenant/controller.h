@@ -14,13 +14,19 @@
 // EBUSY storm or fail-slow latency opens the node's breaker and marks it
 // unplaceable even when raw pressure looks survivable.
 //
-// A node is *hot* when its pressure exceeds `overload_factor` x the cluster
-// mean (with enough window dispatches to trust the number) or its breaker is
-// open. Hot nodes are drained tenant-by-tenant — strictest SLO class first,
-// then highest measured window rate (whales move first because moving one
-// whale fixes more pressure than moving a hundred mice) — onto the
-// least-loaded healthy nodes, capped per tick, with a per-tenant cooldown so
-// placements do not thrash.
+// A node is *hot* when its pressure exceeds twice the cluster mean (with
+// enough window dispatches to trust the number) or its breaker is open. Hot
+// nodes are drained tenant-by-tenant — strictest SLO class first, then
+// highest measured window rate (whales move first because moving one whale
+// fixes more pressure than moving a hundred mice) — onto the least-loaded
+// healthy nodes, capped per tick, with a per-tenant cooldown so placements
+// do not thrash.
+//
+// Node load, keep_load and the drain order are measured in SloClass::weight-
+// scaled get units, so a gold get (weight 4) counts 4x a bronze get: a hot
+// node sheds the tenants that free the most *weighted* capacity first, and
+// keeps raw-get mice whose weighted footprint is small. A node whose probe
+// carries no per-tenant counts loads in raw gets.
 //
 // Determinism: every tick runs as a quiesced sim::ShardedEngine global event,
 // so all shards observe each migration at the same simulated instant; inputs
@@ -59,9 +65,9 @@ struct NodeProbe {
 };
 
 struct PlacementControllerOptions {
+  // Tick period; the first tick fires at start time + period (Start()
+  // stamps the start).
   DurationNs period = Millis(200);
-  // First tick fires at start time + period (Start() stamps the start).
-  double overload_factor = 2.0;
   // Windows with fewer dispatches than this cannot mark a node hot (the
   // pressure estimate is noise at tiny denominators).
   uint64_t min_window_dispatches = 16;
@@ -71,15 +77,6 @@ struct PlacementControllerOptions {
   // Absolute pressure below which a node is never hot, whatever the ratio to
   // the mean (keeps idle clusters from rebalancing on microscopic waits).
   DurationNs pressure_floor = Micros(500);
-  // Weight-aware drain accounting: node load, keep_load, and the per-tenant
-  // "whales first" drain order are measured in SloClass::weight-scaled get
-  // units instead of raw gets, so a gold get (weight 4) counts 4x a bronze
-  // get. A hot node then sheds the tenants that free the most *weighted*
-  // capacity first, and keeps raw-get mice whose weighted footprint is small.
-  // Requires per-(node, tenant) accounting in the probes; nodes without it
-  // fall back to raw gets. Off = the pre-weight behavior (raw gets).
-  bool weight_aware = true;
-  resilience::ReplicaHealthOptions health;
   uint64_t seed = 1;
 };
 

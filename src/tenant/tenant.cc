@@ -1,8 +1,15 @@
 #include "src/tenant/tenant.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mitt::tenant {
+namespace {
+
+// Each tenant's gets draw from its own stripe of this many keys.
+constexpr uint64_t kKeysPerTenant = 512;
+
+}  // namespace
 
 std::vector<SloClass> TenantDirectory::DefaultClasses() {
   return {
@@ -16,14 +23,7 @@ TenantDirectory TenantDirectory::BuildMix(const MixOptions& options) {
   TenantDirectory dir;
   std::vector<SloClass> classes =
       options.classes.empty() ? DefaultClasses() : options.classes;
-  std::vector<double> share = options.class_share;
-  if (share.size() != classes.size()) {
-    share.assign(classes.size(), 1.0);
-  }
-  double share_sum = 0;
-  for (double s : share) {
-    share_sum += s;
-  }
+  const auto num_classes = static_cast<uint32_t>(classes.size());
   for (const SloClass& c : classes) {
     dir.AddClass(c);
   }
@@ -37,29 +37,23 @@ TenantDirectory TenantDirectory::BuildMix(const MixOptions& options) {
   std::vector<double> raw(n);
   double raw_sum = 0;
   for (uint32_t t = 0; t < n; ++t) {
-    // Class by share, from the directory's own seeded stream.
-    double draw = rng.NextDouble() * share_sum;
-    uint32_t c = 0;
-    while (c + 1 < share.size() && draw >= share[c]) {
-      draw -= share[c];
-      ++c;
-    }
+    // Class by equal shares, from the directory's own seeded stream.
+    const double draw = rng.NextDouble() * static_cast<double>(num_classes);
+    const uint32_t c = std::min(static_cast<uint32_t>(draw), num_classes - 1);
     cls_of[t] = c;
     raw[t] = classes[c].weight /
              std::pow(static_cast<double>(t + 1), options.rate_zipf_theta);
     raw_sum += raw[t];
   }
 
-  const uint64_t span =
-      options.keys_per_tenant > 0 ? options.keys_per_tenant : 1;
   for (uint32_t t = 0; t < n; ++t) {
     TenantSpec spec;
     spec.cls = cls_of[t];
     spec.rate_hz = options.total_rate_hz * raw[t] / raw_sum;
     // Stripe key ranges over the keyspace; wraparound is fine (the store
     // slots keys modulo num_keys anyway).
-    spec.key_base = (static_cast<uint64_t>(t) * span) % options.keyspace;
-    spec.key_span = span;
+    spec.key_base = (static_cast<uint64_t>(t) * kKeysPerTenant) % options.keyspace;
+    spec.key_span = kKeysPerTenant;
     dir.AddTenant(spec);
   }
   return dir;

@@ -53,10 +53,8 @@ struct MixOptions {
   // Zipf exponent over tenant rank for the rate mix (0 = uniform rates).
   double rate_zipf_theta = 0.9;
   uint64_t keyspace = 1 << 20;
-  uint64_t keys_per_tenant = 512;
-  // Classes and the fraction of tenants assigned to each (normalized).
+  // Classes; each takes an equal share of the tenants.
   std::vector<SloClass> classes;
-  std::vector<double> class_share;
   uint64_t seed = 1;
 };
 

@@ -1,14 +1,5 @@
 #include "src/trace/cursor.h"
 
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define MITT_TRACE_HAS_MMAP 1
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
-
 namespace mitt::trace {
 namespace {
 
@@ -128,11 +119,8 @@ std::unique_ptr<FileTraceCursor> FileTraceCursor::Open(const std::string& path,
 
 FileTraceCursor::FileTraceCursor(std::FILE* file, const TraceHeader& header)
     : file_(file), header_(header) {
-  TryMmap();
   const size_t cap = header_.block_records;
-  if (map_ == nullptr) {
-    raw_.resize(cap * kRecordBytes);  // fread scratch; unneeded when mapped.
-  }
+  raw_.resize(cap * kRecordBytes);
   arrival_us_.resize(cap);
   offset_.resize(cap);
   len_.resize(cap);
@@ -141,30 +129,7 @@ FileTraceCursor::FileTraceCursor(std::FILE* file, const TraceHeader& header)
   Reset();
 }
 
-void FileTraceCursor::TryMmap() {
-#ifdef MITT_TRACE_HAS_MMAP
-  if (const char* env = std::getenv("MITT_TRACE_MMAP"); env != nullptr && env[0] == '0') {
-    return;  // Forced fread fallback (tests cover both paths with one file).
-  }
-  const size_t bytes = static_cast<size_t>(header_.FileBytes());
-  if (bytes == 0) {
-    return;
-  }
-  void* map = mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fileno(file_), 0);
-  if (map == MAP_FAILED) {
-    return;  // Silent fallback: fread serves every read below.
-  }
-  map_ = static_cast<const unsigned char*>(map);
-  map_size_ = bytes;
-#endif
-}
-
 FileTraceCursor::~FileTraceCursor() {
-#ifdef MITT_TRACE_HAS_MMAP
-  if (map_ != nullptr) {
-    munmap(const_cast<unsigned char*>(map_), map_size_);
-  }
-#endif
   if (file_ != nullptr) {
     std::fclose(file_);
   }
@@ -181,14 +146,8 @@ void FileTraceCursor::Reset() {
 bool FileTraceCursor::LoadBlock(uint64_t block) {
   const uint32_t n = header_.RecordsInBlock(block);
   const size_t bytes = static_cast<size_t>(n) * kRecordBytes;
-  const unsigned char* p;
-  if (map_ != nullptr) {
-    // Decode straight out of the mapping; Open() verified the exact file
-    // size, so the block extent is always inside the map.
-    p = map_ + header_.BlockFileOffset(block);
-  } else if (std::fseek(file_, static_cast<long>(header_.BlockFileOffset(block)), SEEK_SET) !=
-                 0 ||
-             std::fread(raw_.data(), 1, bytes, file_) != bytes) {
+  if (std::fseek(file_, static_cast<long>(header_.BlockFileOffset(block)), SEEK_SET) != 0 ||
+      std::fread(raw_.data(), 1, bytes, file_) != bytes) {
     // Open() verified the exact file size, so this only fires if the file
     // shrank underneath us; treat it as end-of-trace rather than corrupting
     // the replay with stale scratch.
@@ -196,9 +155,8 @@ bool FileTraceCursor::LoadBlock(uint64_t block) {
     block_n_ = 0;
     pos_ = 0;
     return false;
-  } else {
-    p = raw_.data();
   }
+  const unsigned char* p = raw_.data();
   for (uint32_t i = 0; i < n; ++i, p += 8) {
     arrival_us_[i] = LoadLe64(p);
   }
@@ -244,17 +202,13 @@ bool FileTraceCursor::Next(TraceEvent* out) {
 
 bool FileTraceCursor::ReadIndexEntry(uint64_t block, BlockIndexEntry* out) {
   unsigned char buf[kIndexEntryBytes];
-  const unsigned char* p = buf;
-  if (map_ != nullptr) {
-    p = map_ + header_.IndexOffset() + block * kIndexEntryBytes;
-  } else if (std::fseek(file_,
-                        static_cast<long>(header_.IndexOffset() + block * kIndexEntryBytes),
-                        SEEK_SET) != 0 ||
-             std::fread(buf, 1, kIndexEntryBytes, file_) != kIndexEntryBytes) {
+  if (std::fseek(file_, static_cast<long>(header_.IndexOffset() + block * kIndexEntryBytes),
+                 SEEK_SET) != 0 ||
+      std::fread(buf, 1, kIndexEntryBytes, file_) != kIndexEntryBytes) {
     return false;
   }
-  out->first_arrival_us = LoadLe64(p);
-  out->last_arrival_us = LoadLe64(p + 8);
+  out->first_arrival_us = LoadLe64(buf);
+  out->last_arrival_us = LoadLe64(buf + 8);
   return true;
 }
 

@@ -43,13 +43,8 @@ class TraceCursor {
 // on-disk index is consulted by SeekToTimeUs via per-probe reads and never
 // loaded wholesale.
 //
-// IO path: the file is mmap'd read-only when the platform allows it —
-// LoadBlock decodes straight out of the mapping (no payload copy, and the
-// page cache is shared across the per-shard cursors a sharded replay opens
-// on the same trace). When mmap is unavailable or fails (or
-// MITT_TRACE_MMAP=0 forces it off), every read falls back to the original
-// fseek+fread path. Both paths decode the same bytes through the same
-// column loop, so the yielded records are byte-identical either way.
+// IO path: fseek+fread, one block (or one 16-byte index entry) per read,
+// into the cursor's own scratch buffer.
 class FileTraceCursor : public TraceCursor {
  public:
   // Opens and fully validates `path` (magic, version, checksums, count
@@ -76,22 +71,15 @@ class FileTraceCursor : public TraceCursor {
   // Records already yielded by Next() since the last Reset/Seek (replay
   // progress reporting).
   uint64_t position() const { return yielded_; }
-  // True when blocks are served from the mmap'd file (tests exercise both).
-  bool mmapped() const { return map_ != nullptr; }
 
  private:
   FileTraceCursor(std::FILE* file, const TraceHeader& header);
 
-  void TryMmap();
   bool LoadBlock(uint64_t block);
   bool ReadIndexEntry(uint64_t block, BlockIndexEntry* out);
 
   std::FILE* file_ = nullptr;
   TraceHeader header_;
-
-  // Read-only mapping of the whole file (null = fread fallback).
-  const unsigned char* map_ = nullptr;
-  size_t map_size_ = 0;
 
   // Decoded current block (struct-of-arrays, capacity = block_records).
   std::vector<unsigned char> raw_;

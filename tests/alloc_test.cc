@@ -166,9 +166,9 @@ uint64_t SteadyAllocs(os::BackendKind backend, uint64_t warmup_ios, uint64_t ste
     s->Issue();
   }
   // Warm up by IO count *and* simulated time: the background flush fires
-  // every flush_interval, and its batch submission sets the device queues'
+  // every kFlushInterval, and its batch submission sets the device queues'
   // high-water marks — several flush cycles must land inside warmup.
-  const TimeNs warm_until = opt.flush_interval * 6;
+  const TimeNs warm_until = os::kFlushInterval * 6;
   sim.RunUntilPredicate(
       [&total, warmup_ios, &sim, warm_until] { return total >= warmup_ios && sim.Now() >= warm_until; });
 
@@ -379,28 +379,28 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
   Rng rng(5);
   const int64_t span = 4 * static_cast<int64_t>(params.capacity_pages);
   for (int i = 0; i < 20'000; ++i) {
-    cache.Insert(1, rng.UniformInt(0, span - 1) * params.page_size, params.page_size);
+    cache.Insert(1, rng.UniformInt(0, span - 1) * os::kPageSize, os::kPageSize);
   }
   ASSERT_EQ(cache.resident_pages(), params.capacity_pages);
 
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 50'000; ++i) {
-    const int64_t off = rng.UniformInt(0, span - 1) * params.page_size;
+    const int64_t off = rng.UniformInt(0, span - 1) * os::kPageSize;
     switch (i & 3) {
       case 0:
-        cache.Insert(1, off, params.page_size);
+        cache.Insert(1, off, os::kPageSize);
         break;
       case 1:
-        cache.Touch(1, off, params.page_size);
+        cache.Touch(1, off, os::kPageSize);
         break;
       case 2:
-        (void)cache.Resident(1, off, params.page_size);
+        (void)cache.Resident(1, off, os::kPageSize);
         break;
       case 3:
         if ((i & 63) == 3) {
-          cache.EvictRange(1, off, params.page_size);
+          cache.EvictRange(1, off, os::kPageSize);
         } else {
-          cache.Insert(1, off, params.page_size);
+          cache.Insert(1, off, os::kPageSize);
         }
         break;
     }

@@ -113,11 +113,11 @@ TEST(CorpusSerdeTest, MissingWorldLineAndUnknownKeysFailLoudly) {
 // --- Mutator ---------------------------------------------------------------
 
 void ExpectCanonical(const FaultPlan& plan, const chaos::MutatorOptions& opt) {
-  EXPECT_LE(plan.size(), opt.max_episodes);
+  EXPECT_LE(plan.size(), chaos::kMaxPlanEpisodes);
   for (const FaultEpisode& e : plan.episodes()) {
     EXPECT_GE(e.start, 0);
     EXPECT_LE(e.end(), opt.horizon) << fault::EpisodeToLine(e);
-    EXPECT_GE(e.duration, opt.min_duration);
+    EXPECT_GE(e.duration, chaos::kMinEpisodeDuration);
     EXPECT_GE(e.node, -1);
     EXPECT_LT(e.node, opt.num_nodes);
     if (e.kind == FaultKind::kNetworkDrop) {

@@ -221,7 +221,7 @@ TEST_F(ClientFixture, SnitchLearnsPersistentSlowNode) {
 
 TEST_F(ClientFixture, C3AvoidsSlowReplicaEventually) {
   Build(false, 0);
-  C3Strategy c3(&sim_, cluster_.get(), 1, C3Strategy::Options{});
+  C3Strategy c3(&sim_, cluster_.get(), 1);
   sim_.RunUntil(Millis(100));
   const uint64_t key = KeyWithPrimary(0);
   for (int i = 0; i < 8; ++i) {

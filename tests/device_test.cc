@@ -296,19 +296,6 @@ TEST_F(SsdModelTest, SlowPageWriteTakesLonger) {
               static_cast<double>(Micros(80)));
 }
 
-TEST_F(SsdModelTest, GcInjectsChipNoise) {
-  SsdModel ssd(&sim_, params_, 9);
-  ssd.set_completion_listener(nullptr);
-  SsdGc::Options opt;
-  opt.mean_interval = Millis(5);
-  SsdGc gc(&sim_, &ssd, opt, 10);
-  gc.Start();
-  sim_.RunUntil(Millis(200));
-  gc.Stop();
-  EXPECT_GT(gc.rounds(), 10u);
-  EXPECT_GT(ssd.completed_count(), 10u);
-}
-
 TEST(SsdProfileTest, LearnsPaperConstants) {
   sim::Simulator sim;
   SsdParams params;

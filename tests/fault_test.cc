@@ -277,7 +277,7 @@ TEST(NetworkFaultTest, DropIsLostThenRetransmitted) {
   net.Deliver(2, [&]() mutable { delivered = sim.Now(); });
   sim.Run();
   // Lost, then redelivered one retransmit timeout later — never vanished.
-  EXPECT_EQ(delivered, params.one_way + params.retransmit_timeout);
+  EXPECT_EQ(delivered, params.one_way + cluster::kRetransmitTimeout);
   EXPECT_EQ(net.messages_dropped(), 1u);
   EXPECT_EQ(net.messages_delivered(), 1u);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -135,6 +136,37 @@ TEST_F(LsmTreeTest, CompactionMergesL0IntoL1) {
   }
   sim_.Run();
   EXPECT_EQ(found, 500);
+}
+
+// A finished compaction deletes its input tables: their pages leave the page
+// cache, and a file created afterwards takes a freed region instead of fresh
+// space past every region ever allocated.
+TEST_F(LsmTreeTest, CompactionFreesInputTablesForReuse) {
+  LsmTree::Options opt;
+  opt.memtable_flush_bytes = 32 << 10;
+  opt.l0_compaction_trigger = 3;
+  LsmTree tree(&sim_, os_.get(), opt);
+  std::vector<uint64_t> keys(4096);
+  std::iota(keys.begin(), keys.end(), 0);
+  tree.BulkLoad(keys);
+  // File ids run from 1 in creation order: the WAL, then the one L1 table.
+  const uint64_t bulk_table = 2;
+  os_->Prefault(bulk_table, 0, 64 << 10);
+  ASSERT_TRUE(os_->cache().Resident(bulk_table, 0, 64 << 10));
+
+  for (uint64_t k = 0; k < 500; ++k) {
+    tree.Put(k * 13, nullptr);
+  }
+  sim_.Run();
+  ASSERT_GE(tree.compactions_done(), 2u);
+  EXPECT_FALSE(os_->cache().Resident(bulk_table, 0, 4096));
+
+  const uint64_t next = os_->CreateFile(4096);
+  int64_t highest = 0;
+  for (uint64_t f = 1; f < next; ++f) {
+    highest = std::max(highest, os_->FileBase(f));
+  }
+  EXPECT_LT(os_->FileBase(next), highest);
 }
 
 TEST_F(LsmTreeTest, GetFromMemtableIsInstant) {

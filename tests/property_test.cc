@@ -258,12 +258,12 @@ TEST_P(PageCacheProperty, CapacityNeverExceededAndInsertedIsResident) {
   for (int i = 0; i < 2000; ++i) {
     const uint64_t file = static_cast<uint64_t>(rng.UniformInt(1, 4));
     const int64_t offset = rng.UniformInt(0, 1 << 24);
-    const int64_t len = rng.UniformInt(1, 4 * params.page_size);
+    const int64_t len = rng.UniformInt(1, 4 * os::kPageSize);
     cache.Insert(file, offset, len);
     EXPECT_LE(cache.resident_pages(), params.capacity_pages);
     // The tail of the inserted range must be resident (it is the MRU end;
     // the head may already have been evicted if len ~ capacity).
-    const int64_t last_page_off = (offset + len - 1) / params.page_size * params.page_size;
+    const int64_t last_page_off = (offset + len - 1) / os::kPageSize * os::kPageSize;
     EXPECT_TRUE(cache.Resident(file, last_page_off, 1));
   }
 }
@@ -272,12 +272,12 @@ TEST_P(PageCacheProperty, EvictRangeRemovesExactlyThatRange) {
   Rng rng(GetParam() ^ 1);
   os::PageCacheParams params;
   os::PageCache cache(params);
-  cache.Insert(1, 0, 64 * params.page_size);
+  cache.Insert(1, 0, 64 * os::kPageSize);
   const int64_t victim_page = rng.UniformInt(8, 32);
-  cache.EvictRange(1, victim_page * params.page_size, params.page_size);
-  EXPECT_FALSE(cache.Resident(1, victim_page * params.page_size, 1));
-  EXPECT_TRUE(cache.Resident(1, (victim_page - 1) * params.page_size, 1));
-  EXPECT_TRUE(cache.Resident(1, (victim_page + 1) * params.page_size, 1));
+  cache.EvictRange(1, victim_page * os::kPageSize, os::kPageSize);
+  EXPECT_FALSE(cache.Resident(1, victim_page * os::kPageSize, 1));
+  EXPECT_TRUE(cache.Resident(1, (victim_page - 1) * os::kPageSize, 1));
+  EXPECT_TRUE(cache.Resident(1, (victim_page + 1) * os::kPageSize, 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageCacheProperty, ::testing::Values(31, 32, 33, 34));

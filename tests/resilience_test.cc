@@ -664,7 +664,7 @@ void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, cluster::Cluster& cluster
                                  client::TimeoutStrategy::Options::Hedged(Millis(12)));
   client::CloneStrategy clone(&sim, &cluster, seed);
   client::SnitchStrategy snitch(&sim, &cluster, seed, client::SnitchStrategy::Options{});
-  client::C3Strategy c3(&sim, &cluster, seed, client::C3Strategy::Options{});
+  client::C3Strategy c3(&sim, &cluster, seed);
   client::MittosStrategy mittos(&sim, &cluster, seed, mopt);
   client::MittosStrategy mittos_wait(&sim, &cluster, seed, wopt);
   client::MittosStrategy resilient(&sim, &cluster, seed, ropt);

@@ -288,59 +288,49 @@ TEST(PlacementControllerTest, CooldownPinsMigratedTenants) {
 
 // Weight-aware drain: with equal priorities, the drain order and the load a
 // hot node sheds are measured in SloClass::weight-scaled units, so a gold
-// whale (weight 8, 3 gets) outranks a bronze mouse (weight 1, 5 gets). The
-// raw-gets mode (weight_aware=false) picks the mouse — the pre-weight
-// behavior, kept as the control arm of this scripted scenario.
+// whale (weight 8, 3 gets) outranks a bronze mouse (weight 1, 5 gets). By raw
+// gets the mouse would move first, so only the weighting moves the whale.
 TEST(PlacementControllerTest, WeightAwareDrainMovesWeightedWhaleFirst) {
-  for (const bool weight_aware : {true, false}) {
-    sim::ShardedEngine engine({});
-    TenantDirectory dir;
-    dir.AddClass({"gold", Millis(10), /*weight=*/8.0, /*priority=*/0});
-    dir.AddClass({"bronze", Millis(50), /*weight=*/1.0, /*priority=*/0});
-    dir.AddTenant({/*cls=*/0, 100.0, 0, 64});  // Tenant 0: the gold whale.
-    for (int i = 0; i < 5; ++i) {
-      dir.AddTenant({/*cls=*/1, 100.0, 64, 64});  // Tenants 1..5: bronze mice.
-    }
-    PlacementMap map = PlacementMap::Uniform(dir.num_tenants(), 4, 2, 1);
-    for (TenantId t = 0; t < dir.num_tenants(); ++t) {
-      ReplicaGroup g;
-      g.size = 2;
-      g.node[0] = 0;
-      g.node[1] = 1;
-      map.Assign(t, g);  // Everyone homed on node 0.
-    }
-    FakeNodes nodes(4, dir.num_tenants());
-    PlacementControllerOptions options;
-    options.min_window_dispatches = 4;
-    options.pressure_floor = Micros(500);
-    options.max_migrations_per_tick = 1;
-    options.weight_aware = weight_aware;
-    PlacementController c(&engine, &dir, &map, 4, nodes.probe(), options);
-
-    c.TickOnce();  // Baseline probe (all counters zero).
-    // One hot window on node 0: gold tenant 0 serves 3 gets, bronze tenant 1
-    // serves 5, at 3 ms mean wait; healthy nodes serve 8 gets at 200 us.
-    for (int i = 0; i < 4; ++i) {
-      FakeNodes::Node& n = nodes.nodes[static_cast<size_t>(i)];
-      n.dispatches += 8;
-      n.gets += 8;
-      n.wait_sum_ns += 8 * static_cast<uint64_t>(i == 0 ? Millis(3) : Micros(200));
-    }
-    nodes.nodes[0].tenant_gets[0] += 3;
-    nodes.nodes[0].tenant_gets[1] += 5;
-    c.TickOnce();
-
-    ASSERT_EQ(c.migrations(), 1u) << "weight_aware=" << weight_aware;
-    if (weight_aware) {
-      // Weighted rates: gold 8*3=24 beats bronze 1*5=5 — the whale moves.
-      EXPECT_NE(map.primary(0), 0) << "gold whale should drain first";
-      EXPECT_EQ(map.primary(1), 0);
-    } else {
-      // Raw rates: bronze 5 beats gold 3 — the mouse moves.
-      EXPECT_EQ(map.primary(0), 0);
-      EXPECT_NE(map.primary(1), 0) << "raw-get mouse should drain first";
-    }
+  sim::ShardedEngine engine({});
+  TenantDirectory dir;
+  dir.AddClass({"gold", Millis(10), /*weight=*/8.0, /*priority=*/0});
+  dir.AddClass({"bronze", Millis(50), /*weight=*/1.0, /*priority=*/0});
+  dir.AddTenant({/*cls=*/0, 100.0, 0, 64});  // Tenant 0: the gold whale.
+  for (int i = 0; i < 5; ++i) {
+    dir.AddTenant({/*cls=*/1, 100.0, 64, 64});  // Tenants 1..5: bronze mice.
   }
+  PlacementMap map = PlacementMap::Uniform(dir.num_tenants(), 4, 2, 1);
+  for (TenantId t = 0; t < dir.num_tenants(); ++t) {
+    ReplicaGroup g;
+    g.size = 2;
+    g.node[0] = 0;
+    g.node[1] = 1;
+    map.Assign(t, g);  // Everyone homed on node 0.
+  }
+  FakeNodes nodes(4, dir.num_tenants());
+  PlacementControllerOptions options;
+  options.min_window_dispatches = 4;
+  options.pressure_floor = Micros(500);
+  options.max_migrations_per_tick = 1;
+  PlacementController c(&engine, &dir, &map, 4, nodes.probe(), options);
+
+  c.TickOnce();  // Baseline probe (all counters zero).
+  // One hot window on node 0: gold tenant 0 serves 3 gets, bronze tenant 1
+  // serves 5, at 3 ms mean wait; healthy nodes serve 8 gets at 200 us.
+  for (int i = 0; i < 4; ++i) {
+    FakeNodes::Node& n = nodes.nodes[static_cast<size_t>(i)];
+    n.dispatches += 8;
+    n.gets += 8;
+    n.wait_sum_ns += 8 * static_cast<uint64_t>(i == 0 ? Millis(3) : Micros(200));
+  }
+  nodes.nodes[0].tenant_gets[0] += 3;
+  nodes.nodes[0].tenant_gets[1] += 5;
+  c.TickOnce();
+
+  ASSERT_EQ(c.migrations(), 1u);
+  // Weighted rates: gold 8*3=24 beats bronze 1*5=5 — the whale moves.
+  EXPECT_NE(map.primary(0), 0) << "gold whale should drain first";
+  EXPECT_EQ(map.primary(1), 0);
 }
 
 TEST(PlacementControllerTest, MigrationBudgetCapsEachTick) {

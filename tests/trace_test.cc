@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -89,16 +88,7 @@ std::vector<trace::TraceEvent> MakeEvents(size_t n) {
 
 // --- Format round-trip ---
 
-// FileTraceCursor reads through an mmap of the file by default, and through
-// fseek+fread, the only path off POSIX, under MITT_TRACE_MMAP=0. The tests
-// below run on both paths: first the default, then in this scope.
-class FreadPathScope {
- public:
-  FreadPathScope() { setenv("MITT_TRACE_MMAP", "0", /*overwrite=*/1); }
-  ~FreadPathScope() { unsetenv("MITT_TRACE_MMAP"); }
-};
-
-void CheckRoundTrip(bool mmapped) {
+TEST(TraceFormatTest, RoundTripIsExactAcrossBlocks) {
   const std::string path = TempPath("roundtrip.mitttrace");
   const auto events = MakeEvents(1000);  // 64-record blocks -> 16 blocks, partial tail.
   ASSERT_TRUE(WriteTrace(path, events, /*block_records=*/64));
@@ -106,7 +96,6 @@ void CheckRoundTrip(bool mmapped) {
   std::string error;
   auto cursor = trace::FileTraceCursor::Open(path, &error);
   ASSERT_NE(cursor, nullptr) << error;
-  EXPECT_EQ(cursor->mmapped(), mmapped);
   EXPECT_EQ(cursor->header().record_count, events.size());
   EXPECT_EQ(cursor->header().num_blocks, (events.size() + 63) / 64);
   EXPECT_EQ(cursor->header().num_streams, 5u);
@@ -129,12 +118,6 @@ void CheckRoundTrip(bool mmapped) {
   ASSERT_TRUE(cursor->Next(&got));
   EXPECT_EQ(got.at, events[0].at);
   std::remove(path.c_str());
-}
-
-TEST(TraceFormatTest, RoundTripIsExactAcrossBlocks) {
-  CheckRoundTrip(/*mmapped=*/true);
-  FreadPathScope fread_path;
-  CheckRoundTrip(/*mmapped=*/false);
 }
 
 TEST(TraceFormatTest, SpanBytesDerivedFromLargestExtent) {
@@ -293,8 +276,7 @@ TEST_F(TraceValidationTest, RejectsTornUnfinishedFile) {
 
 // --- Seek-by-time ---
 
-// The fread run also covers ReadIndexEntry's fread branch.
-void CheckSeek(bool mmapped) {
+TEST(TraceSeekTest, SeekMatchesLinearScan) {
   const std::string path = TempPath("seek.mitttrace");
   const auto events = MakeEvents(500);  // Arrivals every 7 us -> last at 3493 us.
   ASSERT_TRUE(WriteTrace(path, events, /*block_records=*/32));
@@ -302,7 +284,6 @@ void CheckSeek(bool mmapped) {
   std::string error;
   auto cursor = trace::FileTraceCursor::Open(path, &error);
   ASSERT_NE(cursor, nullptr) << error;
-  EXPECT_EQ(cursor->mmapped(), mmapped);
 
   for (const uint64_t probe_us : {0ULL, 1ULL, 7ULL, 100ULL, 333ULL, 1750ULL, 3493ULL}) {
     // Reference: first event with arrival >= probe, by linear scan.
@@ -329,12 +310,6 @@ void CheckSeek(bool mmapped) {
   ASSERT_TRUE(cursor->Next(&got));
   EXPECT_EQ(got.at, events[0].at);
   std::remove(path.c_str());
-}
-
-TEST(TraceSeekTest, SeekMatchesLinearScan) {
-  CheckSeek(/*mmapped=*/true);
-  FreadPathScope fread_path;
-  CheckSeek(/*mmapped=*/false);
 }
 
 // --- Synthetic cursor unification ---
