@@ -54,9 +54,8 @@ LatencyRecorder Replay(const workload::TraceProfile& profile, const AccuracyOpti
     ScheduleFailSlowRamp(sim, target.get(), options);
   }
 
-  // Same trace stream GenerateTrace used to materialize, now replayed
-  // through the shared cursor + open-loop driver (constant memory, any
-  // max_ios).
+  // The profile's synthetic trace, replayed through the shared cursor +
+  // open-loop driver (constant memory, any max_ios).
   workload::SyntheticTraceCursor cursor(profile, Seconds(600), options.seed ^ 0x7ACE);
   trace::TraceReplayDriver::Options ropt;
   ropt.rate_scale = options.rate_scale;

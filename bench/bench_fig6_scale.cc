@@ -46,8 +46,8 @@ int main() {
   base_opt.noise = harness::NoiseKind::kEc2;
   base_opt.ec2 = harness::CompressedEc2Noise();
   base_opt.seed = 20170102;
-  base_opt.num_shards = 4;  // Shard even this small ring so the PDES engine
-                            // (not the legacy loop) runs the trial.
+  base_opt.num_shards = 4;  // Shard even this small ring so the trial runs
+                            // across engine shards (windows, mailboxes).
 
   // Derive the p95 deadline once, at SF=1 (the paper keeps 13ms throughout).
   harness::Experiment probe(base_opt);

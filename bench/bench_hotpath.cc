@@ -2,12 +2,15 @@
 // allocations, and end-to-end closed-loop trial throughput for the three
 // storage stacks (disk-CFQ, disk-noop, SSD).
 //
-// Three sections (EXPERIMENTS.md "bench_hotpath"):
+// Two sections (EXPERIMENTS.md "bench_hotpath"):
 //   1. predict: ns per PredictedWaitNow()/PredictedWait() call with the
 //      scheduler preloaded to queue depth 1 vs 256. MittOS's admission check
 //      runs on every Read syscall; the paper's premise is that it only
 //      *reads* incrementally maintained aggregates, so the cost must not
-//      depend on how many IOs are queued.
+//      depend on how many IOs are queued. Two rows set against the paper's
+//      bounds (§4.2, §4.4; EXPERIMENTS.md "Overheads") follow: MittCFQ's
+//      whole deadline check (ShouldReject) with 128 processes pending, 8
+//      IOs each, and the AddrCheck page-residency probe.
 //   2. e2e: closed-loop clients (half with deadlines, half without, plus an
 //      O_DIRECT noise tenant and a 1/32 buffered-write mix) hammer a full
 //      Os stack; measures IOs/sec of simulated pipeline work per wall
@@ -42,6 +45,7 @@
 #include "src/os/mitt_noop.h"
 #include "src/os/mitt_ssd.h"
 #include "src/os/os.h"
+#include "src/os/page_cache.h"
 #include "src/sched/cfq_scheduler.h"
 #include "src/sched/io_request.h"
 #include "src/sim/simulator.h"
@@ -98,6 +102,13 @@ namespace device = mitt::device;
 
 // --- Section 1: predict-call cost -------------------------------------------
 
+// Profiles are one-time offline passes on a twin device (see Os::Os).
+device::DiskProfile TwinDiskProfile(const device::DiskParams& dp) {
+  mitt::sim::Simulator scratch;
+  device::DiskModel twin(&scratch, dp, /*seed=*/0x5eedf00d);
+  return device::ProfileDisk(&scratch, &twin);
+}
+
 // Builds a scheduler+predictor stack, preloads it to `depth` queued IOs
 // (without ever running the simulator: the device stays busy, nothing
 // completes), then times a tight PredictedWaitNow loop.
@@ -111,14 +122,8 @@ PredictResult MeasurePredict(int depth, uint64_t calls) {
   PredictResult out;
   volatile DurationNs sink = 0;
 
-  // Profiles are one-time offline passes on twin devices (see Os::Os).
   device::DiskParams dp;
-  device::DiskProfile disk_profile;
-  {
-    mitt::sim::Simulator scratch;
-    device::DiskModel twin(&scratch, dp, /*seed=*/0x5eedf00d);
-    disk_profile = device::ProfileDisk(&scratch, &twin);
-  }
+  const device::DiskProfile disk_profile = TwinDiskProfile(dp);
   device::SsdParams sp;
   device::SsdProfile ssd_profile;
   {
@@ -220,6 +225,66 @@ PredictResult MeasurePredict(int depth, uint64_t calls) {
                  static_cast<double>(calls);
   }
 
+  (void)sink;
+  return out;
+}
+
+// MittCFQ's deadline check with `procs` processes pending, 8 IOs each (the
+// predictor alone, no scheduler), and the AddrCheck residency probe over a
+// 1 MiB resident file: ns per call.
+struct CheckResult {
+  double cfq_check_ns = 0;
+  double addrcheck_ns = 0;
+};
+
+CheckResult MeasureChecks(int procs, uint64_t calls) {
+  CheckResult out;
+  volatile bool sink = false;
+  {
+    mitt::sim::Simulator sim;
+    os::MittCfqPredictor pred(&sim, TwinDiskProfile(device::DiskParams{}), os::PredictorOptions{},
+                              os::MittCfqOptions{});
+    std::vector<std::unique_ptr<sched::IoRequest>> pending;
+    for (int p = 0; p < procs; ++p) {
+      for (int i = 0; i < 8; ++i) {
+        auto r = std::make_unique<sched::IoRequest>();
+        r->id = static_cast<uint64_t>(p * 100 + i);
+        r->pid = p;
+        r->offset = static_cast<int64_t>(p) << 30;
+        r->size = 4096;
+        pred.ShouldReject(r.get());
+        pred.OnAccepted(r.get());
+        pending.push_back(std::move(r));
+      }
+    }
+    sched::IoRequest probe;
+    probe.id = 1'000'000;
+    probe.pid = 9999;
+    probe.offset = 500LL << 30;
+    probe.size = 4096;
+    probe.deadline = Millis(13);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < calls; ++i) {
+      sink = pred.ShouldReject(&probe);
+      probe.ebusy_flagged = false;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    out.cfq_check_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                       static_cast<double>(calls);
+  }
+  {
+    os::PageCache cache(os::PageCacheParams{});
+    cache.Insert(/*file=*/1, /*offset=*/0, /*len=*/1 << 20);
+    int64_t offset = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < calls; ++i) {
+      sink = cache.Resident(1, offset, 1024);
+      offset = (offset + 4096) % (1 << 20);
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    out.addrcheck_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                       static_cast<double>(calls);
+  }
   (void)sink;
   return out;
 }
@@ -402,6 +467,15 @@ int main(int argc, char** argv) {
               d1.noop_ns > 0 ? d256.noop_ns / d1.noop_ns : 0);
   std::printf("  mitt-ssd          %7.1f    %7.1f    %.2fx\n", d1.ssd_ns, d256.ssd_ns,
               d1.ssd_ns > 0 ? d256.ssd_ns / d1.ssd_ns : 0);
+  CheckResult checks;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto c = MeasureChecks(/*procs=*/128, predict_calls);
+    if (rep == 0 || c.cfq_check_ns < checks.cfq_check_ns) checks.cfq_check_ns = c.cfq_check_ns;
+    if (rep == 0 || c.addrcheck_ns < checks.addrcheck_ns) checks.addrcheck_ns = c.addrcheck_ns;
+  }
+  std::printf("check ns/call\n");
+  std::printf("  mitt-cfq ShouldReject, 128 procs x 8 IOs pending   %7.1f\n", checks.cfq_check_ns);
+  std::printf("  addrcheck residency probe                          %7.1f\n", checks.addrcheck_ns);
 
   // Section 2: end-to-end closed loop per stack (best wall time of reps;
   // carry the worst steady-alloc counter, as in bench_simcore).
@@ -443,6 +517,7 @@ int main(int argc, char** argv) {
         "    \"noop_depth1\": %.1f, \"noop_depth256\": %.1f,\n"
         "    \"ssd_depth1\": %.1f, \"ssd_depth256\": %.1f,\n"
         "    \"cfq_depth_ratio\": %.3f},\n"
+        "  \"check_ns_per_call\": {\"cfq_128procs\": %.1f, \"addrcheck_probe\": %.1f},\n"
         "  \"e2e\": {\n"
         "    \"disk_cfq\":  {\"ios_per_sec\": %.0f, \"ios\": %llu, \"ebusy\": %llu,\n"
         "                  \"allocs\": %llu, \"steady_allocs\": %llu,\n"
@@ -457,6 +532,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(target), static_cast<unsigned long long>(warmup),
         static_cast<unsigned long long>(predict_calls), d1.cfq_ns, d256.cfq_ns, d1.noop_ns,
         d256.noop_ns, d1.ssd_ns, d256.ssd_ns, d1.cfq_ns > 0 ? d256.cfq_ns / d1.cfq_ns : 0,
+        checks.cfq_check_ns, checks.addrcheck_ns,
         stacks[0].r.ios_per_sec(), static_cast<unsigned long long>(stacks[0].r.ios),
         static_cast<unsigned long long>(stacks[0].r.ebusy),
         static_cast<unsigned long long>(stacks[0].r.allocs),

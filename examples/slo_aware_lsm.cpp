@@ -54,7 +54,7 @@ int main() {
     const auto op = ycsb.Next();
     if (op.is_read) {
       const TimeNs start = sim.Now();
-      mittos.Get(op.key, [&, start](const client::GetResult&) {
+      mittos.Get(op.key, {}, [&, start](const client::GetResult&) {
         read_latencies.Record(sim.Now() - start);
         ++done;
         loop();

@@ -2,8 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/fault/plan_serde.h"
@@ -13,43 +13,18 @@ namespace {
 
 constexpr std::string_view kHeader = "# mittos chaos corpus v1";
 
-std::vector<std::string_view> Tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
-      ++i;
-    }
-    size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') {
-      ++j;
-    }
-    if (j > i) {
-      out.push_back(line.substr(i, j - i));
-    }
-    i = j;
-  }
-  return out;
-}
-
-bool ParseI64(std::string_view s, int64_t* out) {
-  if (s.empty() || s.size() >= 32) {
+// Stores `v` in *field when lo <= v and the field's type can hold it.
+template <typename T>
+bool Store(int64_t v, int64_t lo, T* field) {
+  if (v < lo || static_cast<uint64_t>(v) > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
     return false;
   }
-  char buf[32];
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  const long long v = std::strtoll(buf, &end, 10);
-  if (end != buf + s.size()) {
-    return false;
-  }
-  *out = v;
+  *field = static_cast<T>(v);
   return true;
 }
 
-bool ParseWorldLine(std::string_view line, ChaosWorldOptions* world, std::string* error) {
-  const std::vector<std::string_view> tokens = Tokens(line);
+bool ParseWorldLine(const std::vector<std::string_view>& tokens, ChaosWorldOptions* world,
+                    std::string* error) {
   for (size_t i = 1; i < tokens.size(); ++i) {
     const size_t eq = tokens[i].find('=');
     if (eq == std::string_view::npos || eq == 0) {
@@ -57,33 +32,44 @@ bool ParseWorldLine(std::string_view line, ChaosWorldOptions* world, std::string
       return false;
     }
     const std::string_view key = tokens[i].substr(0, eq);
+    const std::string_view value = tokens[i].substr(eq + 1);
     int64_t v = 0;
-    if (!ParseI64(tokens[i].substr(eq + 1), &v)) {
+    const bool parsed = key == "seed" ? fault::ParseU64(value, &world->seed)
+                                      : fault::ParseI64(value, &v);
+    if (!parsed) {
       *error = "unparsable world value '" + std::string(tokens[i]) + "'";
       return false;
     }
+    if (key == "seed") {
+      continue;  // Parsed straight into the field: a seed is unsigned.
+    }
+    // Counts, the deadline and the horizon are never negative, and a world
+    // has at least one node and one shard.
+    bool in_range = false;
     if (key == "nodes") {
-      world->num_nodes = static_cast<int>(v);
+      in_range = Store(v, 1, &world->num_nodes);
     } else if (key == "clients") {
-      world->num_clients = static_cast<int>(v);
+      in_range = Store(v, 0, &world->num_clients);
     } else if (key == "requests") {
-      world->requests = static_cast<size_t>(v);
+      in_range = Store(v, 0, &world->requests);
     } else if (key == "warmup") {
-      world->warmup = static_cast<size_t>(v);
+      in_range = Store(v, 0, &world->warmup);
     } else if (key == "deadline") {
-      world->deadline = v;
+      in_range = Store(v, 0, &world->deadline);
     } else if (key == "horizon") {
-      world->horizon = v;
+      in_range = Store(v, 0, &world->horizon);
     } else if (key == "shards") {
-      world->num_shards = static_cast<int>(v);
-    } else if (key == "seed") {
-      world->seed = static_cast<uint64_t>(v);
+      in_range = Store(v, 1, &world->num_shards);
     } else if (key == "bug") {
-      world->inject_bug = v != 0;
+      in_range = Store(v, 0, &world->inject_bug);
     } else if (key == "tenants") {
-      world->tenants = v != 0;
+      in_range = Store(v, 0, &world->tenants);
     } else {
       *error = "unknown world key '" + std::string(key) + "'";
+      return false;
+    }
+    if (!in_range) {
+      *error = "world value out of range '" + std::string(tokens[i]) + "'";
       return false;
     }
   }
@@ -140,10 +126,14 @@ bool CorpusEntryFromText(std::string_view text, CorpusEntry* out, std::string* e
     if (line.empty() || line.front() == '#') {
       continue;
     }
-    const std::vector<std::string_view> tokens = Tokens(line);
+    const std::vector<std::string_view> tokens = fault::Tokens(line);
     std::string line_error;
+    if (tokens.empty()) {
+      *error = "line " + std::to_string(line_no) + ": whitespace-only line";
+      return false;
+    }
     if (tokens[0] == "world") {
-      if (!ParseWorldLine(line, &entry.world, &line_error)) {
+      if (!ParseWorldLine(tokens, &entry.world, &line_error)) {
         *error = "line " + std::to_string(line_no) + ": " + line_error;
         return false;
       }

@@ -12,7 +12,11 @@
 // replay fails when an expected oracle does NOT fire (the regression healed
 // or the reproducer rotted) and when an UNexpected oracle fires. A file with
 // no expect lines asserts the plan is violation-free — the benign-corpus
-// regression mode. The same exact-round-trip rules as plan_serde apply.
+// regression mode. The same exact-round-trip rules as plan_serde apply, and
+// the reader rejects, naming the line, a whitespace-only line and any world
+// value its field cannot hold: nodes and shards below 1, a negative count,
+// deadline or horizon, bug or tenants other than 0/1, a seed outside
+// uint64, an int field past int.
 
 #ifndef MITTOS_CHAOS_CORPUS_H_
 #define MITTOS_CHAOS_CORPUS_H_

@@ -12,9 +12,9 @@
 // Every generated plan is canonicalized: sorted into plan order, severities
 // clamped to the kind's legal range, and same-target overlapping episodes
 // dropped (keep-first) so the injector's last-write-wins overlap semantics
-// never silently distort a child — overlap exploration is the
-// OverlapPolicy test's job, not the fuzzer's. All randomness comes from the
-// mutator's own seeded Rng: same seed, same parent, same children.
+// never silently distort a child; the fuzzer does not explore overlapping
+// same-target episodes. All randomness comes from the mutator's own seeded
+// Rng: same seed, same parent, same children.
 
 #ifndef MITTOS_CHAOS_MUTATOR_H_
 #define MITTOS_CHAOS_MUTATOR_H_

@@ -35,7 +35,7 @@ void SnitchStrategy::RefreshTick() {
   refresh_event_ = sim_->ScheduleDaemon(options_.update_interval, [this] { RefreshTick(); });
 }
 
-void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
+void SnitchStrategy::Get(uint64_t key, const GetContext& /*ctx*/, GetDoneFn done) {
   const auto replicas = Replicas(key);
   int best = replicas[0];
   for (const int node : replicas) {
@@ -96,7 +96,7 @@ double C3Strategy::Score(int node) const {
   return base + q * q * q * base * 0.1;
 }
 
-void C3Strategy::Get(uint64_t key, GetDoneFn done) {
+void C3Strategy::Get(uint64_t key, const GetContext& /*ctx*/, GetDoneFn done) {
   const auto replicas = Replicas(key);
   int best = replicas[0];
   for (const int node : replicas) {

@@ -32,7 +32,7 @@ class SnitchStrategy : public GetStrategy {
                  const Options& options);
   ~SnitchStrategy() override;
 
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
  private:
   void RefreshTick();
@@ -48,7 +48,7 @@ class C3Strategy : public GetStrategy {
  public:
   C3Strategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
 
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
  private:
   double Score(int node) const;

@@ -7,7 +7,7 @@ namespace mitt::client {
 CloneStrategy::CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
     : GetStrategy(sim, cluster, seed) {}
 
-void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
+void CloneStrategy::Get(uint64_t key, const GetContext& /*ctx*/, GetDoneFn done) {
   const auto replicas = Replicas(key);
   // Two distinct random replicas of the group (both copies go to the only
   // replica of a one-node group).

@@ -14,7 +14,7 @@ class CloneStrategy : public GetStrategy {
  public:
   CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
 
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
  private:
   GetPool<GetRecord> gets_;

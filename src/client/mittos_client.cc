@@ -100,8 +100,6 @@ DurationNs MittosStrategy::NoteSentDeadline(DurationNs deadline) {
   return deadline;
 }
 
-void MittosStrategy::Get(uint64_t key, GetDoneFn done) { Get(key, GetContext{}, std::move(done)); }
-
 void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
   GetState* g = gets_.Acquire(std::move(done));
   g->key = key;

@@ -79,7 +79,6 @@ class MittosStrategy : public GetStrategy {
                  const Options& options);
   ~MittosStrategy() override;
 
-  void Get(uint64_t key, GetDoneFn done) override;
   // Tenant-aware: routes via the placement map, sends the tenant's class SLO
   // (ctx.deadline) in place of the strategy deadline, and tags each
   // primary-walk hop with the tenant for the server's per-tenant accounting

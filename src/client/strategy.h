@@ -56,16 +56,11 @@ class GetStrategy {
   GetStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
   virtual ~GetStrategy() = default;
 
-  // Issues one replicated get for `key`; calls `done` exactly once.
-  virtual void Get(uint64_t key, GetDoneFn done) = 0;
-
-  // Tenant-aware issue. Strategies that understand placement routing and
-  // per-class deadlines override this; the default drops the context and
-  // behaves like the single-tenant Get.
-  virtual void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
-    (void)ctx;
-    Get(key, std::move(done));
-  }
+  // Issues one replicated get for `key`; calls `done` exactly once. The
+  // strategies that understand placement routing and per-class deadlines
+  // (Timeout and MittOS) read `ctx`; the others ignore it. `{}` is a
+  // single-tenant get.
+  virtual void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) = 0;
 
   // Attaches the tenant->replica placement map consulted by RouteReplicas.
   // The map is owned by the harness; the placement controller mutates it

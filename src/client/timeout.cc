@@ -20,10 +20,6 @@ TimeoutStrategy::TimeoutStrategy(sim::Simulator* sim, cluster::Cluster* cluster,
 
 TimeoutStrategy::~TimeoutStrategy() = default;
 
-void TimeoutStrategy::Get(uint64_t key, GetDoneFn done) {
-  Get(key, GetContext{}, std::move(done));
-}
-
 void TimeoutStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
   GetState* g = gets_.Acquire(std::move(done));
   g->key = key;

@@ -45,7 +45,6 @@ class TimeoutStrategy : public GetStrategy {
                   const Options& options);
   ~TimeoutStrategy() override;
 
-  void Get(uint64_t key, GetDoneFn done) override;
   // Tenant-aware: routes via the placement map; ctx.deadline (the tenant's
   // class SLO) replaces the configured timeout for this request.
   void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;

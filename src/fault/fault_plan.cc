@@ -1,8 +1,6 @@
 #include "src/fault/fault_plan.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <stdexcept>
 
 namespace mitt::fault {
 
@@ -46,17 +44,6 @@ void SortEpisodes(std::vector<FaultEpisode>& episodes) {
                    });
 }
 
-// One warning line for an overlapping (earlier, later) pair, in plan order.
-std::string OverlapLine(const FaultEpisode& a, const FaultEpisode& b) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "overlap: %s node=%d [%lld, %lld) and node=%d [%lld, %lld)",
-                std::string(FaultKindName(a.kind)).c_str(), a.node,
-                static_cast<long long>(a.start), static_cast<long long>(a.end()), b.node,
-                static_cast<long long>(b.start), static_cast<long long>(b.end()));
-  return buf;
-}
-
 }  // namespace
 
 bool EpisodesOverlap(const FaultEpisode& a, const FaultEpisode& b) {
@@ -74,35 +61,12 @@ bool EpisodesOverlap(const FaultEpisode& a, const FaultEpisode& b) {
   return a.start < b.end() && b.start < a.end();
 }
 
-std::vector<std::string> FindOverlaps(const std::vector<FaultEpisode>& sorted_episodes) {
-  std::vector<std::string> warnings;
-  for (size_t i = 0; i < sorted_episodes.size(); ++i) {
-    for (size_t j = i + 1; j < sorted_episodes.size(); ++j) {
-      // Sorted by start: once j starts at/after i's end, no later j overlaps
-      // i either — except wildcard-node pairs, which the inner check still
-      // sees because overlap requires time intersection regardless.
-      if (sorted_episodes[j].start >= sorted_episodes[i].end()) {
-        break;
-      }
-      if (EpisodesOverlap(sorted_episodes[i], sorted_episodes[j])) {
-        warnings.push_back(OverlapLine(sorted_episodes[i], sorted_episodes[j]));
-      }
-    }
-  }
-  return warnings;
-}
-
 FaultPlan::FaultPlan(std::vector<FaultEpisode> episodes) : episodes_(std::move(episodes)) {
   SortEpisodes(episodes_);
 }
 
 FaultPlanBuilder& FaultPlanBuilder::Add(const FaultEpisode& episode) {
   episodes_.push_back(episode);
-  return *this;
-}
-
-FaultPlanBuilder& FaultPlanBuilder::SetOverlapPolicy(OverlapPolicy policy) {
-  overlap_policy_ = policy;
   return *this;
 }
 
@@ -163,13 +127,6 @@ FaultPlanBuilder& FaultPlanBuilder::RepeatEpisodes(FaultKind kind, int node, Tim
 FaultPlan FaultPlanBuilder::Build() {
   FaultPlan plan(std::move(episodes_));
   episodes_.clear();
-  if (overlap_policy_ != OverlapPolicy::kAllow) {
-    std::vector<std::string> warnings = FindOverlaps(plan.episodes());
-    if (!warnings.empty() && overlap_policy_ == OverlapPolicy::kReject) {
-      throw std::invalid_argument("FaultPlanBuilder: " + warnings.front());
-    }
-    plan.overlap_warnings_ = std::move(warnings);
-  }
   return plan;
 }
 

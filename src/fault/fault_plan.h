@@ -19,7 +19,6 @@
 #define MITTOS_FAULT_FAULT_PLAN_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -76,8 +75,8 @@ struct FaultEpisode {
 // The injector does not compose same-target episodes: the later Begin
 // overwrites the earlier one's multiplier and the earlier End clears the
 // fault while the later episode is nominally still active (last-write-wins,
-// first-end-clears). Overlaps are therefore almost always plan bugs; see
-// FaultPlanBuilder::SetOverlapPolicy.
+// first-end-clears). Overlaps are therefore almost always plan bugs; the
+// chaos mutator drops them from every plan it generates.
 bool EpisodesOverlap(const FaultEpisode& a, const FaultEpisode& b);
 
 // One fault activation as actually applied by the injector, logged in
@@ -104,42 +103,16 @@ class FaultPlan {
   bool empty() const { return episodes_.empty(); }
   size_t size() const { return episodes_.size(); }
 
-  // Same-target overlap diagnostics recorded by FaultPlanBuilder::Build()
-  // under OverlapPolicy::kWarn (empty for plans built directly from episode
-  // vectors). Deterministic: one line per overlapping pair, in sorted-plan
-  // order.
-  const std::vector<std::string>& overlap_warnings() const { return overlap_warnings_; }
-
  private:
-  friend class FaultPlanBuilder;
   std::vector<FaultEpisode> episodes_;
-  std::vector<std::string> overlap_warnings_;
 };
 
-// Deterministic same-target overlap scan over a *sorted* episode list.
-// Returns one human-readable line per overlapping pair, in plan order — the
-// shared engine behind FaultPlanBuilder::Build() and the chaos mutator's
-// well-formedness filter.
-std::vector<std::string> FindOverlaps(const std::vector<FaultEpisode>& sorted_episodes);
-
-// What FaultPlanBuilder::Build() does about same-target overlapping episodes.
-// The injector's precedence for overlaps is last-write-wins on Begin and
-// first-end-clears on End (see EpisodesOverlap) — surprising enough that the
-// builder flags them instead of letting plans silently under-inject:
-//   kWarn   (default) — build the plan as given, recording one deterministic
-//                       warning line per overlapping pair on the plan.
-//   kReject — throw std::invalid_argument naming the first overlapping pair.
-//   kAllow  — legacy behavior: build silently (for plans that deliberately
-//             exploit the overwrite semantics).
-enum class OverlapPolicy : uint8_t { kAllow, kWarn, kReject };
-
 // Fluent builder for hand-written scenarios. Episodes may be added in any
-// order; Build() sorts them into deterministic delivery order.
+// order; Build() sorts them into deterministic delivery order and keeps
+// same-target overlaps as given (see EpisodesOverlap).
 class FaultPlanBuilder {
  public:
   FaultPlanBuilder& Add(const FaultEpisode& episode);
-
-  FaultPlanBuilder& SetOverlapPolicy(OverlapPolicy policy);
 
   FaultPlanBuilder& FailSlowDisk(int node, TimeNs start, DurationNs duration, double multiplier);
   FaultPlanBuilder& SsdReadRetry(int node, TimeNs start, DurationNs duration, double multiplier,
@@ -164,7 +137,6 @@ class FaultPlanBuilder {
 
  private:
   std::vector<FaultEpisode> episodes_;
-  OverlapPolicy overlap_policy_ = OverlapPolicy::kWarn;
 };
 
 // Seeded chaos mix: every enabled fault class sprinkled independently across

@@ -1,7 +1,10 @@
 #include "src/fault/plan_serde.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 namespace mitt::fault {
@@ -15,26 +18,6 @@ const FaultKind kAllKinds[] = {
     FaultKind::kNodePause,      FaultKind::kNodeCrashRestart,
 };
 
-// Splits `line` into whitespace-separated tokens.
-std::vector<std::string_view> Tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
-      ++i;
-    }
-    size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') {
-      ++j;
-    }
-    if (j > i) {
-      out.push_back(line.substr(i, j - i));
-    }
-    i = j;
-  }
-  return out;
-}
-
 bool SplitKeyValue(std::string_view token, std::string_view* key, std::string_view* value) {
   const size_t eq = token.find('=');
   if (eq == std::string_view::npos || eq == 0) {
@@ -45,22 +28,25 @@ bool SplitKeyValue(std::string_view token, std::string_view* key, std::string_vi
   return true;
 }
 
-bool ParseI64(std::string_view s, int64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char buf[32];
-  if (s.size() >= sizeof(buf)) {
+// Copies a token into `buf` as a C string for strtoll/strtoull. False when
+// it is empty, too long, or starts with whitespace (which strto* would skip).
+bool TokenToCString(std::string_view s, char (&buf)[32]) {
+  if (s.empty() || s.size() >= sizeof(buf) || std::isspace(static_cast<unsigned char>(s[0]))) {
     return false;
   }
   s.copy(buf, s.size());
   buf[s.size()] = '\0';
-  char* end = nullptr;
-  const long long v = std::strtoll(buf, &end, 10);
-  if (end != buf + s.size()) {
+  return true;
+}
+
+// An episode's node or chip selector: an int64 that fits an int.
+bool ParseInt(std::string_view s, int* out) {
+  int64_t v = 0;
+  if (!ParseI64(s, &v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
     return false;
   }
-  *out = v;
+  *out = static_cast<int>(v);
   return true;
 }
 
@@ -84,6 +70,56 @@ bool ParseDouble(std::string_view s, double* out) {
 }
 
 }  // namespace
+
+std::vector<std::string_view> Tokens(std::string_view line) {
+  std::vector<std::string_view> out;
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
+      ++i;
+    }
+    size_t j = i;
+    while (j < line.size() && line[j] != ' ' && line[j] != '\t') {
+      ++j;
+    }
+    if (j > i) {
+      out.push_back(line.substr(i, j - i));
+    }
+    i = j;
+  }
+  return out;
+}
+
+bool ParseI64(std::string_view s, int64_t* out) {
+  char buf[32];
+  if (!TokenToCString(s, buf)) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(buf, &end, 10);
+  if (end != buf + s.size() || errno == ERANGE) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool ParseU64(std::string_view s, uint64_t* out) {
+  char buf[32];
+  // strtoull would accept "-1" as 2^64 - 1.
+  if (!TokenToCString(s, buf) || s[0] == '-' || s[0] == '+') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(buf, &end, 10);
+  if (end != buf + s.size() || errno == ERANGE) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
 
 bool FaultKindFromName(std::string_view name, FaultKind* out) {
   for (const FaultKind kind : kAllKinds) {
@@ -123,7 +159,6 @@ bool EpisodeFromLine(std::string_view line, FaultEpisode* out, std::string* erro
       }
       return false;
     }
-    int64_t iv = 0;
     if (key == "kind") {
       if (!FaultKindFromName(value, &e.kind)) {
         if (error != nullptr) {
@@ -132,17 +167,21 @@ bool EpisodeFromLine(std::string_view line, FaultEpisode* out, std::string* erro
         return false;
       }
       saw_kind = true;
-    } else if (key == "node" && ParseI64(value, &iv)) {
-      e.node = static_cast<int>(iv);
-    } else if (key == "start" && ParseI64(value, &iv)) {
-      e.start = iv;
-    } else if (key == "dur" && ParseI64(value, &iv)) {
-      e.duration = iv;
-    } else if (key == "severity" && ParseDouble(value, &e.severity)) {
-      // Parsed in place.
-    } else if (key == "chip" && ParseI64(value, &iv)) {
-      e.chip = static_cast<int>(iv);
-    } else {
+      continue;
+    }
+    bool parsed = false;
+    if (key == "node") {
+      parsed = ParseInt(value, &e.node);
+    } else if (key == "start") {
+      parsed = ParseI64(value, &e.start);
+    } else if (key == "dur") {
+      parsed = ParseI64(value, &e.duration);
+    } else if (key == "severity") {
+      parsed = ParseDouble(value, &e.severity);
+    } else if (key == "chip") {
+      parsed = ParseInt(value, &e.chip);
+    }
+    if (!parsed) {
       if (error != nullptr) {
         *error = "unknown or unparsable token '" + std::string(tokens[i]) + "'";
       }

@@ -17,12 +17,23 @@
 #ifndef MITTOS_FAULT_PLAN_SERDE_H_
 #define MITTOS_FAULT_PLAN_SERDE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/fault/fault_plan.h"
 
 namespace mitt::fault {
+
+// The line-format primitives the plan and chaos-corpus readers share.
+// Splits `line` into space/tab-separated tokens.
+std::vector<std::string_view> Tokens(std::string_view line);
+// Parses a whole token as a base-10 integer. False (out untouched) on an
+// empty token, leading whitespace, trailing junk, or a value outside the
+// type's range; ParseU64 also rejects a sign.
+bool ParseI64(std::string_view s, int64_t* out);
+bool ParseU64(std::string_view s, uint64_t* out);
 
 // Reverse of FaultKindName. Returns false (out untouched) on unknown names.
 bool FaultKindFromName(std::string_view name, FaultKind* out);

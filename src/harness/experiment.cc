@@ -741,37 +741,79 @@ RunResult Experiment::Run(StrategyKind kind) {
 
   const bool recording = !options_.record_trace_path.empty();
 
-  // The open-loop arrival path of the replay and tenant drivers: record the
-  // arrival, issue one Get on the arrival's shard and harvest its completion
-  // there. Arrivals never wait for completions.
-  const auto arrive = [&](ShardCtx* ctx, uint64_t key, client::GetContext gctx,
-                          const trace::TraceEvent& arrival, bool measured) {
-    const TimeNs start = ctx->sim->Now();
-    if (recording) {
-      ctx->recorder.Record(start, arrival.offset, arrival.len, arrival.op, arrival.stream);
-    }
-    ctx->strategy->Get(
-        key, gctx,
-        WrapOracleDone(ctx->oracle_sink, [ctx, t = gctx.tenant, start, measured,
-                                          &directory](const client::GetResult& r) {
-          const DurationNs latency = ctx->sim->Now() - start;
-          if (measured) {
-            ctx->get_latencies.Record(latency);
-            ctx->user_latencies.Record(latency);
-            if (t != tenant::kNoTenant) {
-              RecordTenantCompletion(directory, ctx->class_aggs, t, latency, r);
+  if (options_.replay.enabled() || options_.tenants.enabled) {
+    // Open loop: one Get per arrival at its arrival time, issued on the
+    // arrival's shard and harvested there; arrivals never wait for
+    // completions. Each shard replays one cursor: the configured trace
+    // (every shard reads the whole trace and claims the records with
+    // stream % num_shards == s, a pure function of the trace), or else the
+    // tenant mix (shard s owns the tenants with tenant % num_shards == s).
+    // With the tenant world enabled, streams overlay onto tenants
+    // (stream % num_tenants; a tenant arrival's stream is its tenant) and
+    // each Get carries its class SLO.
+    const bool replaying = options_.replay.enabled();
+    std::vector<std::unique_ptr<trace::TraceCursor>> cursors;
+    std::vector<std::unique_ptr<trace::TraceReplayDriver>> drivers;
+    for (int s = 0; s < num_shards; ++s) {
+      trace::TraceReplayDriver::Options ropt;
+      ropt.shard = s;
+      ropt.num_shards = num_shards;
+      if (replaying) {
+        cursors.push_back(MakeReplayCursor());
+        ropt.rate_scale = options_.replay.rate_scale;
+        ropt.max_events = options_.replay.max_events;
+        ropt.warmup_events = options_.replay.warmup_events;
+      } else {
+        cursors.push_back(std::make_unique<tenant::TenantArrivalCursor>(
+            &directory, options_.tenants.warmup + options_.tenants.duration, s, num_shards,
+            options_.seed ^ 0x7E4A));
+      }
+      ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
+      drivers.push_back(std::make_unique<trace::TraceReplayDriver>(
+          ctx->sim, cursors.back().get(), ropt,
+          [&, ctx](const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
+            // A trace arrival's offset maps onto the keyspace, and the
+            // driver's warmup prefix goes unmeasured. A tenant arrival
+            // carries its key in the offset, and its warmup is a time.
+            uint64_t key = 0;
+            if (replaying) {
+              key = ReplayKeyFor(event.offset, event.stream, keyspace);
+            } else {
+              key = static_cast<uint64_t>(event.offset) >> 12;
+              measured = event.at >= options_.tenants.warmup;
             }
-          }
-          if (!r.status.ok() && !r.status.busy()) {
-            ++ctx->user_errors;
-          }
-          ++ctx->completed;
-        }));
-  };
-  // Open-loop drain: arrivals run out first (every driver done()), then the
-  // in-flight tail completes. The predicate runs quiesced, so summing shard
-  // counters is race-free.
-  const auto drain = [&](const auto& drivers) {
+            client::GetContext gctx;
+            if (options_.tenants.enabled) {
+              gctx.tenant = event.stream % directory.num_tenants();
+              gctx.deadline = directory.slo_of(gctx.tenant);
+            }
+            const TimeNs start = ctx->sim->Now();
+            if (recording) {
+              ctx->recorder.Record(start, event.offset, event.len, event.op, event.stream);
+            }
+            ctx->strategy->Get(
+                key, gctx,
+                WrapOracleDone(ctx->oracle_sink, [ctx, t = gctx.tenant, start, measured,
+                                                  &directory](const client::GetResult& r) {
+                  const DurationNs latency = ctx->sim->Now() - start;
+                  if (measured) {
+                    ctx->get_latencies.Record(latency);
+                    ctx->user_latencies.Record(latency);
+                    if (t != tenant::kNoTenant) {
+                      RecordTenantCompletion(directory, ctx->class_aggs, t, latency, r);
+                    }
+                  }
+                  if (!r.status.ok() && !r.status.busy()) {
+                    ++ctx->user_errors;
+                  }
+                  ++ctx->completed;
+                }));
+          }));
+      drivers.back()->Start();
+    }
+    // Arrivals run out first (every driver done()), then the in-flight tail
+    // completes. The predicate runs quiesced, so summing shard counters is
+    // race-free.
     engine.RunUntilPredicate([&] {
       uint64_t dispatched = 0;
       uint64_t completed = 0;
@@ -784,68 +826,13 @@ RunResult Experiment::Run(StrategyKind kind) {
       }
       return completed >= dispatched;
     });
-  };
-
-  if (options_.replay.enabled()) {
-    // Open-loop trace replay, one Get per trace arrival at its scaled arrival
-    // time. Every shard owns a cursor over the whole trace and claims the
-    // records with stream % num_shards == s, a pure function of the trace.
-    // With the tenant world enabled, streams overlay onto tenants
-    // (stream % num_tenants) and each get carries its class SLO.
-    std::vector<std::unique_ptr<trace::TraceCursor>> cursors;
-    std::vector<std::unique_ptr<trace::TraceReplayDriver>> drivers;
-    for (int s = 0; s < num_shards; ++s) {
-      cursors.push_back(MakeReplayCursor());
-      trace::TraceReplayDriver::Options ropt;
-      ropt.rate_scale = options_.replay.rate_scale;
-      ropt.max_events = options_.replay.max_events;
-      ropt.warmup_events = options_.replay.warmup_events;
-      ropt.shard = s;
-      ropt.num_shards = num_shards;
-      ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
-      drivers.push_back(std::make_unique<trace::TraceReplayDriver>(
-          ctx->sim, cursors.back().get(), ropt,
-          [&, ctx](const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
-            client::GetContext gctx;
-            if (options_.tenants.enabled) {
-              gctx.tenant = event.stream % directory.num_tenants();
-              gctx.deadline = directory.slo_of(gctx.tenant);
-            }
-            arrive(ctx, ReplayKeyFor(event.offset, event.stream, keyspace), gctx, event,
-                   measured);
-          }));
-      drivers.back()->Start();
+    if (replaying) {
+      for (const auto& driver : drivers) {
+        result.replay_events += driver->dispatched();
+        result.replay_trace_reads += driver->reads_dispatched();
+        result.replay_trace_writes += driver->writes_dispatched();
+      }
     }
-    drain(drivers);
-    for (const auto& driver : drivers) {
-      result.replay_events += driver->dispatched();
-      result.replay_trace_reads += driver->reads_dispatched();
-      result.replay_trace_writes += driver->writes_dispatched();
-    }
-  } else if (options_.tenants.enabled) {
-    // Open-loop tenant mix: arrivals at the directory's combined rate, each
-    // routed by the placement map and carrying its class SLO as deadline.
-    // Shard s's driver owns the tenants with tenant % num_shards == s.
-    std::vector<std::unique_ptr<tenant::TenantLoadDriver>> drivers;
-    for (int s = 0; s < num_shards; ++s) {
-      tenant::TenantLoadDriver::Options dopt;
-      dopt.warmup = options_.tenants.warmup;
-      dopt.duration = options_.tenants.duration;
-      dopt.shard = s;
-      dopt.num_shards = num_shards;
-      dopt.seed = options_.seed ^ 0x7E4A;
-      ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
-      drivers.push_back(std::make_unique<tenant::TenantLoadDriver>(
-          ctx->sim, &directory, dopt,
-          [&, ctx](tenant::TenantId t, uint64_t key, bool measured) {
-            trace::TraceEvent arrival;
-            arrival.offset = static_cast<int64_t>(key) << 12;
-            arrival.stream = t;
-            arrive(ctx, key, client::GetContext{t, directory.slo_of(t)}, arrival, measured);
-          }));
-      drivers.back()->Start();
-    }
-    drain(drivers);
   } else {
     // Closed-loop YCSB clients, dealt round-robin onto shards. The warmup
     // split: one shard keeps one global issue counter, so the first
@@ -905,7 +892,7 @@ RunResult Experiment::Run(StrategyKind kind) {
                                cl.index);
         }
         home.strategy->Get(
-            key, WrapOracleDone(home.oracle_sink, [&issue, &cl](const client::GetResult& r) {
+            key, {}, WrapOracleDone(home.oracle_sink, [&issue, &cl](const client::GetResult& r) {
               ShardCtx& ctx = *cl.home;
               const DurationNs latency = ctx.sim->Now() - cl.start;
               if (cl.measured) {

@@ -164,9 +164,11 @@ struct ExperimentOptions {
   // When enabled, the world gets a TenantDirectory (mix.num_tenants tenants
   // over gold/silver/bronze-style SLO classes), a tenant->replica
   // PlacementMap attached to every strategy, and per-tenant accounting on
-  // every node. The workload becomes open-loop TenantLoadDrivers (one per
-  // shard, partition `tenant % num_shards`) unless replay is also enabled —
-  // then the trace drives arrivals and streams overlay onto tenants via
+  // every node. Unless replay is also enabled, the workload becomes the
+  // tenant mix's open-loop arrivals: one tenant::TenantArrivalCursor per
+  // shard (partition `tenant % num_shards`), replayed by the same
+  // TraceReplayDriver as a trace. With replay enabled the trace drives
+  // arrivals instead, and streams overlay onto tenants via
   // `stream % num_tenants`. Each get carries the tenant's class SLO as its
   // deadline; completions are harvested per class into
   // RunResult::tenant_classes.
@@ -324,8 +326,9 @@ struct RunResult {
   uint64_t unbounded_deadline_tries = 0;
   DurationNs max_sent_deadline = 0;
 
-  // Replay harvest (src/trace/): open-loop arrivals dispatched, split by the
+  // Replay harvest (src/trace/): trace arrivals dispatched, split by the
   // trace's own op column (both dispatch as Gets; the split is bookkeeping).
+  // A tenant-mix run replays no trace and leaves all three at 0.
   uint64_t replay_events = 0;
   uint64_t replay_trace_reads = 0;
   uint64_t replay_trace_writes = 0;

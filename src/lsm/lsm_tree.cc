@@ -6,8 +6,6 @@
 namespace mitt::lsm {
 namespace {
 
-constexpr int64_t kBlockSize = 4096;
-constexpr int kKeysPerBlock = 4;
 constexpr uint32_t kValueSize = 1024;
 constexpr int32_t kServerPid = 1;
 constexpr int32_t kCompactionPid = kServerPid + 1000;  // The compaction thread.
@@ -25,8 +23,7 @@ std::unique_ptr<SsTable> LsmTree::BuildTable(std::vector<uint64_t> sorted_keys, 
   const auto blocks = (static_cast<int64_t>(sorted_keys.size()) + kKeysPerBlock - 1) /
                       kKeysPerBlock;
   const uint64_t file = os_->CreateFile(std::max<int64_t>(1, blocks) * kBlockSize);
-  return std::make_unique<SsTable>(next_table_id_++, file, std::move(sorted_keys), level,
-                                   kBlockSize, kKeysPerBlock);
+  return std::make_unique<SsTable>(next_table_id_++, file, std::move(sorted_keys), level);
 }
 
 void LsmTree::Put(uint64_t key, sched::IoDoneFn done) {

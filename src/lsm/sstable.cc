@@ -4,14 +4,11 @@
 
 namespace mitt::lsm {
 
-SsTable::SsTable(uint64_t table_id, uint64_t file, std::vector<uint64_t> sorted_keys, int level,
-                 int64_t block_size, int keys_per_block)
+SsTable::SsTable(uint64_t table_id, uint64_t file, std::vector<uint64_t> sorted_keys, int level)
     : table_id_(table_id),
       file_(file),
       keys_(std::move(sorted_keys)),
       level_(level),
-      block_size_(block_size),
-      keys_per_block_(keys_per_block),
       bloom_(keys_.size()) {
   for (const uint64_t key : keys_) {
     bloom_.Add(key);
@@ -19,9 +16,8 @@ SsTable::SsTable(uint64_t table_id, uint64_t file, std::vector<uint64_t> sorted_
 }
 
 int64_t SsTable::size_bytes() const {
-  const auto blocks =
-      (static_cast<int64_t>(keys_.size()) + keys_per_block_ - 1) / keys_per_block_;
-  return blocks * block_size_;
+  const auto blocks = (static_cast<int64_t>(keys_.size()) + kKeysPerBlock - 1) / kKeysPerBlock;
+  return blocks * kBlockSize;
 }
 
 bool SsTable::MayContain(uint64_t key) const {
@@ -37,7 +33,7 @@ bool SsTable::Lookup(uint64_t key, int64_t* block_offset) const {
     return false;
   }
   const auto rank = static_cast<int64_t>(it - keys_.begin());
-  *block_offset = rank / keys_per_block_ * block_size_;
+  *block_offset = rank / kKeysPerBlock * kBlockSize;
   return true;
 }
 

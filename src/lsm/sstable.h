@@ -16,12 +16,16 @@
 
 namespace mitt::lsm {
 
+// Table geometry: every data block is kBlockSize bytes and holds
+// kKeysPerBlock keys, so one Get reads one block.
+inline constexpr int64_t kBlockSize = 4096;
+inline constexpr int kKeysPerBlock = 4;
+
 class SsTable {
  public:
   // `file` must already be created on the node's OS with space for
   // keys.size() entries. Keys must be sorted.
-  SsTable(uint64_t table_id, uint64_t file, std::vector<uint64_t> sorted_keys, int level,
-          int64_t block_size = 4096, int keys_per_block = 4);
+  SsTable(uint64_t table_id, uint64_t file, std::vector<uint64_t> sorted_keys, int level);
 
   uint64_t table_id() const { return table_id_; }
   uint64_t file() const { return file_; }
@@ -29,7 +33,6 @@ class SsTable {
   size_t entry_count() const { return keys_.size(); }
   uint64_t min_key() const { return keys_.front(); }
   uint64_t max_key() const { return keys_.back(); }
-  int64_t block_size() const { return block_size_; }
   int64_t size_bytes() const;
   const std::vector<uint64_t>& keys() const { return keys_; }
 
@@ -45,8 +48,6 @@ class SsTable {
   uint64_t file_;
   std::vector<uint64_t> keys_;
   int level_;
-  int64_t block_size_;
-  int keys_per_block_;
   BloomFilter bloom_;
 };
 

@@ -1,72 +1,50 @@
-// TenantLoadDriver: open-loop multi-tenant arrival generation.
+// TenantArrivalCursor: the multi-tenant mix as an open-loop arrival trace.
 //
-// The tenant-mix analogue of trace::TraceReplayDriver: arrivals fire at
+// The tenant mix is one more trace::TraceCursor, replayed by the same
+// trace::TraceReplayDriver as on-disk and synthetic traces. Arrivals come at
 // seeded exponential inter-arrival times for the combined rate of this
-// driver's tenants, never waiting for completions. Each arrival picks a
-// tenant by rate-weighted draw (binary search over precomputed prefix sums)
-// and a key uniform in the tenant's key range, then hands (tenant, key,
-// measured) to the dispatch callback — the harness turns that into a client
-// Get with the tenant's SLO class deadline.
+// cursor's tenants. Each arrival picks a tenant by rate-weighted draw
+// (binary search over precomputed prefix sums) and a key uniform in the
+// tenant's key range, and yields the record
+//   TraceEvent{at, offset = key << 12, len = 4096, op = kOpRead, stream = tenant}
+// the harness turns into a client Get with the tenant's SLO class deadline.
 //
-// Sharding contract (same as the replay driver): a sharded world runs one
-// driver per shard and each driver owns the deterministic tenant subset
+// Sharding contract (the replay driver's): a sharded world runs one cursor
+// per shard, and each cursor owns the deterministic tenant subset
 // `tenant % num_shards == shard`, with its own Rng stream seeded from (seed,
-// shard). The partition is a pure function of the scenario, so results are
-// bit-identical at any MITT_INTRA_WORKERS x MITT_TRIAL_WORKERS.
+// shard). Every record it yields therefore passes the driver's
+// `stream % num_shards == shard` claim. The partition is a pure function of
+// the scenario, so results are bit-identical at any MITT_INTRA_WORKERS x
+// MITT_TRIAL_WORKERS.
 //
-// Hot loop = one Exponential draw + one binary search + one ScheduleAt +
-// the dispatch call; the closure captures only `this` and the prefix-sum
-// table is built once, so the steady state allocates nothing
-// (tests/alloc_test.cc gates this).
+// Next() = one Exponential draw + one binary search + one key draw; the
+// prefix-sum table is built once, so it allocates nothing
+// (tests/alloc_test.cc gates the driver loop over it).
 
 #ifndef MITTOS_TENANT_WORKLOAD_H_
 #define MITTOS_TENANT_WORKLOAD_H_
 
-#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/time.h"
-#include "src/sim/simulator.h"
 #include "src/tenant/tenant.h"
+#include "src/trace/cursor.h"
 
 namespace mitt::tenant {
 
-class TenantLoadDriver {
+class TenantArrivalCursor : public trace::TraceCursor {
  public:
-  struct Options {
-    // Arrivals in [0, warmup) are dispatched unmeasured (cache/queue warmup);
-    // arrivals stop at warmup + duration.
-    DurationNs warmup = Millis(200);
-    DurationNs duration = Seconds(2);
-    // This driver's partition: owns tenants with t % num_shards == shard.
-    int shard = 0;
-    int num_shards = 1;
-    uint64_t seed = 1;
-  };
+  // Yields this shard's arrivals in [0, end). With num_shards <= 1 the
+  // cursor owns every tenant; tenants with zero rate never arrive.
+  TenantArrivalCursor(const TenantDirectory* directory, TimeNs end, int shard, int num_shards,
+                      uint64_t seed);
 
-  using DispatchFn = std::function<void(TenantId tenant, uint64_t key, bool measured)>;
-
-  TenantLoadDriver(sim::Simulator* sim, const TenantDirectory* directory,
-                   const Options& options, DispatchFn dispatch);
-
-  // Schedules the first owned arrival; no-op (done() == true) when the
-  // partition is empty or carries zero rate.
-  void Start();
-
-  // True once every owned arrival has fired. Open loop: the dispatcher
-  // drives the sim until done() AND its own completion count catches up.
-  bool done() const { return done_; }
-  uint64_t dispatched() const { return dispatched_; }
+  bool Next(trace::TraceEvent* out) override;
 
  private:
-  void PumpNext();
-  void Fire();
-
-  sim::Simulator* sim_;
   const TenantDirectory* directory_;
-  Options options_;
-  DispatchFn dispatch_;
+  const TimeNs end_;
   Rng rng_;
 
   // Owned tenants and the cumulative rate table the weighted draw searches.
@@ -74,12 +52,7 @@ class TenantLoadDriver {
   std::vector<double> rate_prefix_;  // rate_prefix_[i] = sum of rates 0..i.
   double total_rate_hz_ = 0;
 
-  TimeNs next_at_ = 0;
-  TenantId pending_tenant_ = kNoTenant;
-  uint64_t pending_key_ = 0;
-  bool pending_measured_ = false;
-  uint64_t dispatched_ = 0;
-  bool started_ = false;
+  TimeNs at_ = 0;
   bool done_ = false;
 };
 

@@ -118,7 +118,7 @@ std::unique_ptr<FileTraceCursor> FileTraceCursor::Open(const std::string& path,
 }
 
 FileTraceCursor::FileTraceCursor(std::FILE* file, const TraceHeader& header)
-    : file_(file), header_(header) {
+    : file_(file), header_(header), exhausted_(header.record_count == 0) {
   const size_t cap = header_.block_records;
   raw_.resize(cap * kRecordBytes);
   arrival_us_.resize(cap);
@@ -126,21 +126,12 @@ FileTraceCursor::FileTraceCursor(std::FILE* file, const TraceHeader& header)
   len_.resize(cap);
   op_.resize(cap);
   stream_.resize(cap);
-  Reset();
 }
 
 FileTraceCursor::~FileTraceCursor() {
   if (file_ != nullptr) {
     std::fclose(file_);
   }
-}
-
-void FileTraceCursor::Reset() {
-  next_block_ = 0;
-  block_n_ = 0;
-  pos_ = 0;
-  yielded_ = 0;
-  exhausted_ = header_.record_count == 0;
 }
 
 bool FileTraceCursor::LoadBlock(uint64_t block) {

@@ -1,11 +1,13 @@
 // TraceCursor: the one replay interface for every trace source.
 //
 // A cursor yields TraceEvents in non-decreasing arrival order, one at a
-// time, in constant memory regardless of trace size. Both the on-disk
-// columnar format (FileTraceCursor, here) and the synthetic paper-trace
-// generators (workload::SyntheticTraceCursor) implement it, so the replay
-// driver, the accuracy benches, and bench_replay share one code path for
-// real and synthetic workloads.
+// time, in constant memory regardless of trace size. The on-disk columnar
+// format (FileTraceCursor, here), the synthetic paper-trace generators
+// (workload::SyntheticTraceCursor) and the multi-tenant mix
+// (tenant::TenantArrivalCursor) implement it, so TraceReplayDriver is the
+// one open-loop driver, and the accuracy benches and bench_replay share one
+// code path for real and synthetic workloads. Next() is the whole
+// interface: a cursor runs forward once.
 //
 // Steady-state contract: after the first block is decoded, Next() performs
 // zero heap allocations (gated by tests/alloc_test.cc) — a cursor can sit
@@ -29,12 +31,6 @@ class TraceCursor {
 
   // Fills *out with the next event; returns false at end of trace.
   virtual bool Next(TraceEvent* out) = 0;
-
-  // Rewinds to the first event.
-  virtual void Reset() = 0;
-
-  // Total events this cursor will yield, when known (0 = unknown).
-  virtual uint64_t size_hint() const { return 0; }
 };
 
 // Streaming reader for the on-disk format. Holds exactly one decoded block
@@ -58,18 +54,16 @@ class FileTraceCursor : public TraceCursor {
   FileTraceCursor& operator=(const FileTraceCursor&) = delete;
 
   bool Next(TraceEvent* out) override;
-  void Reset() override;
-  uint64_t size_hint() const override { return header_.record_count; }
 
   // Positions the cursor at the first event with arrival >= `us`, by binary
   // search over the on-disk block index (O(log blocks) 16-byte reads) plus
   // one in-block scan. Returns false (cursor at end) if every event is
-  // earlier.
+  // earlier. SeekToTimeUs(0) rewinds to the first event.
   bool SeekToTimeUs(uint64_t us);
 
   const TraceHeader& header() const { return header_; }
-  // Records already yielded by Next() since the last Reset/Seek (replay
-  // progress reporting).
+  // Records already yielded by Next() since the open or the last seek
+  // (replay progress reporting).
   uint64_t position() const { return yielded_; }
 
  private:

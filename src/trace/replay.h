@@ -2,7 +2,9 @@
 //
 // The driver walks the cursor in trace order and fires a dispatch callback
 // at each event's (rate-scaled) arrival time — open loop: arrivals never
-// wait for completions, exactly how production load hits a store. The
+// wait for completions, exactly how production load hits a store. It is the
+// one open-loop driver: on-disk and synthetic traces and the tenant mix
+// (tenant::TenantArrivalCursor) all reach the harness through it. The
 // harness installs a dispatch that issues a client Get through the full
 // client -> kv -> OS stack; tests install counting sinks.
 //

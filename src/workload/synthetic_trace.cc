@@ -59,27 +59,15 @@ SyntheticTraceCursor::SyntheticTraceCursor(const TraceProfile& profile, Duration
                                            uint64_t seed, uint32_t stream)
     : profile_(profile),
       duration_(duration),
-      mixed_seed_(seed ^ (profile.name.empty()
-                              ? 0
-                              : static_cast<uint64_t>(profile.name[0]) * 131)),
       stream_(stream),
       region_size_(profile.span_bytes / profile.hot_regions),
       mean_iat_(static_cast<double>(profile.mean_interarrival)),
-      rng_(mixed_seed_),
+      rng_(seed ^ (profile.name.empty() ? 0 : static_cast<uint64_t>(profile.name[0]) * 131)),
       region_zipf_(static_cast<uint64_t>(profile.hot_regions), 0.9) {}
 
-void SyntheticTraceCursor::Reset() {
-  rng_ = Rng(mixed_seed_);
-  t_ = 0;
-  last_end_ = 0;
-  in_burst_ = false;
-  phase_end_ = 0;
-  done_ = false;
-}
-
-// One iteration of the historical GenerateTrace loop. The RNG call order is
-// the contract: phase draw(s), interarrival, read/write, size, locality —
-// any reordering changes every seeded trace in the repo.
+// One generator step. The RNG call order is the contract: phase draw(s),
+// interarrival, read/write, size, locality — any reordering changes every
+// seeded trace in the repo.
 bool SyntheticTraceCursor::Next(trace::TraceEvent* out) {
   if (done_ || t_ >= duration_) {
     done_ = true;
@@ -125,20 +113,6 @@ bool SyntheticTraceCursor::Next(trace::TraceEvent* out) {
   }
   last_end_ = out->offset + size;
   return true;
-}
-
-std::vector<TraceRecord> GenerateTrace(const TraceProfile& profile, DurationNs duration,
-                                       uint64_t seed) {
-  SyntheticTraceCursor cursor(profile, duration, seed);
-  std::vector<TraceRecord> out;
-  trace::TraceEvent event;
-  while (cursor.Next(&event)) {
-    out.push_back({.at = event.at,
-                   .offset = event.offset,
-                   .size = static_cast<int64_t>(event.len),
-                   .is_read = event.op == trace::kOpRead});
-  }
-  return out;
 }
 
 bool WriteSyntheticMix(const std::vector<TraceProfile>& profiles, DurationNs duration,

@@ -13,9 +13,7 @@
 // The generator is exposed as a trace::TraceCursor (SyntheticTraceCursor),
 // so synthetic and imported on-disk traces replay through one code path —
 // the accuracy benches, TraceReplayDriver, and bench_replay all consume
-// cursors and never care which kind. GenerateTrace() remains as a
-// drain-the-cursor convenience and yields the exact record sequence it
-// always has.
+// cursors and never care which kind.
 
 #ifndef MITTOS_WORKLOAD_SYNTHETIC_TRACE_H_
 #define MITTOS_WORKLOAD_SYNTHETIC_TRACE_H_
@@ -31,13 +29,6 @@
 #include "src/trace/writer.h"
 
 namespace mitt::workload {
-
-struct TraceRecord {
-  TimeNs at = 0;
-  int64_t offset = 0;
-  int64_t size = 4096;
-  bool is_read = true;
-};
 
 struct TraceProfile {
   std::string name;
@@ -59,20 +50,19 @@ struct TraceProfile {
 const std::vector<TraceProfile>& PaperTraceProfiles();
 
 // Streams a profile's deterministic record sequence one event at a time, in
-// constant memory — the on-demand form of GenerateTrace. Every yielded event
-// carries `stream` as its stream id. Reset() replays the identical sequence.
+// constant memory. Every yielded event carries `stream` as its stream id; a
+// cursor built with the same profile, duration and seed yields the identical
+// sequence.
 class SyntheticTraceCursor : public trace::TraceCursor {
  public:
   SyntheticTraceCursor(const TraceProfile& profile, DurationNs duration, uint64_t seed,
                        uint32_t stream = 0);
 
   bool Next(trace::TraceEvent* out) override;
-  void Reset() override;
 
  private:
   const TraceProfile profile_;
   const DurationNs duration_;
-  const uint64_t mixed_seed_;
   const uint32_t stream_;
   const int64_t region_size_;
   const double mean_iat_;
@@ -85,10 +75,6 @@ class SyntheticTraceCursor : public trace::TraceCursor {
   TimeNs phase_end_ = 0;
   bool done_ = false;
 };
-
-// Generates a deterministic trace of `duration` from the profile.
-std::vector<TraceRecord> GenerateTrace(const TraceProfile& profile, DurationNs duration,
-                                       uint64_t seed);
 
 // Merges one cursor per profile (stream id = profile index, per-stream seed
 // derived from `seed`) into an on-disk trace, k-way by arrival time with

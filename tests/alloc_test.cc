@@ -325,11 +325,12 @@ TEST(SteadyStateAllocTest, TraceReplayHotLoopIsAllocationFree) {
 }
 
 TEST(SteadyStateAllocTest, TenantLookupAndDriverHotLoopIsAllocationFree) {
-  // The per-request tenant path: one weighted draw + ScheduleAt in the
-  // open-loop driver, then the directory lookups (class/SLO/priority) and
-  // the placement-group read every routed get performs, plus the per-tenant
-  // counter bump the node does. After the driver's prefix-sum table and the
-  // sim's event pool are warm, none of it may allocate.
+  // The per-request tenant path: the tenant cursor's weighted draw and the
+  // replay driver's ScheduleAt, then the directory lookups
+  // (class/SLO/priority) and the placement-group read every routed get
+  // performs, plus the per-tenant counter bump the node does. After the
+  // cursor's prefix-sum table and the sim's event pool are warm, none of it
+  // may allocate.
   tenant::MixOptions mix;
   mix.num_tenants = 256;
   mix.total_rate_hz = 400'000;  // Dense arrivals: ~40k in the steady window.
@@ -341,13 +342,12 @@ TEST(SteadyStateAllocTest, TenantLookupAndDriverHotLoopIsAllocationFree) {
   uint64_t dispatched = 0;
   DurationNs slo_sum = 0;
   int64_t node_sum = 0;
-  tenant::TenantLoadDriver::Options dopt;
-  dopt.warmup = Millis(1);
-  dopt.duration = Seconds(2);
-  dopt.seed = 3;
-  tenant::TenantLoadDriver driver(
-      &sim, &directory, dopt,
-      [&](tenant::TenantId t, uint64_t key, bool) {
+  tenant::TenantArrivalCursor cursor(&directory, /*end=*/Millis(1) + Seconds(2), /*shard=*/0,
+                                     /*num_shards=*/1, /*seed=*/3);
+  trace::TraceReplayDriver driver(
+      &sim, &cursor, {}, [&](const trace::TraceEvent& event, uint64_t, bool) {
+        const tenant::TenantId t = event.stream;
+        const uint64_t key = static_cast<uint64_t>(event.offset) >> 12;
         slo_sum += directory.slo_of(t) + directory.priority_of(t);
         const tenant::ReplicaGroup g = placement.group(t);
         for (int r = 0; r < g.size; ++r) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -110,6 +111,73 @@ TEST(CorpusSerdeTest, MissingWorldLineAndUnknownKeysFailLoudly) {
       &parsed, &error));
 }
 
+// Hostile corpus files: every line the reader cannot turn into the world it
+// names is rejected with an error that names the line, never a crash or a
+// silently clamped value.
+TEST(CorpusSerdeTest, HostileLinesFailWithTheirLineNumber) {
+  const std::string world =
+      "world nodes=3 clients=4 requests=10 warmup=1 deadline=1 horizon=1000 shards=1 seed=1 "
+      "bug=0 tenants=0";
+  const auto with = [&world](const std::string& from, const std::string& to) {
+    std::string line = world;
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  const std::vector<std::string> bad_lines = {
+      "   ",  // Whitespace only.
+      "\t",
+      with("nodes=3", "nodes=0"),
+      with("nodes=3", "nodes=-3"),
+      with("shards=1", "shards=0"),
+      with("clients=4", "clients=-1"),
+      with("requests=10", "requests=-1"),
+      with("warmup=1", "warmup=-1"),
+      with("deadline=1", "deadline=-1"),
+      with("horizon=1000", "horizon=-1"),
+      with("nodes=3", "nodes=2147483648"),                   // Past int.
+      with("requests=10", "requests=9223372036854775808"),   // Past int64.
+      with("seed=1", "seed=18446744073709551616"),           // Past uint64.
+      with("seed=1", "seed=-1"),
+      with("bug=0", "bug=2"),
+      "episode kind=node_pause node=4294967296 start=0 dur=1 severity=1 chip=-1",
+      "episode kind=node_pause node=0 start=9223372036854775808 dur=1 severity=1 chip=-1",
+  };
+  for (const std::string& bad : bad_lines) {
+    SCOPED_TRACE(bad);
+    // The bad line is line 3; a valid world line comes first when it is not
+    // the world line itself.
+    const bool is_world = bad.rfind("world", 0) == 0;
+    const std::string text =
+        "# mittos chaos corpus v1\n" + (is_world ? "# note" : world) + "\n" + bad + "\n";
+    CorpusEntry parsed;
+    std::string error;
+    EXPECT_FALSE(chaos::CorpusEntryFromText(text, &parsed, &error));
+    EXPECT_EQ(error.rfind("line 3: ", 0), 0u) << error;
+  }
+
+  // A seed past 2^63 replays the world it names.
+  CorpusEntry parsed;
+  std::string error;
+  ASSERT_TRUE(chaos::CorpusEntryFromText(
+      "# mittos chaos corpus v1\n" + with("seed=1", "seed=18446744073709551615") + "\n",
+      &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.world.seed, 18446744073709551615u);
+  EXPECT_NE(chaos::CorpusEntryToText(parsed).find(" seed=18446744073709551615 "),
+            std::string::npos);
+
+  // Every checked-in corpus file still parses.
+  size_t files = 0;
+  for (const auto& file :
+       std::filesystem::directory_iterator(std::string(MITT_TEST_DATA_DIR) + "/chaos_corpus")) {
+    SCOPED_TRACE(file.path().string());
+    ++files;
+    CorpusEntry entry;
+    EXPECT_TRUE(chaos::LoadCorpusEntry(file.path().string(), &entry, &error)) << error;
+  }
+  EXPECT_GE(files, 2u);
+}
+
 // --- Mutator ---------------------------------------------------------------
 
 void ExpectCanonical(const FaultPlan& plan, const chaos::MutatorOptions& opt) {
@@ -130,7 +198,12 @@ void ExpectCanonical(const FaultPlan& plan, const chaos::MutatorOptions& opt) {
     }
   }
   // No same-target overlaps survive canonicalization.
-  EXPECT_TRUE(fault::FindOverlaps(plan.episodes()).empty());
+  const std::vector<FaultEpisode>& episodes = plan.episodes();
+  for (size_t i = 0; i < episodes.size(); ++i) {
+    for (size_t j = i + 1; j < episodes.size(); ++j) {
+      EXPECT_FALSE(fault::EpisodesOverlap(episodes[i], episodes[j])) << i << " vs " << j;
+    }
+  }
 }
 
 TEST(PlanMutatorTest, GeneratedChildrenAreAlwaysCanonical) {

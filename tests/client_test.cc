@@ -50,7 +50,7 @@ class ClientFixture : public ::testing::Test {
     const TimeNs start = sim_.Now();
     TimeNs done = -1;
     GetResult result;
-    strategy.Get(key, [&](const GetResult& r) {
+    strategy.Get(key, {}, [&](const GetResult& r) {
       result = r;
       done = sim_.Now();
     });

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -161,44 +160,41 @@ TEST(FaultPlanPropertyTest, RepeatEpisodesTruncatesAtHorizonAcrossSeeds) {
   }
 }
 
-// -------------------------------------------------- Overlap policy (builder)
+// -------------------------------------------------------- Same-target overlaps
 
-TEST(FaultPlanOverlapTest, WarnPolicyBuildsAndRecordsDeterministicWarnings) {
-  FaultPlanBuilder b;  // kWarn is the default policy.
-  b.FailSlowDisk(/*node=*/0, /*start=*/Millis(10), /*duration=*/Millis(30), 4.0);
-  b.FailSlowDisk(/*node=*/0, /*start=*/Millis(20), /*duration=*/Millis(30), 8.0);
-  b.FailSlowDisk(/*node=*/1, /*start=*/Millis(20), /*duration=*/Millis(30), 8.0);
-  const FaultPlan plan = b.Build();
-  EXPECT_EQ(plan.size(), 3u);  // Overlaps are kept, only flagged.
-  ASSERT_EQ(plan.overlap_warnings().size(), 1u);  // Node 1 does not collide.
-  // Same input, same warning text — the warning list is part of plan identity.
-  FaultPlanBuilder b2;
-  b2.FailSlowDisk(0, Millis(10), Millis(30), 4.0);
-  b2.FailSlowDisk(0, Millis(20), Millis(30), 8.0);
-  b2.FailSlowDisk(1, Millis(20), Millis(30), 8.0);
-  EXPECT_EQ(b2.Build().overlap_warnings(), plan.overlap_warnings());
+TEST(FaultPlanOverlapTest, SameTargetIntersectingEpisodesOverlap) {
+  const FaultEpisode a{FaultKind::kFailSlowDisk, /*node=*/0, Millis(10), Millis(30), 4.0, -1};
+  const FaultEpisode b{FaultKind::kFailSlowDisk, /*node=*/0, Millis(20), Millis(30), 8.0, -1};
+  const FaultEpisode other_node{FaultKind::kFailSlowDisk, /*node=*/1, Millis(20), Millis(30),
+                                8.0, -1};
+  EXPECT_TRUE(fault::EpisodesOverlap(a, b));
+  EXPECT_TRUE(fault::EpisodesOverlap(b, a));
+  EXPECT_FALSE(fault::EpisodesOverlap(a, other_node));  // Node 1 does not collide.
+  EXPECT_FALSE(fault::EpisodesOverlap(b, other_node));
+  // Build only sorts: overlapping episodes are kept as given.
+  FaultPlanBuilder builder;
+  builder.Add(b).Add(other_node).Add(a);
+  const FaultPlan plan = builder.Build();
+  ASSERT_EQ(plan.size(), 3u);
+  EXPECT_EQ(plan.episodes()[0], a);
 }
 
-TEST(FaultPlanOverlapTest, RejectPolicyThrowsAndAllowIsSilent) {
-  const auto build = [](OverlapPolicy policy) {
-    FaultPlanBuilder b;
-    b.SetOverlapPolicy(policy);
-    b.NodePause(/*node=*/2, /*start=*/Millis(5), /*duration=*/Millis(20));
-    b.NodePause(/*node=*/2, /*start=*/Millis(15), /*duration=*/Millis(20));
-    return b.Build();
-  };
-  EXPECT_THROW(build(OverlapPolicy::kReject), std::invalid_argument);
-  const FaultPlan allowed = build(OverlapPolicy::kAllow);
-  EXPECT_EQ(allowed.size(), 2u);
-  EXPECT_TRUE(allowed.overlap_warnings().empty());
+TEST(FaultPlanOverlapTest, IntersectingPausesOnOneNodeOverlap) {
+  const FaultEpisode first{FaultKind::kNodePause, /*node=*/2, Millis(5), Millis(20), 1.0, -1};
+  const FaultEpisode second{FaultKind::kNodePause, /*node=*/2, Millis(15), Millis(20), 1.0, -1};
+  EXPECT_TRUE(fault::EpisodesOverlap(first, second));
+  EXPECT_TRUE(fault::EpisodesOverlap(second, first));
+  FaultPlanBuilder builder;
+  builder.NodePause(2, Millis(5), Millis(20)).NodePause(2, Millis(15), Millis(20));
+  EXPECT_EQ(builder.Build().size(), 2u);
 }
 
 TEST(FaultPlanOverlapTest, AdjacentEpisodesDoNotOverlap) {
-  FaultPlanBuilder b;
-  b.SetOverlapPolicy(OverlapPolicy::kReject);
-  b.NodePause(/*node=*/0, /*start=*/Millis(5), /*duration=*/Millis(10));
-  b.NodePause(/*node=*/0, /*start=*/Millis(15), /*duration=*/Millis(10));  // Begins at end.
-  EXPECT_NO_THROW(b.Build());
+  const FaultEpisode first{FaultKind::kNodePause, /*node=*/0, Millis(5), Millis(10), 1.0, -1};
+  // `next` begins exactly where `first` ends.
+  const FaultEpisode next{FaultKind::kNodePause, /*node=*/0, Millis(15), Millis(10), 1.0, -1};
+  EXPECT_FALSE(fault::EpisodesOverlap(first, next));
+  EXPECT_FALSE(fault::EpisodesOverlap(next, first));
 }
 
 // ----------------------------------------------------------------- CpuPool

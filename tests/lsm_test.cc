@@ -65,7 +65,7 @@ TEST(MemTableTest, PutContainsClear) {
 TEST(SsTableTest, LookupFindsBlocks) {
   std::vector<uint64_t> keys(100);
   std::iota(keys.begin(), keys.end(), 1000);
-  SsTable table(1, 7, keys, /*level=*/1, /*block_size=*/4096, /*keys_per_block=*/4);
+  SsTable table(1, 7, keys, /*level=*/1);
   EXPECT_EQ(table.min_key(), 1000u);
   EXPECT_EQ(table.max_key(), 1099u);
   EXPECT_EQ(table.size_bytes(), 25 * 4096);
@@ -267,7 +267,7 @@ TEST_F(RingTest, GetSucceedsQuietCluster) {
   Build();
   Status status = Status::Internal();
   TimeNs done = -1;
-  mittos_->Get(123, [&](const client::GetResult& r) {
+  mittos_->Get(123, {}, [&](const client::GetResult& r) {
     status = r.status;
     done = sim_.Now();
   });
@@ -298,7 +298,7 @@ TEST_F(RingTest, EbusyTriggersReplicaFailover) {
   Status status = Status::Internal();
   TimeNs done = -1;
   const TimeNs start = sim_.Now();
-  mittos_->Get(123, [&](const client::GetResult& r) {
+  mittos_->Get(123, {}, [&](const client::GetResult& r) {
     status = r.status;
     done = sim_.Now();
   });

@@ -323,7 +323,7 @@ class ResilientClientTest : public ::testing::Test {
     const TimeNs start = sim_.Now();
     TimeNs done = -1;
     client::GetResult result;
-    strategy.Get(key, [&](const client::GetResult& r) {
+    strategy.Get(key, {}, [&](const client::GetResult& r) {
       result = r;
       done = sim_.Now();
     });
@@ -584,7 +584,7 @@ class RingResilienceTest : public ::testing::Test {
   Status RunOneGet(uint64_t key) {
     Status status = Status::Internal();
     TimeNs done = -1;
-    mittos_->Get(key, [&](const client::GetResult& r) {
+    mittos_->Get(key, {}, [&](const client::GetResult& r) {
       status = r.status;
       done = sim_.Now();
     });
@@ -687,7 +687,7 @@ void DrillDoneOnce(uint64_t seed, sim::Simulator& sim, cluster::Cluster& cluster
     for (client::GetStrategy* strategy : strategies) {
       calls.push_back(0);
       int* slot = &calls.back();
-      strategy->Get(rng.UniformInt(0, num_keys - 1),
+      strategy->Get(rng.UniformInt(0, num_keys - 1), {},
                     [slot, &completed](const client::GetResult&) {
                       ++*slot;
                       ++completed;

@@ -1,5 +1,5 @@
 // src/tenant/: directory/mix determinism, placement map, the SLO-aware
-// placement controller's probe -> decide loop, the open-loop tenant driver,
+// placement controller's probe -> decide loop, the tenant arrival cursor,
 // per-class harvest through the harness, the recorded-trace round trip, and
 // scorecard byte-identity across the worker grid (DESIGN.md §4i).
 
@@ -18,6 +18,7 @@
 #include "src/tenant/tenant.h"
 #include "src/tenant/workload.h"
 #include "src/trace/cursor.h"
+#include "src/trace/replay.h"
 
 namespace mitt {
 namespace {
@@ -348,32 +349,37 @@ TEST(PlacementControllerTest, MigrationBudgetCapsEachTick) {
   EXPECT_LE(c.migrations(), 3u);
 }
 
-// --- Tenant load driver ---
+// --- Tenant arrival cursor ---
 
-TEST(TenantLoadDriverTest, ShardPartitionsCoverAllTenantsExactlyOnce) {
+TEST(TenantArrivalCursorTest, ShardPartitionsCoverAllTenantsExactlyOnce) {
   MixOptions mix;
   mix.num_tenants = 40;
   mix.total_rate_hz = 40000;
   const TenantDirectory dir = TenantDirectory::BuildMix(mix);
 
-  // Two-shard run: each arrival's tenant must belong to its driver's
-  // partition, and both partitions together fire comparable volume.
+  // Two-shard run, each shard's cursor replayed by its own driver: each
+  // arrival's tenant must belong to its cursor's partition, and both
+  // partitions together fire comparable volume.
   uint64_t count[2] = {0, 0};
   sim::Simulator sims[2];
-  std::vector<std::unique_ptr<tenant::TenantLoadDriver>> drivers;
+  std::vector<std::unique_ptr<tenant::TenantArrivalCursor>> cursors;
+  std::vector<std::unique_ptr<trace::TraceReplayDriver>> drivers;
   for (int s = 0; s < 2; ++s) {
-    tenant::TenantLoadDriver::Options dopt;
-    dopt.warmup = Millis(10);
-    dopt.duration = Millis(200);
-    dopt.shard = s;
-    dopt.num_shards = 2;
-    dopt.seed = 5;
-    drivers.push_back(std::make_unique<tenant::TenantLoadDriver>(
-        &sims[s], &dir, dopt, [&count, &dir, s](TenantId t, uint64_t key, bool) {
+    cursors.push_back(std::make_unique<tenant::TenantArrivalCursor>(
+        &dir, /*end=*/Millis(210), /*shard=*/s, /*num_shards=*/2, /*seed=*/5));
+    trace::TraceReplayDriver::Options ropt;
+    ropt.shard = s;
+    ropt.num_shards = 2;
+    drivers.push_back(std::make_unique<trace::TraceReplayDriver>(
+        &sims[s], cursors.back().get(), ropt,
+        [&count, &dir, s](const trace::TraceEvent& event, uint64_t, bool) {
+          const TenantId t = event.stream;
           EXPECT_EQ(t % 2, static_cast<TenantId>(s));
           const tenant::TenantSpec& spec = dir.spec(t);
+          const uint64_t key = static_cast<uint64_t>(event.offset) >> 12;
           EXPECT_GE(key, spec.key_base);
           EXPECT_LT(key, spec.key_base + spec.key_span);
+          EXPECT_LT(event.at, Millis(210));
           ++count[s];
         }));
     drivers.back()->Start();

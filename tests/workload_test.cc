@@ -75,27 +75,39 @@ TEST(SyntheticTraceTest, FiveProfilesWithPaperNames) {
   EXPECT_EQ(profiles[4].name, "TPCC");
 }
 
+// Every event a fresh cursor over `profile` yields.
+std::vector<trace::TraceEvent> DrainTrace(const TraceProfile& profile, DurationNs duration,
+                                          uint64_t seed) {
+  SyntheticTraceCursor cursor(profile, duration, seed);
+  std::vector<trace::TraceEvent> out;
+  trace::TraceEvent event;
+  while (cursor.Next(&event)) {
+    out.push_back(event);
+  }
+  return out;
+}
+
 TEST(SyntheticTraceTest, RecordsSortedAndInRange) {
   for (const auto& profile : PaperTraceProfiles()) {
-    const auto trace = GenerateTrace(profile, Seconds(10), 3);
+    const auto trace = DrainTrace(profile, Seconds(10), 3);
     ASSERT_GT(trace.size(), 500u) << profile.name;
     TimeNs prev = -1;
     for (const auto& rec : trace) {
       EXPECT_GE(rec.at, prev);
       prev = rec.at;
       EXPECT_GE(rec.offset, 0);
-      EXPECT_LE(rec.offset + rec.size, profile.span_bytes);
-      EXPECT_GT(rec.size, 0);
+      EXPECT_LE(rec.offset + static_cast<int64_t>(rec.len), profile.span_bytes);
+      EXPECT_GT(rec.len, 0u);
     }
   }
 }
 
 TEST(SyntheticTraceTest, ReadRatioApproximatelyMatchesProfile) {
   for (const auto& profile : PaperTraceProfiles()) {
-    const auto trace = GenerateTrace(profile, Seconds(30), 5);
+    const auto trace = DrainTrace(profile, Seconds(30), 5);
     int reads = 0;
     for (const auto& rec : trace) {
-      reads += rec.is_read ? 1 : 0;
+      reads += rec.op == trace::kOpRead ? 1 : 0;
     }
     EXPECT_NEAR(static_cast<double>(reads) / static_cast<double>(trace.size()),
                 profile.read_ratio, 0.05)
@@ -105,21 +117,21 @@ TEST(SyntheticTraceTest, ReadRatioApproximatelyMatchesProfile) {
 
 TEST(SyntheticTraceTest, DeterministicPerSeed) {
   const auto& profile = PaperTraceProfiles()[0];
-  const auto a = GenerateTrace(profile, Seconds(5), 9);
-  const auto b = GenerateTrace(profile, Seconds(5), 9);
+  const auto a = DrainTrace(profile, Seconds(5), 9);
+  const auto b = DrainTrace(profile, Seconds(5), 9);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].at, b[i].at);
     EXPECT_EQ(a[i].offset, b[i].offset);
   }
-  const auto c = GenerateTrace(profile, Seconds(5), 10);
+  const auto c = DrainTrace(profile, Seconds(5), 10);
   EXPECT_NE(a.size(), c.size());
 }
 
 TEST(SyntheticTraceTest, BurstsPresent) {
   // Arrival-rate variance across 100ms windows should far exceed a Poisson
   // process with the same mean (burstiness).
-  const auto trace = GenerateTrace(PaperTraceProfiles()[2], Seconds(30), 7);  // EXCH.
+  const auto trace = DrainTrace(PaperTraceProfiles()[2], Seconds(30), 7);  // EXCH.
   std::vector<int> window_counts(300, 0);
   for (const auto& rec : trace) {
     ++window_counts[static_cast<size_t>(rec.at / Millis(100))];
