@@ -25,11 +25,9 @@ int main() {
   base_opt.seed = 20170106;
 
   std::printf("=== Figure 10: tail sensitivity to prediction error (MittCFQ) ===\n");
-  harness::Experiment probe(base_opt);
-  auto base_results = probe.RunAll({StrategyKind::kBase});
-  const DurationNs p95 = probe.derived_p95();
-  base_opt.deadline = p95;
-  std::printf("deadline = Base p95 = %.2f ms\n", ToMillis(p95));
+  const harness::SloBase slo = harness::RunSloBase(base_opt);
+  base_opt.deadline = slo.slo;
+  std::printf("deadline = Base p95 = %.2f ms\n", ToMillis(slo.slo));
 
   auto run_with_error = [&](double fn_rate, double fp_rate, const char* label) {
     harness::ExperimentOptions opt = base_opt;
@@ -41,25 +39,28 @@ int main() {
     return result;
   };
 
+  // Both tables share the error-free MittOS run and the Base column.
+  const harness::RunResult no_error = run_with_error(0.0, 0.0, "NoError");
+
   std::printf("\n--- Fig 10a: false-negative injection ---\n");
   {
     std::vector<harness::RunResult> results;
-    results.push_back(run_with_error(0.0, 0.0, "NoError"));
+    results.push_back(no_error);
     results.push_back(run_with_error(0.2, 0.0, "FN=20%"));
     results.push_back(run_with_error(0.6, 0.0, "FN=60%"));
     results.push_back(run_with_error(1.0, 0.0, "FN=100%"));
-    results.push_back(base_results[0]);
+    results.push_back(slo.base);
     harness::PrintPercentileTable(results, {90, 92, 94, 96, 98, 99}, /*user_level=*/false);
   }
 
   std::printf("\n--- Fig 10b: false-positive injection ---\n");
   {
     std::vector<harness::RunResult> results;
-    results.push_back(run_with_error(0.0, 0.0, "NoError"));
+    results.push_back(no_error);
     results.push_back(run_with_error(0.0, 0.2, "FP=20%"));
     results.push_back(run_with_error(0.0, 0.6, "FP=60%"));
     results.push_back(run_with_error(0.0, 1.0, "FP=100%"));
-    results.push_back(base_results[0]);
+    results.push_back(slo.base);
     harness::PrintPercentileTable(results, {50, 75, 90, 92, 94, 96, 98, 99},
                                   /*user_level=*/false);
   }

@@ -22,11 +22,15 @@ int main() {
   opt.seed = 20170107;
 
   std::printf("=== Figure 11: MittCFQ with macrobenchmark + Hadoop noise ===\n");
-  harness::Experiment experiment(opt);
-  const auto results = experiment.RunAll({StrategyKind::kBase, StrategyKind::kHedged,
-                                          StrategyKind::kMittos, StrategyKind::kMittosWait});
-  std::printf("deadline / hedge delay = Base p95 = %.2f ms\n\n",
-              ToMillis(experiment.derived_p95()));
+  harness::SloBase slo = harness::RunSloBase(opt);
+  harness::Experiment experiment(harness::WithSlo(opt, slo.slo));
+  std::vector<harness::RunResult> results;
+  results.push_back(std::move(slo.base));
+  for (const StrategyKind kind :
+       {StrategyKind::kHedged, StrategyKind::kMittos, StrategyKind::kMittosWait}) {
+    results.push_back(experiment.Run(kind));
+  }
+  std::printf("deadline / hedge delay = Base p95 = %.2f ms\n\n", ToMillis(slo.slo));
 
   std::printf("--- Fig 11a: get() latency percentiles ---\n");
   harness::PrintPercentileTable(results, {20, 50, 75, 85, 90, 95, 99, 99.9},

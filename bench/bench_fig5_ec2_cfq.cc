@@ -28,14 +28,17 @@ int main() {
   opt.ec2 = harness::CompressedEc2Noise();
   opt.seed = 20170101;
 
-  harness::Experiment experiment(opt);
-  const auto results =
-      experiment.RunAll({StrategyKind::kBase, StrategyKind::kAppTimeout, StrategyKind::kClone,
-                         StrategyKind::kHedged, StrategyKind::kMittos});
+  harness::SloBase slo = harness::RunSloBase(opt);
+  harness::Experiment experiment(harness::WithSlo(opt, slo.slo));
+  std::vector<harness::RunResult> results;
+  results.push_back(std::move(slo.base));
+  for (const StrategyKind kind : {StrategyKind::kAppTimeout, StrategyKind::kClone,
+                                  StrategyKind::kHedged, StrategyKind::kMittos}) {
+    results.push_back(experiment.Run(kind));
+  }
 
   std::printf("=== Figure 5: MittCFQ with EC2 noise (20-node MongoDB-like cluster) ===\n");
-  std::printf("deadline / timeout / hedge delay = Base p95 = %.2f ms\n\n",
-              ToMillis(experiment.derived_p95()));
+  std::printf("deadline / timeout / hedge delay = Base p95 = %.2f ms\n\n", ToMillis(slo.slo));
 
   std::printf("--- Fig 5a: get() latency percentiles (CDF view) ---\n");
   harness::PrintPercentileTable(results, {50, 75, 90, 93, 95, 97, 99, 99.9},

@@ -19,21 +19,6 @@
 #include "src/harness/experiment.h"
 #include "src/sim/sharded_engine.h"
 
-namespace {
-
-// The fields the tables below are printed from, plus the raw counters that
-// would catch a divergence the percentile grid rounds away.
-bool SameResult(const mitt::harness::RunResult& a, const mitt::harness::RunResult& b) {
-  const std::vector<double> pcts = {50, 75, 90, 95, 99, 99.9};
-  return a.requests == b.requests && a.user_errors == b.user_errors &&
-         a.ebusy_failovers == b.ebusy_failovers && a.sim_events == b.sim_events &&
-         a.sim_duration == b.sim_duration &&
-         a.get_latencies.Percentiles(pcts) == b.get_latencies.Percentiles(pcts) &&
-         a.user_latencies.Percentiles(pcts) == b.user_latencies.Percentiles(pcts);
-}
-
-}  // namespace
-
 int main() {
   using namespace mitt;
   using harness::StrategyKind;
@@ -50,9 +35,7 @@ int main() {
                             // across engine shards (windows, mailboxes).
 
   // Derive the p95 deadline once, at SF=1 (the paper keeps 13ms throughout).
-  harness::Experiment probe(base_opt);
-  const auto base_results = probe.RunAll({StrategyKind::kBase});
-  const DurationNs p95 = probe.derived_p95();
+  const DurationNs p95 = harness::RunSloBase(base_opt).slo;
   std::printf("=== Figure 6: tail amplified by scale (MittCFQ vs Hedged) ===\n");
   std::printf("deadline / hedge delay = SF=1 Base p95 = %.2f ms\n", ToMillis(p95));
 
@@ -88,7 +71,7 @@ int main() {
                std::chrono::duration<double>(t2 - t1).count());
 
   for (size_t i = 0; i < results.size(); ++i) {
-    if (!SameResult(results[i], results_mw[i])) {
+    if (harness::Fingerprint(results[i]) != harness::Fingerprint(results_mw[i])) {
       std::fprintf(stderr,
                    "[fig6_scale] DETERMINISM VIOLATION: trial %zu diverged between "
                    "intra_workers=1 and intra_workers=%d\n",

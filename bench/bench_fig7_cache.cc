@@ -30,9 +30,7 @@ int main() {
   base_opt.seed = 20170104;
 
   std::printf("=== Figure 7: MittCache vs Hedged (20 nodes, cache contention) ===\n");
-  harness::Experiment probe(base_opt);
-  const auto probe_results = probe.RunAll({StrategyKind::kBase});
-  const DurationNs p95 = probe.derived_p95();
+  const DurationNs p95 = harness::RunSloBase(base_opt).slo;
   std::printf("hedge delay = Base p95 = %.3f ms; deadline = 0.100 ms\n", ToMillis(p95));
 
   for (const int sf : {1, 2, 5, 10}) {

@@ -37,17 +37,19 @@ int main() {
   base_opt.seed = 20170105;
 
   std::printf("=== Figure 8: MittSSD vs Hedged (6 partitions, 8 shared CPU threads) ===\n");
-  harness::Experiment experiment(base_opt);
-  const auto results = experiment.RunAll(
-      {StrategyKind::kBase, StrategyKind::kHedged, StrategyKind::kMittos});
-  std::printf("deadline / hedge delay = Base p95 = %.3f ms\n\n",
-              ToMillis(experiment.derived_p95()));
+  harness::SloBase slo = harness::RunSloBase(base_opt);
+  const DurationNs p95 = slo.slo;
+  harness::Experiment experiment(harness::WithSlo(base_opt, p95));
+  std::vector<harness::RunResult> results;
+  results.push_back(std::move(slo.base));
+  results.push_back(experiment.Run(StrategyKind::kHedged));
+  results.push_back(experiment.Run(StrategyKind::kMittos));
+  std::printf("deadline / hedge delay = Base p95 = %.3f ms\n\n", ToMillis(p95));
 
   std::printf("--- Fig 8a: get() latency percentiles ---\n");
   harness::PrintPercentileTable(results, {50, 75, 90, 95, 99, 99.9}, /*user_level=*/false);
 
   std::printf("\n--- Fig 8b: %% latency reduction of MittSSD vs Hedged, SF sweep ---\n");
-  const DurationNs p95 = experiment.derived_p95();
   for (const int sf : {1, 2, 5, 10}) {
     harness::ExperimentOptions opt = base_opt;
     opt.scale_factor = sf;

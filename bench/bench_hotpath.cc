@@ -25,15 +25,14 @@
 // safe for noisy CI runners (the CI perf-smoke job is report-only).
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "src/common/alloc_hook.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
@@ -49,44 +48,6 @@
 #include "src/sched/cfq_scheduler.h"
 #include "src/sched/io_request.h"
 #include "src/sim/simulator.h"
-
-// --- Allocation-counting hook (same shape as bench_simcore) ------------------
-
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -403,11 +364,11 @@ E2eResult RunE2e(os::BackendKind backend, uint64_t target_ios, uint64_t warmup_i
     s->Issue();
   }
 
-  const uint64_t allocs_before = g_alloc_count.load();
+  const uint64_t allocs_before = mitt::AllocCount();
   sim.RunUntilPredicate([&total, warmup_ios] { return total >= warmup_ios; });
 
   const uint64_t measured_start = total;
-  const uint64_t steady_before = g_alloc_count.load();
+  const uint64_t steady_before = mitt::AllocCount();
   const auto t0 = std::chrono::steady_clock::now();
   sim.RunUntilPredicate([&total, target_ios] { return total >= target_ios; });
   const auto t1 = std::chrono::steady_clock::now();
@@ -415,8 +376,8 @@ E2eResult RunE2e(os::BackendKind backend, uint64_t target_ios, uint64_t warmup_i
   E2eResult r;
   r.ios = total - measured_start;
   r.elapsed_sec = std::chrono::duration<double>(t1 - t0).count();
-  r.allocs = g_alloc_count.load() - allocs_before;
-  r.steady_allocs = g_alloc_count.load() - steady_before;
+  r.allocs = mitt::AllocCount() - allocs_before;
+  r.steady_allocs = mitt::AllocCount() - steady_before;
   for (const auto& s : streams) {
     r.ebusy += s->ebusy;
   }

@@ -13,8 +13,9 @@
 //      SLO derived from the healthy Base replay's p95 (the paper's rule),
 //      plus the obs latency breakdown of the traced MittOS run.
 //   3. Determinism — the scorecard re-run at every point of the
-//      {trial workers 1,4} x {intra workers 1,2} grid; the JSON scorecards
-//      must be byte-identical or the bench exits nonzero (the CI gate).
+//      {trial workers 1,4} x {intra workers 1,2} grid; every run's
+//      harness::Fingerprint must match the (1,1) run's or the bench exits
+//      nonzero (the CI gate).
 //
 // Usage: bench_replay [--small] [--csv FILE] [out.json]
 //   --small  CI mode: ~50k-IO scale pass and a lighter grid.
@@ -23,10 +24,12 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -128,8 +131,10 @@ std::vector<harness::FaultScenario> ReplayScenarios() {
   return scenarios;
 }
 
+// The grid's (1,1) scorecard JSON; *drift names the grid points whose
+// fingerprints differ.
 std::string DeterminismScorecard(const std::string& trace_path, uint64_t max_events,
-                                 int trial_workers, int intra_workers) {
+                                 std::vector<std::string>* drift) {
   harness::ScenarioRunner::Options opt;
   opt.base = ReplayWorld(trace_path, /*seed=*/20170919);
   opt.base.replay.max_events = max_events;
@@ -138,11 +143,9 @@ std::string DeterminismScorecard(const std::string& trace_path, uint64_t max_eve
   // the mix's five streams partition as stream % 2.
   opt.base.num_nodes = 4;
   opt.base.num_shards = 2;
-  opt.base.intra_workers = intra_workers;
   opt.strategies = {StrategyKind::kBase, StrategyKind::kMittos, StrategyKind::kMittosResilient};
-  opt.workers = trial_workers;
   harness::ScenarioRunner runner(opt);
-  const auto scores = runner.Run({{"healthy", {}, {}}});
+  const auto scores = runner.Run({{"healthy", {}, {}}}, drift);
   return harness::ScorecardJson(scores, runner.slo_deadline());
 }
 
@@ -253,24 +256,18 @@ int main(int argc, char** argv) {
   const uint64_t grid_events = small ? 8'000 : 30'000;
   std::printf("\n--- Determinism: scorecard at {trial 1,4} x {intra 1,2}, %llu IOs ---\n",
               static_cast<unsigned long long>(grid_events));
-  std::string reference;
-  bool identical = true;
-  int variants = 0;
-  for (const int trial_workers : {1, 4}) {
-    for (const int intra_workers : {1, 2}) {
-      const std::string scorecard =
-          DeterminismScorecard(trace_path, grid_events, trial_workers, intra_workers);
-      ++variants;
-      if (reference.empty()) {
-        reference = scorecard;
-      } else if (scorecard != reference) {
-        identical = false;
-        std::fprintf(stderr, "DETERMINISM FAILURE at trial=%d intra=%d: scorecard differs\n",
-                     trial_workers, intra_workers);
-      }
-      std::printf("  trial=%d intra=%d: %zu scorecard bytes %s\n", trial_workers, intra_workers,
-                  scorecard.size(), scorecard == reference ? "(identical)" : "(DIFFERS)");
+  std::vector<std::string> drift;
+  const std::string reference = DeterminismScorecard(trace_path, grid_events, &drift);
+  const bool identical = drift.empty();
+  const int variants = static_cast<int>(std::size(harness::kWorkerGrid));
+  for (const harness::WorkerGridPoint& point : harness::kWorkerGrid) {
+    const bool same = std::find(drift.begin(), drift.end(), point.Name()) == drift.end();
+    if (!same) {
+      std::fprintf(stderr, "DETERMINISM FAILURE at %s: fingerprint differs\n",
+                   point.Name().c_str());
     }
+    std::printf("  %s: %zu scorecard bytes %s\n", point.Name().c_str(), reference.size(),
+                same ? "(identical)" : "(DIFFERS)");
   }
 
   // --- Artifact ---

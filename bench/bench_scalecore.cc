@@ -25,10 +25,10 @@
 //     bit-deterministic (derived from event counts, not timers).
 //
 // Determinism is asserted, not assumed: every worker count must produce the
-// same requests / sim_events / window counts / latency percentiles, and the
-// fusion-off comparison run must reproduce the same scorecard, or the bench
-// exits nonzero. Perf is report-only (CI runners are noisy); broken
-// bit-identity is a correctness bug and fails loudly.
+// same harness::Fingerprint and fused-window count, and the fusion-off
+// comparison run the same Fingerprint, or the bench exits nonzero. Perf is
+// report-only (CI runners are noisy); broken bit-identity is a correctness
+// bug and fails loudly.
 //
 // Usage: bench_scalecore [small] [disk]
 //   small: CI smoke shape (128 nodes).
@@ -70,16 +70,6 @@ double Lookup(const std::vector<std::pair<int, double>>& v, int w) {
     }
   }
   return 0;
-}
-
-bool SameScorecard(const mitt::harness::RunResult& a, const mitt::harness::RunResult& b,
-                   const std::vector<double>& pcts) {
-  return a.requests == b.requests && a.sim_events == b.sim_events &&
-         a.engine_windows == b.engine_windows &&
-         a.cross_shard_messages == b.cross_shard_messages && a.user_errors == b.user_errors &&
-         a.ebusy_failovers == b.ebusy_failovers && a.sim_duration == b.sim_duration &&
-         a.get_latencies.Percentiles(pcts) == b.get_latencies.Percentiles(pcts) &&
-         a.user_latencies.Percentiles(pcts) == b.user_latencies.Percentiles(pcts);
 }
 
 }  // namespace
@@ -181,21 +171,21 @@ int main(int argc, char** argv) {
   // bit-identical work, and min-of-N is the standard de-noiser. Every rep's
   // scorecard is still gated (identical work is what makes min-of-N sound).
   WorkerRun unfused_run = run_once(1, /*fusion=*/0);
+  // The fingerprint every run must reproduce: fusion and worker count change
+  // only wall-clock time and fused_windows.
+  const std::string fingerprint = harness::Fingerprint(runs[0].result);
   bool fusion_reps_identical = true;
-  {
-    const std::vector<double> rep_pcts = {50, 90, 95, 99, 99.9};
-    for (int rep = 1; rep < 3; ++rep) {
-      WorkerRun on = run_once(1, /*fusion=*/-1);
-      WorkerRun off = run_once(1, /*fusion=*/0);
-      fusion_reps_identical = fusion_reps_identical &&
-                              SameScorecard(on.result, runs[0].result, rep_pcts) &&
-                              SameScorecard(off.result, unfused_run.result, rep_pcts);
-      if (on.wall_sec < runs[0].wall_sec) {
-        runs[0] = std::move(on);
-      }
-      if (off.wall_sec < unfused_run.wall_sec) {
-        unfused_run = std::move(off);
-      }
+  for (int rep = 1; rep < 3; ++rep) {
+    WorkerRun on = run_once(1, /*fusion=*/-1);
+    WorkerRun off = run_once(1, /*fusion=*/0);
+    fusion_reps_identical = fusion_reps_identical &&
+                            harness::Fingerprint(on.result) == fingerprint &&
+                            harness::Fingerprint(off.result) == fingerprint;
+    if (on.wall_sec < runs[0].wall_sec) {
+      runs[0] = std::move(on);
+    }
+    if (off.wall_sec < unfused_run.wall_sec) {
+      unfused_run = std::move(off);
     }
   }
   for (const int workers : {2, 4, 8}) {
@@ -205,12 +195,11 @@ int main(int argc, char** argv) {
   // --- Bit-identity gate: every worker count is the same simulation. ---------
   bool identical = true;
   const harness::RunResult& ref = runs[0].result;
-  const std::vector<double> pcts = {50, 90, 95, 99, 99.9};
   for (size_t i = 1; i < runs.size(); ++i) {
     const harness::RunResult& r = runs[i].result;
     // Fusion decisions are worker-independent too: the fast-path predicate
     // reads only simulation state, so the fused-window count must match.
-    if (!SameScorecard(r, ref, pcts) ||
+    if (harness::Fingerprint(r) != fingerprint ||
         r.engine_fused_windows != ref.engine_fused_windows) {
       identical = false;
       std::fprintf(stderr,
@@ -239,7 +228,7 @@ int main(int argc, char** argv) {
   double fusion_barrier_ratio = 0;
   double fusion_events_ratio = 0;
   const bool fusion_identical =
-      SameScorecard(unfused, ref, pcts) && unfused.engine_fused_windows == 0;
+      harness::Fingerprint(unfused) == fingerprint && unfused.engine_fused_windows == 0;
   {
     if (!fusion_identical) {
       identical = false;
@@ -284,9 +273,9 @@ int main(int argc, char** argv) {
               ref.events_per_window_p50, ref.events_per_window_p99,
               static_cast<unsigned long long>(ref.engine_windows),
               static_cast<unsigned long long>(ref.engine_fused_windows));
-  const auto ref_get = ref.get_latencies.Percentiles(pcts);
   std::printf("p95 get latency: %.2f ms over %llu requests\n",
-              ToMillis(ref_get[2]), static_cast<unsigned long long>(ref.requests));
+              ToMillis(ref.get_latencies.Percentile(95)),
+              static_cast<unsigned long long>(ref.requests));
 
   const char* json_name = disk ? "BENCH_scalecore_disk.json" : "BENCH_scalecore.json";
   FILE* out = std::fopen(json_name, "w");

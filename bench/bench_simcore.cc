@@ -10,66 +10,25 @@
 // closures), a daemon ticker, and decoy events of which half are cancelled
 // while pending.
 //
-// A global operator new/delete counting hook reports allocations/event, and
-// the run *asserts* that the steady-state schedule->fire path performs zero
-// heap allocations (exit code 1 otherwise). Results are written to
-// BENCH_simcore.json so the perf trajectory is tracked per PR.
+// The counting operator new/delete (src/common/alloc_hook.h) reports
+// allocations/event, and the run *asserts* that the steady-state
+// schedule->fire path performs zero heap allocations (exit code 1
+// otherwise). Results are written to BENCH_simcore.json so the perf
+// trajectory is tracked per PR.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "src/common/alloc_hook.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
-
-// --- Allocation-counting hook -----------------------------------------------
-
-// GCC pairs the inlined bodies of these replaced operators (malloc/free) with
-// the standard declarations and emits -Wmismatched-new-delete; the pairing is
-// in fact consistent (every path goes through these hooks).
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -181,8 +140,8 @@ struct Churn {
       ScheduleChain(&ctx);
     }
 
-    const uint64_t total_allocs_before = g_alloc_count.load();
-    const uint64_t total_bytes_before = g_alloc_bytes.load();
+    const uint64_t total_allocs_before = mitt::AllocCount();
+    const uint64_t total_bytes_before = mitt::AllocBytes();
 
     // Warmup: drains the pad burst and settles the decoy population.
     sim.RunUntilPredicate([&ctx, warmup_events] {
@@ -191,7 +150,7 @@ struct Churn {
 
     // Measured steady-state phase.
     const uint64_t executed_before = sim.executed_events();
-    const uint64_t steady_allocs_before = g_alloc_count.load();
+    const uint64_t steady_allocs_before = mitt::AllocCount();
     const auto t0 = std::chrono::steady_clock::now();
     sim.Run();
     const auto t1 = std::chrono::steady_clock::now();
@@ -199,9 +158,9 @@ struct Churn {
     ChurnResult r;
     r.executed = sim.executed_events() - executed_before;
     r.elapsed_sec = std::chrono::duration<double>(t1 - t0).count();
-    r.allocs = g_alloc_count.load() - total_allocs_before;
-    r.alloc_bytes = g_alloc_bytes.load() - total_bytes_before;
-    r.steady_allocs = g_alloc_count.load() - steady_allocs_before;
+    r.allocs = mitt::AllocCount() - total_allocs_before;
+    r.alloc_bytes = mitt::AllocBytes() - total_bytes_before;
+    r.steady_allocs = mitt::AllocCount() - steady_allocs_before;
     r.cancelled = ctx.cancelled;
     return r;
   }

@@ -25,16 +25,19 @@
 //      completions per second of wall time.
 //   3. Determinism — the uniform + slo-aware pair re-run at every point of
 //      the {trial workers 1,4} x {intra workers 1,2} grid with num_shards=2
-//      (controller ticks become quiesced ScheduleGlobal events); the JSON
-//      scorecards must be byte-identical or the bench exits nonzero.
+//      (controller ticks become quiesced ScheduleGlobal events); every run's
+//      harness::Fingerprint must match the (1,1) run's or the bench exits
+//      nonzero.
 //
 // Usage: bench_tenant [--small] [out.json]   (default out: BENCH_tenant.json)
 //   --small  CI mode: 1000 tenants, shorter measured window, same grid.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -70,7 +73,7 @@ harness::ExperimentOptions TenantWorld(uint32_t tenants, double rate_hz, bool no
 }
 
 // Deterministic scorecard over a result set: integers only (latencies in
-// ns), so byte-compares across worker grids never hinge on float printing.
+// ns), so the JSON never hinges on float printing.
 std::string TenantScorecardJson(const std::vector<harness::RunResult>& results) {
   std::string json = "[";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -132,20 +135,18 @@ DurationNs ClassP99(const harness::RunResult& r, const char* cls_name) {
 // The determinism grid re-runs the noisy uniform/slo-aware pair as two
 // parallel trials: num_shards=2 puts the controller on the quiesced
 // ScheduleGlobal path and splits the tenant drivers across shards.
-std::string GridScorecard(uint32_t tenants, double rate_hz, DurationNs duration,
-                          int trial_workers, int intra_workers) {
+std::vector<harness::Trial> GridTrials(uint32_t tenants, double rate_hz, DurationNs duration) {
   std::vector<harness::Trial> trials;
   for (const bool slo_aware : {false, true}) {
     harness::Trial t;
     t.options = TenantWorld(tenants, rate_hz, /*noisy=*/true, slo_aware, duration,
                             /*seed=*/20170919);
     t.options.num_shards = 2;
-    t.options.intra_workers = intra_workers;
     t.kind = StrategyKind::kMittos;
     t.rename = slo_aware ? "slo-aware" : "uniform";
     trials.push_back(t);
   }
-  return TenantScorecardJson(harness::RunTrialsParallel(trials, trial_workers));
+  return trials;
 }
 
 }  // namespace
@@ -241,24 +242,20 @@ int main(int argc, char** argv) {
   const DurationNs grid_duration = Millis(800);
   std::printf("\n--- Determinism: scorecard at {trial 1,4} x {intra 1,2}, %u tenants ---\n",
               grid_tenants);
-  std::string reference;
-  bool identical = true;
-  int variants = 0;
-  for (const int trial_workers : {1, 4}) {
-    for (const int intra_workers : {1, 2}) {
-      const std::string scorecard =
-          GridScorecard(grid_tenants, grid_rate, grid_duration, trial_workers, intra_workers);
-      ++variants;
-      if (reference.empty()) {
-        reference = scorecard;
-      } else if (scorecard != reference) {
-        identical = false;
-        std::fprintf(stderr, "DETERMINISM FAILURE at trial=%d intra=%d: scorecard differs\n",
-                     trial_workers, intra_workers);
-      }
-      std::printf("  trial=%d intra=%d: %zu scorecard bytes %s\n", trial_workers, intra_workers,
-                  scorecard.size(), scorecard == reference ? "(identical)" : "(DIFFERS)");
+  const harness::GridRun grid =
+      harness::RunOnWorkerGrid(GridTrials(grid_tenants, grid_rate, grid_duration));
+  const std::string reference = TenantScorecardJson(grid.results);
+  const bool identical = grid.drift.empty();
+  const int variants = static_cast<int>(std::size(harness::kWorkerGrid));
+  for (const harness::WorkerGridPoint& point : harness::kWorkerGrid) {
+    const bool same = std::find(grid.drift.begin(), grid.drift.end(), point.Name()) ==
+                      grid.drift.end();
+    if (!same) {
+      std::fprintf(stderr, "DETERMINISM FAILURE at %s: fingerprint differs\n",
+                   point.Name().c_str());
     }
+    std::printf("  %s: %zu scorecard bytes %s\n", point.Name().c_str(), reference.size(),
+                same ? "(identical)" : "(DIFFERS)");
   }
 
   // --- Artifact ---

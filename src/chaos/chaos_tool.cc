@@ -140,24 +140,13 @@ int RunSearchCmd(int argc, char** argv) {
 
 // Grid replay of one corpus entry. Returns 0/1/2 per the exit-code contract.
 int ReplayEntry(const std::string& path, const chaos::CorpusEntry& entry) {
-  struct GridPoint {
-    int trial;
-    int intra;
-  };
-  const GridPoint grid[] = {{1, 1}, {4, 1}, {1, 2}, {4, 2}};
-  std::string reference;
-  std::vector<chaos::Violation> violations;
-  for (const GridPoint g : grid) {
-    const chaos::TrialOutcome outcome =
-        chaos::RunChaosTrial(entry.world, entry.plan, g.trial, g.intra);
-    if (reference.empty()) {
-      reference = outcome.fingerprint;
-      violations = outcome.violations;
-    } else if (outcome.fingerprint != reference) {
-      std::fprintf(stderr, "%s: DETERMINISM: fingerprint differs at trial=%d intra=%d\n",
-                   path.c_str(), g.trial, g.intra);
-      return 2;
-    }
+  std::vector<std::string> drift;
+  const std::vector<chaos::Violation> violations =
+      chaos::RunChaosTrialOnGrid(entry.world, entry.plan, &drift).violations;
+  if (!drift.empty()) {
+    std::fprintf(stderr, "%s: DETERMINISM: fingerprint differs at %s\n", path.c_str(),
+                 drift.front().c_str());
+    return 2;
   }
 
   int rc = 0;

@@ -9,24 +9,9 @@ namespace {
 using fault::FaultEpisode;
 using fault::FaultKind;
 
-// Severity range per kind. Multiplier kinds live in [1, 100]; kNetworkDrop's
-// severity is a probability in [0.05, 1]; the remaining kinds ignore it.
 void ClampSeverity(FaultEpisode* e) {
-  switch (e->kind) {
-    case FaultKind::kFailSlowDisk:
-    case FaultKind::kSsdReadRetry:
-    case FaultKind::kNetworkDegrade:
-      e->severity = std::clamp(e->severity, 1.0, 100.0);
-      break;
-    case FaultKind::kNetworkDrop:
-      e->severity = std::clamp(e->severity, 0.05, 1.0);
-      break;
-    case FaultKind::kNetworkPartition:
-    case FaultKind::kNodePause:
-    case FaultKind::kNodeCrashRestart:
-      e->severity = 1.0;
-      break;
-  }
+  const fault::SeverityRange range = fault::SeverityRangeOf(e->kind);
+  e->severity = std::clamp(e->severity, range.lo, range.hi);
 }
 
 // Weakening direction for the shrinker-style ops: toward benign.

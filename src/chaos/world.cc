@@ -1,28 +1,36 @@
 #include "src/chaos/world.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "src/chaos/oracles.h"
 
 namespace mitt::chaos {
 namespace {
 
-// FNV-1a over a byte-free integer stream: feed each value as 8 bytes.
-struct Fnv {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
+// One trial per strategy, identical seeds and plan.
+std::vector<harness::Trial> MakeTrials(const ChaosWorldOptions& world,
+                                       const fault::FaultPlan& plan, int intra_workers) {
+  std::vector<harness::Trial> trials;
+  trials.reserve(world.strategies.size());
+  for (const harness::StrategyKind kind : world.strategies) {
+    harness::Trial t;
+    t.options = MakeExperimentOptions(world, plan);
+    t.options.intra_workers = intra_workers;
+    t.kind = kind;
+    trials.push_back(t);
   }
-};
+  return trials;
+}
 
-void Append(std::string* s, const char* key, uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " %s=%" PRIu64, key, v);
-  *s += buf;
+// Checks every post-run oracle and fingerprints the trial's results.
+TrialOutcome Judge(const ChaosWorldOptions& world, std::vector<harness::RunResult> results) {
+  TrialOutcome outcome;
+  outcome.results = std::move(results);
+  for (size_t i = 0; i < outcome.results.size(); ++i) {
+    const bool resilient = world.strategies[i] == harness::StrategyKind::kMittosResilient;
+    CheckOracles(outcome.results[i], resilient, world.tenants, &outcome.violations);
+    outcome.fingerprint += harness::Fingerprint(outcome.results[i]);
+    outcome.fingerprint += '\n';
+  }
+  return outcome;
 }
 
 }  // namespace
@@ -72,75 +80,17 @@ harness::ExperimentOptions MakeExperimentOptions(const ChaosWorldOptions& world,
   return opt;
 }
 
-std::string ResultFingerprint(const harness::RunResult& r) {
-  std::string s = r.name;
-  Append(&s, "req", r.requests);
-  Append(&s, "n", r.get_latencies.count());
-  if (r.get_latencies.count() > 0) {
-    Append(&s, "p50", static_cast<uint64_t>(r.get_latencies.Percentile(50)));
-    Append(&s, "p99", static_cast<uint64_t>(r.get_latencies.Percentile(99)));
-    Append(&s, "max", static_cast<uint64_t>(r.get_latencies.Max()));
-  }
-  Append(&s, "ebusy", r.ebusy_failovers);
-  Append(&s, "tmo", r.timeouts_fired);
-  Append(&s, "err", r.user_errors);
-  Append(&s, "deg", r.degraded_gets);
-  Append(&s, "den", r.retry_denied);
-  Append(&s, "exh", r.deadline_exhausted);
-  Append(&s, "maxdl", static_cast<uint64_t>(r.max_sent_deadline));
-  Append(&s, "issued", r.oracle.gets_issued);
-  Append(&s, "done", r.oracle.gets_done);
-  Append(&s, "dup", r.oracle.gets_done_duplicate);
-  Append(&s, "ok", r.oracle.done_ok);
-  Append(&s, "busy", r.oracle.done_busy);
-  Append(&s, "bexh", r.oracle.done_exhausted);
-  Append(&s, "berr", r.oracle.done_error);
-  Append(&s, "breg", r.oracle.budget_regressions);
-  Append(&s, "fep", r.fault_episodes);
-  Append(&s, "ten", r.tenant_requests);
-  Append(&s, "mig", r.tenant_migrations);
-
-  Fnv fault_hash;
-  for (const fault::AppliedEpisode& e : r.fault_log) {
-    fault_hash.Mix(static_cast<uint64_t>(e.kind));
-    fault_hash.Mix(static_cast<uint64_t>(e.node));
-    fault_hash.Mix(static_cast<uint64_t>(e.start));
-    fault_hash.Mix(static_cast<uint64_t>(e.end));
-  }
-  Append(&s, "fhash", fault_hash.h);
-
-  Fnv breaker_hash;
-  for (const resilience::BreakerTransition& t : r.oracle.breaker_log) {
-    breaker_hash.Mix(static_cast<uint64_t>(t.replica));
-    breaker_hash.Mix(static_cast<uint64_t>(t.from));
-    breaker_hash.Mix(static_cast<uint64_t>(t.to));
-    breaker_hash.Mix(static_cast<uint64_t>(t.at));
-  }
-  Append(&s, "blog", r.oracle.breaker_log.size());
-  Append(&s, "bhash", breaker_hash.h);
-  return s;
-}
-
 TrialOutcome RunChaosTrial(const ChaosWorldOptions& world, const fault::FaultPlan& plan,
                            int trial_workers, int intra_workers) {
-  std::vector<harness::Trial> trials;
-  trials.reserve(world.strategies.size());
-  for (const harness::StrategyKind kind : world.strategies) {
-    harness::Trial t;
-    t.options = MakeExperimentOptions(world, plan);
-    t.options.intra_workers = intra_workers;
-    t.kind = kind;
-    trials.push_back(t);
-  }
-  TrialOutcome outcome;
-  outcome.results = harness::RunTrialsParallel(trials, trial_workers);
-  for (size_t i = 0; i < outcome.results.size(); ++i) {
-    const bool resilient = world.strategies[i] == harness::StrategyKind::kMittosResilient;
-    CheckOracles(outcome.results[i], resilient, world.tenants, &outcome.violations);
-    outcome.fingerprint += ResultFingerprint(outcome.results[i]);
-    outcome.fingerprint += '\n';
-  }
-  return outcome;
+  return Judge(world, harness::RunTrialsParallel(MakeTrials(world, plan, intra_workers),
+                                                 trial_workers));
+}
+
+TrialOutcome RunChaosTrialOnGrid(const ChaosWorldOptions& world, const fault::FaultPlan& plan,
+                                 std::vector<std::string>* drift) {
+  harness::GridRun grid = harness::RunOnWorkerGrid(MakeTrials(world, plan, 1));
+  *drift = std::move(grid.drift);
+  return Judge(world, std::move(grid.results));
 }
 
 }  // namespace mitt::chaos

@@ -5,8 +5,8 @@
 // FaultPlan injected on top — that the explorer can afford to run hundreds of
 // times. RunChaosTrial() replays ONE FaultPlan against every configured
 // strategy with identical seeds, harvests the invariant-oracle ground truth
-// (harness::OracleHarvest), checks the oracles, and produces a canonical
-// fingerprint string for the determinism oracle: two runs of the same
+// (harness::OracleHarvest), checks the oracles, and fingerprints every run
+// (harness::Fingerprint) for the determinism oracle: two runs of the same
 // (world, plan) must fingerprint byte-identically at ANY
 // MITT_TRIAL_WORKERS x MITT_INTRA_WORKERS point, or the engine itself is the
 // bug. The shard count is pinned (never auto) because per-shard strategy
@@ -64,7 +64,7 @@ struct Violation {
 struct TrialOutcome {
   std::vector<harness::RunResult> results;  // One per world.strategies entry.
   std::vector<Violation> violations;
-  std::string fingerprint;  // Canonical scorecard (determinism oracle input).
+  std::string fingerprint;  // harness::Fingerprint of each result, one per line.
 };
 
 // Replays `plan` against every strategy in `world` (fresh simulation each,
@@ -74,11 +74,11 @@ struct TrialOutcome {
 TrialOutcome RunChaosTrial(const ChaosWorldOptions& world, const fault::FaultPlan& plan,
                            int trial_workers = 1, int intra_workers = 1);
 
-// Canonical fingerprint of one run: counters, latency percentiles, the
-// oracle harvest, and FNV-1a hashes of the fault and breaker logs. Stable
-// across worker grids by construction (everything merged in shard/trial
-// order upstream).
-std::string ResultFingerprint(const harness::RunResult& result);
+// The same trial on the determinism grid (harness::RunOnWorkerGrid): the
+// (1, 1) outcome, with *drift naming the grid points whose fingerprints
+// differ from it.
+TrialOutcome RunChaosTrialOnGrid(const ChaosWorldOptions& world, const fault::FaultPlan& plan,
+                                 std::vector<std::string>* drift);
 
 }  // namespace mitt::chaos
 

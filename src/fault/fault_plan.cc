@@ -1,6 +1,7 @@
 #include "src/fault/fault_plan.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace mitt::fault {
 
@@ -22,6 +23,21 @@ std::string_view FaultKindName(FaultKind kind) {
       return "node_crash_restart";
   }
   return "?";
+}
+
+SeverityRange SeverityRangeOf(FaultKind kind) {
+  // Indexed by FaultKind, in declaration order.
+  static constexpr SeverityRange kRanges[] = {
+      {1.0, 100.0},  // kFailSlowDisk
+      {1.0, 100.0},  // kSsdReadRetry
+      {1.0, 100.0},  // kNetworkDegrade
+      {0.05, 1.0},   // kNetworkDrop
+      {1.0, 1.0},    // kNetworkPartition
+      {1.0, 1.0},    // kNodePause
+      {1.0, 1.0},    // kNodeCrashRestart
+  };
+  static_assert(std::size(kRanges) == static_cast<size_t>(FaultKind::kNodeCrashRestart) + 1);
+  return kRanges[static_cast<size_t>(kind)];
 }
 
 namespace {

@@ -57,6 +57,16 @@ enum class FaultKind : uint8_t {
 
 std::string_view FaultKindName(FaultKind kind);
 
+// A kind's legal severity: a multiplier in [1, 100] (fail-slow disk, SSD read
+// retry, network degrade), a drop probability in [0.05, 1], and exactly 1 for
+// the kinds that ignore it. The chaos mutator clamps into it; the plan
+// reader rejects a value outside it.
+struct SeverityRange {
+  double lo = 1.0;
+  double hi = 1.0;
+};
+SeverityRange SeverityRangeOf(FaultKind kind);
+
 struct FaultEpisode {
   FaultKind kind = FaultKind::kFailSlowDisk;
   int node = 0;              // Target node (network kinds: link peer; <0 = all).

@@ -194,6 +194,24 @@ bool EpisodeFromLine(std::string_view line, FaultEpisode* out, std::string* erro
     }
     return false;
   }
+  // Only what a generated plan can hold: a severity inside its kind's range
+  // (the chaos mutator's clamp) and a positive duration.
+  const SeverityRange range = SeverityRangeOf(e.kind);
+  if (!(e.severity >= range.lo && e.severity <= range.hi)) {  // NaN fails too.
+    if (error != nullptr) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf), "severity %.17g outside [%g, %g] for %s", e.severity,
+                    range.lo, range.hi, std::string(FaultKindName(e.kind)).c_str());
+      *error = buf;
+    }
+    return false;
+  }
+  if (e.duration <= 0) {
+    if (error != nullptr) {
+      *error = "dur must be positive, got " + std::to_string(e.duration);
+    }
+    return false;
+  }
   *out = e;
   return true;
 }

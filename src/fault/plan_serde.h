@@ -10,9 +10,10 @@
 //   # mittos fault plan v1
 //   episode kind=network_drop node=0 start=120000000 dur=40000000 severity=0.85 chip=-1
 //
-// Unknown keys and malformed lines are hard errors (a corpus file that
-// half-parses is worse than one that fails loudly); blank lines and `#`
-// comments are skipped.
+// Unknown keys, malformed lines, a severity outside its kind's
+// SeverityRangeOf (NaN included) and a duration <= 0 are hard errors (a
+// corpus file that half-parses is worse than one that fails loudly); blank
+// lines and `#` comments are skipped.
 
 #ifndef MITTOS_FAULT_PLAN_SERDE_H_
 #define MITTOS_FAULT_PLAN_SERDE_H_

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -20,6 +22,7 @@
 #include "src/sched/sched_obs.h"
 #include "src/sim/sharded_engine.h"
 #include "src/tenant/workload.h"
+#include "src/trace/format.h"
 #include "src/trace/recorder.h"
 #include "src/trace/replay.h"
 #include "src/workload/macro_workload.h"
@@ -28,7 +31,9 @@
 namespace mitt::harness {
 namespace {
 
-constexpr DurationNs kFallbackDeadline = Millis(13);
+// The paper's 13 ms SLO: RunSloBase's fallback when a Base p95 is <= 0, and
+// what a negative deadline reads as in Run().
+constexpr DurationNs kFallbackSlo = Millis(13);
 
 DurationNs Resolve(DurationNs value, DurationNs fallback) {
   return value >= 0 ? value : fallback;
@@ -174,33 +179,28 @@ void HarvestTenants(const tenant::TenantDirectory& directory, std::vector<ClassA
   }
 }
 
-// Wraps a get's completion callback for the oracle harvest: counts the issue
-// here, the first completion (split by status) and any duplicate completion
-// in the wrapper. Null harvest = oracles off = the callback passes through
-// untouched (no per-get latch allocation on the hot benches).
-client::GetDoneFn WrapOracleDone(OracleHarvest* h, client::GetDoneFn done) {
+// Oracle harvest of one call of a get's completion: the first call counts by
+// status, any later one as a duplicate. `first` lives in the completion
+// itself; a null harvest (oracles off) counts nothing.
+void CountCompletion(OracleHarvest* h, const client::GetResult& r, bool* first) {
   if (h == nullptr) {
-    return done;
+    return;
   }
-  ++h->gets_issued;
-  auto calls = std::make_shared<int>(0);
-  return [h, calls, done = std::move(done)](const client::GetResult& r) mutable {
-    if (++*calls > 1) {
-      ++h->gets_done_duplicate;
-    } else {
-      ++h->gets_done;
-      if (r.status.ok()) {
-        ++h->done_ok;
-      } else if (r.status.busy()) {
-        ++h->done_busy;
-      } else if (r.status.code() == StatusCode::kDeadlineExhausted) {
-        ++h->done_exhausted;
-      } else {
-        ++h->done_error;
-      }
-    }
-    done(r);
-  };
+  if (!*first) {
+    ++h->gets_done_duplicate;
+    return;
+  }
+  *first = false;
+  ++h->gets_done;
+  if (r.status.ok()) {
+    ++h->done_ok;
+  } else if (r.status.busy()) {
+    ++h->done_busy;
+  } else if (r.status.code() == StatusCode::kDeadlineExhausted) {
+    ++h->done_exhausted;
+  } else {
+    ++h->done_error;
+  }
 }
 
 // Placement-map validity oracle: every group node in [0, num_nodes), no
@@ -231,6 +231,34 @@ void ValidatePlacement(const tenant::PlacementMap& map, int num_nodes, OracleHar
   }
 }
 
+// FNV-1a (trace::Fnv1a) continued over raw bytes, or over `values` as one
+// 64-bit word each.
+constexpr uint64_t kFnvBasis = 0xCBF2'9CE4'8422'2325ULL;
+uint64_t MixBytes(uint64_t h, const void* data, size_t size) {
+  return trace::Fnv1a(static_cast<const unsigned char*>(data), size, h);
+}
+uint64_t Word(double value) { return std::bit_cast<uint64_t>(value); }
+template <typename T>
+uint64_t Word(T value) {
+  return static_cast<uint64_t>(value);
+}
+template <typename... Values>
+uint64_t Mix(uint64_t h, Values... values) {
+  for (const uint64_t word : {Word(values)...}) {
+    h = MixBytes(h, &word, sizeof(word));
+  }
+  return h;
+}
+uint64_t MixSamples(uint64_t h, const LatencyRecorder& recorder) {
+  return MixBytes(h, recorder.samples().data(), recorder.count() * sizeof(DurationNs));
+}
+
+// "count:hash" of a recorder's samples, in recording order.
+std::string Digest(const LatencyRecorder& recorder) {
+  return std::to_string(recorder.count()) + ":" +
+         std::to_string(MixSamples(kFnvBasis, recorder));
+}
+
 }  // namespace
 
 void OracleHarvest::MergeFrom(const OracleHarvest& other) {
@@ -252,6 +280,75 @@ void OracleHarvest::MergeFrom(const OracleHarvest& other) {
     placement_ok = false;
     placement_detail = other.placement_detail;
   }
+}
+
+std::string Fingerprint(const RunResult& r) {
+  std::ostringstream s;
+  s.precision(17);  // Doubles print exactly.
+  s << r.name << " req=" << r.requests << " get=" << Digest(r.get_latencies)
+    << " user=" << Digest(r.user_latencies) << " ebusy=" << r.ebusy_failovers
+    << " hedge=" << r.hedges_sent << " to=" << r.timeouts_fired << " err=" << r.user_errors
+    << " noise=" << r.noise_ios << " dur=" << r.sim_duration << " ev=" << r.sim_events
+    << " shards=" << r.num_shards << " windows=" << r.engine_windows
+    << " xshard=" << r.cross_shard_messages << " epw=" << r.events_per_window_p50 << ","
+    << r.events_per_window_p99 << " deg=" << r.degraded_gets << "," << r.degraded_sheds
+    << " exh=" << r.deadline_exhausted << " denied=" << r.retry_denied
+    << " unbounded=" << r.unbounded_deadline_tries << " maxdl=" << r.max_sent_deadline
+    << " replay=" << r.replay_events << "," << r.replay_trace_reads << ","
+    << r.replay_trace_writes;
+  for (const TenantClassStats& c : r.tenant_classes) {
+    s << " " << c.name << "=" << c.slo << "," << c.tenants << "," << c.requests << ","
+      << c.deadline_miss << "," << c.failovers << "," << c.errors << ","
+      << Digest(c.latencies);
+  }
+  s << " tenants=" << r.tenant_requests << "," << r.tenant_migrations << ","
+    << r.controller_ticks << "," << r.controller_hot_ticks << "," << r.breaker_opens
+    << " recorded=" << r.recorded_events;
+
+  uint64_t faults = kFnvBasis;
+  for (const fault::AppliedEpisode& e : r.fault_log) {
+    faults = Mix(faults, e.kind, e.node, e.start, e.end, e.severity, e.chip);
+  }
+  s << " faults=" << r.fault_episodes << "," << r.fault_skipped << "," << r.fault_log.size()
+    << ":" << faults;
+
+  const OracleHarvest& o = r.oracle;
+  uint64_t breakers = kFnvBasis;
+  for (const resilience::BreakerTransition& t : o.breaker_log) {
+    breakers = Mix(breakers, t.replica, t.from, t.to, t.at);
+  }
+  for (const size_t segment : o.breaker_segments) {
+    breakers = Mix(breakers, segment);
+  }
+  s << " oracle=" << o.enabled << "," << o.gets_issued << "," << o.gets_done << ","
+    << o.gets_done_duplicate << "," << o.done_ok << "," << o.done_busy << ","
+    << o.done_exhausted << "," << o.done_error << "," << o.budget_regressions
+    << " breakers=" << o.breaker_log.size() << "," << o.breaker_segments.size() << ","
+    << o.breaker_log_dropped << ":" << breakers << " placement=" << o.placement_ok << ":"
+    << o.placement_detail;
+
+  uint64_t metrics = kFnvBasis;
+  for (const auto& [key, counter] : r.metrics.counters()) {
+    metrics = MixBytes(metrics, key.name.data(), key.name.size());
+    metrics = Mix(metrics, key.node, counter.value());
+  }
+  for (const auto& [key, gauge] : r.metrics.gauges()) {
+    metrics = MixBytes(metrics, key.name.data(), key.name.size());
+    metrics = Mix(metrics, key.node, gauge.value());
+  }
+  for (const auto& [key, histogram] : r.metrics.histograms()) {
+    metrics = MixBytes(metrics, key.name.data(), key.name.size());
+    metrics = MixSamples(Mix(metrics, key.node), histogram);
+  }
+  s << " metrics=" << r.metrics.counters().size() << "," << r.metrics.gauges().size() << ","
+    << r.metrics.histograms().size() << ":" << metrics;
+
+  uint64_t spans = kFnvBasis;
+  for (const obs::SpanRecord& span : r.trace_spans) {
+    spans = Mix(spans, span.request_id, span.begin, span.end, span.node, span.kind);
+  }
+  s << " spans=" << r.trace_spans.size() << "," << r.trace_dropped << ":" << spans;
+  return s.str();
 }
 
 int ResolveShards(const ExperimentOptions& options) {
@@ -345,6 +442,31 @@ std::vector<RunResult> RunTrialsParallel(const std::vector<Trial>& trials, int w
       workers);
 }
 
+GridRun RunOnWorkerGrid(std::vector<Trial> trials) {
+  GridRun grid;
+  std::vector<std::string> reference;
+  for (const WorkerGridPoint& point : kWorkerGrid) {
+    for (Trial& t : trials) {
+      t.options.intra_workers = point.intra_workers;
+    }
+    std::vector<RunResult> results = RunTrialsParallel(trials, point.trial_workers);
+    if (&point == &kWorkerGrid[0]) {
+      for (const RunResult& r : results) {
+        reference.push_back(Fingerprint(r));
+      }
+      grid.results = std::move(results);
+      continue;
+    }
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (Fingerprint(results[i]) != reference[i]) {
+        grid.drift.push_back(point.Name());
+        break;
+      }
+    }
+  }
+  return grid;
+}
+
 std::string_view StrategyKindName(StrategyKind kind) {
   switch (kind) {
     case StrategyKind::kBase:
@@ -393,7 +515,7 @@ std::unique_ptr<client::GetStrategy> Experiment::MakeStrategy(StrategyKind kind,
                                                               cluster::Cluster* cluster,
                                                               uint64_t seed_salt) {
   const uint64_t seed = (options_.seed ^ 0xC11E'47F0) + kShardSeedStride * seed_salt;
-  const DurationNs deadline = Resolve(options_.deadline, kFallbackDeadline);
+  const DurationNs deadline = Resolve(options_.deadline, kFallbackSlo);
   switch (kind) {
     case StrategyKind::kBase: {
       client::TimeoutStrategy::Options opt;
@@ -791,10 +913,14 @@ RunResult Experiment::Run(StrategyKind kind) {
             if (recording) {
               ctx->recorder.Record(start, event.offset, event.len, event.op, event.stream);
             }
+            if (ctx->oracle_sink != nullptr) {
+              ++ctx->oracle_sink->gets_issued;
+            }
             ctx->strategy->Get(
                 key, gctx,
-                WrapOracleDone(ctx->oracle_sink, [ctx, t = gctx.tenant, start, measured,
-                                                  &directory](const client::GetResult& r) {
+                [ctx, t = gctx.tenant, measured, first = true, start,
+                 &directory](const client::GetResult& r) mutable {
+                  CountCompletion(ctx->oracle_sink, r, &first);
                   const DurationNs latency = ctx->sim->Now() - start;
                   if (measured) {
                     ctx->get_latencies.Record(latency);
@@ -807,7 +933,7 @@ RunResult Experiment::Run(StrategyKind kind) {
                     ++ctx->user_errors;
                   }
                   ++ctx->completed;
-                }));
+                });
           }));
       drivers.back()->Start();
     }
@@ -874,8 +1000,8 @@ RunResult Experiment::Run(StrategyKind kind) {
     };
 
     // Issues a client's next user request; re-entered from the completion of
-    // its last Get. That completion captures two references, small enough for
-    // std::function's inline buffer.
+    // its last Get. That completion captures two references and its
+    // first-call flag, inside GetDoneFn's inline buffer.
     std::function<void(Client&)> issue = [&](Client& cl) {
       Quota& quota = *cl.quota;
       if (quota.issued >= quota.total) {
@@ -891,9 +1017,13 @@ RunResult Experiment::Run(StrategyKind kind) {
           home.recorder.Record(cl.start, static_cast<int64_t>(key) << 12, 4096, trace::kOpRead,
                                cl.index);
         }
+        if (home.oracle_sink != nullptr) {
+          ++home.oracle_sink->gets_issued;
+        }
         home.strategy->Get(
-            key, {}, WrapOracleDone(home.oracle_sink, [&issue, &cl](const client::GetResult& r) {
+            key, {}, [&issue, &cl, first = true](const client::GetResult& r) mutable {
               ShardCtx& ctx = *cl.home;
+              CountCompletion(ctx.oracle_sink, r, &first);
               const DurationNs latency = ctx.sim->Now() - cl.start;
               if (cl.measured) {
                 ctx.get_latencies.Record(latency);
@@ -909,7 +1039,7 @@ RunResult Experiment::Run(StrategyKind kind) {
               }
               ++ctx.completed;
               issue(cl);
-            }));
+            });
       }
     };
     for (Client& cl : clients) {
@@ -1001,30 +1131,23 @@ RunResult Experiment::Run(StrategyKind kind) {
   return result;
 }
 
-std::vector<RunResult> Experiment::RunAll(const std::vector<StrategyKind>& kinds) {
-  std::vector<RunResult> results;
-  RunResult base = Run(StrategyKind::kBase);
-  derived_p95_ = base.get_latencies.Percentile(95);
-  if (derived_p95_ <= 0) {
-    derived_p95_ = kFallbackDeadline;
+SloBase RunSloBase(const ExperimentOptions& options) {
+  SloBase out;
+  out.base = Experiment(options).Run(StrategyKind::kBase);
+  out.slo = out.base.get_latencies.Percentile(95);
+  if (out.slo <= 0) {
+    out.slo = kFallbackSlo;
   }
-  if (options_.deadline < 0) {
-    options_.deadline = derived_p95_;
-  }
-  if (options_.hedge_delay < 0) {
-    options_.hedge_delay = derived_p95_;
-  }
-  if (options_.app_timeout < 0) {
-    options_.app_timeout = derived_p95_;
-  }
-  for (const StrategyKind kind : kinds) {
-    if (kind == StrategyKind::kBase) {
-      results.push_back(std::move(base));
-      continue;
+  return out;
+}
+
+ExperimentOptions WithSlo(ExperimentOptions options, DurationNs slo) {
+  for (DurationNs* value : {&options.deadline, &options.hedge_delay, &options.app_timeout}) {
+    if (*value < 0) {
+      *value = slo;
     }
-    results.push_back(Run(kind));
   }
-  return results;
+  return options;
 }
 
 void PrintPercentileTable(const std::vector<RunResult>& results,

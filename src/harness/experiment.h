@@ -10,7 +10,8 @@
 //
 // Methodology detail preserved from the paper: deadline, timeout, and hedge
 // values all default to the p95 latency observed on a Base run with the same
-// seeds ("we use 13ms, the p95 latency, for deadline and timeout values").
+// seeds ("we use 13ms, the p95 latency, for deadline and timeout values");
+// RunSloBase() below is that rule.
 
 #ifndef MITTOS_HARNESS_EXPERIMENT_H_
 #define MITTOS_HARNESS_EXPERIMENT_H_
@@ -99,8 +100,8 @@ struct ExperimentOptions {
   os::MittCfqOptions mitt_cfq;
   os::MittSsdOptions mitt_ssd;
 
-  // SLO / strategy parameters. Values <0 mean "derive from the Base run's
-  // p95" via RunAll().
+  // SLO / strategy parameters. Values < 0 mean "the SLO": WithSlo() fills
+  // them from RunSloBase(), and Run() alone reads them as 13 ms.
   DurationNs deadline = -2;
   DurationNs hedge_delay = -2;
   DurationNs app_timeout = -2;
@@ -219,10 +220,10 @@ struct ExperimentOptions {
   // ... and quiet-frontier window fusion (0 = off, 1 or < 0 = on).
   int engine_fusion = -1;
 
-  // Per-trial invariant-oracle harvest (src/chaos/): wrap every issued get
-  // with exactly-once / conservation accounting, record breaker transitions,
-  // and validate the placement map after the run. Off by default — the wrap
-  // allocates a per-get latch, which the hot benches must not pay.
+  // Per-trial invariant-oracle harvest (src/chaos/): count every issued get's
+  // completions (exactly-once / conservation), record breaker transitions,
+  // and validate the placement map after the run. Off by default: the
+  // breaker transition log grows with the run.
   bool harvest_oracles = false;
 
   uint64_t seed = 42;
@@ -232,9 +233,9 @@ struct ExperimentOptions {
 int ResolveShards(const ExperimentOptions& options);
 
 // Ground truth for the chaos-search invariant oracles, collected when
-// ExperimentOptions::harvest_oracles is on. Every get issued by the driver is
-// wrapped: the wrapper counts the issue, the first completion (split by
-// status), and any *extra* completion (the exactly-once violation). A run
+// ExperimentOptions::harvest_oracles is on. The driver counts every get it
+// issues, and each get's completion counts its first call (split by status)
+// and any *extra* call (the exactly-once violation). A run
 // that drains with gets_done < gets_issued lost a get — the liveness
 // violation the PR 5 denied-retry hang produced. Sharded runs merge
 // per-shard harvests in shard order, so the harvest itself is bit-identical
@@ -362,6 +363,17 @@ struct RunResult {
   uint64_t trace_dropped = 0;
 };
 
+// The determinism contract's canonical form of a run: one string covering
+// everything the simulated world determined — every counter, engine_windows
+// and cross_shard_messages, every get, user and tenant-class latency sample
+// (hashed in order), the replay, tenant, fault and oracle harvests, the
+// metrics registry and the trace spans. Two runs of the same world must
+// fingerprint byte-identically at any MITT_TRIAL_WORKERS x
+// MITT_INTRA_WORKERS. Only engine_fused_windows, critical_path and imbalance
+// are left out: the fusion and rebalance knobs change them by design while
+// keeping the schedule.
+std::string Fingerprint(const RunResult& result);
+
 // The EC2 episode schedule Run() replays on `node` under NoiseKind::kEc2 (and
 // the episodic cache drops), identical for every strategy.
 std::vector<noise::NoiseEpisode> Ec2Schedule(const ExperimentOptions& options, int node);
@@ -378,14 +390,6 @@ class Experiment {
   // Builds a fresh cluster+noise world on a ResolveShards(options)-shard
   // engine and drives the workload through the given strategy.
   RunResult Run(StrategyKind kind);
-
-  // Runs Base first, derives p95-based deadline/hedge/timeout when those are
-  // negative, then runs the remaining kinds. Results are in input order with
-  // Base first.
-  std::vector<RunResult> RunAll(const std::vector<StrategyKind>& kinds);
-
-  const ExperimentOptions& options() const { return options_; }
-  DurationNs derived_p95() const { return derived_p95_; }
 
   // The deterministic trace-offset -> keyspace mapping the replay driver
   // uses: block number plus a per-stream golden-ratio displacement, mod the
@@ -409,9 +413,22 @@ class Experiment {
   // Accumulates (+=) so per-shard strategy instances sum into one result.
   void CollectCounters(StrategyKind kind, const client::GetStrategy& strategy, RunResult* out);
 
-  ExperimentOptions options_;
-  DurationNs derived_p95_ = 0;
+  const ExperimentOptions options_;
 };
+
+// The paper's SLO rule (§7.2: "we use 13ms, the p95 latency, for deadline
+// and timeout values"): one Base run of `options`, and the p95 of its gets as
+// the SLO, or 13 ms when that p95 is <= 0. Every comparison that derives its
+// deadlines from a Base run goes through here.
+struct SloBase {
+  RunResult base;  // The Base run itself, which a bench prints as its Base column.
+  DurationNs slo = 0;
+};
+SloBase RunSloBase(const ExperimentOptions& options);
+
+// `options` with every negative deadline, hedge delay and app timeout set to
+// `slo`.
+ExperimentOptions WithSlo(ExperimentOptions options, DurationNs slo);
 
 // --- Deterministic parallel trial runner ---
 //
@@ -455,6 +472,26 @@ struct Trial {
   std::string rename;  // Optional RunResult name override (e.g. "NoNoise").
 };
 std::vector<RunResult> RunTrialsParallel(const std::vector<Trial>& trials, int workers = 0);
+
+// The determinism contract as one gate: the grid of trial-pool and
+// intra-trial worker counts every worker-count check runs on.
+struct WorkerGridPoint {
+  int trial_workers = 1;
+  int intra_workers = 1;
+  std::string Name() const {
+    return "trial=" + std::to_string(trial_workers) + " intra=" + std::to_string(intra_workers);
+  }
+};
+inline constexpr WorkerGridPoint kWorkerGrid[] = {{1, 1}, {1, 2}, {4, 1}, {4, 2}};
+
+struct GridRun {
+  std::vector<RunResult> results;  // The (1, 1) runs, in trial order.
+  std::vector<std::string> drift;  // Name() of each point where a Fingerprint differs.
+};
+// Runs `trials` at every kWorkerGrid point (each trial's intra_workers set to
+// the point's) and compares every run's Fingerprint with the same trial's at
+// (1, 1).
+GridRun RunOnWorkerGrid(std::vector<Trial> trials);
 
 // Prints a paper-style CDF comparison (one column per result, rows at fixed
 // percentiles) plus the %-reduction table of Fig. 5b/6d.

@@ -31,17 +31,13 @@ StrategyScore ScoreOf(const RunResult& r, const std::string& scenario,
 
 }  // namespace
 
-std::vector<StrategyScore> ScenarioRunner::Run(const std::vector<FaultScenario>& scenarios) {
+std::vector<StrategyScore> ScenarioRunner::Run(const std::vector<FaultScenario>& scenarios,
+                                               std::vector<std::string>* grid_drift) {
   // Phase A: healthy world, Base strategy -> the SLO every scenario is
   // judged against. Faults must not leak into the calibration run.
   ExperimentOptions healthy = options_.base;
   healthy.fault_plan = fault::FaultPlan();
-  Experiment probe(healthy);
-  const RunResult base = probe.Run(StrategyKind::kBase);
-  slo_deadline_ = base.get_latencies.Percentile(95);
-  if (slo_deadline_ <= 0) {
-    slo_deadline_ = Millis(13);  // The paper's fallback deadline.
-  }
+  slo_deadline_ = RunSloBase(healthy).slo;
 
   // Phase B: scenario x strategy, fresh identical-seed worlds, fanned out
   // across the deterministic trial runner.
@@ -55,21 +51,19 @@ std::vector<StrategyScore> ScenarioRunner::Run(const std::vector<FaultScenario>&
       if (scenario.customize) {
         scenario.customize(t.options);
       }
-      if (t.options.deadline < 0) {
-        t.options.deadline = slo_deadline_;
-      }
-      if (t.options.hedge_delay < 0) {
-        t.options.hedge_delay = slo_deadline_;
-      }
-      if (t.options.app_timeout < 0) {
-        t.options.app_timeout = slo_deadline_;
-      }
+      t.options = WithSlo(std::move(t.options), slo_deadline_);
       t.kind = kind;
       t.rename = scenario.name + "/" + std::string(StrategyKindName(kind));
       trials.push_back(std::move(t));
     }
   }
-  results_ = RunTrialsParallel(trials, options_.workers);
+  if (grid_drift != nullptr) {
+    GridRun grid = RunOnWorkerGrid(std::move(trials));
+    results_ = std::move(grid.results);
+    *grid_drift = std::move(grid.drift);
+  } else {
+    results_ = RunTrialsParallel(trials, options_.workers);
+  }
 
   std::vector<StrategyScore> scores;
   scores.reserve(results_.size());

@@ -5,9 +5,9 @@
 // rejects still help when the hardware misbehaves underneath them? The
 // runner answers it the way the paper answers Fig. 5:
 //
-//   Phase A: one healthy Base run derives the SLO deadline (its p95, the
-//            paper's "13ms" rule) so every scenario is judged against the
-//            same healthy-world expectation.
+//   Phase A: one healthy Base run derives the SLO deadline (RunSloBase,
+//            the paper's "13ms" rule) so every scenario is judged against
+//            the same healthy-world expectation.
 //   Phase B: every (scenario, strategy) pair gets a fresh world with
 //            identical seeds and the scenario's fault plan replayed exactly;
 //            pairs fan out across the deterministic parallel trial runner,
@@ -72,7 +72,11 @@ class ScenarioRunner {
 
   // Runs phase A + phase B; scores are in (scenario-major, strategy-minor)
   // input order. Raw RunResults (same order) stay available via results().
-  std::vector<StrategyScore> Run(const std::vector<FaultScenario>& scenarios);
+  // With `grid_drift`, phase B runs on the determinism grid
+  // (RunOnWorkerGrid): scores and results are the (1, 1) runs', and
+  // *grid_drift names the points whose fingerprints differ.
+  std::vector<StrategyScore> Run(const std::vector<FaultScenario>& scenarios,
+                                 std::vector<std::string>* grid_drift = nullptr);
 
   DurationNs slo_deadline() const { return slo_deadline_; }
   const std::vector<RunResult>& results() const { return results_; }

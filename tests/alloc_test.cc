@@ -6,31 +6,19 @@
 // extra Get. bench_hotpath and perfbench report the same counters; this
 // binary fails the build if they regress.
 //
-// The counter hooks replace the global operator new/delete, which conflicts
-// with sanitizer interceptors, and the MITT_PREDICT_CHECK oracle allocates
-// map nodes per IO by design — in those builds the assertions are skipped.
+// The counting operator new/delete (src/common/alloc_hook.h) conflicts with
+// sanitizer interceptors, and the MITT_PREDICT_CHECK oracle allocates map
+// nodes per IO by design — in those builds the assertions are skipped.
 
 #include <gtest/gtest.h>
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define MITT_ALLOC_HOOKS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define MITT_ALLOC_HOOKS 0
-#endif
-#endif
-#ifndef MITT_ALLOC_HOOKS
-#define MITT_ALLOC_HOOKS 1
-#endif
+#include "src/common/alloc_hook.h"
 
 #if MITT_ALLOC_HOOKS
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -52,43 +40,10 @@
 #include "src/trace/replay.h"
 #include "src/trace/writer.h"
 
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
 namespace mitt::harness {
 // Parameterized cases print, and so are named, by strategy.
 void PrintTo(StrategyKind kind, std::ostream* os) { *os << StrategyKindName(kind); }
 }  // namespace mitt::harness
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace mitt {
 namespace {
@@ -173,9 +128,9 @@ uint64_t SteadyAllocs(os::BackendKind backend, uint64_t warmup_ios, uint64_t ste
       [&total, warmup_ios, &sim, warm_until] { return total >= warmup_ios && sim.Now() >= warm_until; });
 
   const uint64_t target = total + steady_ios;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   sim.RunUntilPredicate([&total, target] { return total >= target; });
-  return g_alloc_count.load(std::memory_order_relaxed) - before;
+  return AllocCount() - before;
 }
 
 #ifdef MITT_PREDICT_CHECK
@@ -232,9 +187,9 @@ TEST(SteadyStateAllocTest, CrossShardMailboxIsAllocationFree) {
   engine.RunUntilPredicate([&bounces] { return bounces >= kWarmup; });
 
   const uint64_t target = bounces + 20'000;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   engine.RunUntilPredicate([&bounces, target] { return bounces >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_GE(engine.cross_shard_messages(), kWarmup + 20'000);
 }
 
@@ -272,9 +227,9 @@ TEST(SteadyStateAllocTest, FusionFastPathIsAllocationFree) {
 
   const uint64_t target = links + 20'000;
   const uint64_t fused_before = engine.fused_windows();
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   engine.RunUntilPredicate([&links, target] { return links >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   // ~5 links land in each 100µs window, so 20k links span ~4k windows —
   // nearly all of them fused (the only fallbacks are the hop windows).
   EXPECT_GT(engine.fused_windows() - fused_before, 2'000u)
@@ -318,9 +273,9 @@ TEST(SteadyStateAllocTest, TraceReplayHotLoopIsAllocationFree) {
   sim.RunUntilPredicate([&dispatched] { return dispatched >= 10'000; });
 
   const uint64_t target = dispatched + 40'000;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   sim.RunUntilPredicate([&dispatched, target] { return dispatched >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   std::remove(path.c_str());
 }
 
@@ -361,9 +316,9 @@ TEST(SteadyStateAllocTest, TenantLookupAndDriverHotLoopIsAllocationFree) {
   sim.RunUntilPredicate([&dispatched] { return dispatched >= 10'000; });
 
   const uint64_t target = dispatched + 40'000;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   sim.RunUntilPredicate([&dispatched, target] { return dispatched >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_GT(slo_sum, 0);
   EXPECT_GT(node_sum, 0);
 }
@@ -383,7 +338,7 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
   }
   ASSERT_EQ(cache.resident_pages(), params.capacity_pages);
 
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   for (int i = 0; i < 50'000; ++i) {
     const int64_t off = rng.UniformInt(0, span - 1) * os::kPageSize;
     switch (i & 3) {
@@ -405,7 +360,7 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
         break;
     }
   }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
 }
 
 TEST(SteadyStateAllocTest, MetricLookupByNameIsAllocationFree) {
@@ -415,12 +370,12 @@ TEST(SteadyStateAllocTest, MetricLookupByNameIsAllocationFree) {
   obs::MetricsRegistry metrics;
   metrics.counter("resilience_retry_denied_total", 2);
   metrics.gauge("a_gauge_with_a_long_name", 2);
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   for (int i = 0; i < 1000; ++i) {
     metrics.counter("resilience_retry_denied_total", 2).Add();
     metrics.gauge("a_gauge_with_a_long_name", 2).Add(1.0);
   }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_EQ(metrics.CounterValue("resilience_retry_denied_total", 2), 1000u);
 }
 
@@ -464,10 +419,10 @@ TEST(LsmCompactionAllocTest, FirstCompactionAllocatesPerTableNotPerKey) {
     }
   };
   Writer writer{&tree};
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   writer.Put();
   sim.RunUntilPredicate([&tree] { return tree.compaction_running(); });
-  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  const uint64_t allocs = AllocCount() - before;
   ASSERT_TRUE(tree.compaction_running());
   EXPECT_EQ(writer.puts, 96u);
   EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(kBulkKeys), 0.01)
@@ -479,8 +434,7 @@ TEST(LsmCompactionAllocTest, FirstCompactionAllocatesPerTableNotPerKey) {
 // One Experiment::Run (world build, closed-loop drive, harvest, teardown) at
 // n and at 2n Gets: everything one-time — the world, pool and recorder
 // growth — cancels in the difference, which leaves the marginal cost of n
-// Gets on the client -> network -> CPU pool -> DocStore -> Os path. The
-// oracle harvest stays off: its per-get wrapper may allocate by design.
+// Gets on the client -> network -> CPU pool -> DocStore -> Os path.
 
 using harness::ExperimentOptions;
 using harness::StrategyKind;
@@ -490,17 +444,16 @@ constexpr double kMaxAllocsPerGet = 0.01;
 
 uint64_t RunAllocs(const ExperimentOptions& o, StrategyKind kind) {
   harness::Experiment experiment(o);
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   {
     const harness::RunResult r = experiment.Run(kind);
-    EXPECT_EQ(r.oracle.enabled, false);
+    EXPECT_EQ(r.oracle.enabled, o.harvest_oracles);
   }
-  return g_alloc_count.load(std::memory_order_relaxed) - before;
+  return AllocCount() - before;
 }
 
 // Marginal heap allocations per Get between kGateGets and 2 * kGateGets.
 double MarginalAllocsPerGet(ExperimentOptions o, StrategyKind kind) {
-  o.harvest_oracles = false;
   o.intra_workers = 1;
   auto set_gets = [&o](size_t n) {
     if (o.replay.enabled()) {
@@ -615,6 +568,15 @@ TEST(GetPathAllocTest, TwoShardMittos) {
   o.noise = harness::NoiseKind::kNone;
   o.deadline = Millis(2);
   EXPECT_LE(MarginalAllocsPerGet(o, StrategyKind::kMittos), kMaxAllocsPerGet);
+}
+
+TEST(GetPathAllocTest, OracleHarvestOnResilientMittos) {
+  MITT_SKIP_UNDER_PREDICT_CHECK();
+  // The chaos search's harvest: each driver completion counts its get's
+  // completions itself, and the breaker transition log is on.
+  ExperimentOptions o = DiskCfqEc2World();
+  o.harvest_oracles = true;
+  EXPECT_LE(MarginalAllocsPerGet(o, StrategyKind::kMittosResilient), kMaxAllocsPerGet);
 }
 
 TEST(GetPathAllocTest, OpenLoopReplay) {

@@ -141,6 +141,11 @@ TEST(CorpusSerdeTest, HostileLinesFailWithTheirLineNumber) {
       with("bug=0", "bug=2"),
       "episode kind=node_pause node=4294967296 start=0 dur=1 severity=1 chip=-1",
       "episode kind=node_pause node=0 start=9223372036854775808 dur=1 severity=1 chip=-1",
+      // Values no generated plan holds: a non-finite or out-of-range
+      // severity, and a duration <= 0.
+      "episode kind=network_drop node=0 start=0 dur=1000000 severity=nan chip=-1",
+      "episode kind=network_degrade node=0 start=0 dur=1000000 severity=-5 chip=-1",
+      "episode kind=fail_slow_disk node=0 start=0 dur=-100000000 severity=2 chip=-1",
   };
   for (const std::string& bad : bad_lines) {
     SCOPED_TRACE(bad);
@@ -367,13 +372,11 @@ TEST(ChaosTrialTest, BenignWorldHasNoViolations) {
 }
 
 TEST(ChaosTrialTest, FingerprintBitIdenticalAcrossWorkerGrid) {
-  const ChaosWorldOptions world;
-  const FaultPlan plan = SamplePlan();
-  const chaos::TrialOutcome base = chaos::RunChaosTrial(world, plan, 1, 1);
-  for (const auto& [tw, iw] : std::vector<std::pair<int, int>>{{4, 1}, {1, 2}, {4, 2}}) {
-    const chaos::TrialOutcome other = chaos::RunChaosTrial(world, plan, tw, iw);
-    EXPECT_EQ(other.fingerprint, base.fingerprint) << "trial=" << tw << " intra=" << iw;
-  }
+  std::vector<std::string> drift;
+  const chaos::TrialOutcome outcome =
+      chaos::RunChaosTrialOnGrid(ChaosWorldOptions(), SamplePlan(), &drift);
+  EXPECT_EQ(drift, std::vector<std::string>{});
+  EXPECT_FALSE(outcome.fingerprint.empty());
 }
 
 // The LSM store in the chaos world: the same two-shard recipe under a
@@ -485,10 +488,10 @@ TEST(ChaosCorpusTest, CheckedInReproducersReplay) {
     ASSERT_TRUE(chaos::LoadCorpusEntry(
         std::string(MITT_TEST_DATA_DIR) + "/chaos_corpus/" + name, &entry, &error))
         << error;
-    const chaos::TrialOutcome base = chaos::RunChaosTrial(entry.world, entry.plan, 1, 1);
-    const chaos::TrialOutcome far = chaos::RunChaosTrial(entry.world, entry.plan, 4, 2);
-    EXPECT_EQ(base.fingerprint, far.fingerprint);
-    EXPECT_EQ(OracleNames(base.violations),
+    std::vector<std::string> drift;
+    const chaos::TrialOutcome outcome = chaos::RunChaosTrialOnGrid(entry.world, entry.plan, &drift);
+    EXPECT_EQ(drift, std::vector<std::string>{});
+    EXPECT_EQ(OracleNames(outcome.violations),
               std::set<std::string>(entry.expect.begin(), entry.expect.end()));
   }
 }

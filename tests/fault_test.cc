@@ -432,9 +432,9 @@ TEST(FaultInjectorTest, SkipsEpisodesTheWorldCannotHost) {
 
 // ------------------------------------------------- End-to-end determinism
 
-// The subsystem's headline contract: a fault-laden scenario produces
-// bit-identical latency samples, fault logs, and traces whether trials run
-// serially or across 4 workers.
+// The subsystem's headline contract: a fault-laden scenario fingerprints
+// (latency samples, fault logs, traces and all) bit-identically at every
+// worker-grid point.
 TEST(FaultDeterminismTest, ScenarioBitIdenticalAcrossWorkerCounts) {
   harness::ExperimentOptions opt;
   opt.num_nodes = 3;
@@ -459,38 +459,23 @@ TEST(FaultDeterminismTest, ScenarioBitIdenticalAcrossWorkerCounts) {
                           harness::StrategyKind::kMittos}) {
     trials.push_back({opt, kind, ""});
   }
-  const auto serial = harness::RunTrialsParallel(trials, /*workers=*/1);
-  const auto fanned = harness::RunTrialsParallel(trials, /*workers=*/4);
-
-  ASSERT_EQ(serial.size(), fanned.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    const harness::RunResult& a = serial[i];
-    const harness::RunResult& f = fanned[i];
-    EXPECT_EQ(a.get_latencies.samples(), f.get_latencies.samples()) << a.name;
-    EXPECT_EQ(a.ebusy_failovers, f.ebusy_failovers) << a.name;
-    EXPECT_GT(a.fault_episodes, 0u) << a.name;
-    EXPECT_EQ(a.fault_episodes, f.fault_episodes) << a.name;
-    ASSERT_EQ(a.fault_log, f.fault_log) << a.name;
-    ASSERT_EQ(a.trace_spans.size(), f.trace_spans.size()) << a.name;
-    for (size_t s = 0; s < a.trace_spans.size(); ++s) {
-      const obs::SpanRecord& x = a.trace_spans[s];
-      const obs::SpanRecord& y = f.trace_spans[s];
-      EXPECT_EQ(std::make_tuple(x.request_id, x.begin, x.end, x.node, x.kind),
-                std::make_tuple(y.request_id, y.begin, y.end, y.node, y.kind));
-    }
+  const harness::GridRun grid = harness::RunOnWorkerGrid(trials);
+  EXPECT_EQ(grid.drift, std::vector<std::string>{});
+  for (const harness::RunResult& r : grid.results) {
+    EXPECT_GT(r.fault_episodes, 0u) << r.name;
   }
   // And the faults genuinely fired: the fail-slow episode is in every log.
   bool saw_failslow = false;
-  for (const auto& e : serial[0].fault_log) {
+  for (const auto& e : grid.results[0].fault_log) {
     saw_failslow |= e.kind == FaultKind::kFailSlowDisk;
   }
   EXPECT_TRUE(saw_failslow);
 }
 
 // Sharded analogue: a 128-node world auto-shards onto the PDES engine, the
-// injector routes episodes through ScheduleGlobal (quiesced), and the fault
-// log plus every latency sample must be bit-identical at any intra-trial
-// worker count — including the env-resolved default (intra_workers=0).
+// injector routes episodes through ScheduleGlobal (quiesced), and the run
+// must fingerprint bit-identically at any intra-trial worker count —
+// including the env-resolved default (intra_workers=0).
 TEST(FaultDeterminismTest, ShardedScenarioBitIdenticalAcrossIntraWorkers) {
   harness::ExperimentOptions opt;
   opt.num_nodes = 128;
@@ -519,11 +504,8 @@ TEST(FaultDeterminismTest, ShardedScenarioBitIdenticalAcrossIntraWorkers) {
   EXPECT_EQ(ref.num_shards, 4) << "128 nodes must auto-shard";
   EXPECT_GT(ref.fault_episodes, 0u);
   for (const int workers : {4, 0}) {
-    const harness::RunResult r = run(workers);
-    EXPECT_EQ(r.get_latencies.samples(), ref.get_latencies.samples()) << workers;
-    EXPECT_EQ(r.ebusy_failovers, ref.ebusy_failovers) << workers;
-    EXPECT_EQ(r.fault_episodes, ref.fault_episodes) << workers;
-    ASSERT_EQ(r.fault_log, ref.fault_log) << "intra_workers=" << workers;
+    EXPECT_EQ(harness::Fingerprint(run(workers)), harness::Fingerprint(ref))
+        << "intra_workers=" << workers;
   }
 }
 

@@ -59,7 +59,7 @@ void Percentiles(std::ostringstream& s, const LatencyRecorder& rec) {
     << rec.Percentile(99.9);
 }
 
-std::string Fingerprint(const RunResult& r) {
+std::string Pin(const RunResult& r) {
   std::ostringstream s;
   s << "req=" << r.requests << " ev=" << r.sim_events << " dur=" << r.sim_duration
     << " noise=" << r.noise_ios << " ebusy=" << r.ebusy_failovers << " to=" << r.timeouts_fired
@@ -164,7 +164,7 @@ RunResult RunOneShard(const ExperimentOptions& options, StrategyKind kind) {
 }
 
 std::string Probe(const ExperimentOptions& options, StrategyKind kind) {
-  std::string fp = Fingerprint(RunOneShard(options, kind));
+  std::string fp = Pin(RunOneShard(options, kind));
   if (!options.record_trace_path.empty()) {
     fp += " file=" + FileChecksum(options.record_trace_path);
     std::remove(options.record_trace_path.c_str());
@@ -205,21 +205,21 @@ TEST(OneShardGoldenTest, AllBusyAcrossMittosPresets) {
   o.continuous_all_nodes = true;
   o.continuous_intensity = 3;
   const RunResult mittos = RunOneShard(o, StrategyKind::kMittos);
-  EXPECT_EQ(Fingerprint(mittos),
+  EXPECT_EQ(Pin(mittos),
             "req=2100 ev=53028 dur=20275394092 noise=10797 ebusy=3734 to=0 hedge=0 deg=0 err=0 "
             "get=2000,65476907,79011685,83366484 user=2000,65476907,79011685,83366484 "
             "faults=0,0,0");
   EXPECT_EQ(mittos.unbounded_deadline_tries, 1867u);
   EXPECT_EQ(mittos.max_sent_deadline, 0);
   const RunResult wait = RunOneShard(o, StrategyKind::kMittosWait);
-  EXPECT_EQ(Fingerprint(wait),
+  EXPECT_EQ(Pin(wait),
             "req=2100 ev=62558 dur=20222196259 noise=10773 ebusy=5651 to=0 hedge=0 deg=0 err=0 "
             "get=2000,63611953,76600898,81316708 user=2000,63611953,76600898,81316708 "
             "faults=0,0,0");
   EXPECT_EQ(wait.unbounded_deadline_tries, 1860u);
   EXPECT_EQ(wait.max_sent_deadline, 0);
   const RunResult res = RunOneShard(o, StrategyKind::kMittosResilient);
-  EXPECT_EQ(Fingerprint(res),
+  EXPECT_EQ(Pin(res),
             "req=2100 ev=62561 dur=20216874019 noise=10776 ebusy=5651 to=0 hedge=0 deg=1859 "
             "err=0 get=2000,63659216,76914322,83027172 user=2000,63659216,76914322,83027172 "
             "faults=0,0,0");

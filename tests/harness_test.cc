@@ -54,20 +54,28 @@ TEST(ExperimentTest, MittosBeatsHedgedAtTail) {
   EXPECT_LT(mitt.get_latencies.Percentile(90), hedged.get_latencies.Percentile(90));
 }
 
-TEST(ExperimentTest, RunAllDerivesP95Values) {
+// The paper's SLO rule: the p95 of a Base run's gets, or 13 ms when that p95
+// is <= 0; WithSlo fills only the values left negative.
+TEST(ExperimentTest, SloRuleIsBaseP95Or13Ms) {
   ExperimentOptions opt = MicroOptions();
   opt.deadline = -1;
   opt.hedge_delay = -1;
-  opt.app_timeout = -1;
+  opt.app_timeout = Millis(7);
   opt.measure_requests = 300;
-  Experiment experiment(opt);
-  const auto results =
-      experiment.RunAll({StrategyKind::kBase, StrategyKind::kMittos});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].name, "Base");
-  EXPECT_EQ(results[1].name, "MittOS");
-  EXPECT_GT(experiment.derived_p95(), 0);
-  EXPECT_EQ(experiment.options().deadline, experiment.derived_p95());
+  const SloBase slo = RunSloBase(opt);
+  EXPECT_EQ(slo.base.name, "Base");
+  EXPECT_EQ(slo.base.requests, 350u);
+  EXPECT_GT(slo.slo, 0);
+  EXPECT_EQ(slo.slo, slo.base.get_latencies.Percentile(95));
+  const ExperimentOptions filled = WithSlo(opt, slo.slo);
+  EXPECT_EQ(filled.deadline, slo.slo);
+  EXPECT_EQ(filled.hedge_delay, slo.slo);
+  EXPECT_EQ(filled.app_timeout, Millis(7));
+
+  // A Base run that measures nothing has no p95.
+  opt.measure_requests = 0;
+  opt.warmup_requests = 0;
+  EXPECT_EQ(RunSloBase(opt).slo, Millis(13));
 }
 
 TEST(ExperimentTest, ScaleFactorAmplifiesUserLatency) {
@@ -84,13 +92,8 @@ TEST(ExperimentTest, ScaleFactorAmplifiesUserLatency) {
 }
 
 TEST(ExperimentTest, DeterministicAcrossRuns) {
-  Experiment a(MicroOptions());
-  Experiment b(MicroOptions());
-  const RunResult ra = a.Run(StrategyKind::kMittos);
-  const RunResult rb = b.Run(StrategyKind::kMittos);
-  EXPECT_EQ(ra.get_latencies.Percentile(95), rb.get_latencies.Percentile(95));
-  EXPECT_EQ(ra.ebusy_failovers, rb.ebusy_failovers);
-  EXPECT_EQ(ra.sim_duration, rb.sim_duration);
+  EXPECT_EQ(Fingerprint(Experiment(MicroOptions()).Run(StrategyKind::kMittos)),
+            Fingerprint(Experiment(MicroOptions()).Run(StrategyKind::kMittos)));
 }
 
 // The warmup split. One shard counts warmup across all clients with one
@@ -181,26 +184,12 @@ TEST(RunTrialsTest, ParallelMergeBitIdenticalToSerial) {
   trials.push_back({opt, StrategyKind::kHedged, ""});
   trials.push_back({opt, StrategyKind::kMittos, "Renamed"});
 
-  const auto serial = RunTrialsParallel(trials, /*workers=*/1);
-  const auto parallel = RunTrialsParallel(trials, /*workers=*/4);
-
-  ASSERT_EQ(serial.size(), trials.size());
-  ASSERT_EQ(parallel.size(), trials.size());
-  EXPECT_EQ(serial[3].name, "Renamed");
-  for (size_t i = 0; i < trials.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(serial[i].name, parallel[i].name);
-    // Exact sample vectors, not just summary stats: bit-identical means the
-    // full latency trace matches element by element.
-    EXPECT_EQ(serial[i].get_latencies.samples(), parallel[i].get_latencies.samples());
-    EXPECT_EQ(serial[i].user_latencies.samples(), parallel[i].user_latencies.samples());
-    EXPECT_EQ(serial[i].requests, parallel[i].requests);
-    EXPECT_EQ(serial[i].ebusy_failovers, parallel[i].ebusy_failovers);
-    EXPECT_EQ(serial[i].hedges_sent, parallel[i].hedges_sent);
-    EXPECT_EQ(serial[i].timeouts_fired, parallel[i].timeouts_fired);
-    EXPECT_EQ(serial[i].noise_ios, parallel[i].noise_ios);
-    EXPECT_EQ(serial[i].sim_duration, parallel[i].sim_duration);
-  }
+  // Bit-identical means every run's Fingerprint — its latency samples
+  // element by element, not just summary stats — matches at every grid point.
+  const GridRun grid = RunOnWorkerGrid(trials);
+  EXPECT_EQ(grid.drift, std::vector<std::string>{});
+  ASSERT_EQ(grid.results.size(), trials.size());
+  EXPECT_EQ(grid.results[3].name, "Renamed");
 }
 
 TEST(RunTrialsTest, GenericRunnerPreservesTrialOrder) {

@@ -350,32 +350,15 @@ TEST(TracedRunTest, TraceBitIdenticalAcrossWorkerCounts) {
       {opt, harness::StrategyKind::kBase, ""},
       {opt, harness::StrategyKind::kMittos, ""},
   };
-  const auto serial = harness::RunTrialsParallel(trials, /*workers=*/1);
-  const auto parallel = harness::RunTrialsParallel(trials, /*workers=*/4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    const harness::RunResult& a = serial[i];
-    const harness::RunResult& b = parallel[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.user_latencies.samples(), b.user_latencies.samples());
-    ASSERT_EQ(a.trace_spans.size(), b.trace_spans.size());
-    for (size_t j = 0; j < a.trace_spans.size(); ++j) {
-      ASSERT_TRUE(SameSpan(a.trace_spans[j], b.trace_spans[j]))
-          << "trial " << i << " span " << j;
-    }
-    // Metrics registries must agree key-for-key, value-for-value.
-    ASSERT_EQ(a.metrics.counters().size(), b.metrics.counters().size());
-    auto bit = b.metrics.counters().begin();
-    for (const auto& [key, counter] : a.metrics.counters()) {
-      EXPECT_EQ(key.name, bit->first.name);
-      EXPECT_EQ(key.node, bit->first.node);
-      EXPECT_EQ(counter.value(), bit->second.value());
-      ++bit;
-    }
+  // Spans and metrics registries are part of every run's Fingerprint.
+  const harness::GridRun grid = harness::RunOnWorkerGrid(trials);
+  EXPECT_EQ(grid.drift, std::vector<std::string>{});
 #if MITT_OBS_ENABLED
-    EXPECT_FALSE(a.trace_spans.empty());
-#endif
+  for (const harness::RunResult& r : grid.results) {
+    EXPECT_FALSE(r.trace_spans.empty()) << r.name;
+    EXPECT_FALSE(r.metrics.counters().empty()) << r.name;
   }
+#endif
 }
 
 }  // namespace

@@ -280,10 +280,10 @@ TEST(ShardedEngineTest, AdaptiveRebalanceIsScheduleInvariantAndBalances) {
 
 // ------------------------------------- 1000-node chaos scorecard property
 
-// The PR's headline property: a 1000-node chaos scenario — auto-sharded onto
-// the PDES engine — produces a byte-identical scorecard across every
-// MITT_INTRA_WORKERS x MITT_TRIAL_WORKERS combination. Workload is kept
-// small (the property is about ordering, not statistics).
+// The sharded engine's headline property: a 1000-node chaos scenario —
+// auto-sharded onto the PDES engine — fingerprints byte-identically across
+// every MITT_INTRA_WORKERS x MITT_TRIAL_WORKERS combination. Workload is
+// kept small (the property is about ordering, not statistics).
 harness::ExperimentOptions ChaosWorld() {
   harness::ExperimentOptions base;
   base.num_nodes = 1000;
@@ -299,8 +299,12 @@ harness::ExperimentOptions ChaosWorld() {
   return base;
 }
 
-std::string ChaosScorecard(int intra_workers, int trial_workers, int engine_fusion = -1,
-                           int engine_rebalance = -1) {
+// The chaos-1000 scenario through ScenarioRunner. With `drift`, phase B runs
+// on the determinism grid and the worker arguments are ignored. Returns the
+// Fingerprint of every phase-B run.
+std::string ChaosFingerprint(int intra_workers, int trial_workers, int engine_fusion = -1,
+                             int engine_rebalance = -1,
+                             std::vector<std::string>* drift = nullptr) {
   harness::ScenarioRunner::Options opt;
   opt.base = ChaosWorld();
   opt.base.intra_workers = intra_workers;
@@ -316,45 +320,47 @@ std::string ChaosScorecard(int intra_workers, int trial_workers, int engine_fusi
   scenario.name = "chaos-1000";
   scenario.plan = fault::GenerateChaosPlan(chaos, opt.base.num_nodes,
                                            /*horizon=*/Seconds(30), /*seed=*/7);
-  const auto scores = runner.Run({scenario});
+  runner.Run({scenario}, drift);
   EXPECT_EQ(runner.results().back().num_shards, 31) << "1000 nodes must auto-shard";
   EXPECT_GT(runner.results().back().fault_episodes, 0u) << "chaos must land";
-  return harness::ScorecardJson(scores, runner.slo_deadline());
+  std::string fingerprint;
+  for (const harness::RunResult& r : runner.results()) {
+    fingerprint += harness::Fingerprint(r) + "\n";
+  }
+  return fingerprint;
 }
 
 TEST(ShardDeterminismTest, ChaosScorecardIsByteIdenticalAcrossWorkerGrids) {
-  const std::string reference = ChaosScorecard(/*intra_workers=*/1, /*trial_workers=*/1);
-  ASSERT_FALSE(reference.empty());
-  for (const int intra : {2, 8}) {
-    for (const int trial : {1, 4}) {
-      EXPECT_EQ(ChaosScorecard(intra, trial), reference)
-          << "intra_workers=" << intra << " trial_workers=" << trial;
-    }
-  }
-  // intra=1 x trial=4 closes the grid.
-  EXPECT_EQ(ChaosScorecard(1, 4), reference);
+  std::vector<std::string> drift;
+  const std::string reference = ChaosFingerprint(/*intra_workers=*/0, /*trial_workers=*/0,
+                                                 /*engine_fusion=*/-1, /*engine_rebalance=*/-1,
+                                                 &drift);
+  EXPECT_EQ(drift, std::vector<std::string>{});
+  // Eight intra-trial workers: more threads than shard pairs in a window.
+  EXPECT_EQ(ChaosFingerprint(/*intra_workers=*/8, /*trial_workers=*/1), reference);
+  EXPECT_EQ(ChaosFingerprint(8, 4), reference);
 }
 
 TEST(ShardDeterminismTest, FusionAndRebalanceKeepChaosScorecardByteIdentical) {
-  // The scale-out machinery is schedule-preserving: the chaos scorecard with
+  // The scale-out machinery is schedule-preserving: the chaos run with
   // window fusion disabled, or with an LPT repack at every barrier
-  // (rebalance period 1), must be byte-identical to the default engine's
-  // (fusion on, repacks every 64 windows) — at every {intra} x {trial} grid
-  // corner.
-  const std::string reference = ChaosScorecard(/*intra_workers=*/1, /*trial_workers=*/1);
+  // (rebalance period 1), must fingerprint byte-identically to the default
+  // engine's (fusion on, repacks every 64 windows) — at every {intra} x
+  // {trial} grid corner.
+  const std::string reference = ChaosFingerprint(/*intra_workers=*/1, /*trial_workers=*/1);
   ASSERT_FALSE(reference.empty());
   // Unfused engine across the grid.
-  EXPECT_EQ(ChaosScorecard(1, 1, /*engine_fusion=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(2, 4, /*engine_fusion=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(8, 1, /*engine_fusion=*/0), reference);
+  EXPECT_EQ(ChaosFingerprint(1, 1, /*engine_fusion=*/0), reference);
+  EXPECT_EQ(ChaosFingerprint(2, 4, /*engine_fusion=*/0), reference);
+  EXPECT_EQ(ChaosFingerprint(8, 1, /*engine_fusion=*/0), reference);
   // A repack at every barrier across the grid.
-  EXPECT_EQ(ChaosScorecard(1, 4, -1, /*engine_rebalance=*/1), reference);
-  EXPECT_EQ(ChaosScorecard(2, 1, -1, /*engine_rebalance=*/1), reference);
-  EXPECT_EQ(ChaosScorecard(8, 4, -1, /*engine_rebalance=*/1), reference);
+  EXPECT_EQ(ChaosFingerprint(1, 4, -1, /*engine_rebalance=*/1), reference);
+  EXPECT_EQ(ChaosFingerprint(2, 1, -1, /*engine_rebalance=*/1), reference);
+  EXPECT_EQ(ChaosFingerprint(8, 4, -1, /*engine_rebalance=*/1), reference);
   // Fusion off with a repack at every barrier at the far grid corner, and a
   // period-4 cadence.
-  EXPECT_EQ(ChaosScorecard(8, 4, 0, 1), reference);
-  EXPECT_EQ(ChaosScorecard(2, 4, -1, /*engine_rebalance=*/4), reference);
+  EXPECT_EQ(ChaosFingerprint(8, 4, 0, 1), reference);
+  EXPECT_EQ(ChaosFingerprint(2, 4, -1, /*engine_rebalance=*/4), reference);
 }
 
 TEST(ShardDeterminismTest, IntraWorkerEnvVarIsHonored) {
@@ -362,10 +368,10 @@ TEST(ShardDeterminismTest, IntraWorkerEnvVarIsHonored) {
   // the same as setting intra_workers explicitly.
   ASSERT_EQ(setenv("MITT_INTRA_WORKERS", "2", /*overwrite=*/1), 0);
   EXPECT_EQ(sim::DefaultIntraWorkers(), 2);
-  const std::string via_env = ChaosScorecard(/*intra_workers=*/0, /*trial_workers=*/1);
+  const std::string via_env = ChaosFingerprint(/*intra_workers=*/0, /*trial_workers=*/1);
   ASSERT_EQ(unsetenv("MITT_INTRA_WORKERS"), 0);
   EXPECT_EQ(sim::DefaultIntraWorkers(), 1);
-  EXPECT_EQ(via_env, ChaosScorecard(/*intra_workers=*/2, /*trial_workers=*/1));
+  EXPECT_EQ(via_env, ChaosFingerprint(/*intra_workers=*/2, /*trial_workers=*/1));
 }
 
 // -------------------------------------------- trace export byte-identity
@@ -413,21 +419,6 @@ TEST(ShardDeterminismTest, TraceExportIsByteIdenticalAcrossWorkerCounts) {
 
 // --------------------------------------- every client strategy, 2 shards
 
-// What one run of a strategy hands the harness, as one comparable string.
-std::string Fingerprint(const harness::RunResult& r) {
-  std::string f = r.name + " ev=" + std::to_string(r.sim_events) +
-                  " dur=" + std::to_string(r.sim_duration) +
-                  " xshard=" + std::to_string(r.cross_shard_messages) +
-                  " ebusy=" + std::to_string(r.ebusy_failovers) +
-                  " hedge=" + std::to_string(r.hedges_sent) +
-                  " to=" + std::to_string(r.timeouts_fired) +
-                  " err=" + std::to_string(r.user_errors) + " lat=";
-  for (const DurationNs sample : r.get_latencies.samples()) {
-    f += std::to_string(sample) + ",";
-  }
-  return f;
-}
-
 TEST(ShardDeterminismTest, EveryStrategyIsBitIdenticalAcrossIntraWorkers) {
   // Each strategy's pooled per-Get records live on the shard that issued the
   // Get, and replies come home through the engine's mailboxes: no strategy's
@@ -457,9 +448,10 @@ TEST(ShardDeterminismTest, EveryStrategyIsBitIdenticalAcrossIntraWorkers) {
     const harness::RunResult ref = run(kind, 1);
     ASSERT_EQ(ref.num_shards, 2);
     EXPECT_GT(ref.cross_shard_messages, 0u) << ref.name;
-    const std::string expected = Fingerprint(ref);
-    EXPECT_EQ(Fingerprint(run(kind, 2)), expected);
-    EXPECT_EQ(Fingerprint(run(kind, 0)), expected);  // Env-resolved (4 in the TSan job).
+    const std::string expected = harness::Fingerprint(ref);
+    EXPECT_EQ(harness::Fingerprint(run(kind, 2)), expected);
+    // Env-resolved (4 in the TSan job).
+    EXPECT_EQ(harness::Fingerprint(run(kind, 0)), expected);
   }
 }
 

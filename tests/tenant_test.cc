@@ -484,52 +484,19 @@ TEST(TenantHarnessTest, RecordReplayRoundTripOverlaysTenants) {
   std::remove(path.c_str());
 }
 
-// --- Worker-grid byte identity ---
-
-std::string TenantScorecard(const std::vector<harness::RunResult>& results) {
-  std::string s;
-  for (const harness::RunResult& r : results) {
-    s += r.name + ":" + std::to_string(r.tenant_requests) + ":" +
-         std::to_string(r.tenant_migrations) + ":" + std::to_string(r.controller_ticks) + ":" +
-         std::to_string(r.ebusy_failovers);
-    for (const harness::TenantClassStats& cls : r.tenant_classes) {
-      s += "|" + cls.name + "," + std::to_string(cls.requests) + "," +
-           std::to_string(cls.deadline_miss) + "," + std::to_string(cls.failovers) + "," +
-           std::to_string(cls.latencies.Percentile(50)) + "," +
-           std::to_string(cls.latencies.Percentile(99)) + "," +
-           std::to_string(cls.latencies.Max());
-    }
-    s += "\n";
-  }
-  return s;
-}
+// --- Worker-grid identity ---
 
 TEST(TenantDeterminismTest, ScorecardIsByteIdenticalAcrossWorkerGrid) {
-  auto scorecard_at = [](int trial_workers, int intra_workers) {
-    std::vector<harness::Trial> trials;
-    for (const bool slo_aware : {false, true}) {
-      harness::Trial t;
-      t.options = SmallTenantWorld(slo_aware, 20170919);
-      t.options.num_shards = 2;  // Controller ticks ride ScheduleGlobal.
-      t.options.intra_workers = intra_workers;
-      t.kind = harness::StrategyKind::kMittos;
-      t.rename = slo_aware ? "slo-aware" : "uniform";
-      trials.push_back(t);
-    }
-    return TenantScorecard(harness::RunTrialsParallel(trials, trial_workers));
-  };
-
-  const std::string reference = scorecard_at(1, 1);
-  ASSERT_FALSE(reference.empty());
-  for (const int trial_workers : {1, 4}) {
-    for (const int intra_workers : {1, 2}) {
-      if (trial_workers == 1 && intra_workers == 1) {
-        continue;
-      }
-      EXPECT_EQ(scorecard_at(trial_workers, intra_workers), reference)
-          << "trial=" << trial_workers << " intra=" << intra_workers;
-    }
+  std::vector<harness::Trial> trials;
+  for (const bool slo_aware : {false, true}) {
+    harness::Trial t;
+    t.options = SmallTenantWorld(slo_aware, 20170919);
+    t.options.num_shards = 2;  // Controller ticks ride ScheduleGlobal.
+    t.kind = harness::StrategyKind::kMittos;
+    t.rename = slo_aware ? "slo-aware" : "uniform";
+    trials.push_back(t);
   }
+  EXPECT_EQ(harness::RunOnWorkerGrid(trials).drift, std::vector<std::string>{});
 }
 
 }  // namespace
