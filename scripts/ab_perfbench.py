@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Same-host A/B comparison of the repository benchmark: a base revision against the working tree.
 
-    scripts/ab_perfbench.py <base-rev> <workload> [--pairs N] [--seed S] [--seconds T]
+    scripts/ab_perfbench.py <base-rev> <workload>... [--pairs N] [--seed S] [--seconds T]
                             [--work-dir DIR]
+
+<workload> is one or more BENCHMARK.json workload names, or `all` for every
+one of them; the workloads run one after another, each with its own table.
 
 Exports <base-rev> with `git archive` (as scripts/compare_outputs.sh does)
 and builds each side's perfbench through its own `python3 perfbench/run.py`,
@@ -14,8 +17,8 @@ For every end-to-end metric declared in BENCHMARK.json it prints each side's
 median and quartiles, the median change, how many pairs the working tree won
 and tied, and whether the change clears the base's interquartile range. A
 metric whose median got worse by more than its BENCHMARK.json bound is
-flagged, and the script then exits 1. Exit 0: no metric got worse beyond its
-bound; 2: usage, build or run error.
+flagged, and the script then exits 1. Exit 0: no metric of any workload got
+worse beyond its bound; 2: usage, build or run error.
 
 The work directory (a fresh temporary directory unless --work-dir names one)
 holds the exported base, both build trees and every run's output and JSON
@@ -66,7 +69,6 @@ class Side:
         self.name = name
         self.root = root
         self.target = target
-        self.results = []  # One metrics dict per run.
 
     def run(self, workload, seed, seconds, log_dir, tag):
         env = dict(os.environ, CARGO_TARGET_DIR=self.target)
@@ -111,48 +113,23 @@ def fmt(v):
     return f"{v:.6g}"
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base_rev")
-    parser.add_argument("workload")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="host seconds per run (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--work-dir", help="reusable directory for the base export and builds")
-    args = parser.parse_args()
-    if args.pairs < 1 or args.seed < 0:
-        parser.error("--pairs must be >= 1 and --seed >= 0")
-
-    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
-        spec = json.load(f)
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        fail(f"unknown workload '{args.workload}'")
-    seconds = args.seconds if args.seconds is not None else spec.get("run_seconds", 15)
-    rev = git("rev-parse", "--verify", "--quiet", args.base_rev + "^{commit}").stdout.strip()
-    if not rev:
-        fail(f"unknown revision '{args.base_rev}'")
-
-    work = os.path.abspath(args.work_dir) if args.work_dir else tempfile.mkdtemp(
-        prefix="ab_perfbench.")
-    logs = os.path.join(work, f"runs-{args.workload}-seed{args.seed}")
+def compare(spec, base, head, workload, args, seconds, rev, work):
+    """Runs one workload's pairs and prints its table; returns the regressed metric names."""
+    logs = os.path.join(work, f"runs-{workload}-seed{args.seed}")
     os.makedirs(logs, exist_ok=True)
-    export_base(rev, os.path.join(work, "base"))
-    base = Side("base", os.path.join(work, "base"), os.path.join(work, "base-target"))
-    head = Side("head", REPO, os.path.join(work, "head-target"))
-
     # The first run on each side builds its perfbench; its numbers are dropped.
     for side in (base, head):
         print(f"ab_perfbench: building and warming {side.name}", file=sys.stderr)
-        side.run(args.workload, args.seed, 1, logs, "warm")
+        side.run(workload, args.seed, 1, logs, "warm")
+    results = {base.name: [], head.name: []}  # One metrics dict per run.
     for i in range(args.pairs):
         order = (base, head) if i % 2 == 0 else (head, base)
         for side in order:
-            side.results.append(side.run(args.workload, args.seed, seconds, logs, f"pair{i}"))
+            results[side.name].append(side.run(workload, args.seed, seconds, logs, f"pair{i}"))
         print(f"ab_perfbench: pair {i + 1}/{args.pairs} done ({order[0].name} first)",
               file=sys.stderr)
 
-    print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
+    print(f"workload {workload}  seed {args.seed}  pairs {args.pairs}  "
           f"seconds {seconds}  base {rev[:12]}  head working tree")
     header = (f"{'metric':<16} {'unit':<6} {'base median [q1, q3]':<36} "
               f"{'head median [q1, q3]':<36} {'change':>9} {'wins':>5} {'ties':>5} "
@@ -162,8 +139,8 @@ def main():
     for m in spec["end_to_end"]:
         name = m["name"]
         higher = m["better"] == "higher"
-        b = [r[name] for r in base.results]
-        h = [r[name] for r in head.results]
+        b = [r[name] for r in results[base.name]]
+        h = [r[name] for r in results[head.name]]
         bm, hm = quantile(b, 0.5), quantile(h, 0.5)
         bq1, bq3 = quantile(b, 0.25), quantile(b, 0.75)
         hq1, hq3 = quantile(h, 0.25), quantile(h, 0.75)
@@ -183,12 +160,53 @@ def main():
               f"{fmt(hm) + ' [' + fmt(hq1) + ', ' + fmt(hq3) + ']':<36} "
               f"{change:>9} {wins:>5} {ties:>5} {beyond_iqr:>5}  {verdict}")
     print(f"results: {logs}" if args.work_dir else "results: removed with the work directory")
+    return regressed
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_rev")
+    parser.add_argument("workloads", nargs="+", metavar="workload",
+                        help="BENCHMARK.json workload names, or 'all'")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=int, default=None,
+                        help="host seconds per run (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--work-dir", help="reusable directory for the base export and builds")
+    args = parser.parse_args()
+    if args.pairs < 1 or args.seed < 0:
+        parser.error("--pairs must be >= 1 and --seed >= 0")
+
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workloads == ["all"] else args.workloads
+    for workload in workloads:
+        if workload not in known:
+            fail(f"unknown workload '{workload}'")
+    seconds = args.seconds if args.seconds is not None else spec.get("run_seconds", 15)
+    rev = git("rev-parse", "--verify", "--quiet", args.base_rev + "^{commit}").stdout.strip()
+    if not rev:
+        fail(f"unknown revision '{args.base_rev}'")
+
+    work = os.path.abspath(args.work_dir) if args.work_dir else tempfile.mkdtemp(
+        prefix="ab_perfbench.")
+    export_base(rev, os.path.join(work, "base"))
+    base = Side("base", os.path.join(work, "base"), os.path.join(work, "base-target"))
+    head = Side("head", REPO, os.path.join(work, "head-target"))
+    regressed = {}
+    for i, workload in enumerate(workloads):
+        if i > 0:
+            print()
+        names = compare(spec, base, head, workload, args, seconds, rev, work)
+        if names:
+            regressed[workload] = names
     if not args.work_dir:
         shutil.rmtree(work, ignore_errors=True)
-    if regressed:
-        print("ab_perfbench: worse beyond bound: " + ", ".join(regressed), file=sys.stderr)
-        return 1
-    return 0
+    for workload, names in regressed.items():
+        label = f"{workload} " if len(workloads) > 1 else ""
+        print(f"ab_perfbench: {label}worse beyond bound: " + ", ".join(names), file=sys.stderr)
+    return 1 if regressed else 0
 
 
 if __name__ == "__main__":

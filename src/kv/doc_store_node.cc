@@ -28,8 +28,10 @@ int64_t DocStoreNode::OffsetOfKey(uint64_t key) const {
 void DocStoreNode::WarmCache(double fraction) {
   const auto warm_keys =
       static_cast<int64_t>(static_cast<double>(options_.num_keys) * fraction);
-  for (int64_t k = 0; k < warm_keys; ++k) {
-    os().Prefault(data_file_, k * kSlotSize, kDocSize);
+  if (warm_keys > 0) {
+    // A slot is one page, so this is every warm key's page, in key order.
+    static_assert(kSlotSize == os::kPageSize);
+    os().Prefault(data_file_, 0, (warm_keys - 1) * kSlotSize + kDocSize);
   }
 }
 

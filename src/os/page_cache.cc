@@ -1,141 +1,102 @@
 #include "src/os/page_cache.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <utility>
+
 namespace mitt::os {
+namespace {
+
+// An eviction batch holds the oldest eighth of the resident pages.
+constexpr size_t kBatchDivisor = 8;
+
+}  // namespace
 
 PageCache::PageCache(const PageCacheParams& params) : params_(params) {}
+
+uint32_t PageCache::Probe(uint64_t key) const {
+  // Load factor <= 1/2 guarantees a free slot terminates the probe.
+  uint32_t i = HashIndex(key);
+  while (slots_[i].stamp != 0 && slots_[i].key != key) {
+    i = (i + 1) & Mask();
+  }
+  return i;
+}
 
 uint32_t PageCache::FindIndex(uint64_t key) const {
   if (slots_.empty()) {
     return kNil;
   }
-  // Load factor <= 1/2 guarantees an unused slot terminates the probe.
-  uint32_t i = HashIndex(key);
-  while (slots_[i].used) {
-    if (slots_[i].key == key) {
-      return i;
-    }
-    i = (i + 1) & Mask();
-  }
-  return kNil;
-}
-
-void PageCache::UnlinkLru(uint32_t i) {
-  const Slot& s = slots_[i];
-  if (s.prev != kNil) {
-    slots_[s.prev].next = s.next;
-  } else {
-    head_ = s.next;
-  }
-  if (s.next != kNil) {
-    slots_[s.next].prev = s.prev;
-  } else {
-    tail_ = s.prev;
-  }
-}
-
-void PageCache::LinkMru(uint32_t i) {
-  Slot& s = slots_[i];
-  s.prev = tail_;
-  s.next = kNil;
-  if (tail_ != kNil) {
-    slots_[tail_].next = i;
-  } else {
-    head_ = i;
-  }
-  tail_ = i;
-}
-
-void PageCache::MoveSlot(uint32_t from, uint32_t to) {
-  Slot& dst = slots_[to];
-  const Slot& src = slots_[from];
-  dst.key = src.key;
-  dst.prev = src.prev;
-  dst.next = src.next;
-  dst.used = true;
-  slots_[from].used = false;
-  // The LRU chain still points at `from`; redirect its neighbors (or the
-  // chain ends) to `to`.
-  if (dst.prev != kNil) {
-    slots_[dst.prev].next = to;
-  } else {
-    head_ = to;
-  }
-  if (dst.next != kNil) {
-    slots_[dst.next].prev = to;
-  } else {
-    tail_ = to;
-  }
+  const uint32_t i = Probe(key);
+  return slots_[i].stamp != 0 ? i : kNil;
 }
 
 void PageCache::EraseIndex(uint32_t i) {
-  UnlinkLru(i);
-  slots_[i].used = false;
+  slots_[i].stamp = 0;
   --count_;
   // Backward-shift deletion: walk the probe cluster after the hole and pull
   // back any entry whose probe path crossed it, so lookups never need
   // tombstones.
   uint32_t hole = i;
-  uint32_t j = (i + 1) & Mask();
-  while (slots_[j].used) {
+  for (uint32_t j = (i + 1) & Mask(); slots_[j].stamp != 0; j = (j + 1) & Mask()) {
     const uint32_t home = HashIndex(slots_[j].key);
     if (((j - home) & Mask()) >= ((j - hole) & Mask())) {
-      MoveSlot(j, hole);
+      slots_[hole] = slots_[j];
+      slots_[j].stamp = 0;
       hole = j;
     }
-    j = (j + 1) & Mask();
   }
 }
 
-void PageCache::PlaceNew(uint64_t key) {
-  uint32_t i = HashIndex(key);
-  while (slots_[i].used) {
-    i = (i + 1) & Mask();
-  }
-  slots_[i].key = key;
-  slots_[i].used = true;
-  ++count_;
-  LinkMru(i);
-}
-
-void PageCache::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  const uint32_t old_head = head_;
-  slots_.assign(old.size() * 2, Slot{});
-  head_ = tail_ = kNil;
-  count_ = 0;
-  // Re-insert in LRU-to-MRU order: appending at MRU preserves the order.
-  for (uint32_t i = old_head; i != kNil;) {
-    const uint32_t next = old[i].next;
-    PlaceNew(old[i].key);
-    i = next;
-  }
-}
-
-void PageCache::InsertOne(uint64_t key) {
-  if (slots_.empty()) {
-    // Size the table once, for the declared capacity at load factor 1/2:
-    // 48 bytes per capacity page, ~1% of the memory the cache models.
-    // Growing from small through doublings would re-insert every resident
-    // page once per doubling while a large cache warms.
-    size_t want = kInitialSlots;
-    while (want < params_.capacity_pages * 2) {
-      want <<= 1;
-    }
-    slots_.assign(want, Slot{});
-  }
-  const uint32_t hit = FindIndex(key);
-  if (hit != kNil) {
-    UnlinkLru(hit);
-    LinkMru(hit);
+void PageCache::Reserve(size_t pages) {
+  if (pages * 2 <= slots_.size()) {
     return;
   }
-  if (count_ >= params_.capacity_pages && count_ > 0) {
-    EraseIndex(head_);  // Evict the LRU page.
+  size_t want = std::bit_ceil(pages * 2);
+  if (slots_.empty()) {  // The first table fits the whole capacity, up to 2^16 slots.
+    want = std::max(want, std::bit_ceil(std::min(params_.capacity_pages, kMaxFirstSlots / 2) * 2));
   }
-  if ((count_ + 1) * 2 > slots_.size()) {
-    Grow();
+  // A plain rehash: LRU order lives in the stamps, which move with the slots.
+  const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(want));
+  for (const Slot& s : old) {
+    if (s.stamp != 0) {
+      slots_[Probe(s.key)] = s;
+    }
   }
-  PlaceNew(key);
+}
+
+void PageCache::CollectOldest(size_t keep) {
+  victims_.clear();
+  // clear() keeps the buffer, so this allocates only when more pages are
+  // resident than at every earlier refill.
+  victims_.reserve(count_);
+  for (const Slot& s : slots_) {
+    if (s.stamp != 0) {
+      victims_.push_back(s);
+    }
+  }
+  const auto begin = victims_.begin();
+  std::nth_element(begin, begin + static_cast<std::ptrdiff_t>(keep), victims_.end(),
+                   [](const Slot& a, const Slot& b) { return a.stamp < b.stamp; });
+  victims_.resize(keep);
+  std::sort(victims_.begin(), victims_.end(),
+            [](const Slot& a, const Slot& b) { return a.stamp > b.stamp; });
+}
+
+void PageCache::EvictOldest() {
+  for (;;) {
+    if (victims_.empty()) {
+      CollectOldest(std::max<size_t>(count_ / kBatchDivisor, 1));
+    }
+    const Slot v = victims_.back();
+    victims_.pop_back();
+    const uint32_t i = FindIndex(v.key);
+    if (i != kNil && slots_[i].stamp == v.stamp) {
+      EraseIndex(i);
+      return;
+    }
+  }
 }
 
 bool PageCache::Resident(uint64_t file, int64_t offset, int64_t len) const {
@@ -152,8 +113,20 @@ bool PageCache::Resident(uint64_t file, int64_t offset, int64_t len) const {
 void PageCache::Insert(uint64_t file, int64_t offset, int64_t len) {
   const int64_t first = offset / kPageSize;
   const int64_t last = (offset + (len > 0 ? len : 1) - 1) / kPageSize;
+  // Room for the whole range first, so a large warm-up rehashes at most once.
+  Reserve(std::min(count_ + static_cast<size_t>(last - first + 1), params_.capacity_pages));
   for (int64_t p = first; p <= last; ++p) {
-    InsertOne(Key(file, p));
+    const uint64_t key = Key(file, p);
+    if (const uint32_t hit = FindIndex(key); hit != kNil) {
+      slots_[hit].stamp = ++clock_;
+      continue;
+    }
+    if (count_ >= params_.capacity_pages && count_ > 0) {
+      EvictOldest();
+    }
+    Reserve(count_ + 1);
+    slots_[Probe(key)] = Slot{key, ++clock_};
+    ++count_;
   }
 }
 
@@ -163,8 +136,7 @@ void PageCache::Touch(uint64_t file, int64_t offset, int64_t len) {
   for (int64_t p = first; p <= last; ++p) {
     const uint32_t i = FindIndex(Key(file, p));
     if (i != kNil) {
-      UnlinkLru(i);
-      LinkMru(i);
+      slots_[i].stamp = ++clock_;
     }
   }
 }
@@ -184,20 +156,13 @@ void PageCache::EvictFraction(double fraction, Rng& rng) {
   if (fraction <= 0 || count_ == 0) {
     return;
   }
-  // One Bernoulli draw per resident page, like the old map-order walk; the
-  // walk is now in canonical LRU order. Erasure shifts slots around, so
-  // collect keys first.
-  std::vector<uint64_t> victims;
-  victims.reserve(static_cast<size_t>(static_cast<double>(count_) * fraction) + 1);
-  for (uint32_t i = head_; i != kNil; i = slots_[i].next) {
+  // One Bernoulli draw per resident page, oldest first. The batch then holds
+  // every page, so it stays a valid eviction batch (erased entries are
+  // skipped).
+  CollectOldest(count_);
+  for (size_t v = victims_.size(); v-- > 0;) {
     if (rng.Bernoulli(fraction)) {
-      victims.push_back(slots_[i].key);
-    }
-  }
-  for (const uint64_t key : victims) {
-    const uint32_t i = FindIndex(key);
-    if (i != kNil) {
-      EraseIndex(i);
+      EraseIndex(FindIndex(victims_[v].key));
     }
   }
 }

@@ -7,11 +7,13 @@
 // way, with posix_fadvise, §7.1/§7.4).
 //
 // Storage is a single open-addressing hash table (linear probing, load
-// factor <= 1/2, backward-shift deletion) whose slots double as intrusive
-// LRU links (prev/next slot indices). One flat array replaces the old
-// std::list + unordered_map pair, which paid two node allocations per
-// resident page and three pointer chases per touch; at steady state no
-// operation allocates.
+// factor <= 1/2, backward-shift deletion) of 16-byte slots. LRU order lives
+// in each slot's last-use stamp, a per-cache counter bumped on every insert
+// and touch: a hit writes one field of the slot it probed, and eviction
+// pops the smallest stamp from a sorted batch of the oldest pages. The
+// table is sized for what it holds (min(2^16, 2 x capacity) slots at the
+// first insert, doubled at load 1/2), and at steady state no operation
+// allocates.
 
 #ifndef MITTOS_OS_PAGE_CACHE_H_
 #define MITTOS_OS_PAGE_CACHE_H_
@@ -49,8 +51,7 @@ class PageCache {
 
   // Evicts approximately `fraction` of all resident pages, chosen uniformly —
   // the noisy-neighbor memory contention / VM ballooning effect (§6, §7.1).
-  // Pages are considered in LRU order (one Bernoulli draw per resident page,
-  // as before).
+  // One Bernoulli draw per resident page, in LRU order.
   void EvictFraction(double fraction, Rng& rng);
 
   size_t resident_pages() const { return count_; }
@@ -58,13 +59,11 @@ class PageCache {
 
  private:
   static constexpr uint32_t kNil = 0xFFFF'FFFFu;
-  static constexpr size_t kInitialSlots = 1024;
+  static constexpr size_t kMaxFirstSlots = size_t{1} << 16;
 
   struct Slot {
     uint64_t key = 0;
-    uint32_t prev = kNil;  // Towards LRU.
-    uint32_t next = kNil;  // Towards MRU.
-    bool used = false;
+    uint64_t stamp = 0;  // Last use; 0 = free slot.
   };
 
   static uint64_t Key(uint64_t file, int64_t page) {
@@ -81,20 +80,24 @@ class PageCache {
     return static_cast<uint32_t>(Mix(key)) & Mask();
   }
 
+  // Index of key's slot, or of the free slot that ends its probe path.
+  uint32_t Probe(uint64_t key) const;
   uint32_t FindIndex(uint64_t key) const;
-  void InsertOne(uint64_t key);
   void EraseIndex(uint32_t i);
-  void MoveSlot(uint32_t from, uint32_t to);
-  void UnlinkLru(uint32_t i);
-  void LinkMru(uint32_t i);
-  void PlaceNew(uint64_t key);  // Probe a free slot, fill it, link at MRU.
-  void Grow();
+  // Grows the table, by one rehash, until `pages` fit at load <= 1/2.
+  void Reserve(size_t pages);
+  // Refills victims_ with the `keep` oldest resident pages, youngest first.
+  void CollectOldest(size_t keep);
+  void EvictOldest();
 
   PageCacheParams params_;
-  std::vector<Slot> slots_;  // Power-of-two size, capacity-sized on first insert.
-  uint32_t head_ = kNil;     // LRU end.
-  uint32_t tail_ = kNil;     // MRU end.
+  std::vector<Slot> slots_;  // Power-of-two size; empty until the first insert.
   size_t count_ = 0;
+  uint64_t clock_ = 0;  // Last stamp handed out.
+  // Eviction batch, popped from the back. It holds every resident page whose
+  // stamp is at most its largest, so the first entry that still matches its
+  // slot's stamp is the LRU page.
+  std::vector<Slot> victims_;
 };
 
 }  // namespace mitt::os

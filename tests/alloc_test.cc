@@ -324,10 +324,12 @@ TEST(SteadyStateAllocTest, TenantLookupAndDriverHotLoopIsAllocationFree) {
 }
 
 TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
-  // Warm the table to its steady size (at capacity, with the hash array
-  // grown past the load-factor bound), then hammer every hot operation.
-  // EvictFraction is excluded: it collects victims into a scratch vector
-  // (noise-injection path, runs per-episode rather than per-IO).
+  // Warm the table to its steady size (at capacity, so the first victim
+  // batch has been collected), then hammer every hot operation. About half
+  // the inserts miss and evict, so the victim batch (an eighth of the
+  // resident pages) is refilled dozens of times in the measured phase, and
+  // the occasional EvictFraction collects every page: both reuse the batch
+  // buffer's capacity.
   os::PageCacheParams params;
   params.capacity_pages = 1024;
   os::PageCache cache(params);
@@ -352,7 +354,9 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
         (void)cache.Resident(1, off, os::kPageSize);
         break;
       case 3:
-        if ((i & 63) == 3) {
+        if ((i & 4095) == 3) {
+          cache.EvictFraction(0.1, rng);
+        } else if ((i & 63) == 3) {
           cache.EvictRange(1, off, os::kPageSize);
         } else {
           cache.Insert(1, off, os::kPageSize);
@@ -361,6 +365,22 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
     }
   }
   EXPECT_EQ(AllocCount() - before, 0u);
+}
+
+TEST(SteadyStateAllocTest, PageCacheFirstTableHoldsTwoToTheFifteenPages) {
+  // A default-capacity cache (2^20 pages) sizes its first table for what it
+  // holds, 2^16 slots, not for its capacity: the first 2^15 distinct pages,
+  // inserted one at a time as a cold Os fills them, cost that one
+  // allocation and no doubling.
+  os::PageCache cache(os::PageCacheParams{});
+  const uint64_t before = AllocCount();
+  const uint64_t bytes_before = AllocBytes();
+  for (int64_t page = 0; page < (1 << 15); ++page) {
+    cache.Insert(1, page * os::kPageSize, os::kPageSize);
+  }
+  EXPECT_EQ(AllocCount() - before, 1u);
+  EXPECT_LE(AllocBytes() - bytes_before, uint64_t{16} << 16);  // 16-byte slots.
+  EXPECT_EQ(cache.resident_pages(), size_t{1} << 15);
 }
 
 TEST(SteadyStateAllocTest, MetricLookupByNameIsAllocationFree) {

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <memory>
 #include <set>
 #include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/latency_recorder.h"
@@ -281,6 +284,149 @@ TEST_P(PageCacheProperty, EvictRangeRemovesExactlyThatRange) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageCacheProperty, ::testing::Values(31, 32, 33, 34));
+
+// The page cache's semantics, spelled out as a list + map LRU: a list in
+// LRU-to-MRU order, every insert and touch moves its page to the MRU end,
+// an insert at capacity first evicts the LRU page, and EvictFraction draws
+// one Bernoulli per resident page in LRU order.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Resident(uint64_t file, int64_t offset, int64_t len) const {
+    for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
+      if (where_.count(Key(file, p)) == 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+  void Insert(uint64_t file, int64_t offset, int64_t len) {
+    for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
+      const uint64_t key = Key(file, p);
+      if (const auto it = where_.find(key); it != where_.end()) {
+        lru_.splice(lru_.end(), lru_, it->second);
+        continue;
+      }
+      if (where_.size() >= capacity_ && !where_.empty()) {
+        where_.erase(lru_.front());
+        lru_.pop_front();
+        ++lru_evictions_;
+      }
+      where_[key] = lru_.insert(lru_.end(), key);
+    }
+  }
+  void Touch(uint64_t file, int64_t offset, int64_t len) {
+    for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
+      if (const auto it = where_.find(Key(file, p)); it != where_.end()) {
+        lru_.splice(lru_.end(), lru_, it->second);
+      }
+    }
+  }
+  void EvictRange(uint64_t file, int64_t offset, int64_t len) {
+    for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
+      if (const auto it = where_.find(Key(file, p)); it != where_.end()) {
+        lru_.erase(it->second);
+        where_.erase(it);
+      }
+    }
+  }
+  void EvictFraction(double fraction, Rng& rng) {
+    if (fraction <= 0 || lru_.empty()) {
+      return;
+    }
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (rng.Bernoulli(fraction)) {
+        where_.erase(*it);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  // Resident pages as (file, page), LRU first.
+  std::vector<std::pair<uint64_t, int64_t>> Pages() const {
+    std::vector<std::pair<uint64_t, int64_t>> pages;
+    for (const uint64_t key : lru_) {
+      pages.emplace_back(key >> 40, static_cast<int64_t>(key & ((uint64_t{1} << 40) - 1)));
+    }
+    return pages;
+  }
+  size_t size() const { return lru_.size(); }
+  uint64_t lru_evictions() const { return lru_evictions_; }
+
+ private:
+  static uint64_t Key(uint64_t file, int64_t page) {
+    return (file << 40) | static_cast<uint64_t>(page);
+  }
+  static int64_t First(int64_t offset) { return offset / os::kPageSize; }
+  static int64_t Last(int64_t offset, int64_t len) {
+    return (offset + (len > 0 ? len : 1) - 1) / os::kPageSize;
+  }
+
+  size_t capacity_;
+  std::list<uint64_t> lru_;
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> where_;
+  uint64_t lru_evictions_ = 0;
+};
+
+class PageCacheDifferential : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PageCacheDifferential, MatchesReferenceLruUnderEvictionPressure) {
+  const size_t capacity = GetParam();
+  Rng rng(0xCAC4E + capacity);
+  os::PageCacheParams params;
+  params.capacity_pages = capacity;
+  os::PageCache cache(params);
+  ReferenceLru ref(capacity);
+  // Three files whose pages together are 3x the capacity: most inserts miss
+  // and evict.
+  const int64_t pages_per_file = static_cast<int64_t>(capacity);
+  const auto max_range = std::max<int64_t>(2, static_cast<int64_t>(capacity) / 8);
+  uint64_t evict_fraction_seed = 1;
+  for (int op = 0; op < 3000; ++op) {
+    const auto file = static_cast<uint64_t>(rng.UniformInt(1, 3));
+    const int64_t offset = rng.UniformInt(0, pages_per_file * os::kPageSize - 1);
+    // Mostly one page (a sub-page read, a doc fill); sometimes a range, up
+    // to past the capacity of the smallest caches.
+    const int64_t len =
+        rng.Bernoulli(0.2) ? rng.UniformInt(1, max_range * os::kPageSize) : rng.UniformInt(0, 4096);
+    const int64_t kind = rng.UniformInt(0, 99);
+    if (kind < 45) {
+      cache.Insert(file, offset, len);
+      ref.Insert(file, offset, len);
+    } else if (kind < 70) {
+      cache.Touch(file, offset, len);
+      ref.Touch(file, offset, len);
+    } else if (kind < 85) {
+      ASSERT_EQ(cache.Resident(file, offset, len), ref.Resident(file, offset, len)) << "op " << op;
+    } else if (kind < 98) {
+      cache.EvictRange(file, offset, len);
+      ref.EvictRange(file, offset, len);
+    } else {
+      // Same seed on both sides: the same draws must pick the same victims.
+      const double fraction = rng.Uniform(0.0, 0.5);
+      Rng cache_rng(evict_fraction_seed);
+      Rng ref_rng(evict_fraction_seed);
+      ++evict_fraction_seed;
+      cache.EvictFraction(fraction, cache_rng);
+      ref.EvictFraction(fraction, ref_rng);
+      ASSERT_EQ(cache_rng.Next(), ref_rng.Next()) << "op " << op << ": draw counts differ";
+    }
+    // Same size and every reference page resident: the same resident set.
+    ASSERT_EQ(cache.resident_pages(), ref.size()) << "op " << op;
+    for (const auto& [f, page] : ref.Pages()) {
+      ASSERT_TRUE(cache.Resident(f, page * os::kPageSize, 1))
+          << "op " << op << ": page " << page << " of file " << f << " missing";
+    }
+  }
+  // Each capacity evicts over a thousand LRU pages: several victim batches.
+  EXPECT_GT(ref.lru_evictions(), 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, PageCacheDifferential,
+                         ::testing::Values(16, 64, 256, 1024, 4096));
 
 // ------------------------------------------------------------- Ec2 noise
 

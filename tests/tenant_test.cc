@@ -492,11 +492,21 @@ TEST(TenantDeterminismTest, ScorecardIsByteIdenticalAcrossWorkerGrid) {
     harness::Trial t;
     t.options = SmallTenantWorld(slo_aware, 20170919);
     t.options.num_shards = 2;  // Controller ticks ride ScheduleGlobal.
+    // A hot node 0 (constant 1 MB-read contention) behind a 4 MB cache, so
+    // gets reach the SSD queues and the controller migrates tenants.
+    t.options.noise = harness::NoiseKind::kContinuous;
+    t.options.continuous_intensity = 60;
+    t.options.noise_horizon = Seconds(1);
+    t.options.cache_pages = 1 << 10;
     t.kind = harness::StrategyKind::kMittos;
     t.rename = slo_aware ? "slo-aware" : "uniform";
     trials.push_back(t);
   }
-  EXPECT_EQ(harness::RunOnWorkerGrid(trials).drift, std::vector<std::string>{});
+  const harness::GridRun grid = harness::RunOnWorkerGrid(trials);
+  EXPECT_EQ(grid.drift, std::vector<std::string>{});
+  // The slo-aware trial migrates, so the grid covers controller Assigns at
+  // quiesced barriers.
+  EXPECT_GT(grid.results[1].tenant_migrations, 0u);
 }
 
 }  // namespace
