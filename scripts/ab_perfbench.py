@@ -2,7 +2,7 @@
 """Same-host A/B comparison of the repository benchmark: a base revision against the working tree.
 
     scripts/ab_perfbench.py <base-rev> <workload>... [--pairs N] [--seed S] [--seconds T]
-                            [--work-dir DIR]
+                            [--trace 0|1] [--work-dir DIR]
 
 <workload> is one or more BENCHMARK.json workload names, or `all` for every
 one of them; the workloads run one after another, each with its own table.
@@ -19,6 +19,12 @@ and tied, and whether the change clears the base's interquartile range. A
 metric whose median got worse by more than its BENCHMARK.json bound is
 flagged, and the script then exits 1. Exit 0: no metric of any workload got
 worse beyond its bound; 2: usage, build or run error.
+
+With --trace 1 the pairs run traced (--trace 1), and the table lists the
+per_layer metrics of BENCHMARK.json instead: each side's median and
+quartiles, the median change, and the pairs the working tree won (by the
+metric's `better`) and tied. These rows are a report: per-layer metrics have
+no bound, so they never set the exit code.
 
 The work directory (a fresh temporary directory unless --work-dir names one)
 holds the exported base, both build trees and every run's output and JSON
@@ -70,10 +76,10 @@ class Side:
         self.root = root
         self.target = target
 
-    def run(self, workload, seed, seconds, log_dir, tag):
+    def run(self, workload, seed, seconds, trace, log_dir, tag):
         env = dict(os.environ, CARGO_TARGET_DIR=self.target)
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", str(trace)]
         log = os.path.join(log_dir, f"{self.name}-{tag}.log")
         with open(log, "w") as err:
             proc = subprocess.run(cmd, cwd=self.root, env=env, stdout=subprocess.PIPE,
@@ -113,52 +119,71 @@ def fmt(v):
     return f"{v:.6g}"
 
 
+class Row:
+    """One metric's two sides: medians, quartiles, change and pair wins."""
+
+    def __init__(self, m, base_values, head_values):
+        higher = m["better"] == "higher"
+        b, h = base_values, head_values
+        self.bm, self.hm = quantile(b, 0.5), quantile(h, 0.5)
+        self.bq1, self.bq3 = quantile(b, 0.25), quantile(b, 0.75)
+        self.hq1, self.hq3 = quantile(h, 0.25), quantile(h, 0.75)
+        self.wins = sum(1 for x, y in zip(b, h) if (y > x if higher else y < x))
+        self.ties = sum(1 for x, y in zip(b, h) if y == x)
+        gain = (self.hm - self.bm) if higher else (self.bm - self.hm)
+        self.beyond_iqr = "yes" if gain > (self.bq3 - self.bq1) else "no"
+        self.change = f"{(self.hm - self.bm) / abs(self.bm) * 100:+.2f}%" if self.bm != 0 else (
+            "0" if self.hm == self.bm else "n/a")
+        self.worse = relative_worsening(self.bm, self.hm, higher)
+
+    def sides(self):
+        return (f"{fmt(self.bm) + ' [' + fmt(self.bq1) + ', ' + fmt(self.bq3) + ']':<36} "
+                f"{fmt(self.hm) + ' [' + fmt(self.hq1) + ', ' + fmt(self.hq3) + ']':<36} "
+                f"{self.change:>9} {self.wins:>5} {self.ties:>5}")
+
+
 def compare(spec, base, head, workload, args, seconds, rev, work):
     """Runs one workload's pairs and prints its table; returns the regressed metric names."""
-    logs = os.path.join(work, f"runs-{workload}-seed{args.seed}")
+    suffix = "-trace1" if args.trace else ""
+    logs = os.path.join(work, f"runs-{workload}-seed{args.seed}{suffix}")
     os.makedirs(logs, exist_ok=True)
     # The first run on each side builds its perfbench; its numbers are dropped.
     for side in (base, head):
         print(f"ab_perfbench: building and warming {side.name}", file=sys.stderr)
-        side.run(workload, args.seed, 1, logs, "warm")
+        side.run(workload, args.seed, 1, args.trace, logs, "warm")
     results = {base.name: [], head.name: []}  # One metrics dict per run.
     for i in range(args.pairs):
         order = (base, head) if i % 2 == 0 else (head, base)
         for side in order:
-            results[side.name].append(side.run(workload, args.seed, seconds, logs, f"pair{i}"))
+            results[side.name].append(
+                side.run(workload, args.seed, seconds, args.trace, logs, f"pair{i}"))
         print(f"ab_perfbench: pair {i + 1}/{args.pairs} done ({order[0].name} first)",
               file=sys.stderr)
 
+    def row(m):
+        return Row(m, [r[m["name"]] for r in results[base.name]],
+                   [r[m["name"]] for r in results[head.name]])
+
+    traced = "  traced" if args.trace else ""
     print(f"workload {workload}  seed {args.seed}  pairs {args.pairs}  "
-          f"seconds {seconds}  base {rev[:12]}  head working tree")
-    header = (f"{'metric':<16} {'unit':<6} {'base median [q1, q3]':<36} "
+          f"seconds {seconds}  base {rev[:12]}  head working tree{traced}")
+    regressed = []
+    if args.trace:
+        print(f"{'per-layer metric':<30} {'unit':<6} {'base median [q1, q3]':<36} "
+              f"{'head median [q1, q3]':<36} {'change':>9} {'wins':>5} {'ties':>5}")
+        for m in spec["per_layer"]:
+            print(f"{m['name']:<30} {m['unit']:<6} {row(m).sides()}")
+    else:
+        print(f"{'metric':<16} {'unit':<6} {'base median [q1, q3]':<36} "
               f"{'head median [q1, q3]':<36} {'change':>9} {'wins':>5} {'ties':>5} "
               f"{'>IQR':>5}  verdict")
-    print(header)
-    regressed = []
-    for m in spec["end_to_end"]:
-        name = m["name"]
-        higher = m["better"] == "higher"
-        b = [r[name] for r in results[base.name]]
-        h = [r[name] for r in results[head.name]]
-        bm, hm = quantile(b, 0.5), quantile(h, 0.5)
-        bq1, bq3 = quantile(b, 0.25), quantile(b, 0.75)
-        hq1, hq3 = quantile(h, 0.25), quantile(h, 0.75)
-        wins = sum(1 for x, y in zip(b, h) if (y > x if higher else y < x))
-        ties = sum(1 for x, y in zip(b, h) if y == x)
-        gain = (hm - bm) if higher else (bm - hm)
-        beyond_iqr = "yes" if gain > (bq3 - bq1) else "no"
-        change = f"{(hm - bm) / abs(bm) * 100:+.2f}%" if bm != 0 else (
-            "0" if hm == bm else "n/a")
-        worse = relative_worsening(bm, hm, higher)
-        verdict = "ok"
-        if worse > m["bound"]:
-            verdict = f"WORSE beyond bound {m['bound']}"
-            regressed.append(name)
-        print(f"{name:<16} {m['unit']:<6} "
-              f"{fmt(bm) + ' [' + fmt(bq1) + ', ' + fmt(bq3) + ']':<36} "
-              f"{fmt(hm) + ' [' + fmt(hq1) + ', ' + fmt(hq3) + ']':<36} "
-              f"{change:>9} {wins:>5} {ties:>5} {beyond_iqr:>5}  {verdict}")
+        for m in spec["end_to_end"]:
+            r = row(m)
+            verdict = "ok"
+            if r.worse > m["bound"]:
+                verdict = f"WORSE beyond bound {m['bound']}"
+                regressed.append(m["name"])
+            print(f"{m['name']:<16} {m['unit']:<6} {r.sides()} {r.beyond_iqr:>5}  {verdict}")
     print(f"results: {logs}" if args.work_dir else "results: removed with the work directory")
     return regressed
 
@@ -172,6 +197,8 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=int, default=None,
                         help="host seconds per run (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: run traced and report the per_layer metrics (no bounds)")
     parser.add_argument("--work-dir", help="reusable directory for the base export and builds")
     args = parser.parse_args()
     if args.pairs < 1 or args.seed < 0:

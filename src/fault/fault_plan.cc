@@ -62,7 +62,7 @@ void SortEpisodes(std::vector<FaultEpisode>& episodes) {
 
 }  // namespace
 
-bool EpisodesOverlap(const FaultEpisode& a, const FaultEpisode& b) {
+bool EpisodesShareTarget(const FaultEpisode& a, const FaultEpisode& b) {
   if (a.kind != b.kind) {
     return false;  // Distinct kinds drive distinct injector knobs.
   }
@@ -71,10 +71,11 @@ bool EpisodesOverlap(const FaultEpisode& a, const FaultEpisode& b) {
     return false;
   }
   // SSD read-retry: chip selectors overlap when equal or either is all-chips.
-  if (a.kind == FaultKind::kSsdReadRetry && a.chip != b.chip && a.chip >= 0 && b.chip >= 0) {
-    return false;
-  }
-  return a.start < b.end() && b.start < a.end();
+  return a.kind != FaultKind::kSsdReadRetry || a.chip == b.chip || a.chip < 0 || b.chip < 0;
+}
+
+bool EpisodesOverlap(const FaultEpisode& a, const FaultEpisode& b) {
+  return EpisodesShareTarget(a, b) && a.start < b.end() && b.start < a.end();
 }
 
 FaultPlan::FaultPlan(std::vector<FaultEpisode> episodes) : episodes_(std::move(episodes)) {

@@ -80,13 +80,19 @@ struct FaultEpisode {
   bool operator==(const FaultEpisode&) const = default;
 };
 
-// True when the two episodes would drive the *same* injector target (same
-// kind on an overlapping node/chip selector) over an overlapping time range.
+// True when the two episodes drive the *same* injector target: the same
+// kind, node selectors that are equal or either the all-nodes wildcard, and
+// for SSD read retry chip selectors that are equal or either all chips.
+bool EpisodesShareTarget(const FaultEpisode& a, const FaultEpisode& b);
+
+// True when the two episodes share a target over an overlapping time range.
 // The injector does not compose same-target episodes: the later Begin
 // overwrites the earlier one's multiplier and the earlier End clears the
 // fault while the later episode is nominally still active (last-write-wins,
 // first-end-clears). Overlaps are therefore almost always plan bugs; the
-// chaos mutator drops them from every plan it generates.
+// chaos mutator drops them from every plan it generates. Back-to-back
+// episodes (one begins where the other ends) do not overlap: the injector
+// runs the End first.
 bool EpisodesOverlap(const FaultEpisode& a, const FaultEpisode& b);
 
 // One fault activation as actually applied by the injector, logged in

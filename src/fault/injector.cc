@@ -77,8 +77,21 @@ void FaultInjector::Begin(size_t index) {
     }
     return;
   }
-  ++episodes_begun_;
   const TimeNs begin_time = sim_->Now();
+  // An End due now on this episode's target was queued after this Begin (at
+  // the earlier episode's Begin), so it would heal what this Begin sets. Run
+  // it first; its queued event then finds the episode inactive.
+  for (size_t k = 0; k < active_.size();) {
+    const Active a = active_[k];
+    const FaultEpisode& other = plan_.episodes()[a.index];
+    if (a.start + other.duration == begin_time && EpisodesShareTarget(other, e)) {
+      End(a.index);  // Erases active_[k].
+    } else {
+      ++k;
+    }
+  }
+  ++episodes_begun_;
+  active_.push_back({index, begin_time});
   // Recorded at begin with the episode's scheduled window, so a run that
   // ends mid-episode (a long degradation outliving the workload) still shows
   // the fault in its trace. request_id 0 = not tied to one request; the
@@ -125,10 +138,17 @@ void FaultInjector::Begin(size_t index) {
       break;
   }
 
-  ScheduleFaultEvent(e.duration, [this, index, begin_time] { End(index, begin_time); });
+  ScheduleFaultEvent(e.duration, [this, index] { End(index); });
 }
 
-void FaultInjector::End(size_t index, TimeNs actual_start) {
+void FaultInjector::End(size_t index) {
+  const auto it = std::find_if(active_.begin(), active_.end(),
+                               [index](const Active& a) { return a.index == index; });
+  if (it == active_.end()) {
+    return;  // Ended early, by a same-target Begin at this instant.
+  }
+  const TimeNs actual_start = it->start;
+  active_.erase(it);
   const FaultEpisode& e = plan_.episodes()[index];
   switch (e.kind) {
     case FaultKind::kFailSlowDisk:

@@ -8,7 +8,9 @@
 // event, it never keeps the run alive after the workload drains (on one
 // shard it is a daemon event). Start() schedules one begin per episode; each
 // begin applies the fault through the target layer's injection hook and
-// schedules the matching clear. Fail-slow disks degrade through an 8-step
+// schedules the matching clear. At one instant a clear runs before a begin
+// on the same target (EpisodesShareTarget), so an episode that begins where
+// another ends takes effect. Fail-slow disks degrade through an 8-step
 // ramp across the first quarter of the episode — media ages, it does not
 // flip a switch — which is what makes the predictor's profiled model go
 // stale *gradually* (organic prediction error, vs the artificially injected
@@ -56,8 +58,15 @@ class FaultInjector {
  private:
   static constexpr int kRampSteps = 8;
 
+  // A begun episode whose End has not run.
+  struct Active {
+    size_t index;
+    TimeNs start;
+  };
+
   void Begin(size_t index);
-  void End(size_t index, TimeNs actual_start);
+  // Clears the episode and logs it; does nothing if it already ended.
+  void End(size_t index);
   // Schedules a fault transition `delay` from now as a global event.
   void ScheduleFaultEvent(DurationNs delay, sim::Callback fn);
   // True if the episode's target exists in this world.
@@ -69,6 +78,7 @@ class FaultInjector {
   cluster::Cluster* cluster_;
   FaultPlan plan_;
   std::vector<AppliedEpisode> applied_;
+  std::vector<Active> active_;  // In begin order.
   uint64_t episodes_begun_ = 0;
   uint64_t episodes_skipped_ = 0;
   bool started_ = false;

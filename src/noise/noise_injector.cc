@@ -1,12 +1,26 @@
 #include "src/noise/noise_injector.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 namespace mitt::noise {
 namespace {
 
 // Delay after a cache episode's end until the working set is resident again.
 constexpr DurationNs kCacheRestoreDelay = Millis(50);
+
+// Each episode is queued by the one before it, so the schedule must not go
+// back in time: an earlier start queued later would fire late.
+std::vector<NoiseEpisode> Chronological(std::vector<NoiseEpisode> schedule) {
+  if (!std::is_sorted(schedule.begin(), schedule.end(),
+                      [](const NoiseEpisode& a, const NoiseEpisode& b) {
+                        return a.start < b.start;
+                      })) {
+    throw std::invalid_argument("noise injector: episode starts decrease");
+  }
+  return schedule;
+}
 
 }  // namespace
 
@@ -17,17 +31,24 @@ IoNoiseInjector::IoNoiseInjector(sim::Simulator* sim, os::Os* target_os, uint64_
       os_(target_os),
       file_(file),
       file_size_(file_size),
-      schedule_(std::move(schedule)),
+      schedule_(Chronological(std::move(schedule))),
       options_(options),
       rng_(seed) {}
 
-void IoNoiseInjector::Start() {
-  for (const NoiseEpisode& ep : schedule_) {
-    sim_->ScheduleAt(ep.start, [this, ep] { BeginEpisode(ep); });
+void IoNoiseInjector::Start() { ScheduleEpisode(0); }
+
+void IoNoiseInjector::ScheduleEpisode(size_t index) {
+  if (index < schedule_.size()) {
+    sim_->ScheduleAt(schedule_[index].start, [this, index] { BeginEpisode(index); });
   }
 }
 
-void IoNoiseInjector::BeginEpisode(const NoiseEpisode& episode) {
+void IoNoiseInjector::BeginEpisode(size_t index) {
+  // Queue the next episode first, so it stays ahead of any event this one
+  // queues for the same instant.
+  ScheduleEpisode(index + 1);
+  ++episodes_run_;
+  const NoiseEpisode& episode = schedule_[index];
   const TimeNs end = episode.start + episode.duration;
   const int streams = episode.intensity * options_.streams_per_intensity;
   for (int s = 0; s < streams; ++s) {
@@ -70,16 +91,24 @@ void IoNoiseInjector::StreamLoop(TimeNs episode_end) {
 CacheNoiseInjector::CacheNoiseInjector(sim::Simulator* sim, os::Os* target_os,
                                        std::vector<NoiseEpisode> schedule,
                                        const Options& options, uint64_t seed)
-    : sim_(sim), os_(target_os), schedule_(std::move(schedule)), options_(options), rng_(seed) {}
+    : sim_(sim),
+      os_(target_os),
+      schedule_(Chronological(std::move(schedule))),
+      options_(options),
+      rng_(seed) {}
 
-void CacheNoiseInjector::Start() {
-  for (const NoiseEpisode& ep : schedule_) {
-    sim_->ScheduleAt(ep.start, [this, ep] { RunEpisode(ep); });
+void CacheNoiseInjector::Start() { ScheduleEpisode(0); }
+
+void CacheNoiseInjector::ScheduleEpisode(size_t index) {
+  if (index < schedule_.size()) {
+    sim_->ScheduleAt(schedule_[index].start, [this, index] { RunEpisode(index); });
   }
 }
 
-void CacheNoiseInjector::RunEpisode(const NoiseEpisode& episode) {
+void CacheNoiseInjector::RunEpisode(size_t index) {
+  ScheduleEpisode(index + 1);  // First, as in IoNoiseInjector::BeginEpisode.
   ++episodes_run_;
+  const NoiseEpisode& episode = schedule_[index];
   const double fraction =
       std::min(1.0, options_.drop_fraction_per_intensity * episode.intensity);
   const int64_t page = os::kPageSize;

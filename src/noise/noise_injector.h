@@ -10,6 +10,7 @@
 #ifndef MITTOS_NOISE_NOISE_INJECTOR_H_
 #define MITTOS_NOISE_NOISE_INJECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,18 +34,23 @@ class IoNoiseInjector {
 
   // The injector issues IOs against `file` (size `file_size`) on `target_os`,
   // following `schedule`. Episodes are replayed exactly; within an episode
-  // each stream issues back-to-back random IOs (closed loop).
+  // each stream issues back-to-back random IOs (closed loop). Throws
+  // std::invalid_argument if an episode starts before the one ahead of it.
   IoNoiseInjector(sim::Simulator* sim, os::Os* target_os, uint64_t file, int64_t file_size,
                   std::vector<NoiseEpisode> schedule, const Options& options, uint64_t seed);
 
+  // Queues the first episode; each episode queues the next as it begins, so
+  // one event is pending whatever the schedule's length.
   void Start();
 
   // True while inside an episode: the injector's ground-truth busyness.
   bool noisy_now() const { return active_streams_ > 0; }
   uint64_t ios_issued() const { return ios_issued_; }
+  uint64_t episodes_run() const { return episodes_run_; }
 
  private:
-  void BeginEpisode(const NoiseEpisode& episode);
+  void ScheduleEpisode(size_t index);
+  void BeginEpisode(size_t index);
   void StreamLoop(TimeNs episode_end);
 
   sim::Simulator* sim_;
@@ -56,6 +62,7 @@ class IoNoiseInjector {
   Rng rng_;
   int active_streams_ = 0;
   uint64_t ios_issued_ = 0;
+  uint64_t episodes_run_ = 0;
 };
 
 // Memory-space contention: at each episode start, a neighbor's balloon
@@ -74,15 +81,19 @@ class CacheNoiseInjector {
     bool restore = true;
   };
 
+  // Throws std::invalid_argument if an episode starts before the one ahead
+  // of it.
   CacheNoiseInjector(sim::Simulator* sim, os::Os* target_os, std::vector<NoiseEpisode> schedule,
                      const Options& options, uint64_t seed);
 
+  // Queues the first episode; each episode queues the next as it begins.
   void Start();
 
   uint64_t episodes_run() const { return episodes_run_; }
 
  private:
-  void RunEpisode(const NoiseEpisode& episode);
+  void ScheduleEpisode(size_t index);
+  void RunEpisode(size_t index);
 
   sim::Simulator* sim_;
   os::Os* os_;

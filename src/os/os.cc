@@ -160,11 +160,10 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
     if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled() && trace.traced()) {
       tr->RecordInstant(obs::SpanKind::kCacheLookup, trace, t0);
     }
-    if (cache_->Resident(args.file, args.offset, args.size)) {
+    if (cache_->Touch(args.file, args.offset, args.size)) {
       if (cache_hit_total_ != nullptr) {
         cache_hit_total_->Add();
       }
-      cache_->Touch(args.file, args.offset, args.size);
       TraceReadDone(trace, t0, t0 + kHitLatency, args.deadline, Status::Ok());
       ReplyAfter(kHitLatency, Status::Ok(), 0, std::move(done));
       return;
@@ -360,8 +359,7 @@ Os::AddrCheckResult Os::AddrCheck(uint64_t file, int64_t offset, int64_t size, D
 }
 
 void Os::MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid, RichReadFn done) {
-  if (cache_->Resident(file, offset, size)) {
-    cache_->Touch(file, offset, size);
+  if (cache_->Touch(file, offset, size)) {
     ReplyAfter(kMmapAccessCost, Status::Ok(), 0, std::move(done));
     return;
   }

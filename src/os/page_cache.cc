@@ -113,32 +113,42 @@ bool PageCache::Resident(uint64_t file, int64_t offset, int64_t len) const {
 void PageCache::Insert(uint64_t file, int64_t offset, int64_t len) {
   const int64_t first = offset / kPageSize;
   const int64_t last = (offset + (len > 0 ? len : 1) - 1) / kPageSize;
-  // Room for the whole range first, so a large warm-up rehashes at most once.
-  Reserve(std::min(count_ + static_cast<size_t>(last - first + 1), params_.capacity_pages));
+  // Room for the whole range first, so a large warm-up rehashes at most once
+  // and no page of the loop below grows the table. Eviction keeps the count
+  // at most the capacity, or at one page when the capacity is 0.
+  Reserve(std::min(count_ + static_cast<size_t>(last - first + 1),
+                   std::max<size_t>(params_.capacity_pages, 1)));
   for (int64_t p = first; p <= last; ++p) {
     const uint64_t key = Key(file, p);
-    if (const uint32_t hit = FindIndex(key); hit != kNil) {
-      slots_[hit].stamp = ++clock_;
+    uint32_t i = Probe(key);
+    if (slots_[i].stamp != 0) {
+      slots_[i].stamp = ++clock_;
       continue;
     }
     if (count_ >= params_.capacity_pages && count_ > 0) {
       EvictOldest();
+      i = Probe(key);  // The eviction's backward shift may have moved the free slot.
     }
-    Reserve(count_ + 1);
-    slots_[Probe(key)] = Slot{key, ++clock_};
+    slots_[i] = Slot{key, ++clock_};
     ++count_;
   }
 }
 
-void PageCache::Touch(uint64_t file, int64_t offset, int64_t len) {
+bool PageCache::Touch(uint64_t file, int64_t offset, int64_t len) {
   const int64_t first = offset / kPageSize;
   const int64_t last = (offset + (len > 0 ? len : 1) - 1) / kPageSize;
+  // A longer range checks every page before it stamps any.
+  if (first != last && !Resident(file, offset, len)) {
+    return false;
+  }
   for (int64_t p = first; p <= last; ++p) {
     const uint32_t i = FindIndex(Key(file, p));
-    if (i != kNil) {
-      slots_[i].stamp = ++clock_;
+    if (i == kNil) {
+      return false;  // Only a one-page range gets here.
     }
+    slots_[i].stamp = ++clock_;
   }
+  return true;
 }
 
 void PageCache::EvictRange(uint64_t file, int64_t offset, int64_t len) {

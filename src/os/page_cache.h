@@ -43,8 +43,10 @@ class PageCache {
   // Marks the range resident, evicting LRU pages if over capacity.
   void Insert(uint64_t file, int64_t offset, int64_t len);
 
-  // Moves the range's pages to the MRU end (a completed read access).
-  void Touch(uint64_t file, int64_t offset, int64_t len);
+  // A read access: if every page of the range is resident, moves them to the
+  // MRU end and returns true; otherwise changes nothing and returns false. A
+  // one-page range is one probe.
+  bool Touch(uint64_t file, int64_t offset, int64_t len);
 
   // Evicts pages covering the range, if resident.
   void EvictRange(uint64_t file, int64_t offset, int64_t len);

@@ -430,6 +430,99 @@ TEST(FaultInjectorTest, SkipsEpisodesTheWorldCannotHost) {
   EXPECT_TRUE(inj.applied().empty());
 }
 
+// ------------------------------------------------- Back-to-back episodes
+//
+// Episode B begins on A's target exactly when A ends. A's End is queued at
+// A's Begin, after B's Begin, so unless the injector runs the End first it
+// heals the knob B has just set. Each case runs A over [1, 3) ms and B over
+// [3 + gap, 7) ms and observes the target at 5 ms: a gap of 1 ns is the
+// order-free reference the exact adjacency (gap 0) must match.
+
+FaultPlan BackToBackPlan(FaultKind kind, double severity, int node, DurationNs gap) {
+  FaultPlanBuilder b;
+  b.Add({kind, node, Millis(1), Millis(2), severity, -1});
+  b.Add({kind, node, Millis(3) + gap, Millis(4) - gap, severity, -1});
+  return b.Build();
+}
+
+// Runs the plan's two episodes to their ends and checks the log.
+void RunBackToBack(sim::Simulator& sim, const FaultInjector& inj, DurationNs gap) {
+  sim.Schedule(Millis(10), [] {});
+  sim.Run();
+  ASSERT_EQ(inj.applied().size(), 2u);
+  EXPECT_EQ(inj.applied()[0].start, Millis(1));
+  EXPECT_EQ(inj.applied()[0].end, Millis(3));
+  EXPECT_EQ(inj.applied()[1].start, Millis(3) + gap);
+  EXPECT_EQ(inj.applied()[1].end, Millis(7));
+}
+
+// Hops held by the partition of node 1's link, for one hop sent at 5 ms.
+uint64_t PartitionHeldHops(DurationNs gap) {
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
+  cluster::Cluster c(&engine, SmallClusterOptions(2));
+  FaultInjector inj(&c, BackToBackPlan(FaultKind::kNetworkPartition, 1.0, 1, gap));
+  inj.Start();
+  sim.Schedule(Millis(5), [&] { c.network().DeliverToNode(1, [] {}); });
+  RunBackToBack(sim, inj, gap);
+  return c.network().messages_deferred();
+}
+
+TEST(FaultInjectorTest, BackToBackPartitionsBothHoldTheLink) {
+  EXPECT_EQ(PartitionHeldHops(1), 1u);
+  EXPECT_EQ(PartitionHeldHops(0), 1u);
+}
+
+// One-way time of a hop to node 1 sent at 5 ms, on a jitter-free network.
+DurationNs DegradedHop(DurationNs gap) {
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
+  cluster::Cluster::Options opt = SmallClusterOptions(2);
+  opt.network.jitter = 0;
+  cluster::Cluster c(&engine, opt);
+  FaultInjector inj(&c, BackToBackPlan(FaultKind::kNetworkDegrade, 6.0, 1, gap));
+  inj.Start();
+  TimeNs arrived = -1;
+  sim.Schedule(Millis(5), [&] { c.network().DeliverToNode(1, [&] { arrived = sim.Now(); }); });
+  RunBackToBack(sim, inj, gap);
+  return arrived - Millis(5);
+}
+
+TEST(FaultInjectorTest, BackToBackDegradesBothSlowTheLink) {
+  const DurationNs one_way = cluster::NetworkParams{}.one_way;
+  EXPECT_EQ(DegradedHop(1), 6 * one_way);
+  EXPECT_EQ(DegradedHop(0), 6 * one_way);
+}
+
+// Latency of one uncached 4 KiB read on node 0's SSD issued at 5 ms.
+DurationNs RetryStormRead(DurationNs gap) {
+  sim::ShardedEngine engine({});
+  sim::Simulator& sim = *engine.shard(0);
+  cluster::Cluster::Options opt = SmallClusterOptions(1);
+  opt.node.os.backend = os::BackendKind::kSsd;
+  cluster::Cluster c(&engine, opt);
+  os::Os& os = c.node(0).os();
+  const uint64_t file = os.CreateFile(1 << 20);
+  FaultInjector inj(&c, BackToBackPlan(FaultKind::kSsdReadRetry, 25.0, 0, gap));
+  inj.Start();
+  TimeNs done = -1;
+  sim.Schedule(Millis(5), [&] {
+    os::Os::ReadArgs args;
+    args.file = file;
+    args.bypass_cache = true;
+    os.ReadWithWaitHint(args, [&](Status, DurationNs) { done = sim.Now(); });
+  });
+  RunBackToBack(sim, inj, gap);
+  return done - Millis(5);
+}
+
+TEST(FaultInjectorTest, BackToBackReadRetryStormsBothSlowReads) {
+  const DurationNs healthy = RetryStormRead(Millis(3));  // B begins at 6 ms.
+  const DurationNs storm = RetryStormRead(1);
+  EXPECT_GT(storm, 5 * healthy);
+  EXPECT_EQ(RetryStormRead(0), storm);
+}
+
 // ------------------------------------------------- End-to-end determinism
 
 // The subsystem's headline contract: a fault-laden scenario fingerprints

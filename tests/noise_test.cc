@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/noise/ec2_noise.h"
@@ -173,6 +174,41 @@ TEST(IoNoiseInjectorTest, ProbeLatencyRisesDuringEpisode) {
   EXPECT_GT(noisy, quiet * 2);
 }
 
+// A long schedule costs one pending event: each episode queues the next as
+// it begins. Episode i runs over [100i, 100i + 10) ms.
+std::vector<NoiseEpisode> LongSchedule() {
+  std::vector<NoiseEpisode> schedule;
+  for (int i = 0; i < 1000; ++i) {
+    schedule.push_back({i * Millis(100), Millis(10), 1});
+  }
+  return schedule;
+}
+
+TEST(IoNoiseInjectorTest, KeepsOneEpisodePending) {
+  sim::Simulator sim;
+  os::OsOptions opt;
+  opt.backend = os::BackendKind::kDiskCfq;
+  opt.mitt_enabled = false;
+  os::Os target(&sim, opt);
+  const int64_t file_size = 1LL << 30;
+  const uint64_t file = target.CreateFile(file_size);
+  IoNoiseInjector::Options nopt;
+  nopt.io_size = 4096;
+  IoNoiseInjector injector(&sim, &target, file, file_size, LongSchedule(), nopt, 5);
+  const size_t before = sim.pending_events();
+  injector.Start();
+  EXPECT_EQ(sim.pending_events(), before + 1);
+  for (int i = 0; i < 5; ++i) {
+    sim.RunUntil(i * Millis(100) + Millis(5));
+    EXPECT_TRUE(injector.noisy_now()) << "inside episode " << i;
+    sim.RunUntil(i * Millis(100) + Millis(60));
+    EXPECT_FALSE(injector.noisy_now()) << "after episode " << i;
+  }
+  sim.Run();
+  EXPECT_EQ(injector.episodes_run(), 1000u);
+  EXPECT_FALSE(injector.noisy_now());
+}
+
 TEST(CacheNoiseInjectorTest, DropsPagesAtEpisodes) {
   sim::Simulator sim;
   os::OsOptions opt;
@@ -219,6 +255,51 @@ TEST(CacheNoiseInjectorTest, RestoresPagesAfterEpisode) {
   sim.RunUntil(Seconds(1));
   EXPECT_EQ(target.cache().resident_pages(), before);  // Swapped back in.
   EXPECT_EQ(injector.episodes_run(), 1u);
+}
+
+TEST(CacheNoiseInjectorTest, KeepsOneEpisodePending) {
+  sim::Simulator sim;
+  os::OsOptions opt;
+  opt.backend = os::BackendKind::kDiskCfq;
+  opt.mitt_enabled = false;
+  os::Os target(&sim, opt);
+  const uint64_t file = target.CreateFile(8 << 20);
+  target.Prefault(file, 0, 8 << 20);
+  const size_t resident = target.cache().resident_pages();
+
+  CacheNoiseInjector::Options nopt;
+  nopt.file = file;
+  nopt.file_size = 8 << 20;
+  nopt.drop_fraction_per_intensity = 0.2;
+  CacheNoiseInjector injector(&sim, &target, LongSchedule(), nopt, 3);
+  const size_t before = sim.pending_events();
+  injector.Start();
+  EXPECT_EQ(sim.pending_events(), before + 1);
+  for (int i = 0; i < 5; ++i) {
+    // Dropped inside the episode, swapped back in 50 ms after its end.
+    sim.RunUntil(i * Millis(100) + Millis(5));
+    EXPECT_LT(target.cache().resident_pages(), resident) << "inside episode " << i;
+    EXPECT_EQ(injector.episodes_run(), static_cast<uint64_t>(i + 1));
+    sim.RunUntil(i * Millis(100) + Millis(80));
+    EXPECT_EQ(target.cache().resident_pages(), resident) << "after episode " << i;
+  }
+  sim.Run();
+  EXPECT_EQ(injector.episodes_run(), 1000u);
+}
+
+TEST(NoiseInjectorTest, DecreasingStartThrows) {
+  sim::Simulator sim;
+  os::Os target(&sim, os::OsOptions{});
+  const std::vector<NoiseEpisode> backwards = {{Millis(20), Millis(5), 1},
+                                               {Millis(10), Millis(5), 1}};
+  EXPECT_THROW(IoNoiseInjector(&sim, &target, target.CreateFile(1 << 20), 1 << 20, backwards,
+                               IoNoiseInjector::Options{}, 1),
+               std::invalid_argument);
+  CacheNoiseInjector::Options copt;
+  EXPECT_THROW(CacheNoiseInjector(&sim, &target, backwards, copt, 1), std::invalid_argument);
+  // Equal starts keep their order: not a decrease.
+  const std::vector<NoiseEpisode> tied = {{Millis(10), Millis(5), 1}, {Millis(10), Millis(5), 1}};
+  EXPECT_NO_THROW(CacheNoiseInjector(&sim, &target, tied, copt, 1));
 }
 
 }  // namespace

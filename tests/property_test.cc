@@ -285,21 +285,38 @@ TEST_P(PageCacheProperty, EvictRangeRemovesExactlyThatRange) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageCacheProperty, ::testing::Values(31, 32, 33, 34));
 
+// A zero-page cache still takes each insert and keeps only the newest page.
+TEST(PageCacheTest, ZeroCapacityKeepsTheNewestPage) {
+  os::PageCacheParams params;
+  params.capacity_pages = 0;
+  os::PageCache cache(params);
+  cache.Insert(1, 0, 4 * os::kPageSize);
+  EXPECT_EQ(cache.resident_pages(), 1u);
+  EXPECT_TRUE(cache.Touch(1, 3 * os::kPageSize, os::kPageSize));
+  EXPECT_FALSE(cache.Touch(1, 2 * os::kPageSize, 2 * os::kPageSize));
+  cache.Insert(2, 0, 1);
+  EXPECT_EQ(cache.resident_pages(), 1u);
+  EXPECT_TRUE(cache.Resident(2, 0, 1));
+}
+
 // The page cache's semantics, spelled out as a list + map LRU: a list in
 // LRU-to-MRU order, every insert and touch moves its page to the MRU end,
-// an insert at capacity first evicts the LRU page, and EvictFraction draws
-// one Bernoulli per resident page in LRU order.
+// a touch moves nothing unless its whole range is resident, an insert at
+// capacity first evicts the LRU page, and EvictFraction draws one Bernoulli
+// per resident page in LRU order.
 class ReferenceLru {
  public:
   explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
 
   bool Resident(uint64_t file, int64_t offset, int64_t len) const {
+    return ResidentPages(file, offset, len) == Last(offset, len) - First(offset) + 1;
+  }
+  int64_t ResidentPages(uint64_t file, int64_t offset, int64_t len) const {
+    int64_t n = 0;
     for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
-      if (where_.count(Key(file, p)) == 0) {
-        return false;
-      }
+      n += static_cast<int64_t>(where_.count(Key(file, p)));
     }
-    return true;
+    return n;
   }
   void Insert(uint64_t file, int64_t offset, int64_t len) {
     for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
@@ -316,12 +333,14 @@ class ReferenceLru {
       where_[key] = lru_.insert(lru_.end(), key);
     }
   }
-  void Touch(uint64_t file, int64_t offset, int64_t len) {
-    for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
-      if (const auto it = where_.find(Key(file, p)); it != where_.end()) {
-        lru_.splice(lru_.end(), lru_, it->second);
-      }
+  bool Touch(uint64_t file, int64_t offset, int64_t len) {
+    if (!Resident(file, offset, len)) {
+      return false;
     }
+    for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
+      lru_.splice(lru_.end(), lru_, where_.at(Key(file, p)));
+    }
+    return true;
   }
   void EvictRange(uint64_t file, int64_t offset, int64_t len) {
     for (int64_t p = First(offset); p <= Last(offset, len); ++p) {
@@ -385,20 +404,33 @@ TEST_P(PageCacheDifferential, MatchesReferenceLruUnderEvictionPressure) {
   const int64_t pages_per_file = static_cast<int64_t>(capacity);
   const auto max_range = std::max<int64_t>(2, static_cast<int64_t>(capacity) / 8);
   uint64_t evict_fraction_seed = 1;
+  int partial_touches = 0;
   for (int op = 0; op < 3000; ++op) {
-    const auto file = static_cast<uint64_t>(rng.UniformInt(1, 3));
-    const int64_t offset = rng.UniformInt(0, pages_per_file * os::kPageSize - 1);
+    auto file = static_cast<uint64_t>(rng.UniformInt(1, 3));
+    int64_t offset = rng.UniformInt(0, pages_per_file * os::kPageSize - 1);
     // Mostly one page (a sub-page read, a doc fill); sometimes a range, up
     // to past the capacity of the smallest caches.
-    const int64_t len =
+    int64_t len =
         rng.Bernoulli(0.2) ? rng.UniformInt(1, max_range * os::kPageSize) : rng.UniformInt(0, 4096);
     const int64_t kind = rng.UniformInt(0, 99);
+    if (kind >= 45 && kind < 85 && ref.size() > 0 && rng.Bernoulli(0.5)) {
+      // Touch and Resident also get ranges of 2-8 pages from up to two pages
+      // before a resident page: often resident only in part.
+      const auto pages = ref.Pages();
+      const auto& [f, page] =
+          pages[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(pages.size()) - 1))];
+      file = f;
+      offset = std::max<int64_t>(0, page - rng.UniformInt(0, 2)) * os::kPageSize;
+      len = rng.UniformInt(2, 8) * os::kPageSize;
+    }
     if (kind < 45) {
       cache.Insert(file, offset, len);
       ref.Insert(file, offset, len);
     } else if (kind < 70) {
-      cache.Touch(file, offset, len);
-      ref.Touch(file, offset, len);
+      const bool resident = ref.Resident(file, offset, len);
+      partial_touches += !resident && ref.ResidentPages(file, offset, len) > 0 ? 1 : 0;
+      ASSERT_EQ(cache.Touch(file, offset, len), resident) << "op " << op;
+      ASSERT_EQ(ref.Touch(file, offset, len), resident);
     } else if (kind < 85) {
       ASSERT_EQ(cache.Resident(file, offset, len), ref.Resident(file, offset, len)) << "op " << op;
     } else if (kind < 98) {
@@ -423,6 +455,9 @@ TEST_P(PageCacheDifferential, MatchesReferenceLruUnderEvictionPressure) {
   }
   // Each capacity evicts over a thousand LRU pages: several victim batches.
   EXPECT_GT(ref.lru_evictions(), 1000u);
+  // A partly resident range stamped none of its pages, or the resident sets
+  // and eviction order above would have drifted.
+  EXPECT_GT(partial_touches, 50);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, PageCacheDifferential,
